@@ -27,7 +27,7 @@ func main() {
 	flag.IntVar(&cfg.Top, "top", 50, "print at most this many patterns (0 = all)")
 	flag.BoolVar(&cfg.Stats, "stats", false, "print per-run statistics")
 	flag.BoolVar(&cfg.MultiOnly, "multileaf", false, "print only patterns with ≥2 leaf values")
-	flag.IntVar(&cfg.Shards, "shards", 0, "mine with this many concurrent shards (0/1 = unsharded)")
+	flag.IntVar(&cfg.Shards, "shards", 0, "mine sharded, at most this many component groups at once (edgecut: this many regions; 0/1 = unsharded)")
 	flag.StringVar(&cfg.ShardStrategy, "shard-strategy", "auto", "shard partitioning: auto, components or edgecut")
 	flag.BoolVar(&cfg.Cache, "cache", false, "mine incrementally through a shard-result cache")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "persist shard results under this directory (implies -cache)")

@@ -112,9 +112,11 @@ func MineWithOptions(g *Graph, opts Options) *Model {
 
 // MineSharded partitions g into shards mined concurrently and merges the
 // per-shard models with exact description-length accounting. Under the
-// default component strategy the result is bit-identical to Mine(g) while
-// wall time drops with shard parallelism; Options.Shards and
-// Options.ShardStrategy tune the partitioning.
+// default component strategy every attribute-closed component group is one
+// shard run and the result is bit-identical to Mine(g) while wall time drops
+// with shard parallelism; Options.Shards bounds how many groups mine at once
+// (the region count under the edge-cut strategy) and Options.ShardStrategy
+// picks the partitioning.
 func MineSharded(g *Graph, opts Options) *Model {
 	return icspm.MineSharded(g, opts)
 }

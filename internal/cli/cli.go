@@ -54,10 +54,12 @@ type MineConfig struct {
 	Top       int
 	Stats     bool
 	MultiOnly bool
-	// Shards > 1 mines through cspm.MineSharded with that many shards;
-	// setting ShardStrategy to "components" or "edgecut" also opts into
-	// sharded mining (with an automatic shard count when Shards is 0).
-	// Shards ≤ 1 with ShardStrategy empty or "auto" mines unsharded.
+	// Shards > 1 mines through cspm.MineSharded: under the component
+	// strategy every attribute-closed group is its own shard run and Shards
+	// bounds how many run at once; under edgecut the graph is cut into
+	// Shards regions. Setting ShardStrategy to "components" or "edgecut"
+	// also opts into sharded mining (with an automatic bound when Shards is
+	// 0). Shards ≤ 1 with ShardStrategy empty or "auto" mines unsharded.
 	// Incompatible with MultiCore.
 	Shards        int
 	ShardStrategy string

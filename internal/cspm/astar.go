@@ -63,8 +63,9 @@ type IterationStat struct {
 	UpdateRatio   float64 // GainUpdates / PossiblePairs
 	Gain          float64 // realised DL reduction of the applied merge
 	TotalDL       float64 // DL after the merge
-	// Shard is the shard that applied the merge in a MineSharded run (0 in
-	// unsharded runs, -1 for the edge-cut refinement pass).
+	// Shard is the shard that applied the merge: in a component-grained run
+	// the index of its group among the run's dirty groups, in an edge-cut
+	// run the region (-1 for the refinement pass), 0 in unsharded runs.
 	Shard int
 	// Refinement marks merges applied by the sequential refinement pass of
 	// the edge-cut strategy; their summed Gain is Model.RefinementGain.
@@ -85,10 +86,10 @@ type Model struct {
 	CondEntropy float64
 
 	// ShardCount is the number of shard searches the run executed: the
-	// concurrent shard count of a MineSharded run, or the number of dirty
-	// component groups a MineShardedCached run re-mined (0 when every group
-	// replayed from cache — check CacheHits to tell that apart from an
-	// unsharded run, which reports 0 on all three cache counters).
+	// number of component groups a component-grained run mined (0 when
+	// every group replayed from cache — check CacheHits to tell that apart
+	// from an unsharded run, which reports 0 on all three cache counters),
+	// or the region count of an edge-cut run.
 	ShardCount int
 	// RefinementGain is the DL reduction realised by the sequential
 	// refinement pass of the edge-cut shard strategy (0 elsewhere).

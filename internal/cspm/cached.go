@@ -3,7 +3,6 @@ package cspm
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"runtime"
 	"time"
 
 	"cspm/internal/graph"
@@ -12,12 +11,13 @@ import (
 	"cspm/internal/shardcache"
 )
 
-// StageObserver receives the wall-clock duration of each internal phase of a
-// cached mine: "fingerprint" (component fingerprinting), "diff" (cache
-// lookup splitting clean from dirty groups), "shard_mine" (mining the dirty
-// shards) and "merge" (exact model merge). The serving layer's re-mine
-// profiler plugs in here; a plain function type (not an Options field) keeps
-// Options gob-encodable for the shardrpc wire.
+// StageObserver receives the wall-clock duration of each phase of a
+// component-pipeline run: "fingerprint" (component fingerprinting), "diff"
+// (cache lookup splitting clean from dirty groups), "shard_mine" (mining the
+// dirty groups, in-process or over a transport) and "merge" (exact model
+// merge). The serving layer's re-mine profiler plugs in here; a plain
+// function type (not an Options field) keeps Options gob-encodable for the
+// shardrpc wire.
 type StageObserver func(stage string, d time.Duration)
 
 func (f StageObserver) observe(stage string, since time.Time) {
@@ -51,8 +51,8 @@ func searchFingerprint(opts Options) graph.Fingerprint {
 	return sha256.Sum256(buf[:])
 }
 
-// MineShardedCached mines g by attribute-closed component groups like
-// MineSharded's component strategy, but consults cache before mining: groups
+// MineShardedCached mines g by attribute-closed component groups through the
+// component pipeline (see mineGroups), consulting cache before mining: groups
 // whose fingerprint (together with the graph's global attribute context) has
 // a cached shard result are replayed from the cache, and only dirty groups
 // are re-mined. The merged model is bit-identical to Mine(g) whether every
@@ -60,27 +60,60 @@ func searchFingerprint(opts Options) graph.Fingerprint {
 // all reported description lengths are pure functions of the per-group line
 // multisets the cache stores (see DESIGN.md "Shard-result cache").
 //
-// Options.Shards bounds how many dirty groups mine concurrently (0 = all
-// cores) and Options.Workers is the total evaluation budget, exactly as in
-// MineSharded. Options.MaxIterations caps each group's merges independently
-// — like MineSharded and unlike Mine's single global cap, so capped runs
-// match MineSharded, not Mine. Options.ShardStrategy is ignored: cached
-// mining is always component-grained (the edge-cut strategy has no stable
-// per-group unit to key). A nil cache mines through a private ephemeral
-// cache, so the result contract is identical — only the reuse is lost. It
-// panics if opts fails Validate.
+// Each dirty group is one shard run; Options.Shards bounds how many run
+// concurrently (0 = all cores) and Options.Workers is the total evaluation
+// budget, exactly as in MineSharded. Options.MaxIterations caps each group's
+// merges independently — like MineSharded and unlike Mine's single global
+// cap, so capped runs match MineSharded, not Mine. Options.ShardStrategy is
+// ignored: cached mining is always component-grained (the edge-cut strategy
+// has no stable per-group unit to key). A nil cache mines through a private
+// ephemeral cache, so the result contract is identical — only the reuse is
+// lost. It panics if opts fails Validate.
 func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *Model {
-	return MineShardedCachedObserved(g, opts, cache, nil)
-}
-
-// MineShardedCachedObserved is MineShardedCached with per-phase timing
-// reported to observe (nil = no observation; the mining result is identical
-// either way).
-func MineShardedCachedObserved(g *graph.Graph, opts Options, cache *shardcache.Cache, observe StageObserver) *Model {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
 	if cache == nil {
+		cache = shardcache.New(0)
+	}
+	m, _ := mineGroups(g, opts, cache, opts.mineLocal, nil)
+	return m
+}
+
+// MineShardedCachedObserved runs the component pipeline over opts.Cache with
+// per-phase timing reported to observe (nil = no observation; the mining
+// result is identical either way). Dirty groups mine in-process like
+// MineShardedCached when opts.Transport is nil, and as shard jobs over the
+// transport like MineDistributed otherwise — so unlike MineDistributed, a
+// nil Transport never starts a loopback pool. A nil opts.Cache mines
+// uncached (the cache counters stay 0).
+func MineShardedCachedObserved(g *graph.Graph, opts DistributedOptions, observe StageObserver) (*Model, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	exec := opts.Options.mineLocal
+	if opts.Transport != nil {
+		exec = opts.mineRemote
+	}
+	return mineGroups(g, opts.Options, opts.Cache, exec, observe)
+}
+
+// groupExecutor mines the dirty component groups — indices into members —
+// into their entries slots, recording its run diagnostics (PerIter, remote
+// counters) on m. A non-nil error aborts the run.
+type groupExecutor func(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error
+
+// mineGroups is the one component-mining pipeline behind MineSharded's
+// component strategy, MineShardedCached and MineDistributed: partition g
+// into attribute-closed groups and fingerprint them, diff them against
+// cache, hand the dirty groups to exec and store their entries, then fold
+// the diagnostics and merge every group's entry with the canonical DL
+// accounting. A nil cache mines through an ephemeral one and leaves the
+// cache counters at 0, as in any uncached run. Each phase is reported to
+// observe (see StageObserver). The caller validates opts.
+func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec groupExecutor, observe StageObserver) (*Model, error) {
+	counted := cache != nil
+	if !counted {
 		cache = shardcache.New(0)
 	}
 	t := time.Now()
@@ -91,82 +124,83 @@ func MineShardedCachedObserved(g *graph.Graph, opts Options, cache *shardcache.C
 	observe.observe("fingerprint", t)
 	st := mdl.NewStandardTable(g)
 	members := groups.Members()
+	key := func(gi int) shardcache.Key {
+		return shardcache.Key{Component: fps[gi], Global: global, Search: search}
+	}
 
 	t = time.Now()
 	entries := make([]*shardcache.Entry, groups.Count)
-	fresh := make([]bool, groups.Count)
 	var dirty []int
-	for gi := 0; gi < groups.Count; gi++ {
-		if e, ok := cache.Get(shardcache.Key{Component: fps[gi], Global: global, Search: search}); ok {
+	for gi := range entries {
+		if e, ok := cache.Get(key(gi)); ok {
 			entries[gi] = e
 		} else {
-			fresh[gi] = true
 			dirty = append(dirty, gi)
 		}
 	}
 	observe.observe("diff", t)
 
 	evBefore := cache.Stats().Evictions
-	shards := make([]*shardRun, len(dirty))
+	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
 	t = time.Now()
 	if len(dirty) > 0 {
-		// Entries must always carry the run diagnostics (a warm replay still
-		// reports Iterations), so dirty runs collect stats unconditionally;
-		// PerIter is surfaced only when the caller asked.
-		runOpts := opts
-		runOpts.CollectStats = true
-		for i, gi := range dirty {
-			shards[i] = &shardRun{verts: members[gi]}
+		if err := exec(g, st, members, dirty, entries, m); err != nil {
+			return nil, err
 		}
-		k := opts.Shards
-		if k == 0 {
-			k = runtime.GOMAXPROCS(0)
-		}
-		runShards(g, st, runOpts, shards, k)
-		for i, gi := range dirty {
-			sh := shards[i]
-			e := &shardcache.Entry{
-				Init: sh.init, Final: sh.final,
-				Iterations: sh.stats.iterations, GainEvals: sh.stats.gainEvals,
-			}
+		for _, gi := range dirty {
 			// A failed disk write only loses persistence (the in-memory copy
 			// is already stored); mining correctness is unaffected.
-			_ = cache.Put(shardcache.Key{Component: fps[gi], Global: global, Search: search}, e)
-			entries[gi] = e
+			_ = cache.Put(key(gi), entries[gi])
 		}
 	}
 	observe.observe("shard_mine", t)
 
 	t = time.Now()
-	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
-	m.CacheHits = groups.Count - len(dirty)
-	m.CacheMisses = len(dirty)
-	m.CacheEvictions = int(cache.Stats().Evictions - evBefore)
-	for gi, e := range entries {
-		if !fresh[gi] {
-			// Replayed groups contribute their recorded diagnostics; fresh
-			// runs contribute theirs through appendShardStats below.
-			m.Iterations += e.Iterations
-			m.GainEvals += e.GainEvals
-		}
+	if counted {
+		m.CacheHits = groups.Count - len(dirty)
+		m.CacheMisses = len(dirty)
+		m.CacheEvictions = int(cache.Stats().Evictions - evBefore)
 	}
-	for i := range shards {
-		if !opts.CollectStats {
-			shards[i].stats.perIter = nil
-		}
-		appendShardStats(m, shards[i].stats, i, false)
+	for _, e := range entries {
+		m.Iterations += e.Iterations
+		m.GainEvals += e.GainEvals
 	}
 	mergeEntryStats(m, st, entries)
 	observe.observe("merge", t)
-	return m
+	return m, nil
+}
+
+// mineLocal is the in-process group executor: one shard run per dirty
+// group, at most Options.Shards (0 = all cores) running at once. Runs always
+// collect stats — an entry must carry the iteration totals even when a warm
+// replay later reports them — while PerIter is surfaced only when the
+// caller asked, each merge tagged with its dirty-group index.
+func (o Options) mineLocal(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error {
+	runOpts := o
+	runOpts.CollectStats = true
+	shards := make([]*shardRun, len(dirty))
+	for i, gi := range dirty {
+		shards[i] = &shardRun{verts: members[gi]}
+	}
+	runShards(g, st, runOpts, shards)
+	for i, gi := range dirty {
+		sh := shards[i]
+		entries[gi] = &shardcache.Entry{
+			Init: sh.init, Final: sh.final,
+			Iterations: sh.stats.iterations, GainEvals: sh.stats.gainEvals,
+		}
+		if o.CollectStats {
+			appendPerIter(m, sh.stats.perIter, i, false)
+		}
+	}
+	return nil
 }
 
 // mergeEntryStats folds one entry per component group into m: canonical
 // baseline/final DLs, conditional entropy and the pattern list, all pure
-// functions of the per-group line multisets. This is the exact-merge tail
-// shared by the cached and distributed miners — it cannot tell (and need
-// not know) whether an entry came from a fresh local run, a cache replay,
-// or a remote worker's blob.
+// functions of the per-group line multisets. It is mineGroups' exact-merge
+// tail — it cannot tell (and need not know) whether an entry came from a
+// fresh local run, a cache replay, or a remote worker's blob.
 func mergeEntryStats(m *Model, st *mdl.StandardTable, entries []*shardcache.Entry) {
 	var init, final []invdb.LineStat
 	for _, e := range entries {

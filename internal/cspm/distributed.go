@@ -3,7 +3,6 @@ package cspm
 import (
 	"crypto/sha256"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -190,82 +189,44 @@ func MineDistributed(g *graph.Graph, opts DistributedOptions) (*Model, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	groups := graph.AttrClosedComponents(g)
-	members := groups.Members()
-	st := mdl.NewStandardTable(g)
-	stFreqs := st.Freqs()
-	m := &Model{Vocab: g.Vocab()}
+	return mineGroups(g, opts.Options, opts.Cache, opts.mineRemote, nil)
+}
 
-	// Cache consult: hits are finished groups before any job is built.
-	entries := make([]*shardcache.Entry, groups.Count)
-	var keys []shardcache.Key
-	var evBefore uint64
-	if opts.Cache != nil {
-		evBefore = opts.Cache.Stats().Evictions
-		fps := groups.Fingerprints(g)
-		global := graph.GlobalFingerprint(g)
-		search := searchFingerprint(opts.Options)
-		keys = make([]shardcache.Key, groups.Count)
-		for gi := range keys {
-			keys[gi] = shardcache.Key{Component: fps[gi], Global: global, Search: search}
-			if e, ok := opts.Cache.Get(keys[gi]); ok {
-				entries[gi] = e
-				m.CacheHits++
-			}
-		}
-	}
-	var jobGroups []int
-	for gi := 0; gi < groups.Count; gi++ {
-		if entries[gi] == nil {
-			jobGroups = append(jobGroups, gi)
-		}
-	}
-	if opts.Cache != nil {
-		m.CacheMisses = len(jobGroups)
-	}
-	m.ShardCount = len(jobGroups)
-	m.RemoteJobs = len(jobGroups)
-
-	fallbackOpts := opts.Options
-	transport := opts.Transport
-	if transport == nil && len(jobGroups) > 0 {
-		k := opts.Shards
-		if k == 0 {
-			k = runtime.GOMAXPROCS(0)
-		}
-		pool := min(k, len(jobGroups))
+// mineRemote is the transport group executor: one shard job per dirty group
+// over o.Transport (nil = an in-process loopback pool of at most
+// Options.Shards workers), retried and deduplicated by collectRemote. Jobs
+// that exhaust their attempts are mined in-process by mineLocal, or fail the
+// run with a *DistributedError under NoFallback. No PerIter trace is
+// collected, fallback runs included.
+func (o DistributedOptions) mineRemote(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error {
+	local := o.Options
+	local.CollectStats = false
+	if o.Transport == nil {
+		pool := min(o.shardLimit(), len(dirty))
 		lb := shardrpc.NewLoopback(ExecuteShardJob, pool)
 		defer lb.Close()
-		transport = lb
+		o.Transport = lb
 		// The in-process pool shares the coordinator's cores, so split the
 		// evaluation budget across the concurrent jobs the way runShards
 		// splits it — each job's Workers is its own evaluator count, and
 		// results are bit-identical for any value. Remote transports keep
 		// the unsplit budget: their workers' cores are not ours.
-		opts.Workers = max(1, opts.workerCount()/pool)
+		o.Workers = max(1, o.workerCount()/pool)
 	}
-
-	failed := collectRemote(transport, g, stFreqs, opts, jobGroups, members, entries, m)
-	if len(failed) > 0 {
-		if opts.NoFallback {
-			return nil, &DistributedError{Jobs: failed}
-		}
-		mineFallback(g, st, fallbackOpts, failed, members, entries, m)
+	m.RemoteJobs = len(dirty)
+	failed := collectRemote(g, st.Freqs(), o, dirty, members, entries, m)
+	if len(failed) == 0 {
+		return nil
 	}
-	if opts.Cache != nil {
-		for _, gi := range jobGroups {
-			// A failed disk write only loses persistence; mining
-			// correctness is unaffected (same contract as the cached miner).
-			_ = opts.Cache.Put(keys[gi], entries[gi])
-		}
-		m.CacheEvictions = int(opts.Cache.Stats().Evictions - evBefore)
+	if o.NoFallback {
+		return &DistributedError{Jobs: failed}
 	}
-	for _, e := range entries {
-		m.Iterations += e.Iterations
-		m.GainEvals += e.GainEvals
+	m.LocalFallbacks = len(failed)
+	groups := make([]int, len(failed))
+	for i, f := range failed {
+		groups[i] = f.Group
 	}
-	mergeEntryStats(m, st, entries)
-	return m, nil
+	return local.mineLocal(g, st, members, groups, entries, m)
 }
 
 // pendingJob tracks one dispatched shard job through its attempts.
@@ -284,16 +245,14 @@ type pendingJob struct {
 // stale id misses the outstanding map and is counted as a duplicate.
 var distRunSeq atomic.Uint64
 
-// collectRemote dispatches one job per group in jobGroups and collects
-// entries, retrying failed attempts up to opts.Retries times. It returns
-// the jobs that exhausted their attempts; everything else has its entry
-// slot filled. Responses whose job is already satisfied are counted on
-// m.RemoteDuplicates and dropped — the dedupe that keeps a duplicating
-// transport from double-counting a group.
-func collectRemote(t shardrpc.Transport, g *graph.Graph, stFreqs []int, opts DistributedOptions, jobGroups []int, members [][]graph.VertexID, entries []*shardcache.Entry, m *Model) []FailedJob {
-	if len(jobGroups) == 0 {
-		return nil
-	}
+// collectRemote dispatches one job per group in jobGroups over
+// opts.Transport and collects entries, retrying failed attempts up to
+// opts.Retries times. It returns the jobs that exhausted their attempts;
+// everything else has its entry slot filled. Responses whose job is already
+// satisfied are counted on m.RemoteDuplicates and dropped — the dedupe that
+// keeps a duplicating transport from double-counting a group.
+func collectRemote(g *graph.Graph, stFreqs []int, opts DistributedOptions, jobGroups []int, members [][]graph.VertexID, entries []*shardcache.Entry, m *Model) []FailedJob {
+	t := opts.Transport
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = DefaultRemoteTimeout
@@ -426,29 +385,4 @@ func collectRemote(t shardrpc.Transport, g *graph.Graph, stFreqs []int, opts Dis
 		}
 	}
 	return failed
-}
-
-// mineFallback mines the failed groups in-process — the exact dirty-group
-// path of the cached miner, so a fallback entry is indistinguishable from
-// the remote entry that never arrived.
-func mineFallback(g *graph.Graph, st *mdl.StandardTable, opts Options, failed []FailedJob, members [][]graph.VertexID, entries []*shardcache.Entry, m *Model) {
-	runOpts := opts
-	runOpts.CollectStats = true
-	shards := make([]*shardRun, len(failed))
-	for i, f := range failed {
-		shards[i] = &shardRun{verts: members[f.Group]}
-	}
-	k := opts.Shards
-	if k == 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	runShards(g, st, runOpts, shards, k)
-	for i, f := range failed {
-		sh := shards[i]
-		entries[f.Group] = &shardcache.Entry{
-			Init: sh.init, Final: sh.final,
-			Iterations: sh.stats.iterations, GainEvals: sh.stats.gainEvals,
-		}
-	}
-	m.LocalFallbacks = len(failed)
 }

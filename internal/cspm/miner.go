@@ -57,14 +57,17 @@ type Options struct {
 	// bit-identical regardless of the worker count. MineSharded treats
 	// Workers as the TOTAL budget and splits it across shards.
 	Workers int
-	// Shards is the shard count for MineSharded: 0 (the default) mines one
-	// shard per independent vertex group, capped at GOMAXPROCS; 1
+	// Shards bounds sharded mining: component-grained runs (MineSharded's
+	// component strategy, MineShardedCached, MineDistributed) mine one shard
+	// per attribute-closed group with at most Shards running at once, and
+	// the edge-cut strategy cuts the graph into Shards regions. 0 (the
+	// default) resolves to GOMAXPROCS; in MineSharded a resolved count of 1
 	// degenerates to the unsharded search; negative values are rejected by
 	// Validate. Mine, MineWithOptions and MineDB ignore it. Under the
-	// component strategy results are identical for every shard count; under
-	// the edge-cut fallback the cut — and so the mined model — depends on
-	// the count, so pin Shards explicitly when edge-cut output must be
-	// reproducible across machines (0 resolves to GOMAXPROCS there).
+	// component strategy results are identical for every value; under the
+	// edge-cut fallback the cut — and so the mined model — depends on the
+	// count, so pin Shards explicitly when edge-cut output must be
+	// reproducible across machines.
 	Shards int
 	// ShardStrategy selects how MineSharded partitions the graph; see the
 	// ShardStrategy constants. Ignored outside MineSharded.

@@ -50,8 +50,13 @@ func (s ShardStrategy) String() string {
 // MineSharded mines g by partitioning it into shards mined concurrently and
 // merging the per-shard models with exact description-length accounting. The
 // total worker budget (Options.Workers, 0 = all cores) is split across
-// shards; Options.Shards caps the shard count. Options.MaxIterations caps
-// each shard's merges independently. It panics if opts fails Validate.
+// shards. The component strategy runs the component pipeline uncached — one
+// shard run per attribute-closed group, with Options.Shards bounding how many
+// run at once; the edge-cut strategy cuts the graph into Options.Shards
+// regions. Options.MaxIterations caps each shard's merges independently. A
+// resolved shard count of 1 (Shards: 1, a one-group graph under the
+// component strategy, or a one-core machine with Shards: 0) degenerates to
+// the unsharded search. It panics if opts fails Validate.
 func MineSharded(g *graph.Graph, opts Options) *Model {
 	if err := opts.Validate(); err != nil {
 		panic(err)
@@ -65,10 +70,7 @@ func MineSharded(g *graph.Graph, opts Options) *Model {
 			strategy = ShardEdgeCut
 		}
 	}
-	k := opts.Shards
-	if k == 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
+	k := opts.shardLimit()
 	if strategy == ShardComponents && k > groups.Count {
 		k = groups.Count
 	}
@@ -81,9 +83,18 @@ func MineSharded(g *graph.Graph, opts Options) *Model {
 		return m
 	}
 	if strategy == ShardComponents {
-		return mineComponentShards(g, opts, groups, k)
+		m, _ := mineGroups(g, opts, nil, opts.mineLocal, nil)
+		return m
 	}
 	return mineEdgeCutShards(g, opts, k)
+}
+
+// shardLimit resolves Options.Shards: 0 means one shard per core.
+func (o Options) shardLimit() int {
+	if o.Shards > 0 {
+		return o.Shards
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // shardRun is the unit of concurrent mining: a vertex slice of the graph,
@@ -99,25 +110,18 @@ type shardRun struct {
 
 // runShards builds and mines every shard concurrently, splitting the total
 // worker budget: each shard search gets at least one evaluator, and a
-// semaphore caps the number of concurrently running shards so fewer workers
-// than shards degrades to bounded concurrency (Workers=1 → one shard at a
-// time) instead of oversubscribing the budget. maxConcurrent tightens the
-// semaphore further when positive (the cached miner runs one shard per dirty
-// component group but honours Options.Shards as its concurrency bound).
-// Results are deterministic regardless: each shard's search is a pure
-// function of (graph, st, verts), and all cross-shard accounting happens
-// after the barrier in fixed shard order.
-func runShards(g *graph.Graph, st *mdl.StandardTable, opts Options, shards []*shardRun, maxConcurrent int) {
+// semaphore caps the number of concurrently running shards at Workers and
+// Options.Shards, so fewer slots than shards degrades to bounded
+// concurrency (Workers=1 → one shard at a time) instead of oversubscribing
+// the budget. The budget is split over the shards that can actually run at
+// once, not the full shard list, so the component pipeline's
+// one-run-per-dirty-group shape does not strand it. Results are
+// deterministic regardless: each shard's search is a pure function of
+// (graph, st, verts), and all cross-shard accounting happens after the
+// barrier in fixed shard order.
+func runShards(g *graph.Graph, st *mdl.StandardTable, opts Options, shards []*shardRun) {
 	workers := opts.workerCount()
-	concurrent := min(workers, len(shards))
-	if maxConcurrent > 0 {
-		concurrent = min(concurrent, maxConcurrent)
-	}
-	// Split the budget over the shards that can actually run at once, not
-	// the full shard list: with more shards than concurrency slots (the
-	// cached miner's one-run-per-dirty-group shape) a per-shard split would
-	// strand most of the budget. For MineSharded's shapes concurrent equals
-	// min(workers, len(shards)), so the split is unchanged there.
+	concurrent := min(workers, len(shards), opts.shardLimit())
 	base, extra := workers/concurrent, workers%concurrent
 	sem := make(chan struct{}, concurrent)
 	var wg sync.WaitGroup
@@ -159,59 +163,18 @@ func appendShardStats(m *Model, st *runStats, shard int, refinement bool) {
 	}
 	m.Iterations += st.iterations
 	m.GainEvals += st.gainEvals
-	for _, it := range st.perIter {
+	appendPerIter(m, st.perIter, shard, refinement)
+}
+
+// appendPerIter appends a shard's merge trace to the merged model,
+// renumbering iterations and tagging each with its shard.
+func appendPerIter(m *Model, perIter []IterationStat, shard int, refinement bool) {
+	for _, it := range perIter {
 		it.Iteration = len(m.PerIter) + 1
 		it.Shard = shard
 		it.Refinement = refinement
 		m.PerIter = append(m.PerIter, it)
 	}
-}
-
-// mineComponentShards is the exact strategy: bin-pack attribute-closed
-// component groups onto k shards, mine them concurrently, and merge the
-// models. Per-shard gains equal the global gains (the groups share no
-// attribute value, so no f_c, spell-out, or candidate pair spans shards) and
-// DLs are priced canonically, so the result is bit-identical to Mine(g).
-func mineComponentShards(g *graph.Graph, opts Options, groups graph.Partition, k int) *Model {
-	st := mdl.NewStandardTable(g)
-	members := groups.Members()
-	bins := graph.PackBins(groups.Sizes(), k)
-	shards := make([]*shardRun, 0, k)
-	for _, bin := range bins {
-		if len(bin) == 0 {
-			continue
-		}
-		n := 0
-		for _, gi := range bin {
-			n += len(members[gi])
-		}
-		verts := make([]graph.VertexID, 0, n)
-		for _, gi := range bin {
-			verts = append(verts, members[gi]...)
-		}
-		slices.Sort(verts)
-		shards = append(shards, &shardRun{verts: verts})
-	}
-	runShards(g, st, opts, shards, 0)
-
-	m := &Model{Vocab: g.Vocab(), ShardCount: len(shards)}
-	var init, final []invdb.LineStat
-	for _, sh := range shards {
-		init = append(init, sh.init...)
-		final = append(final, sh.final...)
-	}
-	coreCode := shards[0].db.CoreCodeLen // global ST: identical across shards
-	bd, bm := invdb.CanonicalDL(st, coreCode, init)
-	m.BaselineDL = bd + bm
-	fd, fm, cond := invdb.CanonicalSummary(st, coreCode, final)
-	m.FinalDL = fd + fm
-	m.CondEntropy = cond
-	for si, sh := range shards {
-		m.Patterns = append(m.Patterns, extractPatterns(sh.db)...)
-		appendShardStats(m, sh.stats, si, false)
-	}
-	sortPatterns(m.Patterns)
-	return m
 }
 
 // mineEdgeCutShards is the fallback for graphs that do not decompose:
@@ -234,7 +197,7 @@ func mineEdgeCutShards(g *graph.Graph, opts Options, k int) *Model {
 		m.ShardCount = 1
 		return m
 	}
-	runShards(g, st, opts, shards, 0)
+	runShards(g, st, opts, shards)
 
 	// Reassemble the global database: every shard line's positions map back
 	// through verts to global vertex ids; the parts partition the vertex

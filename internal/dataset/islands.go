@@ -13,7 +13,7 @@ type IslandsConfig struct {
 	Seed    int64
 	Islands int // number of connected components
 	// MinNodes/MaxNodes bound each island's vertex count (uniform draw);
-	// uneven sizes exercise the shard bin-packer.
+	// uneven sizes exercise unbalanced concurrent shard runs.
 	MinNodes, MaxNodes int
 	// AttrsPerIsland is the size of each island's private attribute
 	// alphabet. Alphabets are disjoint across islands, which keeps the

@@ -11,11 +11,10 @@ type Table1Row struct {
 	Support    map[string]bool // per algorithm
 }
 
-// Table1Algorithms is the paper's column order. All five are implemented in
-// this repository (CSPM in internal/cspm, Krimp/SLIM in internal/krimp and
-// internal/slim, VOG in internal/vog; GraphMDL's niche — compressing
-// subgraphs in labelled graph collections — is the one external system not
-// rebuilt, and its column reflects the published description).
+// Table1Algorithms is the paper's column order. CSPM, Krimp and SLIM are
+// implemented in this repository (internal/cspm, internal/krimp and
+// internal/slim); GraphMDL and VOG are external systems not rebuilt here, so
+// their columns reflect the published descriptions.
 var Table1Algorithms = []string{"CSPM", "Krimp", "SLIM", "GraphMDL", "VOG"}
 
 // Table1 returns the capability matrix. Unlike the other experiments this

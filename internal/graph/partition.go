@@ -1,16 +1,14 @@
 package graph
 
-import "sort"
-
 // Partitioning support for sharded mining (see DESIGN.md "Sharded mining").
 // The miner shards an attributed graph by grouping vertices into units whose
-// searches are provably independent, then bin-packing the units onto K
-// shards. Two grain sizes are provided: plain connected components, and
+// searches are provably independent, then mining each unit as one shard.
+// Two grain sizes are provided: plain connected components, and
 // attribute-closed component groups — components additionally merged when
 // they share any attribute value. Only the latter guarantees bit-exact
 // sharded mining: a value occurring in two components couples their coreset
 // frequencies f_c, leafset spell-out charges, and pair gains, so such
-// components must land on the same shard.
+// components must be mined together.
 
 // UnionFind is a classic disjoint-set forest with union by size and path
 // halving. It is the substrate of the component partitioners and is exported
@@ -127,54 +125,4 @@ func (p Partition) Members() [][]VertexID {
 		out[gid] = append(out[gid], VertexID(v))
 	}
 	return out
-}
-
-// Sizes reports the vertex count of each group.
-func (p Partition) Sizes() []int {
-	out := make([]int, p.Count)
-	for _, gid := range p.Group {
-		out[gid]++
-	}
-	return out
-}
-
-// PackBins distributes items with the given sizes into at most k bins,
-// balancing bin loads with the longest-processing-time greedy: items are
-// placed largest-first into the currently lightest bin. Ties are broken
-// deterministically (larger items first, then lower item index; lighter bin
-// first, then lower bin index), so the packing is a pure function of the
-// input. Each returned bin holds ascending item indices; bins can be empty
-// when k exceeds the item count.
-func PackBins(sizes []int, k int) [][]int {
-	if k < 1 {
-		k = 1
-	}
-	order := make([]int, len(sizes))
-	for i := range order {
-		order[i] = i
-	}
-	// (size desc, index asc) is a total order, so the sort is deterministic.
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if sizes[a] != sizes[b] {
-			return sizes[a] > sizes[b]
-		}
-		return a < b
-	})
-	bins := make([][]int, k)
-	loads := make([]int, k)
-	for _, item := range order {
-		best := 0
-		for b := 1; b < k; b++ {
-			if loads[b] < loads[best] {
-				best = b
-			}
-		}
-		bins[best] = append(bins[best], item)
-		loads[best] += sizes[item]
-	}
-	for _, bin := range bins {
-		sort.Ints(bin) // items arrived in size order; restore index order
-	}
-	return bins
 }

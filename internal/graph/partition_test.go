@@ -37,9 +37,6 @@ func TestComponents(t *testing.T) {
 	if !reflect.DeepEqual(members[0], []VertexID{0, 1, 2}) || !reflect.DeepEqual(members[1], []VertexID{3, 4}) {
 		t.Fatalf("Members = %v", members)
 	}
-	if sz := p.Sizes(); sz[0] != 3 || sz[1] != 2 {
-		t.Fatalf("Sizes = %v", sz)
-	}
 }
 
 func TestAttrClosedComponentsMergesSharedValues(t *testing.T) {
@@ -80,54 +77,5 @@ func TestUnionFind(t *testing.T) {
 	}
 	if uf.Find(0) == uf.Find(2) {
 		t.Fatal("separate sets share a root")
-	}
-}
-
-func TestPackBinsBalancesAndIsDeterministic(t *testing.T) {
-	sizes := []int{7, 3, 3, 2, 9, 1}
-	bins := PackBins(sizes, 3)
-	if len(bins) != 3 {
-		t.Fatalf("got %d bins", len(bins))
-	}
-	seen := make(map[int]bool)
-	loads := make([]int, 3)
-	for bi, bin := range bins {
-		for i := 1; i < len(bin); i++ {
-			if bin[i] <= bin[i-1] {
-				t.Fatalf("bin %d not ascending: %v", bi, bin)
-			}
-		}
-		for _, item := range bin {
-			if seen[item] {
-				t.Fatalf("item %d packed twice", item)
-			}
-			seen[item] = true
-			loads[bi] += sizes[item]
-		}
-	}
-	if len(seen) != len(sizes) {
-		t.Fatalf("packed %d of %d items", len(seen), len(sizes))
-	}
-	// LPT on {9,7,3,3,2,1} into 3 bins: loads {9, 8, 8} — max bin 9.
-	max := 0
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-	}
-	if max != 9 {
-		t.Fatalf("max load = %d (loads %v), want 9", max, loads)
-	}
-	if !reflect.DeepEqual(bins, PackBins(sizes, 3)) {
-		t.Fatal("packing is not deterministic")
-	}
-	// More bins than items: extras stay empty, nothing is lost.
-	wide := PackBins([]int{5, 4}, 4)
-	n := 0
-	for _, bin := range wide {
-		n += len(bin)
-	}
-	if n != 2 {
-		t.Fatalf("wide packing holds %d items", n)
 	}
 }

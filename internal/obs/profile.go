@@ -7,13 +7,13 @@ import (
 
 // Re-mine stage names recorded in profiles. rebuild/publish/checkpoint are
 // measured by the serve loop; fingerprint/diff/shard_mine/merge come from
-// inside the incremental miner when the sharded-cached path runs (the
-// distributed transport reports its whole remote pass as shard_mine).
+// inside the component-mining pipeline, whether the dirty groups mine
+// in-process or over a shard-job transport.
 const (
 	SpanRebuild     = "rebuild"     // fold pending batches into a new graph
 	SpanFingerprint = "fingerprint" // canonical component fingerprints
 	SpanDiff        = "diff"        // cache lookup: split clean vs dirty groups
-	SpanShardMine   = "shard_mine"  // mine the dirty shards
+	SpanShardMine   = "shard_mine"  // mine the dirty groups
 	SpanMerge       = "merge"       // merge shard models + DL accounting
 	SpanPublish     = "publish"     // snapshot swap
 	SpanCheckpoint  = "checkpoint"  // durable checkpoint write

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	icspm "cspm/internal/cspm"
 	"cspm/internal/obs"
+	"cspm/internal/shardrpc"
 )
 
 // --- latencyHist bucket boundaries (PR 10 satellite) ------------------------
@@ -522,6 +524,53 @@ func TestFleetTraceEndToEnd(t *testing.T) {
 		if !found {
 			t.Fatalf("re-mine profile missing span %q: %+v", span, prof.Spans)
 		}
+	}
+}
+
+// TestRemineProfileSpansLocalAndDistributed pins that a re-mine reports the
+// component pipeline's own phases whether the dirty groups mine in-process
+// or as shard jobs over a transport.
+func TestRemineProfileSpansLocalAndDistributed(t *testing.T) {
+	lb := shardrpc.NewLoopback(icspm.ExecuteShardJob, 2)
+	defer lb.Close()
+	for _, tc := range []struct {
+		name      string
+		transport shardrpc.Transport
+	}{{"local", nil}, {"loopback", lb}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTestHost(t, HostOptions{})
+			s, err := h.Create("prod", testGraph(t), &Options{Transport: tc.transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := startHostHTTP(t, h)
+			if err := s.SubmitMutations([]Mutation{{Op: OpDelEdge, U: 0, V: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(ctxShort(t)); err != nil {
+				t.Fatal(err)
+			}
+			var rms ReminesResponse
+			if err := json.Unmarshal(readBytes(t, hs.URL+"/v2/graphs/prod/debug/remines"), &rms); err != nil {
+				t.Fatal(err)
+			}
+			if len(rms.Remines) == 0 {
+				t.Fatal("/debug/remines is empty after a flushed re-mine")
+			}
+			prof := rms.Remines[0]
+			if prof.Error != "" {
+				t.Fatalf("re-mine failed: %s", prof.Error)
+			}
+			for _, span := range []string{obs.SpanFingerprint, obs.SpanDiff, obs.SpanShardMine, obs.SpanMerge} {
+				found := false
+				for _, sp := range prof.Spans {
+					found = found || sp.Stage == span
+				}
+				if !found {
+					t.Fatalf("re-mine profile missing span %q: %+v", span, prof.Spans)
+				}
+			}
+		})
 	}
 }
 

@@ -282,10 +282,10 @@ func (s *Server) shipFile(w http.ResponseWriter, name string) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "read %s: %v", name, err)
 		return
 	}
-	s.met.replicationBytesShipped.Add(uint64(len(data)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
+	s.met.replicationBytesShipped.Add(uint64(len(data)))
 }
 
 func (s *Server) handleReplManifest(w http.ResponseWriter, r *http.Request) {
@@ -331,13 +331,14 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := ReplicationWALResponse{Position: s.walPos.Load()}
+	var shipped uint64
 	s.tailMu.Lock()
 	for _, rec := range s.walTail {
 		if rec.Seq > after {
 			resp.Records = append(resp.Records, ReplicationWALRecord{
 				Seq: rec.Seq, Payload: rec.Payload, TraceID: s.tailIDs[rec.Seq],
 			})
-			s.met.replicationBytesShipped.Add(uint64(len(rec.Payload)))
+			shipped += uint64(len(rec.Payload))
 		}
 	}
 	s.tailMu.Unlock()
@@ -351,10 +352,12 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 			f.shippedWAL = hi
 		}
 	})
+	writeJSON(w, http.StatusOK, resp)
+	// Counted and traced only once the records are on their way.
+	s.met.replicationBytesShipped.Add(shipped)
 	for _, rec := range resp.Records {
 		s.traces.Record(rec.Seq, obs.StageReplicated, 0, fid)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // appendTail records a shipped-able WAL record on the in-memory tail,
@@ -494,9 +497,13 @@ func (s *Server) fetchVerified(path, name, wantSHA string, manRaw []byte) ([]byt
 		case <-t.C:
 		}
 	}
-	s.met.replicationVerifyFailures.Add(1)
+	// The failure counter is bumped only after the quarantine write has
+	// happened (or failed), so an observer that sees the count can already
+	// stat the quarantined bytes.
 	qname := name + shardcache.QuarantineSuffix
-	if werr := writeFileAtomicSync(s.opts.PersistDir, qname, data); werr != nil {
+	werr := writeFileAtomicSync(s.opts.PersistDir, qname, data)
+	s.met.replicationVerifyFailures.Add(1)
+	if werr != nil {
 		return nil, fmt.Errorf("serve: shipped %s failed verification (got %s, manifest %s); quarantine also failed: %v",
 			name, sha256Hex(data)[:12], wantSHA[:12], werr)
 	}
@@ -759,10 +766,10 @@ func (s *Server) syncGeneration() error {
 		// The verified graph + shipped blobs mined to something else: a blob
 		// replayed stale state that still fingerprint-matched. Same degrade
 		// path as local recovery — quarantine every blob, re-mine cold.
-		s.met.replicationVerifyFailures.Add(1)
-		s.met.checksumMismatches.Add(1)
 		n, qerr := shardcache.QuarantineDir(s.opts.PersistDir)
 		s.met.quarantinedBlobs.Add(uint64(n))
+		s.met.replicationVerifyFailures.Add(1)
+		s.met.checksumMismatches.Add(1)
 		if qerr == nil {
 			s.cache.Purge()
 			model, err = s.mine(g)

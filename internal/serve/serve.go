@@ -50,7 +50,8 @@ type Options struct {
 	// the same directory.
 	PersistDir string
 	// Transport, when non-nil, fans dirty component groups out to remote
-	// workers through MineDistributed instead of mining them in-process.
+	// workers as shard jobs (MineDistributed's executor) instead of mining
+	// them in-process.
 	// The server does not close the transport; the caller owns it.
 	Transport shardrpc.Transport
 	// RemoteRetries, RemoteTimeout and RemoteNoFallback mirror
@@ -809,36 +810,24 @@ func (s *Server) mine(g *graph.Graph) (*icspm.Model, error) {
 }
 
 // mineProfiled is mine with per-stage timing: when rec is non-nil, the
-// incremental miner reports its fingerprint/diff/shard_mine/merge phases
-// into it (the distributed transport reports its whole remote pass as one
-// shard_mine span).
+// component pipeline reports its fingerprint/diff/shard_mine/merge phases
+// into it, whether the dirty groups mine in-process or over the transport.
 func (s *Server) mineProfiled(g *graph.Graph, rec *obs.Recorder) (model *icspm.Model, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			model, err = nil, fmt.Errorf("serve: re-mine panicked: %v", r)
 		}
 	}()
-	if s.opts.Transport != nil {
-		mine := func() {
-			model, err = icspm.MineDistributed(g, icspm.DistributedOptions{
-				Options:    s.opts.Mining,
-				Transport:  s.opts.Transport,
-				Retries:    s.opts.RemoteRetries,
-				Timeout:    s.opts.RemoteTimeout,
-				NoFallback: s.opts.RemoteNoFallback,
-				Cache:      s.cache,
-			})
-		}
-		if rec != nil {
-			rec.Time(obs.SpanShardMine, mine)
-		} else {
-			mine()
-		}
-		return model, err
-	}
 	var observe icspm.StageObserver
 	if rec != nil {
 		observe = rec.Observe
 	}
-	return icspm.MineShardedCachedObserved(g, s.opts.Mining, s.cache, observe), nil
+	return icspm.MineShardedCachedObserved(g, icspm.DistributedOptions{
+		Options:    s.opts.Mining,
+		Transport:  s.opts.Transport,
+		Retries:    s.opts.RemoteRetries,
+		Timeout:    s.opts.RemoteTimeout,
+		NoFallback: s.opts.RemoteNoFallback,
+		Cache:      s.cache,
+	}, observe)
 }

@@ -68,6 +68,11 @@ func TestShardedEquivalence(t *testing.T) {
 		wantBasic := cspm.MineWithOptions(g, cspm.Options{Variant: cspm.Basic, CollectStats: true})
 		gotBasic := cspm.MineSharded(g, cspm.Options{Variant: cspm.Basic, CollectStats: true, Shards: 4})
 		assertShardedMatchesMine(t, "basic", gotBasic, wantBasic)
+		// An iteration cap applies per component group on every path, so a
+		// capped MineSharded run equals the capped component pipeline.
+		capped := cspm.Options{CollectStats: true, Shards: 4, MaxIterations: 2}
+		assertShardedMatchesMine(t, "capped", cspm.MineSharded(g, capped),
+			cspm.MineShardedCached(g, capped, nil))
 	}
 }
 
