@@ -17,29 +17,45 @@
 // creates one from an uploaded graph (empty body = empty graph),
 // DELETE /v2/graphs/{ns} quarantines it (acknowledged WAL data is renamed
 // aside, never unlinked). The flat /v1/* surface still serves the "default"
-// namespace unchanged, marked with a Deprecation header.
+// namespace unchanged, marked with Deprecation and Sunset headers.
 //
 // Usage:
 //
-//	cspm-serve [-listen :7480] [-shards K] [-cache-dir DIR] [-wal-dir DIR]
-//	           [-root-dir DIR] [-max-namespaces N] [-mine-budget N]
+//	cspm-serve [-listen :7480] [-shards K] [-root-dir DIR]
+//	           [-max-namespaces N] [-mine-budget N]
 //	           [-standby] [-follow URL] [-follow-poll D] [-proxy-writes]
 //	           [-debounce D] [-remote host:port,...]
 //	           [-remote-timeout D] [-remote-retries N] [-remote-no-fallback]
 //	           [-log-level L] [-log-format text|json] [-debug-addr host:port]
-//	           graph.txt
+//	           [graph.txt]
 //
 // The graph file seeds the "default" namespace; with "-" it is read from
-// stdin, and it may be omitted with -standby (promote purely from durable
-// state) or with -root-dir (start empty or from recovered namespaces and
-// populate over /v2). -wal-dir turns the default namespace's mutation
-// acknowledgments durable: batches are fsync'd to a write-ahead log before
-// the 202, and a restarted (or standby) server replays unfolded batches
-// over the checkpoint instead of cold re-mining. -root-dir generalises both
-// -cache-dir and -wal-dir to one subtree per namespace and restores every
-// namespace found under it at startup. On SIGINT/SIGTERM the server drains
+// stdin, and it may be omitted with -root-dir (start empty or from
+// recovered namespaces and populate over /v2). -root-dir makes every
+// namespace durable under <root>/<ns>/checkpoint (verified model
+// checkpoint + shard-result cache) and <root>/<ns>/wal (mutation batches
+// are fsync'd to a write-ahead log before the 202), and startup restores
+// every namespace found there, replaying unfolded batches over the
+// checkpoint instead of cold re-mining. -standby additionally refuses to
+// start unless at least one namespace was restored. Without -root-dir
+// every namespace is memory-only. On SIGINT/SIGTERM the server drains
 // in-flight requests (force-closing them at -drain-timeout), checkpoints
 // every tenant and exits; a second SIGINT exits immediately.
+//
+// Migrating from the retired -cache-dir/-wal-dir flags: the old
+// directories ARE the default namespace's subtree under a root R.
+//
+//	mkdir -p R/default
+//	mv OLD_CACHE_DIR R/default/checkpoint
+//	mv OLD_WAL_DIR R/default/wal
+//	cspm-serve -root-dir R        # no graph argument: the state wins
+//
+// Startup restores a namespace from its committed checkpoint plus the
+// unfolded WAL batches after it; a namespace tree with no checkpoint is set
+// aside under R/.quarantine instead. A deployment that ran with -wal-dir
+// alone has no checkpoint, so first restart it once on the old binary with
+// -cache-dir added: that restart folds the log into a checkpoint, and its
+// two directories then migrate as above.
 //
 // -follow http://leader:port turns the process into a read REPLICA of a
 // leader fleet member (requires -root-dir, omit the graph argument): every
@@ -66,19 +82,17 @@ import (
 
 func main() {
 	cfg := cli.ServeConfig{}
-	flag.StringVar(&cfg.Listen, "listen", ":7480", "host:port to serve the /v1 API on")
+	flag.StringVar(&cfg.Listen, "listen", ":7480", "host:port to serve the v2 API (plus the deprecated /v1 alias) on")
 	flag.IntVar(&cfg.Shards, "shards", 0, "max concurrently re-mining component groups (0 = all cores)")
-	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "persist shard results under this directory (warm start + shutdown flush)")
 	flag.DurationVar(&cfg.Debounce, "debounce", 100*time.Millisecond, "coalescing window before a re-mine (0 = immediate)")
 	flag.StringVar(&cfg.Remote, "remote", "", "re-mine over these comma-separated cspm-worker addresses")
 	flag.DurationVar(&cfg.RemoteTimeout, "remote-timeout", 0, "per-attempt wait for a remote shard result (0 = default)")
 	flag.IntVar(&cfg.RemoteRetries, "remote-retries", 0, "re-submissions per shard job before local fallback")
 	flag.BoolVar(&cfg.RemoteNoFallback, "remote-no-fallback", false, "fail a re-mine instead of mining failed shard jobs locally")
-	flag.StringVar(&cfg.WALDir, "wal-dir", "", "write-ahead-log directory: fsync mutation batches before acknowledging, replay them on restart")
-	flag.StringVar(&cfg.RootDir, "root-dir", "", "multi-tenant persistence root: one WAL+checkpoint subtree per namespace (excludes -cache-dir/-wal-dir)")
+	flag.StringVar(&cfg.RootDir, "root-dir", "", "persistence root: one WAL+checkpoint subtree per namespace, restored at startup")
 	flag.IntVar(&cfg.MaxNamespaces, "max-namespaces", 0, "cap on concurrently hosted namespaces (0 = unlimited)")
 	flag.IntVar(&cfg.MineBudget, "mine-budget", 0, "max namespaces mining or re-mining at once across the host (0 = unlimited)")
-	flag.BoolVar(&cfg.Standby, "standby", false, "refuse to cold-start: promote from durable state (-root-dir, or -cache-dir/-wal-dir) or fail")
+	flag.BoolVar(&cfg.Standby, "standby", false, "refuse to cold-start: restore at least one namespace from -root-dir or fail")
 	flag.StringVar(&cfg.Follow, "follow", "", "replicate every namespace from this leader host URL (requires -root-dir; omit the graph argument)")
 	flag.DurationVar(&cfg.FollowPoll, "follow-poll", 0, "replica pull pacing (0 = default)")
 	flag.BoolVar(&cfg.ProxyWrites, "proxy-writes", false, "forward mutations hitting this replica to the -follow leader instead of rejecting them")
@@ -100,11 +114,11 @@ func main() {
 			defer f.Close()
 			in = f
 		}
-	case flag.NArg() == 0 && (cfg.Standby || cfg.RootDir != "" || cfg.Follow != ""):
-		// Promote purely from durable state, or start a (possibly empty)
-		// multi-tenant host populated over the /v2 admin surface.
+	case flag.NArg() == 0 && cfg.RootDir != "":
+		// Restore from the root (standby, replica or plain restart), or start
+		// an empty host populated over the /v2 admin surface.
 	default:
-		fmt.Fprintln(os.Stderr, "usage: cspm-serve [flags] graph.txt (or - for stdin; omit with -standby or -root-dir)")
+		fmt.Fprintln(os.Stderr, "usage: cspm-serve [flags] graph.txt (or - for stdin; omit with -root-dir)")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}

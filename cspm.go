@@ -207,8 +207,10 @@ func DialShardWorkers(addrs []string) (ShardTransport, error) {
 // are answered from an atomically swapped immutable snapshot; mutations are
 // ingested in batches and folded in by a background incremental re-mine.
 type (
-	// Server hosts a live graph plus its mined model behind the /v1 API
-	// (patterns, completion, model stats, health, metrics, mutations).
+	// Server hosts a live graph plus its mined model: snapshot reads,
+	// completion scoring and batched mutations at the Go API. It is not an
+	// http.Handler: to serve a graph over HTTP, create it as a namespace of
+	// a ServeHost (NewServeHost, then Create), which builds its Server.
 	Server = serve.Server
 	// ServerOptions configures a Server: search options, shard cache,
 	// optional worker transport, the re-mine coalescing window, and the
@@ -224,10 +226,11 @@ type (
 	// shrink the served graph (validated per batch with a running vertex
 	// count; deletes shift later ids down by one).
 	GraphMutation = serve.Mutation
-	// ServerWatchResponse is the GET /v1/watch long-poll payload: the
+	// ServerWatchResponse is the GET /watch long-poll payload: the
 	// published generation and its model commitment.
 	ServerWatchResponse = serve.WatchResponse
-	// ServerMetrics is the server's counters snapshot (/v1/metrics).
+	// ServerMetrics is the server's counters snapshot (GET /metrics under
+	// /v2/graphs/{ns}).
 	ServerMetrics = serve.MetricsSnapshot
 	// ServerRecoveryStats reports what NewServer recovered from durable
 	// state: checkpoint generation, replayed WAL batches, quarantined
@@ -238,13 +241,13 @@ type (
 // NewServer validates opts, recovers any durable state (a verified
 // checkpoint in PersistDir, unfolded WAL batches in WALDir), mines the
 // recovered graph synchronously for the first snapshot, and starts the
-// background re-mine loop. The returned Server is an http.Handler serving
-// the /v1 API; Close it to stop the loop (and checkpoint when
-// ServerOptions.PersistDir is set). With WALDir set, a nil error from
-// SubmitMutations means the batch is durable — a crash never loses it.
-// After each successful re-mine the served model is bit-identical to Mine
-// on the mutated graph. g may be nil only when Standby is set and a
-// committed checkpoint supplies the graph.
+// background re-mine loop. Close the returned Server to stop the loop (and
+// checkpoint when ServerOptions.PersistDir is set). It answers at the Go
+// API only; HTTP serving goes through NewServeHost + Create. With WALDir
+// set, a nil error from SubmitMutations means the batch is durable — a
+// crash never loses it. After each successful re-mine the served model is
+// bit-identical to Mine on the mutated graph. g may be nil only when
+// Standby is set and a committed checkpoint supplies the graph.
 func NewServer(g *Graph, opts ServerOptions) (*Server, error) {
 	return serve.NewServer(g, opts)
 }

@@ -371,11 +371,6 @@ type ServeConfig struct {
 	// Shards bounds how many dirty component groups re-mine concurrently
 	// (0 = all cores), exactly as in cspm -shards.
 	Shards int
-	// CacheDir persists shard results under this directory: re-mines warm
-	// from it at startup and the cache is flushed back on shutdown. ""
-	// keeps the cache in memory only. Configures the single default
-	// namespace; mutually exclusive with RootDir.
-	CacheDir string
 	// Debounce is the re-mine coalescing window (0 = re-mine immediately).
 	Debounce time.Duration
 	// Remote and its knobs mirror cspm -remote*: fan dirty groups out to
@@ -385,22 +380,14 @@ type ServeConfig struct {
 	RemoteTimeout    time.Duration
 	RemoteRetries    int
 	RemoteNoFallback bool
-	// WALDir enables the durability contract for the single default
-	// namespace: mutation batches are fsync'd into a write-ahead log under
-	// this directory before acknowledgment and replayed on restart. ""
-	// serves without durable acknowledgment. Mutually exclusive with
-	// RootDir (which gives every namespace its own WAL subtree).
-	WALDir string
-	// Standby refuses to cold-start. Without RootDir the default namespace
-	// must find durable state (a checkpoint under CacheDir or batches under
-	// WALDir) to promote; with RootDir the host must restore at least one
-	// namespace from the root. Either way the initial graph may be omitted.
+	// Standby refuses to cold-start: the host must restore at least one
+	// namespace from RootDir (which it requires), so the initial graph may
+	// be omitted.
 	Standby bool
-	// RootDir turns the process into a multi-tenant fleet member: every
-	// namespace owns a WAL + checkpoint subtree under this root, the
-	// /v2/graphs admin surface can create and delete namespaces at runtime,
-	// and startup restores every namespace found under the root. Mutually
-	// exclusive with CacheDir and WALDir.
+	// RootDir is the persistence root: every namespace owns a WAL +
+	// checkpoint subtree under <root>/<ns>/{wal,checkpoint}, its mutation
+	// acks are durable, and startup restores every namespace found under
+	// the root. "" serves memory-only namespaces.
 	RootDir string
 	// MaxNamespaces caps live namespaces (0 = unlimited).
 	MaxNamespaces int
@@ -429,17 +416,17 @@ type ServeConfig struct {
 }
 
 // StartServe validates cfg, reads the initial graph from r (nil skips the
-// read: a -standby process promotes from durable state instead), builds the
-// multi-tenant host, binds the listener and serves the API in a background
-// goroutine. The graph (when given) seeds the "default" namespace — the one
-// the flat /v1 surface aliases; with RootDir set, startup also restores
-// every namespace found under the root, and the /v2/graphs admin surface
-// can add and remove namespaces at runtime. It returns the bound address
-// and a shutdown function that drains in-flight requests (bounded by ctx,
-// force-closing leftovers when it expires), stops every tenant's re-mine
-// loop, checkpoints, and closes any worker transport. All flag validation
-// happens before the (possibly huge) graph read, mirroring Mine's
-// validate-before-load contract.
+// read: the host serves what it restores under RootDir or replicates from
+// its leader), builds the multi-tenant host, binds the listener and serves
+// the API in a background goroutine. The graph (when given) seeds the
+// "default" namespace — the one the flat /v1 surface aliases; with RootDir
+// set, startup also restores every namespace found under the root, and the
+// /v2/graphs admin surface can add and remove namespaces at runtime. It
+// returns the bound address and a shutdown function that drains in-flight
+// requests (bounded by ctx, force-closing leftovers when it expires), stops
+// every tenant's re-mine loop, checkpoints, and closes any worker transport.
+// All flag validation happens before the (possibly huge) graph read,
+// mirroring Mine's validate-before-load contract.
 func StartServe(r io.Reader, cfg ServeConfig) (addr string, shutdown func(context.Context) error, err error) {
 	logger, err := cfg.Log.Logger(os.Stderr)
 	if err != nil {
@@ -458,9 +445,6 @@ func StartServe(r io.Reader, cfg ServeConfig) (addr string, shutdown func(contex
 	}
 	if cfg.Debounce < 0 {
 		return "", nil, fmt.Errorf("-debounce must be >= 0, got %v", cfg.Debounce)
-	}
-	if cfg.RootDir != "" && (cfg.CacheDir != "" || cfg.WALDir != "") {
-		return "", nil, fmt.Errorf("-root-dir gives every namespace its own cache and WAL subtree; it is mutually exclusive with -cache-dir and -wal-dir")
 	}
 	if cfg.Follow != "" {
 		if cfg.RootDir == "" {
@@ -492,48 +476,25 @@ func StartServe(r io.Reader, cfg ServeConfig) (addr string, shutdown func(contex
 	}
 	// The tenant template carries everything shared across namespaces;
 	// per-tenant state (cache, WAL and checkpoint dirs) is derived by the
-	// host under RootDir, or passed explicitly for the legacy single-tenant
-	// flags below.
-	tenant := serve.Options{
-		Mining:        cspm.Options{Shards: cfg.Shards, CollectStats: true},
-		Debounce:      cfg.Debounce,
-		RemoteTimeout: cfg.RemoteTimeout, RemoteRetries: cfg.RemoteRetries,
-		RemoteNoFallback: cfg.RemoteNoFallback,
-	}
+	// host under RootDir.
 	hostOpts := serve.HostOptions{
 		RootDir:       cfg.RootDir,
 		MaxNamespaces: cfg.MaxNamespaces,
 		MineBudget:    cfg.MineBudget,
-		Tenant:        tenant,
-		Standby:       cfg.Standby && cfg.RootDir != "",
-		Follow:        cfg.Follow,
-		FollowPoll:    cfg.FollowPoll,
-		ProxyWrites:   cfg.ProxyWrites,
-		Logger:        logger,
+		Tenant: serve.Options{
+			Mining:        cspm.Options{Shards: cfg.Shards, CollectStats: true},
+			Debounce:      cfg.Debounce,
+			RemoteTimeout: cfg.RemoteTimeout, RemoteRetries: cfg.RemoteRetries,
+			RemoteNoFallback: cfg.RemoteNoFallback,
+		},
+		Standby:     cfg.Standby,
+		Follow:      cfg.Follow,
+		FollowPoll:  cfg.FollowPoll,
+		ProxyWrites: cfg.ProxyWrites,
+		Logger:      logger,
 	}
 	if err := hostOpts.Validate(); err != nil {
 		return "", nil, err
-	}
-	// Legacy single-tenant flags become the default namespace's override.
-	var defOverride *serve.Options
-	if cfg.CacheDir != "" || cfg.WALDir != "" || (cfg.Standby && cfg.RootDir == "") {
-		o := tenant
-		o.PersistDir = cfg.CacheDir
-		o.WALDir = cfg.WALDir
-		o.Standby = cfg.Standby
-		if cfg.CacheDir != "" {
-			// Disk-backed: re-mines warm-start from blobs persisted by
-			// earlier runs, and writes reach disk eagerly (the shutdown flush
-			// is then a cheap idempotent rewrite that also covers entries
-			// admitted from disk after an eviction).
-			if o.Cache, err = shardcache.Open(0, cfg.CacheDir); err != nil {
-				return "", nil, err
-			}
-		}
-		if err := o.Validate(); err != nil {
-			return "", nil, err
-		}
-		defOverride = &o
 	}
 	var transport shardrpc.Transport
 	if cfg.Remote != "" {
@@ -543,9 +504,6 @@ func StartServe(r io.Reader, cfg ServeConfig) (addr string, shutdown func(contex
 			return "", nil, err
 		}
 		hostOpts.Tenant.Transport = transport
-		if defOverride != nil {
-			defOverride.Transport = transport
-		}
 	}
 	closeTransport := func() {
 		if transport != nil {
@@ -601,25 +559,22 @@ func StartServe(r io.Reader, cfg ServeConfig) (addr string, shutdown func(contex
 		closeTransport()
 		return "", nil, err
 	}
-	// Seed the default namespace: from the given graph, from legacy durable
-	// state (standby/WAL replay), or not at all (a root-dir host may have
-	// recovered it already, or namespaces arrive purely via the admin API).
-	if _, recovered := host.Tenant(serve.DefaultNamespace); !recovered {
-		if g != nil || defOverride != nil {
-			if _, err := host.Create(serve.DefaultNamespace, g, defOverride); err != nil {
-				host.Close()
-				l.Close()
-				closeDebug()
-				closeTransport()
-				return "", nil, err
-			}
+	// Seed the default namespace from the given graph. Without one the host
+	// serves what it restored under the root (possibly nothing) and
+	// namespaces arrive via the /v2 admin API.
+	if g != nil {
+		if _, recovered := host.Tenant(serve.DefaultNamespace); recovered {
+			err = fmt.Errorf("the %q namespace was restored from -root-dir; omit the graph argument (its acknowledged state wins) or create a new namespace over /v2", serve.DefaultNamespace)
+		} else {
+			_, err = host.Create(serve.DefaultNamespace, g, nil)
 		}
-	} else if g != nil {
-		host.Close()
-		l.Close()
-		closeDebug()
-		closeTransport()
-		return "", nil, fmt.Errorf("the %q namespace was restored from -root-dir; omit the graph argument (its acknowledged state wins) or create a new namespace over /v2", serve.DefaultNamespace)
+		if err != nil {
+			host.Close()
+			l.Close()
+			closeDebug()
+			closeTransport()
+			return "", nil, err
+		}
 	}
 	hs := &http.Server{Handler: host}
 	// Release watch long-polls the moment a graceful drain starts: Shutdown

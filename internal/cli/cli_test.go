@@ -342,7 +342,7 @@ func TestStartServeValidatesBeforeLoad(t *testing.T) {
 		{Listen: "127.0.0.1:0", RemoteNoFallback: true},     // remote knob without -remote
 		{Listen: "127.0.0.1:0", Remote: "not-an-address"},
 		{Listen: "127.0.0.1:0", Shards: -1},
-		{Listen: "127.0.0.1:0", CacheDir: "/dev/null/not-a-dir"},
+		{Listen: "127.0.0.1:0", Standby: true},         // standby needs a root to restore from
 		{Listen: "127.0.0.1:0", Remote: "127.0.0.1:1"}, // unreachable fleet rejected pre-load
 	} {
 		addr, shutdown, err := StartServe(failingReader{t}, cfg)
@@ -383,12 +383,13 @@ func serveGet(t *testing.T, url string, out any) int {
 // TestServeEndToEnd drives the full cspm-serve lifecycle: serve a graph,
 // mutate it over HTTP, watch the generation advance, then shut down
 // gracefully with an in-flight request held open across the drain — the
-// response must complete and the shard cache must be persisted.
+// response must complete and the default namespace's shard cache must be
+// persisted under <root>/default/checkpoint.
 func TestServeEndToEnd(t *testing.T) {
-	dir := t.TempDir()
+	root := t.TempDir()
 	addr, shutdown, err := StartServe(strings.NewReader(twoIslandText), ServeConfig{
-		Listen:   "127.0.0.1:0",
-		CacheDir: dir,
+		Listen:  "127.0.0.1:0",
+		RootDir: root,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,12 +484,12 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// The shard cache must have been persisted for the next warm start.
-	blobs, err := filepath.Glob(filepath.Join(dir, "*.gob"))
+	blobs, err := filepath.Glob(filepath.Join(root, "default", "checkpoint", "*.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blobs) == 0 {
-		t.Fatal("shutdown left no shard blobs in -cache-dir")
+		t.Fatal("shutdown left no shard blobs in <root>/default/checkpoint")
 	}
 }
 
@@ -497,17 +498,12 @@ func TestServeEndToEnd(t *testing.T) {
 // over the /v2 admin surface, mutate it, then restart in standby and
 // require both namespaces back at their exact generations.
 func TestServeMultiTenantRootDir(t *testing.T) {
-	// RootDir is mutually exclusive with the legacy single-tenant dirs, and
-	// a graph argument must not fight a recovered default namespace.
-	for _, cfg := range []ServeConfig{
-		{Listen: "127.0.0.1:0", RootDir: "/tmp/x", CacheDir: "/tmp/y"},
-		{Listen: "127.0.0.1:0", RootDir: "/tmp/x", WALDir: "/tmp/y"},
-		{Listen: "127.0.0.1:0", RootDir: "/dev/null/not-a-dir"},
-	} {
-		if addr, shutdown, err := StartServe(failingReader{t}, cfg); err == nil {
-			shutdown(context.Background())
-			t.Fatalf("invalid config %+v accepted (bound %s)", cfg, addr)
-		}
+	// An unusable root fails before the graph read, and a graph argument
+	// must not fight a recovered default namespace (checked at the end).
+	cfg := ServeConfig{Listen: "127.0.0.1:0", RootDir: "/dev/null/not-a-dir"}
+	if addr, shutdown, err := StartServe(failingReader{t}, cfg); err == nil {
+		shutdown(context.Background())
+		t.Fatalf("invalid config %+v accepted (bound %s)", cfg, addr)
 	}
 
 	root := t.TempDir()

@@ -56,8 +56,8 @@ type ReminesResponse struct {
 
 // debugRoutes is the per-tenant debug surface, mounted v2-only.
 var debugRoutes = []tenantRoute{
-	{"GET", "/debug/trace/{seq}", epDebug, func(s *Server) http.HandlerFunc { return s.handleDebugTrace }},
-	{"GET", "/debug/remines", epDebug, func(s *Server) http.HandlerFunc { return s.handleDebugRemines }},
+	{"GET", "/debug/trace/{seq}", epDebug, (*Server).handleDebugTrace},
+	{"GET", "/debug/remines", epDebug, (*Server).handleDebugRemines},
 }
 
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 	icspm "cspm/internal/cspm"
 	"cspm/internal/graph"
 	"cspm/internal/shardcache"
+	"cspm/internal/wal"
 	"cspm/internal/wal/crashfs"
 )
 
@@ -372,6 +373,59 @@ func TestStandby(t *testing.T) {
 	requireModelEqual(t, s4.Snapshot().Model, icspm.Mine(Rebuild(g, muts)))
 }
 
+// TestLegacyDirsRecoverUnderRootLayout is the migration proof for the
+// retired single-tenant directory pair: a Server's PersistDir and WALDir,
+// copied while acknowledged batches are still unfolded and moved to
+// <root>/default/checkpoint and <root>/default/wal, restore on a standby
+// host with every acknowledged batch replayed — no durable state becomes
+// unreachable when the flags go.
+func TestLegacyDirsRecoverUnderRootLayout(t *testing.T) {
+	g := testGraph(t)
+	batches := testBatches()[:2]
+	cdir, wdir := t.TempDir(), t.TempDir()
+	// The hour-long debounce parks both batches acknowledged but unfolded.
+	s := newTestServer(t, g, Options{PersistDir: cdir, WALDir: wdir, Debounce: time.Hour})
+	for _, b := range batches {
+		if err := s.SubmitMutations(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Snapshot().Generation != 1 {
+		t.Fatal("a batch folded before the copy; the migration must carry unfolded batches")
+	}
+
+	// Copy the live pair aside, then mkdir -p R/default and mv each copy
+	// into its layout slot, exactly as the operator recipe does.
+	staged := t.TempDir()
+	root := t.TempDir()
+	layout := wal.Layout{Root: root}
+	if err := os.MkdirAll(layout.NamespaceDir(DefaultNamespace), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for src, dst := range map[string]string{
+		cdir: layout.CheckpointDir(DefaultNamespace),
+		wdir: layout.WALDir(DefaultNamespace),
+	} {
+		cp := filepath.Join(staged, filepath.Base(dst))
+		if err := os.CopyFS(cp, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(cp, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	h := newTestHost(t, HostOptions{RootDir: root, Standby: true})
+	rs, ok := h.Tenant(DefaultNamespace)
+	if !ok {
+		t.Fatal("standby host did not restore the migrated default namespace")
+	}
+	if got := rs.Recovery().ReplayedBatches; got != len(batches) {
+		t.Fatalf("migrated namespace replayed %d batches, want %d", got, len(batches))
+	}
+	requireModelEqual(t, rs.Snapshot().Model, icspm.Mine(Rebuild(g, flatten(batches, len(batches)))))
+}
+
 // TestWALUnavailable503: when the WAL cannot make a batch durable the batch
 // is refused — SubmitMutations wraps ErrUnavailable and the HTTP surface
 // maps it to 503 (retry against a recovered server), never 400.
@@ -379,16 +433,21 @@ func TestWALUnavailable503(t *testing.T) {
 	g := testGraph(t)
 	// Crash the filesystem on the very first mutating operation: the first
 	// append cannot create its segment, so durability is gone from the start.
+	// A rootless host gives the WALFS override's tenant a log on the shim.
 	d := crashfs.New(crashfs.Config{CrashAtOp: 1})
-	s := newTestServer(t, g, Options{WALDir: "/wal", WALFS: d})
-	err := s.SubmitMutations(testBatches()[0])
+	h := newTestHost(t, HostOptions{})
+	s, err := h.Create(DefaultNamespace, g, &Options{WALFS: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.SubmitMutations(testBatches()[0])
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("submit over a crashed WAL = %v, want ErrUnavailable", err)
 	}
 	body, _ := json.Marshal(MutationsRequest{Mutations: testBatches()[0]})
 	req := httptest.NewRequest("POST", "/v1/mutations", bytes.NewReader(body))
 	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
+	h.ServeHTTP(w, req)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("POST /v1/mutations over a crashed WAL = %d, want 503", w.Code)
 	}

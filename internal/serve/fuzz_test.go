@@ -3,7 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -59,5 +64,68 @@ func FuzzMutationBatchDecode(f *testing.F) {
 		// ops, ids and values look like.
 		_, _ = validateBatch(muts, 8)
 		_, _ = validateBatch(muts, 0)
+	})
+}
+
+// FuzzCompleteRequest drives POST /v2/graphs/default/complete through the
+// host's one HTTP surface with adversarial bodies. The handler must never
+// panic, and must answer either 200 with a CompleteResponse computed
+// against the served snapshot, or 400 with the bad_request envelope —
+// nothing else. The seed corpus covers a valid request, oversized vertex
+// lists and top_k, non-finite and short model_scores rows, an out-of-range
+// vertex, and a truncated body.
+func FuzzCompleteRequest(f *testing.F) {
+	h, err := NewHost(HostOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { h.Close() })
+	s, err := h.Create(DefaultNamespace, testGraph(f), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap := s.Snapshot()
+	n, nA := snap.Graph.NumVertices(), snap.Graph.NumAttrValues()
+	row := "[" + strings.TrimSuffix(strings.Repeat("0.5,", nA), ",") + "]"
+	valid := fmt.Sprintf(`{"vertices":[0,4,4],"top_k":3,"model_scores":{"4":%s}}`, row)
+	f.Add([]byte(valid))
+	f.Add([]byte(valid[:len(valid)/2]))
+	f.Add([]byte(`{"vertices":[0]}`))
+	f.Add([]byte(`{"vertices":[]}`))
+	f.Add([]byte(`{"vertices":[0],"top_k":100000}`))
+	f.Add([]byte(`{"vertices":[0],"top_k":-1}`))
+	f.Add([]byte(fmt.Sprintf(`{"vertices":[%d]}`, n)))
+	f.Add([]byte(`{"vertices":[4294967295]}`))
+	f.Add([]byte(`{"vertices":[0` + strings.Repeat(",0", maxCompleteVertices) + `]}`))
+	f.Add([]byte(`{"vertices":[0],"model_scores":{"0":[1e999]}}`))
+	f.Add([]byte(`{"vertices":[0],"model_scores":{"0":[0.5]}}`))
+	f.Add([]byte(fmt.Sprintf(`{"vertices":[0],"model_scores":{"%d":%s}}`, n, row)))
+	f.Add([]byte(`{"vertices":[0],"model_scores":{"x":[]}}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v2/graphs/default/complete", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		dec := json.NewDecoder(w.Body)
+		dec.DisallowUnknownFields()
+		switch w.Code {
+		case http.StatusOK:
+			var resp CompleteResponse
+			if err := dec.Decode(&resp); err != nil {
+				t.Fatalf("200 body is not a CompleteResponse: %v", err)
+			}
+			if resp.Generation != snap.Generation {
+				t.Fatalf("200 answered generation %d, served snapshot is %d", resp.Generation, snap.Generation)
+			}
+		case http.StatusBadRequest:
+			var e ErrorJSON
+			if err := dec.Decode(&e); err != nil || e.Code != CodeBadRequest || e.Error == "" {
+				t.Fatalf("400 body is not the bad_request envelope: %+v (%v)", e, err)
+			}
+		default:
+			t.Fatalf("status %d, want 200 or 400", w.Code)
+		}
 	})
 }

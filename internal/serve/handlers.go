@@ -15,7 +15,8 @@ import (
 	"cspm/internal/obs"
 )
 
-// Wire types of the /v1 JSON API. Struct field ORDER is part of the
+// Wire types of the per-namespace JSON API (served under /v2/graphs/{ns}
+// and the deprecated /v1 alias). Struct field ORDER is part of the
 // contract — encoding/json emits fields in declaration order, and the
 // golden fixtures under testdata/ pin the bytes — so new fields go at the
 // end and nothing gets reordered.
@@ -134,14 +135,15 @@ const (
 )
 
 // tenantRoute is one endpoint of the per-namespace API surface. The table
-// below is the single source of the route set: the standalone /v1 mux, the
-// host's /v2/graphs/{ns} surface, and the deprecated /v1 alias all derive
-// from it, so the three can never drift apart.
+// below is the single source of the route set: the host's /v2/graphs/{ns}
+// surface and the deprecated /v1 alias both derive from it, so the two can
+// never drift apart. handler is a method expression, so dispatch binds the
+// tenant per request without allocating a closure.
 type tenantRoute struct {
 	method  string
 	suffix  string // path under the mount prefix, e.g. "/patterns"
 	ep      endpoint
-	handler func(*Server) http.HandlerFunc
+	handler func(*Server, http.ResponseWriter, *http.Request)
 }
 
 // pattern renders the route as a ServeMux pattern under prefix.
@@ -150,37 +152,23 @@ func (rt tenantRoute) pattern(prefix string) string {
 }
 
 var tenantRoutes = []tenantRoute{
-	{"GET", "/patterns", epPatterns, func(s *Server) http.HandlerFunc { return s.handlePatterns }},
-	{"POST", "/complete", epComplete, func(s *Server) http.HandlerFunc { return s.handleComplete }},
-	{"GET", "/model", epModel, func(s *Server) http.HandlerFunc { return s.handleModel }},
-	{"GET", "/healthz", epHealthz, func(s *Server) http.HandlerFunc { return s.handleHealthz }},
-	{"GET", "/metrics", epMetrics, func(s *Server) http.HandlerFunc { return s.handleMetrics }},
-	{"POST", "/mutations", epMutations, func(s *Server) http.HandlerFunc { return s.handleMutations }},
-	{"GET", "/watch", epWatch, func(s *Server) http.HandlerFunc { return s.handleWatch }},
+	{"GET", "/patterns", epPatterns, (*Server).handlePatterns},
+	{"POST", "/complete", epComplete, (*Server).handleComplete},
+	{"GET", "/model", epModel, (*Server).handleModel},
+	{"GET", "/healthz", epHealthz, (*Server).handleHealthz},
+	{"GET", "/metrics", epMetrics, (*Server).handleMetrics},
+	{"POST", "/mutations", epMutations, (*Server).handleMutations},
+	{"GET", "/watch", epWatch, (*Server).handleWatch},
 }
 
-// routes builds the standalone /v1 mux (a Server embedded without a Host).
-// Every handler runs under timed, which feeds the per-endpoint latency
-// histograms in /v1/metrics; misses and method mismatches answer with the
-// unified error envelope.
-func (s *Server) routes() *http.ServeMux {
-	rg := newRegistrar()
-	for _, rt := range tenantRoutes {
-		rg.handle(rt.pattern("/v1"), s.timed(rt.ep, rt.handler(s)))
-	}
-	return rg.finish()
-}
-
-// timed wraps a handler with the endpoint's latency histogram. For
-// /v1/watch the recorded latency includes the long-poll wait by design —
-// the histogram then doubles as a view of how long watchers actually hold
-// their polls.
-func (s *Server) timed(ep endpoint, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		h(w, r)
-		s.met.latency[ep].observe(time.Since(start))
-	}
+// timed runs the route's handler against s under the endpoint's latency
+// histogram, so per-namespace metrics come for free. For /watch the recorded
+// latency includes the long-poll wait by design — the histogram then doubles
+// as a view of how long watchers actually hold their polls.
+func (s *Server) timed(rt *tenantRoute, w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	rt.handler(s, w, r)
+	s.met.latency[rt.ep].observe(time.Since(start))
 }
 
 // writeJSON emits one response object. Responses are small relative to the

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	icspm "cspm/internal/cspm"
+	"cspm/internal/graph"
 )
 
 // infRow is a fusion row poisoned with one non-finite score.
@@ -22,12 +23,17 @@ func infRow(nA int) []float64 {
 	return row
 }
 
-// startHTTP wraps a test server in a real HTTP stack.
-func startHTTP(t *testing.T, s *Server) *httptest.Server {
+// serveDefault serves g as the default namespace of a fresh memory-only
+// host behind a real HTTP stack, so the flat /v1 paths reach it through the
+// alias exactly as /v2/graphs/default does.
+func serveDefault(t *testing.T, g *graph.Graph) (*Server, *httptest.Server) {
 	t.Helper()
-	hs := httptest.NewServer(s)
-	t.Cleanup(hs.Close)
-	return hs
+	h := newTestHost(t, HostOptions{})
+	s, err := h.Create(DefaultNamespace, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, startHostHTTP(t, h)
 }
 
 func getJSON(t *testing.T, url string, out any) *http.Response {
@@ -66,8 +72,7 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 
 func TestHTTPPatternsPagination(t *testing.T) {
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{})
-	hs := startHTTP(t, s)
+	_, hs := serveDefault(t, g)
 
 	var full PatternsResponse
 	if resp := getJSON(t, hs.URL+"/v1/patterns?limit=1000", &full); resp.StatusCode != http.StatusOK {
@@ -119,8 +124,7 @@ func TestHTTPPatternsPagination(t *testing.T) {
 
 func TestHTTPComplete(t *testing.T) {
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{})
-	hs := startHTTP(t, s)
+	_, hs := serveDefault(t, g)
 
 	var resp CompleteResponse
 	if r := postJSON(t, hs.URL+"/v1/complete", CompleteRequest{Vertices: []uint32{0, 4}}, &resp); r.StatusCode != http.StatusOK {
@@ -209,8 +213,7 @@ func TestHTTPComplete(t *testing.T) {
 
 func TestHTTPModelAndHealthz(t *testing.T) {
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{})
-	hs := startHTTP(t, s)
+	_, hs := serveDefault(t, g)
 
 	var model ModelResponse
 	getJSON(t, hs.URL+"/v1/model", &model)
@@ -237,8 +240,7 @@ func TestHTTPModelAndHealthz(t *testing.T) {
 
 func TestHTTPMutationsAndMetrics(t *testing.T) {
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{})
-	hs := startHTTP(t, s)
+	s, hs := serveDefault(t, g)
 
 	var ack MutationsResponse
 	r := postJSON(t, hs.URL+"/v1/mutations", MutationsRequest{Mutations: []Mutation{
@@ -281,8 +283,7 @@ func TestHTTPMutationsAndMetrics(t *testing.T) {
 }
 
 func TestHTTPMethodAndRouteErrors(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	_, hs := serveDefault(t, testGraph(t))
 	cases := []struct {
 		method, path string
 		want         int
@@ -311,8 +312,7 @@ func TestHTTPMethodAndRouteErrors(t *testing.T) {
 }
 
 func TestHTTPCompleteDuplicateAndCaps(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	_, hs := serveDefault(t, testGraph(t))
 
 	// Unfused duplicates share one scoring pass and identical results.
 	var dup CompleteResponse

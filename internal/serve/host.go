@@ -178,7 +178,7 @@ type Host struct {
 
 // NewHost validates opts and, when RootDir is set, scans it and restores
 // every namespace found: each tenant promotes from its own checkpoint + WAL
-// exactly like a -standby single server (warm cache, replayed unfolded
+// as a standby Server (Options.Standby: warm cache, replayed unfolded
 // batches, no cold re-mine). A namespace tree with NO durable state — a
 // create that died before its first checkpoint committed, so nothing was
 // ever acknowledged — is quarantined and skipped; any other recovery
@@ -207,7 +207,7 @@ func NewHost(opts HostOptions) (*Host, error) {
 		for _, ns := range names {
 			// On a replica host, restored namespaces come back as FOLLOWERS
 			// (re-bootstrapping from the leader); elsewhere they promote from
-			// their own checkpoint + WAL like a -standby single server.
+			// their own checkpoint + WAL as standby servers.
 			s, err := h.startTenant(ns, nil, nil, opts.Follow == "", opts.Follow != "")
 			switch {
 			case err == nil:
@@ -260,10 +260,9 @@ func (h *Host) closeTenantsLocked() {
 // startTenant builds one tenant Server from the template: per-namespace
 // dirs when the host persists, a disk-backed cache opened on the checkpoint
 // dir, the shared budget. override (nil = template) customises a tenant at
-// the Go API. On a host that owns a RootDir the override's per-tenant dir
-// fields must be zero (the host derives them); a rootless host accepts
-// explicit dirs — that is how a legacy single-tenant cspm-serve invocation
-// (-cache-dir/-wal-dir/-standby) becomes the default namespace of a host.
+// the Go API; its per-tenant state fields must be zero, because the host
+// derives them (a rootless host keeps its tenants memory-only). WALFS stays
+// open to overrides so fault-injection tests can wedge one tenant's log.
 // Budget is always the host's.
 func (h *Host) startTenant(ns string, g *graph.Graph, override *Options, standby, follow bool) (*Server, error) {
 	opts := h.opts.Tenant
@@ -275,8 +274,8 @@ func (h *Host) startTenant(ns string, g *graph.Graph, override *Options, standby
 		if opts.Follow != nil {
 			return nil, fmt.Errorf("serve: tenant override must leave Follow zero (the host derives it from its own Follow URL)")
 		}
-		if h.opts.RootDir != "" && (opts.Cache != nil || opts.PersistDir != "" || opts.WALDir != "" || opts.Standby) {
-			return nil, fmt.Errorf("serve: tenant override must leave Cache/PersistDir/WALDir/Standby zero when the host owns a root dir")
+		if opts.Cache != nil || opts.PersistDir != "" || opts.WALDir != "" || opts.Standby {
+			return nil, fmt.Errorf("serve: tenant override must leave Cache/PersistDir/WALDir/Standby zero (the host derives them)")
 		}
 	}
 	opts.Budget = h.budget
@@ -310,7 +309,7 @@ func (h *Host) startTenant(ns string, g *graph.Graph, override *Options, standby
 		opts.Cache = cache
 		opts.PersistDir = ckpt
 		opts.WALDir = wdir
-	} else if opts.WALFS != nil && opts.WALDir == "" {
+	} else if opts.WALFS != nil {
 		// A fault-injecting filesystem needs a WAL to inject into even when
 		// the host itself is memory-only; give the tenant a log on the shim.
 		opts.WALDir = "wal"
@@ -371,9 +370,9 @@ func (h *Host) create(ns string, g *graph.Graph, override *Options, follow bool)
 			}
 		}
 	}
-	// nil graph means "start empty" — except for a standby override (the
-	// checkpoint supplies the graph) and a follower (the leader does).
-	if g == nil && !follow && (override == nil || !override.Standby) {
+	// nil graph means "start empty" — except for a follower (the leader
+	// supplies the graph).
+	if g == nil && !follow {
 		g = graph.NewBuilder(0).Build()
 	}
 	s, err := h.startTenant(ns, g, override, false, follow)
@@ -488,7 +487,7 @@ func (h *Host) Routes() []string {
 	return out
 }
 
-// Drain releases every tenant's /v1/watch-style long-polls immediately;
+// Drain releases every tenant's /watch long-polls immediately;
 // wire it into http.Server.RegisterOnShutdown exactly like Server.Drain.
 func (h *Host) Drain() {
 	h.mu.RLock()
@@ -539,17 +538,17 @@ func (h *Host) buildRoutes() *http.ServeMux {
 	rg.handle("GET /v2/graphs/{ns}", h.handleNamespaceInfo)
 	rg.handle("DELETE /v2/graphs/{ns}", h.handleDeleteNamespace)
 	for _, rt := range tenantRoutes {
-		rg.handle(rt.pattern("/v2/graphs/{ns}"), h.forNamespace(rt))
-		rg.handle(rt.pattern("/v1"), h.v1Alias(rt))
+		rg.handle(rt.pattern("/v2/graphs/{ns}"), h.tenantHandler(rt, false))
+		rg.handle(rt.pattern("/v1"), h.tenantHandler(rt, true))
 	}
 	// Replication and debug are fleet plumbing: v2-only, never aliased onto
 	// the frozen /v1 surface. Promote is host-level — it restarts the tenant,
 	// which only the registry can do.
 	for _, rt := range replicationRoutes {
-		rg.handle(rt.pattern("/v2/graphs/{ns}"), h.forNamespace(rt))
+		rg.handle(rt.pattern("/v2/graphs/{ns}"), h.tenantHandler(rt, false))
 	}
 	for _, rt := range debugRoutes {
-		rg.handle(rt.pattern("/v2/graphs/{ns}"), h.forNamespace(rt))
+		rg.handle(rt.pattern("/v2/graphs/{ns}"), h.tenantHandler(rt, false))
 	}
 	rg.handle("POST /v2/graphs/{ns}/replication/promote", h.handlePromote)
 	// Host-level Prometheus exposition: one scrape covers every tenant.
@@ -559,52 +558,47 @@ func (h *Host) buildRoutes() *http.ServeMux {
 	return mux
 }
 
-// forNamespace resolves {ns} to its tenant and dispatches to the tenant's
-// own handler under its latency histogram, so per-namespace metrics come
-// for free. An unknown namespace answers 404 with the envelope.
-func (h *Host) forNamespace(rt tenantRoute) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ns := r.PathValue("ns")
-		s, ok := h.Tenant(ns)
-		if !ok {
-			writeError(w, http.StatusNotFound, CodeNamespaceNotFound, "namespace %q not found", ns)
-			return
-		}
-		if rt.ep == epMutations && h.opts.ProxyWrites && s.Role() == RoleFollower {
-			h.proxyMutations(w, r, ns)
-			return
-		}
-		s.timed(rt.ep, rt.handler(s))(w, r)
-	}
-}
-
 // v1AliasSunset is the RFC 8594 Sunset date on every /v1 alias response:
 // the instant after which the alias may stop answering. A fixed date (not
 // now()+offset) keeps the header byte-stable across responses so clients
 // and caches see one consistent deadline.
 const v1AliasSunset = "Sun, 01 Aug 2027 00:00:00 GMT"
 
-// v1Alias serves the flat pre-tenancy surface against the default
-// namespace, marked deprecated per RFC 9745 with an RFC 8594 Sunset date:
-// same handlers, same bytes, so a v1 client observes zero change beyond
-// the headers steering it to v2.
-func (h *Host) v1Alias(rt tenantRoute) http.HandlerFunc {
+// tenantHandler is the one tenant dispatcher: it resolves the request's
+// namespace to its tenant and runs rt's handler under the tenant's latency
+// histogram, so per-namespace metrics come for free. On the v2 surface the
+// namespace is the {ns} path segment. With alias set the route is the
+// deprecated flat /v1 surface: the namespace is DefaultNamespace and every
+// response is marked deprecated per RFC 9745 with an RFC 8594 Sunset date
+// and a successor-version Link — same handlers, same bytes, so a v1 client
+// observes zero change beyond the headers steering it to v2. An unknown
+// namespace answers 404 with the envelope; a follower's mutations are
+// forwarded to the leader when the host proxies writes. The per-route
+// strings are built once, at registration.
+func (h *Host) tenantHandler(rt tenantRoute, alias bool) http.HandlerFunc {
 	successor := `</v2/graphs/` + DefaultNamespace + rt.suffix + `>; rel="successor-version"`
+	var notFoundHint string
+	if alias {
+		notFoundHint = " (the /v1 alias serves it; create it or use /v2)"
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", v1AliasSunset)
-		w.Header().Set("Link", successor)
-		s, ok := h.Tenant(DefaultNamespace)
-		if !ok {
-			writeError(w, http.StatusNotFound, CodeNamespaceNotFound,
-				"namespace %q not found (the /v1 alias serves it; create it or use /v2)", DefaultNamespace)
-			return
+		ns := DefaultNamespace
+		if alias {
+			w.Header().Set("Deprecation", "true")
+			w.Header().Set("Sunset", v1AliasSunset)
+			w.Header().Set("Link", successor)
+		} else {
+			ns = r.PathValue("ns")
 		}
-		if rt.ep == epMutations && h.opts.ProxyWrites && s.Role() == RoleFollower {
-			h.proxyMutations(w, r, DefaultNamespace)
-			return
+		s, ok := h.Tenant(ns)
+		switch {
+		case !ok:
+			writeError(w, http.StatusNotFound, CodeNamespaceNotFound, "namespace %q not found%s", ns, notFoundHint)
+		case rt.ep == epMutations && h.opts.ProxyWrites && s.Role() == RoleFollower:
+			h.proxyMutations(w, r, ns)
+		default:
+			s.timed(&rt, w, r)
 		}
-		s.timed(rt.ep, rt.handler(s))(w, r)
 	}
 }
 

@@ -84,6 +84,13 @@ func TestHostRegistryLifecycle(t *testing.T) {
 	if _, err := h.Create("Bad Name", nil, nil); err == nil {
 		t.Fatal("create accepted an invalid namespace name")
 	}
+	// Even a rootless host derives every tenant's durable state: an override
+	// bringing its own dirs or standby flag is refused.
+	for _, o := range []Options{{PersistDir: t.TempDir()}, {WALDir: t.TempDir()}, {Standby: true}} {
+		if _, err := h.Create("omega", testGraph(t), &o); err == nil {
+			t.Fatalf("rootless host accepted tenant override %+v", o)
+		}
+	}
 	if _, err := h.Create("beta", testGraphB(t), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -492,13 +499,13 @@ func TestHostRoutesGolden(t *testing.T) {
 }
 
 // TestV1AliasServesDefaultByteForByte: the deprecated flat /v1 surface on a
-// host answers byte-identically to a pre-tenancy single-tenant server over
-// the same graph — plus the Deprecation/Link headers steering clients to
-// v2 — so a v1 client observes zero change beyond the headers.
+// host answers byte-identically to /v2/graphs/default on an independent
+// twin host over the same graph — plus the Deprecation/Sunset/Link headers
+// steering clients to v2 — so a v1 client observes zero change beyond the
+// headers.
 func TestV1AliasServesDefaultByteForByte(t *testing.T) {
 	g := testGraph(t)
-	standalone := newTestServer(t, g, Options{})
-	legacy := startHTTP(t, standalone)
+	_, twin := serveDefault(t, g)
 
 	h := newTestHost(t, HostOptions{})
 	if _, err := h.Create(DefaultNamespace, g, nil); err != nil {
@@ -528,7 +535,8 @@ func TestV1AliasServesDefaultByteForByte(t *testing.T) {
 		"/v1/watch", // generation 0 resolves immediately with current state
 	}
 	for _, p := range paths {
-		wantBody, _ := fetch(legacy.URL, p)
+		v2Path := "/v2/graphs/default" + strings.TrimPrefix(p, "/v1")
+		wantBody, _ := fetch(twin.URL, v2Path)
 		gotBody, hdr := fetch(hs.URL, p)
 		if !bytes.Equal(gotBody, wantBody) {
 			t.Errorf("GET %s over the alias diverged:\n got: %s\nwant: %s", p, gotBody, wantBody)
@@ -548,9 +556,9 @@ func TestV1AliasServesDefaultByteForByte(t *testing.T) {
 			t.Errorf("GET %s over the alias: Link = %q, want a /v2/graphs/default successor-version", p, link)
 		}
 		// The same route under /v2 serves the same bytes (no headers).
-		v2Body, v2hdr := fetch(hs.URL, "/v2/graphs/default"+strings.TrimPrefix(p, "/v1"))
+		v2Body, v2hdr := fetch(hs.URL, v2Path)
 		if !bytes.Equal(v2Body, wantBody) {
-			t.Errorf("GET %s under /v2 diverged from the single-tenant bytes", p)
+			t.Errorf("GET %s under /v2 diverged from the twin host's bytes", p)
 		}
 		if v2hdr.Get("Deprecation") != "" {
 			t.Errorf("/v2 route carries a Deprecation header")

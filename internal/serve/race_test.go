@@ -24,8 +24,7 @@ import (
 // snapshot-swap contract honest.
 func TestConcurrentCompleteDuringRemine(t *testing.T) {
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{})
-	hs := startHTTP(t, s)
+	s, hs := serveDefault(t, g)
 	ctx := ctxShort(t)
 
 	// Stage k publishes generation k+2. The cycle alternates islands and

@@ -157,11 +157,11 @@ type PromoteResponse struct {
 // method mismatches answer the unified envelope. The promote verb is
 // host-level (it restarts the tenant) and registered separately.
 var replicationRoutes = []tenantRoute{
-	{"GET", "/replication/status", epReplication, func(s *Server) http.HandlerFunc { return s.handleReplStatus }},
-	{"GET", "/replication/manifest", epReplication, func(s *Server) http.HandlerFunc { return s.handleReplManifest }},
-	{"GET", "/replication/graph", epReplication, func(s *Server) http.HandlerFunc { return s.handleReplGraph }},
-	{"GET", "/replication/blob", epReplication, func(s *Server) http.HandlerFunc { return s.handleReplBlob }},
-	{"GET", "/replication/wal", epReplication, func(s *Server) http.HandlerFunc { return s.handleReplWAL }},
+	{"GET", "/replication/status", epReplication, (*Server).handleReplStatus},
+	{"GET", "/replication/manifest", epReplication, (*Server).handleReplManifest},
+	{"GET", "/replication/graph", epReplication, (*Server).handleReplGraph},
+	{"GET", "/replication/blob", epReplication, (*Server).handleReplBlob},
+	{"GET", "/replication/wal", epReplication, (*Server).handleReplWAL},
 }
 
 // followerIDHeader carries a follower's self-assigned identity on every

@@ -1,23 +1,26 @@
-// Package serve hosts a mined CSPM model behind a long-running HTTP/JSON
+// Package serve hosts mined CSPM models behind a long-running HTTP/JSON
 // service: the online half of the ROADMAP's production-scale system. A
-// Server owns a live attributed graph plus its mined model and answers
+// Server owns one live attributed graph plus its mined model and answers
 // every read from an immutable snapshot published by atomic pointer swap,
 // so query latency never blocks on mining. Writes arrive as batched
-// mutations (vertex add/remove, attribute and edge edits) appended to a mutation log; a
-// background re-mine loop coalesces pending batches, rebuilds the graph,
-// re-mines it through the incremental cached miner (only component groups
-// whose fingerprint changed are re-mined) or the distributed miner when a
-// transport is configured, and publishes the next snapshot. A failed or
-// poisoned re-mine keeps the last good snapshot serving and re-queues the
-// batch, so the service degrades to staleness, never to unavailability.
-// See DESIGN.md "Online serving".
+// mutations (vertex add/remove, attribute and edge edits) appended to a
+// mutation log; a background re-mine loop coalesces pending batches,
+// rebuilds the graph, re-mines it through the incremental cached miner
+// (only component groups whose fingerprint changed are re-mined) or the
+// distributed miner when a transport is configured, and publishes the next
+// snapshot. A failed or poisoned re-mine keeps the last good snapshot
+// serving and re-queues the batch, so the service degrades to staleness,
+// never to unavailability. A Host is the one HTTP surface: it registers
+// Servers as named tenants, gives each its <root>/<ns>/{checkpoint,wal}
+// subtree, and routes /v2/graphs/{ns}/... (and the deprecated /v1 alias of
+// the default namespace) to them. See DESIGN.md "Online serving" and
+// "Multi-tenant serving & API v2".
 package serve
 
 import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,7 +237,7 @@ type Snapshot struct {
 	// PublishedAt is when the snapshot was swapped in.
 	PublishedAt time.Time
 	// ModelSHA256 is the name-canonical model commitment (the same digest
-	// checkpoint manifests record), computed once at publish so /v1/watch
+	// checkpoint manifests record), computed once at publish so /watch
 	// can hand clients a generation plus the model bytes it stands for.
 	ModelSHA256 string
 }
@@ -250,12 +253,12 @@ func newSnapshot(gen uint64, g *graph.Graph, model *icspm.Model) *Snapshot {
 	}
 }
 
-// Server is the long-running pattern-serving host. All exported methods and
-// the HTTP handlers are safe for concurrent use.
+// Server is one tenant's long-running pattern-serving state. It serves HTTP
+// only through a Host. All exported methods and the handlers are safe for
+// concurrent use.
 type Server struct {
 	opts  Options
 	cache *shardcache.Cache
-	mux   *http.ServeMux
 	snap  atomic.Pointer[Snapshot]
 	met   metrics
 
@@ -313,7 +316,7 @@ type Server struct {
 	wake      chan struct{}
 	quit      chan struct{}
 	done      chan struct{}
-	draining  chan struct{} // closed by Drain; unblocks /v1/watch long-polls
+	draining  chan struct{} // closed by Drain; unblocks /watch long-polls
 	drainOnce sync.Once
 	closeOnce sync.Once
 	closeErr  error
@@ -403,7 +406,6 @@ func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("serve: startup checkpoint: %w", err)
 		}
 	}
-	s.mux = s.routes()
 	s.log.Info("serving",
 		"role", s.Role(),
 		"gen", snap.Generation,
@@ -425,11 +427,6 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 // Cache exposes the server's shard-result cache (for stats and warm-start
 // inspection).
 func (s *Server) Cache() *shardcache.Cache { return s.cache }
-
-// ServeHTTP serves the /v1 API; a Server plugs directly into http.Server.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
 
 // SubmitMutations validates muts and appends them to the mutation log,
 // triggering a background re-mine. The batch is all-or-nothing: the first
@@ -594,18 +591,7 @@ func (s *Server) AwaitGeneration(ctx context.Context, gen uint64) error {
 	}
 }
 
-// Close stops the re-mine loop (letting an in-flight re-mine finish),
-// runs one final re-mine over any still-pending acknowledged mutations so
-// a graceful shutdown never silently discards a 202-acked batch, and, when
-// PersistDir is set, checkpoints the served state (folded graph, cache
-// blobs, MANIFEST) so the next server — or a warm standby — promotes
-// without a cold re-mine. With a WAL, folded segments are compacted and the
-// log is closed last. Close is idempotent and does not drain HTTP requests
-// — the owning http.Server's Shutdown does that first, which is exactly
-// what lets mutations accepted mid-drain reach the final re-mine. The one
-// exception is /v1/watch long-polls: Close (like Drain) releases them
-// immediately, so a shutdown never waits out a 30s poll.
-// Drain unblocks every /v1/watch long-poll immediately (each responds with
+// Drain unblocks every /watch long-poll immediately (each responds with
 // the currently served generation). It is idempotent and safe to call at
 // any time; wire it into http.Server.RegisterOnShutdown so watchers release
 // at the START of a graceful drain instead of holding Shutdown open until
@@ -615,6 +601,17 @@ func (s *Server) Drain() {
 	s.drainOnce.Do(func() { close(s.draining) })
 }
 
+// Close stops the re-mine loop (letting an in-flight re-mine finish),
+// runs one final re-mine over any still-pending acknowledged mutations so
+// a graceful shutdown never silently discards a 202-acked batch, and, when
+// PersistDir is set, checkpoints the served state (folded graph, cache
+// blobs, MANIFEST) so the next server — or a warm standby — promotes
+// without a cold re-mine. With a WAL, folded segments are compacted and the
+// log is closed last. Close is idempotent and does not drain HTTP requests
+// — the owning http.Server's Shutdown does that first, which is exactly
+// what lets mutations accepted mid-drain reach the final re-mine. The one
+// exception is /watch long-polls: Close (like Drain) releases them
+// immediately, so a shutdown never waits out a 30s poll.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.Drain()

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// WatchResponse is the GET /v1/watch payload. Generation and ModelSHA256
+// WatchResponse is the GET /watch payload. Generation and ModelSHA256
 // describe ONE snapshot load, so a client can never observe a generation
 // paired with another generation's model commitment, no matter how many
 // swaps raced the poll. TimedOut marks a poll that returned at its bound
@@ -26,7 +26,7 @@ const (
 	maxWatchTimeout = 120 * time.Second
 )
 
-// handleWatch is GET /v1/watch?generation=G&timeout_ms=T: a long-poll that
+// handleWatch is GET /watch?generation=G&timeout_ms=T: a long-poll that
 // resolves as soon as a snapshot with Generation >= G is published (G
 // defaults to 0, so a bare watch resolves immediately with the current
 // state — the idiom for learning the head generation before polling for the
@@ -47,11 +47,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "bad timeout_ms: want a non-negative integer")
 		return
 	}
-	timeout := time.Duration(timeoutMS) * time.Millisecond
-	if timeout > maxWatchTimeout {
-		timeout = maxWatchTimeout
+	// Clamp in milliseconds BEFORE converting: a timeout_ms past ~9.2e12
+	// would overflow the Duration multiply negative and fire at once.
+	if max := int(maxWatchTimeout / time.Millisecond); timeoutMS > max {
+		timeoutMS = max
 	}
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(time.Duration(timeoutMS) * time.Millisecond)
 	defer timer.Stop()
 	for {
 		// Grab the notify channel BEFORE checking the snapshot: a publish

@@ -1,9 +1,9 @@
 package serve
 
-// GET /v1/watch tests: immediate resolution, publish resolution, clean
-// timeout, drain/Close release, parameter validation, and — the load-bearing
-// one — no torn generation/model pairing under a few dozen concurrent
-// snapshot swaps.
+// GET /watch tests, driven through the /v1 alias: immediate resolution,
+// publish resolution, clean timeout, drain/Close release, parameter
+// validation, and — the load-bearing one — no torn generation/model pairing
+// under a few dozen concurrent snapshot swaps.
 
 import (
 	"encoding/json"
@@ -35,8 +35,7 @@ func watchGet(t *testing.T, base, query string) (WatchResponse, int) {
 }
 
 func TestWatchResolvesImmediatelyAtOrBelowHead(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	s, hs := serveDefault(t, testGraph(t))
 	snap := s.Snapshot()
 	for _, query := range []string{"", "?generation=0", "?generation=1"} {
 		got, code := watchGet(t, hs.URL, query)
@@ -54,8 +53,7 @@ func TestWatchResolvesImmediatelyAtOrBelowHead(t *testing.T) {
 }
 
 func TestWatchResolvesOnPublish(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	s, hs := serveDefault(t, testGraph(t))
 	ctx := ctxShort(t)
 
 	type result struct {
@@ -100,8 +98,7 @@ func TestWatchResolvesOnPublish(t *testing.T) {
 }
 
 func TestWatchTimesOutCleanly(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	s, hs := serveDefault(t, testGraph(t))
 	start := time.Now()
 	got, code := watchGet(t, hs.URL, "?generation=99&timeout_ms=50")
 	if code != http.StatusOK {
@@ -120,9 +117,40 @@ func TestWatchTimesOutCleanly(t *testing.T) {
 	}
 }
 
+// TestWatchHugeTimeoutClampsInsteadOfOverflowing: a timeout_ms past the
+// Duration range (here MaxInt64) must clamp to the poll cap, not overflow
+// the millisecond multiply negative and time out at once.
+func TestWatchHugeTimeoutClampsInsteadOfOverflowing(t *testing.T) {
+	s, hs := serveDefault(t, testGraph(t))
+	done := make(chan WatchResponse, 1)
+	go func() {
+		got, code := watchGet(t, hs.URL, "?generation=99&timeout_ms=9223372036854775807")
+		if code != http.StatusOK {
+			t.Errorf("huge-timeout watch: status %d, want 200", code)
+		}
+		done <- got
+	}()
+	for s.Metrics().RequestsWatch < 1 {
+		runtime.Gosched()
+	}
+	select {
+	case got := <-done:
+		t.Fatalf("watch with timeout_ms=MaxInt64 returned at once: %+v", got)
+	case <-time.After(200 * time.Millisecond):
+	}
+	s.Drain()
+	select {
+	case got := <-done:
+		if !got.TimedOut {
+			t.Error("drained watch did not report timed_out")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not release the huge-timeout watch")
+	}
+}
+
 func TestWatchRejectsBadParameters(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	_, hs := serveDefault(t, testGraph(t))
 	for _, query := range []string{
 		"?generation=-1", "?generation=x", "?timeout_ms=-5", "?timeout_ms=soon",
 	} {
@@ -136,8 +164,7 @@ func TestWatchRejectsBadParameters(t *testing.T) {
 // which drains first) must release a blocked long-poll immediately with the
 // current state instead of holding the connection until its timeout.
 func TestWatchDrainReleasesPolls(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	s, hs := serveDefault(t, testGraph(t))
 
 	const watchers = 3
 	done := make(chan WatchResponse, watchers)
@@ -184,8 +211,7 @@ func TestWatchDrainReleasesPolls(t *testing.T) {
 // one snapshot, digest from another) fails the lookup.
 func TestWatchNoTornGenerationUnderSwaps(t *testing.T) {
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{})
-	hs := startHTTP(t, s)
+	s, hs := serveDefault(t, g)
 	ctx := ctxShort(t)
 
 	// The same self-undoing cycle the completion race test uses: 8 rounds of
@@ -294,8 +320,7 @@ func TestWatchNoTornGenerationUnderSwaps(t *testing.T) {
 // log-spaced bounds, one overflow bucket, bucket counts that sum to the
 // request count, and per-endpoint attribution through the timed middleware.
 func TestMetricsLatencyHistograms(t *testing.T) {
-	s := newTestServer(t, testGraph(t), Options{})
-	hs := startHTTP(t, s)
+	_, hs := serveDefault(t, testGraph(t))
 	const polls = 5
 	for i := 0; i < polls; i++ {
 		if _, code := watchGet(t, hs.URL, ""); code != http.StatusOK {
