@@ -593,10 +593,11 @@ func BenchmarkServe_CompleteDuringRemine(b *testing.B) {
 
 // BenchmarkServe_MutationAck measures the acknowledgment path of one
 // mutation batch — exactly what a writer waits on — with and without the
-// durability contract. The durable-wal case pays a WAL append + fsync per
-// batch before the ack (DESIGN.md "Durability & crash recovery"); the gap
-// between the two sub-benchmarks IS the cost of crash-safe acknowledgments.
-// The re-mine loop is debounced out of the way so only the ack is measured.
+// durability contract. The durable-wal case (a server on opts.Dir) pays a
+// WAL append + fsync per batch before the ack (DESIGN.md "Durability &
+// crash recovery"); the gap between the two sub-benchmarks IS the cost of
+// crash-safe acknowledgments. The re-mine loop is debounced out of the way
+// so only the ack is measured.
 func BenchmarkServe_MutationAck(b *testing.B) {
 	for _, durable := range []bool{false, true} {
 		name := "volatile"
@@ -609,7 +610,7 @@ func BenchmarkServe_MutationAck(b *testing.B) {
 			g := dataset.Islands(cfg)
 			opts := cspm.ServerOptions{Debounce: time.Hour}
 			if durable {
-				opts.WALDir = b.TempDir()
+				opts.Dir = b.TempDir()
 			}
 			srv, err := cspm.NewServer(g, opts)
 			if err != nil {

@@ -212,11 +212,11 @@ type (
 	// http.Handler: to serve a graph over HTTP, create it as a namespace of
 	// a ServeHost (NewServeHost, then Create), which builds its Server.
 	Server = serve.Server
-	// ServerOptions configures a Server: search options, shard cache,
-	// optional worker transport, the re-mine coalescing window, and the
-	// durability contract (WALDir for fsync'd-before-ack mutation batches,
-	// PersistDir for verified checkpoints, Standby for warm-spare
-	// promotion).
+	// ServerOptions configures a Server: search options, optional worker
+	// transport, the re-mine coalescing window, and the durability
+	// contract (Dir, the tenant directory holding the fsync'd-before-ack
+	// mutation WAL and the verified checkpoint; Standby for warm-spare
+	// promotion). Empty Dir serves memory-only.
 	ServerOptions = serve.Options
 	// ServerSnapshot is one immutable serving state: generation, graph,
 	// model, and the completion scorer built over both.
@@ -238,14 +238,14 @@ type (
 	ServerRecoveryStats = serve.RecoveryStats
 )
 
-// NewServer validates opts, recovers any durable state (a verified
-// checkpoint in PersistDir, unfolded WAL batches in WALDir), mines the
-// recovered graph synchronously for the first snapshot, and starts the
-// background re-mine loop. Close the returned Server to stop the loop (and
-// checkpoint when ServerOptions.PersistDir is set). It answers at the Go
-// API only; HTTP serving goes through NewServeHost + Create. With WALDir
-// set, a nil error from SubmitMutations means the batch is durable — a
-// crash never loses it. After each successful re-mine the served model is
+// NewServer validates opts, recovers any durable state under
+// ServerOptions.Dir (a verified checkpoint, then unfolded WAL batches),
+// mines the recovered graph synchronously for the first snapshot, and
+// starts the background re-mine loop. Close the returned Server to stop
+// the loop (and checkpoint when Dir is set). It answers at the Go API
+// only; HTTP serving goes through NewServeHost + Create. With Dir set, a
+// nil error from SubmitMutations means the batch is durable — a crash
+// never loses it. After each successful re-mine the served model is
 // bit-identical to Mine on the mutated graph. g may be nil only when
 // Standby is set and a committed checkpoint supplies the graph.
 func NewServer(g *Graph, opts ServerOptions) (*Server, error) {

@@ -35,13 +35,13 @@ var ErrUnavailable = errors.New("serve: durability unavailable")
 var ErrNoDurableState = errors.New("serve: no durable state to promote")
 
 // checkpointGraphName is the folded-graph file a checkpoint writes next to
-// the cache blobs and MANIFEST in PersistDir.
+// the cache blobs and MANIFEST in the checkpoint dir.
 const checkpointGraphName = "GRAPH"
 
 // RecoveryStats describes what NewServer found and did while recovering
 // durable state, for operators deciding whether a standby promoted warm.
 type RecoveryStats struct {
-	// Checkpoint reports that a committed MANIFEST was found in PersistDir.
+	// Checkpoint reports that a committed MANIFEST was found under Dir.
 	Checkpoint bool
 	// CheckpointGeneration is the generation the manifest committed to.
 	CheckpointGeneration uint64
@@ -73,6 +73,14 @@ func (s *Server) Recovery() RecoveryStats { return s.rec }
 // batches that may contain vertex add/remove ops so a v1-era binary fails
 // loudly on them instead of replaying ops it does not understand.
 const walBatchVersion = 2
+
+// gob numbers types process-wide in first-use order, and the numbers are
+// part of the encoded bytes. Encoding one empty batch at init gives
+// []Mutation the same type ids in every process, whatever the process
+// gob-encodes first (a startup checkpoint's cache blobs, say), so a batch's
+// WAL bytes never depend on process history; testdata/wal_batch_v2.bin pins
+// them.
+func init() { _, _ = encodeBatch([]Mutation{}) }
 
 // encodeBatch serialises one acknowledged mutation batch as a WAL payload.
 func encodeBatch(muts []Mutation) ([]byte, error) {
@@ -222,10 +230,11 @@ func writeFileAtomicSync(dir, name string, data []byte) error {
 }
 
 // recoverStartup is NewServer's durability pass, run before the initial
-// mine. It loads and verifies any checkpoint in PersistDir, opens the WAL
-// and replays unfolded batches, and returns the graph the generation-0 state
-// should be mined from plus the generation to publish it as. On return
-// s.wl/s.batchSeq/s.foldedBatches/s.rec are populated.
+// mine. On a durable server it loads and verifies any checkpoint, opens the
+// WAL and replays unfolded batches, and returns the graph the generation-0
+// state should be mined from plus the generation to publish it as. On
+// return s.wl/s.batchSeq/s.foldedBatches/s.rec are populated. A memory-only
+// server gets g0 at generation 1.
 //
 // Failure policy: damage that loses NO acknowledged data degrades (distrust
 // the checkpoint, quarantine blobs, fall back to g0 + full replay); damage
@@ -233,21 +242,24 @@ func writeFileAtomicSync(dir, name string, data []byte) error {
 // WAL whose covering checkpoint is unusable — is a hard error, because
 // serving would mean lying about writes the server acknowledged.
 func (s *Server) recoverStartup(g0 *graph.Graph) (*graph.Graph, uint64, error) {
+	if !s.durable() {
+		if g0 == nil {
+			return nil, 0, fmt.Errorf("serve: nil graph and no checkpoint to recover")
+		}
+		return g0, 1, nil
+	}
 	opts := s.opts
 	base := g0
 	gen := uint64(1)
-	var man *shardcache.Manifest
-	var err error
-	if opts.PersistDir != "" {
-		if man, err = shardcache.LoadManifest(opts.PersistDir); err != nil {
-			return nil, 0, err
-		}
+	man, err := shardcache.LoadManifest(s.ckptDir)
+	if err != nil {
+		return nil, 0, err
 	}
 	if man != nil {
 		s.rec.Checkpoint = true
 		s.rec.CheckpointGeneration = man.Generation
 		gen = man.Generation
-		ckpt, cerr := loadCheckpointGraph(opts.PersistDir, man)
+		ckpt, cerr := loadCheckpointGraph(s.ckptDir, man)
 		switch {
 		case cerr == nil:
 			// No |V| cross-check against g0: vertex mutations legitimately
@@ -257,7 +269,7 @@ func (s *Server) recoverStartup(g0 *graph.Graph) (*graph.Graph, uint64, error) {
 			s.ckptModelSum = man.ModelSHA256
 			// Per-blob verification: a blob whose bytes drifted from the
 			// manifest is quarantined so it can never poison a re-mine.
-			q, verr := shardcache.VerifyBlobs(opts.PersistDir, man)
+			q, verr := shardcache.VerifyBlobs(s.ckptDir, man)
 			s.rec.QuarantinedBlobs += len(q)
 			s.met.quarantinedBlobs.Add(uint64(len(q)))
 			if verr != nil {
@@ -270,7 +282,7 @@ func (s *Server) recoverStartup(g0 *graph.Graph) (*graph.Graph, uint64, error) {
 			// that replay actually covers the folded batches is checked below.
 			s.rec.CheckpointDamaged = true
 			s.met.checksumMismatches.Add(1)
-			n, qerr := shardcache.QuarantineDir(opts.PersistDir)
+			n, qerr := shardcache.QuarantineDir(s.ckptDir)
 			s.rec.QuarantinedBlobs += n
 			s.met.quarantinedBlobs.Add(uint64(n))
 			if qerr != nil {
@@ -285,82 +297,76 @@ func (s *Server) recoverStartup(g0 *graph.Graph) (*graph.Graph, uint64, error) {
 	}
 	if base == nil {
 		if opts.Standby {
-			return nil, 0, fmt.Errorf("%w: standby found no checkpoint in %q", ErrNoDurableState, opts.PersistDir)
+			return nil, 0, fmt.Errorf("%w: standby found no checkpoint in %q", ErrNoDurableState, s.ckptDir)
 		}
 		return nil, 0, fmt.Errorf("serve: nil graph and no checkpoint to recover")
 	}
 
-	var replayed []Mutation
-	if opts.WALDir != "" {
-		wfs := opts.WALFS
-		l, recs, werr := wal.Open(opts.WALDir, wal.Options{FS: wfs, SegmentBytes: opts.WALSegmentBytes})
-		if werr != nil {
-			return nil, 0, werr
-		}
-		s.wl = l
-		s.rec.TornWALTail = l.TornTail()
-		// Batches the checkpoint already folded replay as no-ops; skip them.
-		var folded uint64
-		if man != nil {
-			folded = man.FoldedBatches
-		}
-		i := 0
-		for i < len(recs) && recs[i].Seq <= folded {
-			i++
-		}
-		recs = recs[i:]
-		if len(recs) > 0 && recs[0].Seq != folded+1 {
-			// Records between the checkpoint and the log's first survivor were
-			// compacted away, but the checkpoint supposed to cover them is not
-			// the one we recovered: acknowledged batches are gone.
-			return nil, 0, fmt.Errorf("serve: WAL resumes at batch %d but recovered state folds only %d — acknowledged batches lost",
-				recs[0].Seq, folded)
-		}
-		if len(recs) == 0 && l.NextSeq()-1 > folded {
-			return nil, 0, fmt.Errorf("serve: WAL was compacted through batch %d but recovered state folds only %d — acknowledged batches lost",
-				l.NextSeq()-1, folded)
-		}
-		if opts.Follow != nil {
-			// Mirror mode: the surviving records are the LEADER's unfolded
-			// batches. They stay in the log so a promotion can replay them,
-			// but a follower serves exactly the installed checkpoint
-			// generation — replaying here would publish state the leader
-			// never committed to a manifest. The gap checks above still ran:
-			// a mirror that lost acknowledged records refuses to start too.
-			s.foldedBatches = folded
-			s.batchSeq = l.NextSeq() - 1
-		} else {
-			// Replay validation threads the running vertex count batch to batch,
-			// exactly as the submit path did when the batches were acknowledged.
-			n := base.NumVertices()
-			for _, r := range recs {
-				batch, derr := decodeBatch(r.Payload)
-				if derr != nil {
-					return nil, 0, fmt.Errorf("serve: WAL batch %d: %w", r.Seq, derr)
-				}
-				delta, verr := validateBatch(batch, n)
-				if verr != nil {
-					return nil, 0, fmt.Errorf("serve: WAL batch %d replays invalid mutation: %w", r.Seq, verr)
-				}
-				n += delta
-				replayed = append(replayed, batch...)
-			}
-			s.rec.ReplayedBatches = len(recs)
-			s.rec.ReplayedMutations = len(replayed)
-			s.met.recoveredBatches.Add(uint64(len(recs)))
-			// Sequence bookkeeping lives in the WAL's own domain: batchSeq is the
-			// last record on disk, foldedBatches what the recovered base covers.
-			s.batchSeq = l.NextSeq() - 1
-			s.foldedBatches = s.batchSeq - uint64(len(recs))
-			if opts.PersistDir != "" {
-				// A restarted leader re-seeds its in-memory ship tail from the
-				// same unfolded records it is about to replay.
-				s.walTail = recs
-			}
-		}
-		s.walPos.Store(s.batchSeq)
+	l, recs, err := wal.Open(s.logDir, wal.Options{FS: opts.WALFS, SegmentBytes: opts.WALSegmentBytes})
+	if err != nil {
+		return nil, 0, err
 	}
-	if opts.Standby && man == nil && s.rec.ReplayedBatches == 0 {
+	s.wl = l
+	s.rec.TornWALTail = l.TornTail()
+	// Batches the checkpoint already folded replay as no-ops; skip them.
+	var folded uint64
+	if man != nil {
+		folded = man.FoldedBatches
+	}
+	i := 0
+	for i < len(recs) && recs[i].Seq <= folded {
+		i++
+	}
+	recs = recs[i:]
+	if len(recs) > 0 && recs[0].Seq != folded+1 {
+		// Records between the checkpoint and the log's first survivor were
+		// compacted away, but the checkpoint supposed to cover them is not
+		// the one we recovered: acknowledged batches are gone.
+		return nil, 0, fmt.Errorf("serve: WAL resumes at batch %d but recovered state folds only %d — acknowledged batches lost",
+			recs[0].Seq, folded)
+	}
+	if len(recs) == 0 && l.NextSeq()-1 > folded {
+		return nil, 0, fmt.Errorf("serve: WAL was compacted through batch %d but recovered state folds only %d — acknowledged batches lost",
+			l.NextSeq()-1, folded)
+	}
+	// Sequence bookkeeping lives in the WAL's own domain: batchSeq is the
+	// last record on disk.
+	s.batchSeq = l.NextSeq() - 1
+	s.walPos.Store(s.batchSeq)
+	if opts.Follow != nil {
+		// Mirror mode: the surviving records are the LEADER's unfolded
+		// batches. They stay in the log so a promotion can replay them, but
+		// a follower serves exactly the installed checkpoint generation —
+		// replaying here would publish state the leader never committed to
+		// a manifest. The gap checks above still ran: a mirror that lost
+		// acknowledged records refuses to start too.
+		s.foldedBatches = folded
+		return base, gen, nil
+	}
+	// Replay validation threads the running vertex count batch to batch,
+	// exactly as the submit path did when the batches were acknowledged.
+	var replayed []Mutation
+	n := base.NumVertices()
+	for _, r := range recs {
+		batch, derr := decodeBatch(r.Payload)
+		if derr != nil {
+			return nil, 0, fmt.Errorf("serve: WAL batch %d: %w", r.Seq, derr)
+		}
+		delta, verr := validateBatch(batch, n)
+		if verr != nil {
+			return nil, 0, fmt.Errorf("serve: WAL batch %d replays invalid mutation: %w", r.Seq, verr)
+		}
+		n += delta
+		replayed = append(replayed, batch...)
+	}
+	s.rec.ReplayedBatches = len(recs)
+	s.rec.ReplayedMutations = len(replayed)
+	s.met.recoveredBatches.Add(uint64(len(recs)))
+	// The initial snapshot folds every replayed batch, and the leader
+	// re-seeds its in-memory ship tail from the same records.
+	s.foldedBatches = s.batchSeq
+	s.walTail = recs
+	if opts.Standby && man == nil && len(recs) == 0 {
 		return nil, 0, fmt.Errorf("%w: no checkpoint, empty WAL", ErrNoDurableState)
 	}
 	if len(replayed) > 0 {
@@ -387,7 +393,7 @@ func (s *Server) verifyRecoveredModel(base *graph.Graph, model *icspm.Model) (*i
 	}
 	s.rec.ModelMismatch = true
 	s.met.checksumMismatches.Add(1)
-	n, qerr := shardcache.QuarantineDir(s.opts.PersistDir)
+	n, qerr := shardcache.QuarantineDir(s.ckptDir)
 	s.rec.QuarantinedBlobs += n
 	s.met.quarantinedBlobs.Add(uint64(n))
 	if qerr != nil {
@@ -401,28 +407,20 @@ func (s *Server) verifyRecoveredModel(base *graph.Graph, model *icspm.Model) (*i
 	return remodel, nil
 }
 
-// checkpoint commits the served state to PersistDir — folded graph, cache
-// blobs, then the MANIFEST as the atomic commit point — and only then
-// compacts WAL segments the checkpoint covers. Called from the re-mine loop
-// and Close, never concurrently.
+// checkpoint commits the served state to the checkpoint dir — folded graph,
+// cache blobs, then the MANIFEST as the atomic commit point — and only then
+// compacts WAL segments the checkpoint covers. Called on durable leaders
+// from startup, the re-mine loop and Close, never concurrently.
 func (s *Server) checkpoint(snap *Snapshot) error {
-	dir := s.opts.PersistDir
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	gb, err := graphBytes(snap.Graph)
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomicSync(dir, checkpointGraphName, gb); err != nil {
+	if err := writeFileAtomicSync(s.ckptDir, checkpointGraphName, gb); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	folded, foldedMuts := s.foldedBatches, s.minedSeq
-	ckptLo, ckptHi := s.ckptTrace, s.foldedTrace
+	ckptLo, folded, foldedMuts := s.ckptBatches, s.foldedBatches, s.minedSeq
 	s.mu.Unlock()
 	man := &shardcache.Manifest{
 		Generation:      snap.Generation,
@@ -432,15 +430,13 @@ func (s *Server) checkpoint(snap *Snapshot) error {
 		GraphSHA256:     sha256Hex(gb),
 		Vocab:           snap.Graph.Vocab().Names(),
 	}
-	if err := s.cache.PersistManifest(dir, man); err != nil {
+	if err := s.cache.PersistManifest(s.ckptDir, man); err != nil {
 		return err
 	}
-	if s.wl != nil {
-		// The manifest above is durable: every batch ≤ folded is recoverable
-		// without the log, so the segments holding them may go.
-		if err := s.wl.Compact(folded); err != nil {
-			return err
-		}
+	// The manifest above is durable: every batch ≤ folded is recoverable
+	// without the log, so the segments holding them may go.
+	if err := s.wl.Compact(folded); err != nil {
+		return err
 	}
 	// Followers can re-fetch anything ≤ folded from the checkpoint just
 	// shipped, so the in-memory tail sheds it too.
@@ -448,11 +444,11 @@ func (s *Server) checkpoint(snap *Snapshot) error {
 	s.met.checkpoints.Add(1)
 	s.lastCkptGen.Store(man.Generation)
 	s.mu.Lock()
-	if ckptHi > s.ckptTrace {
-		s.ckptTrace = ckptHi
+	if folded > s.ckptBatches {
+		s.ckptBatches = folded
 	}
 	s.mu.Unlock()
-	s.traces.RecordRange(ckptLo, ckptHi, obs.StageCheckpointed, man.Generation, "")
+	s.traces.RecordRange(ckptLo, folded, obs.StageCheckpointed, man.Generation, "")
 	s.log.Debug("checkpoint committed", "gen", man.Generation, "folded_batches", folded)
 	return nil
 }

@@ -123,24 +123,25 @@ func TestRetryDelaySchedule(t *testing.T) {
 
 // TestWALAckDurabilityAcrossRestart pins the core contract: a batch whose
 // SubmitMutations returned nil survives an abrupt process death (the first
-// server is simply abandoned, never Closed) and is replayed on restart.
+// server is reaped, never Closed) and is replayed on restart.
 func TestWALAckDurabilityAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t)
 	batches := testBatches()
-	s1, err := NewServer(g, Options{WALDir: dir})
+	// The hour-long debounce keeps every batch acknowledged but unfolded.
+	s1, err := NewServer(g, Options{Dir: dir, Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deliberately no Close: s1 "crashes" with batches acknowledged but
-	// (possibly) not yet folded into any published snapshot.
 	for _, b := range batches {
 		if err := s1.SubmitMutations(b); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Deliberately no Close: s1 "crashes" with every batch acknowledged.
+	reap(s1)
 
-	s2 := newTestServer(t, g, Options{WALDir: dir})
+	s2 := newTestServer(t, g, Options{Dir: dir})
 	rec := s2.Recovery()
 	if rec.ReplayedBatches != len(batches) {
 		t.Fatalf("replayed %d batches, want %d", rec.ReplayedBatches, len(batches))
@@ -148,8 +149,11 @@ func TestWALAckDurabilityAcrossRestart(t *testing.T) {
 	if rec.ReplayedMutations != len(flatten(batches, len(batches))) {
 		t.Fatalf("replayed %d mutations, want %d", rec.ReplayedMutations, len(flatten(batches, len(batches))))
 	}
-	if rec.Checkpoint || rec.TornWALTail {
-		t.Fatalf("WAL-only recovery reported checkpoint=%v torn=%v", rec.Checkpoint, rec.TornWALTail)
+	// The only checkpoint is the one s1 committed at startup, before any
+	// batch: every batch comes back from the log.
+	if !rec.Checkpoint || rec.CheckpointGeneration != 1 || rec.TornWALTail {
+		t.Fatalf("recovery reported checkpoint=%v (generation %d) torn=%v, want the startup checkpoint at generation 1 and no torn tail",
+			rec.Checkpoint, rec.CheckpointGeneration, rec.TornWALTail)
 	}
 	snap := s2.Snapshot()
 	if snap.Generation != 2 {
@@ -161,14 +165,14 @@ func TestWALAckDurabilityAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestRecoverEmptyWALDir: enabling the WAL on a fresh directory is a plain
+// TestRecoverEmptyWALDir: a durable server on a fresh directory is a plain
 // cold start that still acknowledges durably from the first batch.
 func TestRecoverEmptyWALDir(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{WALDir: dir})
+	s := newTestServer(t, g, Options{Dir: dir})
 	if rec := s.Recovery(); rec != (RecoveryStats{}) {
-		t.Fatalf("fresh WAL dir recovered state: %+v", rec)
+		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
 	if s.Snapshot().Generation != 1 {
 		t.Fatalf("generation = %d, want 1", s.Snapshot().Generation)
@@ -186,14 +190,14 @@ func TestRecoverEmptyWALDir(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestartIsWarm: with PersistDir but no WAL, Close commits a
-// checkpoint (graph + blobs + MANIFEST) and a restart over it promotes at
-// the committed generation with a fully warm cache — no replay, no misses.
+// TestCheckpointRestartIsWarm: Close commits a checkpoint (graph + blobs +
+// MANIFEST) and a restart over it promotes at the committed generation with
+// a fully warm cache — no replay, no misses.
 func TestCheckpointRestartIsWarm(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t)
 	muts := testBatches()[0]
-	s1, err := NewServer(g, Options{PersistDir: dir})
+	s1, err := NewServer(g, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +212,9 @@ func TestCheckpointRestartIsWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := shardcache.Open(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestServer(t, nil, Options{PersistDir: dir, Cache: warm})
+	s2 := newTestServer(t, nil, Options{Dir: dir})
 	rec := s2.Recovery()
-	if !rec.Checkpoint || rec.CheckpointGeneration != gen || rec.CheckpointDamaged || rec.ModelMismatch {
+	if !rec.Checkpoint || rec.ReplayedBatches != 0 || rec.CheckpointGeneration != gen || rec.CheckpointDamaged || rec.ModelMismatch {
 		t.Fatalf("checkpoint recovery stats: %+v (want clean checkpoint at generation %d)", rec, gen)
 	}
 	snap := s2.Snapshot()
@@ -233,8 +233,9 @@ func TestCheckpointRestartIsWarm(t *testing.T) {
 // come up serving the correct model.
 func TestManifestModelChecksumMismatch(t *testing.T) {
 	dir := t.TempDir()
+	ckptDir, _ := wal.TenantDirs(dir)
 	g := testGraph(t)
-	s1, err := NewServer(g, Options{PersistDir: dir})
+	s1, err := NewServer(g, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestManifestModelChecksumMismatch(t *testing.T) {
 	}
 	// Tamper with the manifest's model commitment only: graph and blobs
 	// still verify, so recovery reaches the model check and must trip there.
-	manPath := filepath.Join(dir, shardcache.ManifestName)
+	manPath := filepath.Join(ckptDir, shardcache.ManifestName)
 	raw, err := os.ReadFile(manPath)
 	if err != nil {
 		t.Fatal(err)
@@ -261,11 +262,7 @@ func TestManifestModelChecksumMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := shardcache.Open(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestServer(t, g, Options{PersistDir: dir, Cache: warm})
+	s2 := newTestServer(t, g, Options{Dir: dir})
 	rec := s2.Recovery()
 	if !rec.ModelMismatch {
 		t.Fatalf("tampered model commitment not detected: %+v", rec)
@@ -277,7 +274,7 @@ func TestManifestModelChecksumMismatch(t *testing.T) {
 	if got := s2.Metrics().ChecksumMismatches; got == 0 {
 		t.Fatal("checksum_mismatches metric not incremented")
 	}
-	quarantined, err := filepath.Glob(filepath.Join(dir, "*"+shardcache.QuarantineSuffix))
+	quarantined, err := filepath.Glob(filepath.Join(ckptDir, "*"+shardcache.QuarantineSuffix))
 	if err != nil || len(quarantined) == 0 {
 		t.Fatalf("no quarantined blob files on disk (%v, err=%v)", quarantined, err)
 	}
@@ -290,14 +287,15 @@ func TestManifestModelChecksumMismatch(t *testing.T) {
 func TestDamagedCheckpointGraphDegrades(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t)
-	s1, err := NewServer(g, Options{PersistDir: dir})
+	s1, err := NewServer(g, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gpath := filepath.Join(dir, checkpointGraphName)
+	ckptDir, _ := wal.TenantDirs(dir)
+	gpath := filepath.Join(ckptDir, checkpointGraphName)
 	data, err := os.ReadFile(gpath)
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +304,15 @@ func TestDamagedCheckpointGraphDegrades(t *testing.T) {
 	if err := os.WriteFile(gpath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A copy of the damaged directory for the graphless attempt below: the
+	// degraded server commits a fresh checkpoint at startup, which would
+	// repair the original.
+	graphless := t.TempDir()
+	if err := os.CopyFS(graphless, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
 
-	s2 := newTestServer(t, g, Options{PersistDir: dir})
+	s2 := newTestServer(t, g, Options{Dir: dir})
 	rec := s2.Recovery()
 	if !rec.CheckpointDamaged || rec.QuarantinedBlobs == 0 {
 		t.Fatalf("damaged checkpoint stats: %+v (want CheckpointDamaged + quarantined blobs)", rec)
@@ -315,7 +320,7 @@ func TestDamagedCheckpointGraphDegrades(t *testing.T) {
 	requireModelEqual(t, s2.Snapshot().Model, icspm.Mine(g))
 
 	// Without a base graph there is nothing to degrade to: hard error.
-	if _, err := NewServer(nil, Options{PersistDir: dir, Standby: true}); err == nil {
+	if _, err := NewServer(nil, Options{Dir: graphless, Standby: true}); err == nil {
 		t.Fatal("damaged checkpoint with no base graph must fail, not serve garbage")
 	}
 }
@@ -325,19 +330,19 @@ func TestDamagedCheckpointGraphDegrades(t *testing.T) {
 func TestStandby(t *testing.T) {
 	g := testGraph(t)
 	if _, err := NewServer(g, Options{Standby: true}); err == nil {
-		t.Fatal("Standby without WALDir or PersistDir must fail validation")
+		t.Fatal("Standby without Dir must fail validation")
 	}
-	if _, err := NewServer(g, Options{Standby: true, PersistDir: t.TempDir()}); err == nil {
-		t.Fatal("standby over an empty persist dir cold-started")
+	if _, err := NewServer(g, Options{Standby: true, Dir: t.TempDir()}); err == nil {
+		t.Fatal("standby over an empty dir cold-started")
 	}
-	if _, err := NewServer(nil, Options{Standby: true, WALDir: t.TempDir()}); err == nil {
-		t.Fatal("graphless standby over an empty WAL dir cold-started")
+	if _, err := NewServer(nil, Options{Standby: true, Dir: t.TempDir()}); err == nil {
+		t.Fatal("graphless standby over an empty dir cold-started")
 	}
 
 	// Promote from a checkpoint with no graph argument at all.
 	dir := t.TempDir()
 	muts := testBatches()[0]
-	s1, err := NewServer(g, Options{PersistDir: dir})
+	s1, err := NewServer(g, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,23 +355,26 @@ func TestStandby(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := newTestServer(t, nil, Options{PersistDir: dir, Standby: true})
+	s2 := newTestServer(t, nil, Options{Dir: dir, Standby: true})
 	if !s2.Recovery().Checkpoint {
 		t.Fatal("standby promote did not report the checkpoint")
 	}
 	requireModelEqual(t, s2.Snapshot().Model, icspm.Mine(Rebuild(g, muts)))
 
-	// Promote from a WAL alone (the base graph supplied, batches replayed).
+	// Promote with the batch still only in the log: the hour-long debounce
+	// keeps it unfolded, so the standby replays it on top of the startup
+	// checkpoint.
 	wdir := t.TempDir()
-	s3, err := NewServer(g, Options{WALDir: wdir})
+	s3, err := NewServer(g, Options{Dir: wdir, Debounce: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s3.SubmitMutations(muts); err != nil {
 		t.Fatal(err)
 	}
-	// Abandoned, not closed: the standby takes over from the log.
-	s4 := newTestServer(t, g, Options{WALDir: wdir, Standby: true})
+	// Reaped, not closed: the standby takes over from the log.
+	reap(s3)
+	s4 := newTestServer(t, g, Options{Dir: wdir, Standby: true})
 	if s4.Recovery().ReplayedBatches != 1 {
 		t.Fatalf("WAL standby replayed %d batches, want 1", s4.Recovery().ReplayedBatches)
 	}
@@ -374,17 +382,18 @@ func TestStandby(t *testing.T) {
 }
 
 // TestLegacyDirsRecoverUnderRootLayout is the migration proof for the
-// retired single-tenant directory pair: a Server's PersistDir and WALDir,
-// copied while acknowledged batches are still unfolded and moved to
-// <root>/default/checkpoint and <root>/default/wal, restore on a standby
-// host with every acknowledged batch replayed — no durable state becomes
-// unreachable when the flags go.
+// retired single-tenant directory pair (the -cache-dir checkpoint and the
+// -wal-dir log): a checkpoint and a log copied while acknowledged batches
+// are still unfolded and moved to <root>/default/checkpoint and
+// <root>/default/wal restore on a standby host with every acknowledged
+// batch replayed — no durable state becomes unreachable when the flags go.
 func TestLegacyDirsRecoverUnderRootLayout(t *testing.T) {
 	g := testGraph(t)
 	batches := testBatches()[:2]
-	cdir, wdir := t.TempDir(), t.TempDir()
+	src := t.TempDir()
+	cdir, wdir := wal.TenantDirs(src)
 	// The hour-long debounce parks both batches acknowledged but unfolded.
-	s := newTestServer(t, g, Options{PersistDir: cdir, WALDir: wdir, Debounce: time.Hour})
+	s := newTestServer(t, g, Options{Dir: src, Debounce: time.Hour})
 	for _, b := range batches {
 		if err := s.SubmitMutations(b); err != nil {
 			t.Fatal(err)
@@ -398,14 +407,12 @@ func TestLegacyDirsRecoverUnderRootLayout(t *testing.T) {
 	// into its layout slot, exactly as the operator recipe does.
 	staged := t.TempDir()
 	root := t.TempDir()
-	layout := wal.Layout{Root: root}
-	if err := os.MkdirAll(layout.NamespaceDir(DefaultNamespace), 0o755); err != nil {
+	nsDir := wal.Layout{Root: root}.NamespaceDir(DefaultNamespace)
+	if err := os.MkdirAll(nsDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for src, dst := range map[string]string{
-		cdir: layout.CheckpointDir(DefaultNamespace),
-		wdir: layout.WALDir(DefaultNamespace),
-	} {
+	ckptSlot, walSlot := wal.TenantDirs(nsDir)
+	for src, dst := range map[string]string{cdir: ckptSlot, wdir: walSlot} {
 		cp := filepath.Join(staged, filepath.Base(dst))
 		if err := os.CopyFS(cp, os.DirFS(src)); err != nil {
 			t.Fatal(err)
@@ -426,6 +433,34 @@ func TestLegacyDirsRecoverUnderRootLayout(t *testing.T) {
 	requireModelEqual(t, rs.Snapshot().Model, icspm.Mine(Rebuild(g, flatten(batches, len(batches)))))
 }
 
+// TestServerDirRecoversAsHostNamespace: a standalone server's Dir and a
+// host namespace's subtree are one layout, so a server abandoned with an
+// acknowledged but unfolded batch in <root>/alpha restores as namespace
+// alpha on a standby host, with the batch replayed.
+func TestServerDirRecoversAsHostNamespace(t *testing.T) {
+	g := testGraph(t)
+	batch := testBatches()[0]
+	root := t.TempDir()
+	s, err := NewServer(g, Options{Dir: wal.Layout{Root: root}.NamespaceDir("alpha"), Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitMutations(batch); err != nil {
+		t.Fatal(err)
+	}
+	reap(s) // abandoned, never closed: the batch lives only in the log
+
+	h := newTestHost(t, HostOptions{RootDir: root, Standby: true})
+	rs, ok := h.Tenant("alpha")
+	if !ok {
+		t.Fatal("standby host did not restore the server's directory as namespace alpha")
+	}
+	if got := rs.Recovery().ReplayedBatches; got != 1 {
+		t.Fatalf("namespace alpha replayed %d batches, want 1", got)
+	}
+	requireModelEqual(t, rs.Snapshot().Model, icspm.Mine(Rebuild(g, batch)))
+}
+
 // TestWALUnavailable503: when the WAL cannot make a batch durable the batch
 // is refused — SubmitMutations wraps ErrUnavailable and the HTTP surface
 // maps it to 503 (retry against a recovered server), never 400.
@@ -433,9 +468,9 @@ func TestWALUnavailable503(t *testing.T) {
 	g := testGraph(t)
 	// Crash the filesystem on the very first mutating operation: the first
 	// append cannot create its segment, so durability is gone from the start.
-	// A rootless host gives the WALFS override's tenant a log on the shim.
+	// The WALFS override puts the rooted tenant's log on the shim.
 	d := crashfs.New(crashfs.Config{CrashAtOp: 1})
-	h := newTestHost(t, HostOptions{})
+	h := newTestHost(t, HostOptions{RootDir: t.TempDir()})
 	s, err := h.Create(DefaultNamespace, g, &Options{WALFS: d})
 	if err != nil {
 		t.Fatal(err)
@@ -465,12 +500,12 @@ func TestWALUnavailable503(t *testing.T) {
 // segments holding the folded batches are garbage and must be compacted; a
 // restart then promotes from the checkpoint with nothing to replay.
 func TestCheckpointCompactsWAL(t *testing.T) {
-	wdir, pdir := t.TempDir(), t.TempDir()
+	dir := t.TempDir()
 	g := testGraph(t)
 	batches := testBatches()
 	// 1-byte segments: every batch gets its own segment, so compaction is
 	// observable as a shrinking file count.
-	s1, err := NewServer(g, Options{WALDir: wdir, PersistDir: pdir, WALSegmentBytes: 1})
+	s1, err := NewServer(g, Options{Dir: dir, WALSegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,11 +524,7 @@ func TestCheckpointCompactsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := shardcache.Open(0, pdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestServer(t, g, Options{WALDir: wdir, PersistDir: pdir, WALSegmentBytes: 1, Cache: warm})
+	s2 := newTestServer(t, g, Options{Dir: dir, WALSegmentBytes: 1})
 	rec := s2.Recovery()
 	if !rec.Checkpoint || rec.ReplayedBatches != 0 {
 		t.Fatalf("restart over checkpoint+compacted WAL: %+v (want checkpoint, 0 replayed)", rec)
@@ -515,16 +546,18 @@ func TestCrashMatrix(t *testing.T) {
 	g := testGraph(t)
 	batches := testBatches()
 	sums := prefixChecksums(t, g, batches)
-	const walDir = "/wal"
 	// Tiny segments force a rotation per batch, so crash points cover
-	// segment creation and directory syncs, not just record writes.
-	opts := func(fs *crashfs.Dir) Options {
-		return Options{WALDir: walDir, WALFS: fs, WALSegmentBytes: 64}
+	// segment creation and directory syncs, not just record writes. The
+	// checkpoint directory is a real filesystem; only the log is on the shim.
+	opts := func(fs *crashfs.Dir, dir string, debounce time.Duration) Options {
+		return Options{Dir: dir, WALFS: fs, WALSegmentBytes: 64, Debounce: debounce}
 	}
 	// workload acknowledges batches in order until the crash bites; the
 	// return is how many were DURABLY acknowledged (submit returned nil).
-	workload := func(t *testing.T, d *crashfs.Dir) int {
-		s, err := NewServer(g, opts(d))
+	// The hour-long debounce keeps every batch in the log only — no re-mine
+	// checkpoints it — so the crash points are exactly the log's.
+	workload := func(t *testing.T, d *crashfs.Dir, dir string) int {
+		s, err := NewServer(g, opts(d, dir, time.Hour))
 		if err != nil {
 			t.Fatalf("NewServer on a clean crashfs: %v", err)
 		}
@@ -535,13 +568,13 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			acked++
 		}
-		s.Close() // the real process just died; Close only reaps the goroutine
+		reap(s) // the real process just died: no shutdown checkpoint
 		return acked
 	}
 
 	// Dry run: count the workload's mutating filesystem operations.
 	dry := crashfs.New(crashfs.Config{})
-	if got := workload(t, dry); got != len(batches) {
+	if got := workload(t, dry, t.TempDir()); got != len(batches) {
 		t.Fatalf("fault-free workload acked %d/%d batches", got, len(batches))
 	}
 	total := dry.Ops()
@@ -552,13 +585,14 @@ func TestCrashMatrix(t *testing.T) {
 	extra := []Mutation{{Op: OpAddAttr, U: 7, Value: "kdd"}}
 	for _, torn := range []int{0, 3, 1 << 20} {
 		for k := 1; k <= total; k++ {
+			dir := t.TempDir()
 			d := crashfs.New(crashfs.Config{CrashAtOp: k, TornBytes: torn})
-			acked := workload(t, d)
+			acked := workload(t, d, dir)
 			if !d.Crashed() {
 				t.Fatalf("torn=%d: crash at op %d/%d never fired", torn, k, total)
 			}
 
-			s2, err := NewServer(g, opts(d.Recover()))
+			s2, err := NewServer(g, opts(d.Recover(), dir, 0))
 			if err != nil {
 				t.Fatalf("torn=%d crash@%d: recovery failed: %v", torn, k, err)
 			}
@@ -625,15 +659,14 @@ func TestCrashMatrixCheckpointed(t *testing.T) {
 	g := testGraph(t)
 	batches := testBatches()
 	sums := prefixChecksums(t, g, batches)
-	const walDir = "/wal"
-	opts := func(fs *crashfs.Dir, pdir string) Options {
-		return Options{WALDir: walDir, WALFS: fs, WALSegmentBytes: 64, PersistDir: pdir}
+	opts := func(fs *crashfs.Dir, dir string) Options {
+		return Options{Dir: dir, WALFS: fs, WALSegmentBytes: 64}
 	}
 	// workload acknowledges batches in order, waiting out each publish's
 	// checkpoint+compact so the filesystem operation sequence is
 	// deterministic; the return is how many batches were durably acked.
-	workload := func(t *testing.T, d *crashfs.Dir, pdir string) int {
-		s, err := NewServer(g, opts(d, pdir))
+	workload := func(t *testing.T, d *crashfs.Dir, dir string) int {
+		s, err := NewServer(g, opts(d, dir))
 		if err != nil {
 			return 0 // crashed inside the startup checkpoint
 		}
@@ -670,14 +703,14 @@ func TestCrashMatrixCheckpointed(t *testing.T) {
 	extra := []Mutation{{Op: OpAddAttr, U: 0, Value: "kdd"}}
 	for _, torn := range []int{0, 3, 1 << 20} {
 		for k := 1; k <= total; k++ {
-			pdir := t.TempDir()
+			dir := t.TempDir()
 			d := crashfs.New(crashfs.Config{CrashAtOp: k, TornBytes: torn})
-			acked := workload(t, d, pdir)
+			acked := workload(t, d, dir)
 			if !d.Crashed() {
 				t.Fatalf("torn=%d: crash at op %d/%d never fired", torn, k, total)
 			}
 
-			s2, err := NewServer(g, opts(d.Recover(), pdir))
+			s2, err := NewServer(g, opts(d.Recover(), dir))
 			if err != nil {
 				t.Fatalf("torn=%d crash@%d: recovery failed: %v", torn, k, err)
 			}

@@ -15,7 +15,6 @@ import (
 	icspm "cspm/internal/cspm"
 	"cspm/internal/dynamic"
 	"cspm/internal/graph"
-	"cspm/internal/shardcache"
 )
 
 // mutationsFromEdits converts graph edits into wire mutations — the inverse
@@ -62,11 +61,8 @@ func TestDynamicEvolutionEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cache := shardcache.New(0)
-				s := newTestServer(t, ev.Start, Options{
-					Mining: icspm.Options{Shards: shards},
-					Cache:  cache,
-				})
+				s := newTestServer(t, ev.Start, Options{Mining: icspm.Options{Shards: shards}})
+				cache := s.Cache()
 				ctx := ctxShort(t)
 				for i, batch := range ev.Batches {
 					if purge {

@@ -15,7 +15,6 @@ import (
 
 	"cspm/internal/graph"
 	"cspm/internal/obs"
-	"cspm/internal/shardcache"
 	"cspm/internal/wal"
 )
 
@@ -58,8 +57,8 @@ type HostOptions struct {
 	MineBudget int
 	// Tenant is the per-namespace Options template: mining options,
 	// debounce, retry pacing, transport. The per-tenant fields the host
-	// derives itself — Cache, PersistDir, WALDir, WALFS, Standby, Budget —
-	// must be zero; Validate rejects the template otherwise.
+	// derives itself — Dir, WALFS, Standby, Budget, Follow — must be zero;
+	// Validate rejects the template otherwise.
 	Tenant Options
 	// Standby refuses a cold start: NewHost must restore at least one
 	// namespace from RootDir, so a warm spare pointed at a replicated root
@@ -114,8 +113,8 @@ func (o HostOptions) Validate() error {
 		return fmt.Errorf("serve: FollowPoll must be >= 0, got %v", o.FollowPoll)
 	}
 	t := o.Tenant
-	if t.Cache != nil || t.PersistDir != "" || t.WALDir != "" || t.WALFS != nil || t.Standby || t.Budget != nil || t.Follow != nil {
-		return fmt.Errorf("serve: tenant template must leave Cache/PersistDir/WALDir/WALFS/Standby/Budget/Follow zero (the host derives them per namespace)")
+	if t.Dir != "" || t.WALFS != nil || t.Standby || t.Budget != nil || t.Follow != nil {
+		return fmt.Errorf("serve: tenant template must leave Dir/WALFS/Standby/Budget/Follow zero (the host derives them per namespace)")
 	}
 	return t.Validate()
 }
@@ -257,13 +256,13 @@ func (h *Host) closeTenantsLocked() {
 	}
 }
 
-// startTenant builds one tenant Server from the template: per-namespace
-// dirs when the host persists, a disk-backed cache opened on the checkpoint
-// dir, the shared budget. override (nil = template) customises a tenant at
-// the Go API; its per-tenant state fields must be zero, because the host
-// derives them (a rootless host keeps its tenants memory-only). WALFS stays
-// open to overrides so fault-injection tests can wedge one tenant's log.
-// Budget is always the host's.
+// startTenant builds one tenant Server from the template: the namespace's
+// subtree as its Dir when the host persists, the shared budget. override
+// (nil = template) customises a tenant at the Go API; its per-tenant state
+// fields must be zero, because the host derives them (a rootless host keeps
+// its tenants memory-only). WALFS stays open to overrides so
+// fault-injection tests can wedge one rooted tenant's log. Budget is always
+// the host's.
 func (h *Host) startTenant(ns string, g *graph.Graph, override *Options, standby, follow bool) (*Server, error) {
 	opts := h.opts.Tenant
 	if override != nil {
@@ -274,8 +273,8 @@ func (h *Host) startTenant(ns string, g *graph.Graph, override *Options, standby
 		if opts.Follow != nil {
 			return nil, fmt.Errorf("serve: tenant override must leave Follow zero (the host derives it from its own Follow URL)")
 		}
-		if opts.Cache != nil || opts.PersistDir != "" || opts.WALDir != "" || opts.Standby {
-			return nil, fmt.Errorf("serve: tenant override must leave Cache/PersistDir/WALDir/Standby zero (the host derives them)")
+		if opts.Dir != "" || opts.Standby {
+			return nil, fmt.Errorf("serve: tenant override must leave Dir/Standby zero (the host derives them)")
 		}
 	}
 	opts.Budget = h.budget
@@ -295,24 +294,7 @@ func (h *Host) startTenant(ns string, g *graph.Graph, override *Options, standby
 		}
 	}
 	if h.opts.RootDir != "" {
-		ckpt, wdir := h.layout.CheckpointDir(ns), h.layout.WALDir(ns)
-		if err := os.MkdirAll(ckpt, 0o755); err != nil {
-			return nil, err
-		}
-		if err := os.MkdirAll(wdir, 0o755); err != nil {
-			return nil, err
-		}
-		cache, err := shardcache.Open(0, ckpt)
-		if err != nil {
-			return nil, err
-		}
-		opts.Cache = cache
-		opts.PersistDir = ckpt
-		opts.WALDir = wdir
-	} else if opts.WALFS != nil {
-		// A fault-injecting filesystem needs a WAL to inject into even when
-		// the host itself is memory-only; give the tenant a log on the shim.
-		opts.WALDir = "wal"
+		opts.Dir = h.layout.NamespaceDir(ns)
 	}
 	return NewServer(g, opts)
 }

@@ -85,8 +85,9 @@ func TestHostRegistryLifecycle(t *testing.T) {
 		t.Fatal("create accepted an invalid namespace name")
 	}
 	// Even a rootless host derives every tenant's durable state: an override
-	// bringing its own dirs or standby flag is refused.
-	for _, o := range []Options{{PersistDir: t.TempDir()}, {WALDir: t.TempDir()}, {Standby: true}} {
+	// bringing its own dir, standby flag or (with no dir to put a log in) a
+	// WAL filesystem is refused.
+	for _, o := range []Options{{Dir: t.TempDir()}, {Standby: true}, {WALFS: crashfs.New(crashfs.Config{})}} {
 		if _, err := h.Create("omega", testGraph(t), &o); err == nil {
 			t.Fatalf("rootless host accepted tenant override %+v", o)
 		}
@@ -189,8 +190,8 @@ func TestHostTwoTenantIsolation(t *testing.T) {
 
 	// Disjoint durable trees, one per namespace.
 	for _, ns := range []string{"alpha", "beta"} {
-		lay := wal.Layout{Root: root}
-		for _, dir := range []string{lay.WALDir(ns), lay.CheckpointDir(ns)} {
+		ckpt, log := wal.TenantDirs(wal.Layout{Root: root}.NamespaceDir(ns))
+		for _, dir := range []string{log, ckpt} {
 			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 				t.Errorf("namespace %s missing durable dir %s: %v", ns, dir, err)
 			}
@@ -217,7 +218,7 @@ func TestHostTwoTenantIsolation(t *testing.T) {
 // durable 503s ITS mutations only — its queries and every other tenant's
 // full surface stay healthy.
 func TestHostWedgedWALIsolatesTenant(t *testing.T) {
-	h := newTestHost(t, HostOptions{})
+	h := newTestHost(t, HostOptions{RootDir: t.TempDir()})
 	if _, err := h.Create("good", testGraph(t), nil); err != nil {
 		t.Fatal(err)
 	}

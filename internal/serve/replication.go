@@ -33,12 +33,12 @@ import (
 
 // Server roles on the replication fleet.
 const (
-	// RoleStandalone serves without durable state to ship (no WAL or no
-	// checkpoint dir): it can neither lead nor follow.
+	// RoleStandalone serves memory-only, without durable state to ship: it
+	// can neither lead nor follow.
 	RoleStandalone = "standalone"
 	// RoleLeader mines, publishes, and ships checkpoints. Every durable
-	// (WAL + checkpoint) server that is not following is a leader — having
-	// zero followers is just a fleet of one.
+	// server that is not following is a leader — having zero followers is
+	// just a fleet of one.
 	RoleLeader = "leader"
 	// RoleFollower pulls, verifies, and serves the leader's generations;
 	// mutations are rejected (or proxied by the host) with not_leader.
@@ -81,17 +81,11 @@ func (s *Server) Role() string {
 	switch {
 	case s.opts.Follow != nil:
 		return RoleFollower
-	case s.wl != nil && s.opts.PersistDir != "":
+	case s.durable():
 		return RoleLeader
 	default:
 		return RoleStandalone
 	}
-}
-
-// replicable reports whether this server ships checkpoint state: a leader
-// with both a WAL and a checkpoint dir.
-func (s *Server) replicable() bool {
-	return s.wl != nil && s.opts.PersistDir != "" && s.opts.Follow == nil
 }
 
 // ReplicationStatusResponse is the GET /replication/status payload.
@@ -253,7 +247,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	if f := s.opts.Follow; f != nil {
 		st.Leader = f.Leader
 	}
-	if s.replicable() {
+	if s.Role() == RoleLeader {
 		st.Followers = s.followerStatuses()
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -263,9 +257,9 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 // committed checkpoint has state to ship. Followers refuse too — chained
 // replication would serve a mirror as an origin.
 func (s *Server) requireShippable(w http.ResponseWriter) bool {
-	if !s.replicable() {
+	if s.Role() != RoleLeader {
 		writeError(w, http.StatusConflict, CodeNotReplicable,
-			"replication source must be a leader with a WAL and checkpoint dir (role %s)", s.Role())
+			"replication source must be a durable leader (role %s)", s.Role())
 		return false
 	}
 	return true
@@ -273,7 +267,7 @@ func (s *Server) requireShippable(w http.ResponseWriter) bool {
 
 // shipFile serves one checkpoint artifact's raw bytes.
 func (s *Server) shipFile(w http.ResponseWriter, name string) {
-	data, err := os.ReadFile(filepath.Join(s.opts.PersistDir, name))
+	data, err := os.ReadFile(filepath.Join(s.ckptDir, name))
 	if err != nil {
 		if os.IsNotExist(err) {
 			writeError(w, http.StatusConflict, CodeNotReplicable, "no committed %s yet", name)
@@ -400,11 +394,6 @@ func (s *Server) pruneTail(folded uint64) {
 // just retry against the new manifest.
 var errStaleSync = errors.New("serve: replication fetch raced a leader checkpoint")
 
-// errWALGap marks a tail sync the leader can no longer serve contiguously
-// (it compacted past the mirror's position): the mirror must re-install the
-// leader's checkpoint and restart its log from the new fold.
-var errWALGap = errors.New("serve: leader compacted past the mirror position")
-
 // replGet fetches path (relative to the leader mount) with the follower's
 // client, bounded by one poll interval plus slack so a dead leader never
 // wedges the loop.
@@ -501,7 +490,7 @@ func (s *Server) fetchVerified(path, name, wantSHA string, manRaw []byte) ([]byt
 	// happened (or failed), so an observer that sees the count can already
 	// stat the quarantined bytes.
 	qname := name + shardcache.QuarantineSuffix
-	werr := writeFileAtomicSync(s.opts.PersistDir, qname, data)
+	werr := writeFileAtomicSync(s.ckptDir, qname, data)
 	s.met.replicationVerifyFailures.Add(1)
 	if werr != nil {
 		return nil, fmt.Errorf("serve: shipped %s failed verification (got %s, manifest %s); quarantine also failed: %v",
@@ -529,10 +518,7 @@ func (s *Server) fetchAndInstall(manRaw []byte, man *shardcache.Manifest) error 
 		}
 		blobs[name] = b
 	}
-	dir := s.opts.PersistDir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+	dir := s.ckptDir
 	for name, b := range blobs {
 		if err := writeFileAtomicSync(dir, name, b); err != nil {
 			return err
@@ -565,7 +551,7 @@ func (s *Server) followBootstrap() error {
 	if err != nil {
 		return fmt.Errorf("serve: follow bootstrap: %w", err)
 	}
-	local, err := shardcache.LoadManifest(s.opts.PersistDir)
+	local, err := shardcache.LoadManifest(s.ckptDir)
 	if err != nil {
 		return err
 	}
@@ -638,19 +624,22 @@ func (s *Server) followOnce() error {
 	if wr.Generation > s.lastLeaderGen.Load() {
 		s.lastLeaderGen.Store(wr.Generation)
 	}
-	if err := s.syncWALTail(); err != nil && !errors.Is(err, errWALGap) {
-		return err
-	} else if errors.Is(err, errWALGap) {
+	if err := s.syncWALTail(); errors.Is(err, wal.ErrGap) {
 		// The leader compacted past the mirror: everything missing is covered
 		// by a checkpoint the leader committed since, so install that first,
-		// then restart the mirror log from the new fold.
+		// then restart the mirror log from the new fold. The reset drops only
+		// records the installed checkpoint covers, so no acknowledged batch
+		// loses its last durable copy.
 		if serr := s.syncGeneration(); serr != nil {
 			return serr
 		}
-		if rerr := s.resetMirrorWAL(); rerr != nil {
+		if rerr := s.wl.Reset(); rerr != nil {
 			return rerr
 		}
+		s.walPos.Store(0)
 		return s.syncWALTail()
+	} else if err != nil {
+		return err
 	}
 	if wr.Generation > cur {
 		if err := s.syncGeneration(); err != nil {
@@ -673,8 +662,8 @@ func (s *Server) followOnce() error {
 }
 
 // syncWALTail mirrors the leader's unfolded WAL records under their leader
-// sequence numbers. Already-held records ship as no-ops; a gap reports
-// errWALGap for followOnce to resolve via a checkpoint re-install.
+// sequence numbers. Already-held records ship as no-ops; a gap returns
+// wal.ErrGap for followOnce to resolve via a checkpoint re-install.
 func (s *Server) syncWALTail() error {
 	after := s.wl.NextSeq() - 1
 	raw, err := s.replGet(fmt.Sprintf("/replication/wal?after=%d", after))
@@ -688,9 +677,6 @@ func (s *Server) syncWALTail() error {
 	for _, rec := range resp.Records {
 		wrote, err := s.wl.AppendAt(rec.Seq, rec.Payload)
 		if err != nil {
-			if strings.Contains(err.Error(), "gap") && rec.Seq > s.wl.NextSeq() {
-				return fmt.Errorf("%w: mirror at %d, leader ships from %d", errWALGap, s.wl.NextSeq()-1, rec.Seq)
-			}
 			return err
 		}
 		if wrote {
@@ -701,33 +687,6 @@ func (s *Server) syncWALTail() error {
 			s.log.Debug("wal record mirrored", "batch", rec.Seq, "trace", rec.TraceID)
 		}
 	}
-	return nil
-}
-
-// resetMirrorWAL wipes and reopens the mirror log. Only called once the
-// records being dropped are covered by a newer INSTALLED checkpoint, so no
-// acknowledged batch loses its last durable copy.
-func (s *Server) resetMirrorWAL() error {
-	if err := s.wl.Close(); err != nil {
-		return err
-	}
-	entries, err := os.ReadDir(s.opts.WALDir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".wal") {
-			if err := os.Remove(filepath.Join(s.opts.WALDir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	l, _, err := wal.Open(s.opts.WALDir, wal.Options{FS: s.opts.WALFS, SegmentBytes: s.opts.WALSegmentBytes})
-	if err != nil {
-		return err
-	}
-	s.wl = l
-	s.walPos.Store(0)
 	return nil
 }
 
@@ -748,7 +707,7 @@ func (s *Server) syncGeneration() error {
 	if err := s.fetchAndInstall(manRaw, man); err != nil {
 		return err
 	}
-	gb, err := os.ReadFile(filepath.Join(s.opts.PersistDir, checkpointGraphName))
+	gb, err := os.ReadFile(filepath.Join(s.ckptDir, checkpointGraphName))
 	if err != nil {
 		return err
 	}
@@ -766,7 +725,7 @@ func (s *Server) syncGeneration() error {
 		// The verified graph + shipped blobs mined to something else: a blob
 		// replayed stale state that still fingerprint-matched. Same degrade
 		// path as local recovery — quarantine every blob, re-mine cold.
-		n, qerr := shardcache.QuarantineDir(s.opts.PersistDir)
+		n, qerr := shardcache.QuarantineDir(s.ckptDir)
 		s.met.quarantinedBlobs.Add(uint64(n))
 		s.met.replicationVerifyFailures.Add(1)
 		s.met.checksumMismatches.Add(1)

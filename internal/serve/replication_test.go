@@ -346,7 +346,8 @@ func TestReplicaQuarantinesCorruptShippedGraph(t *testing.T) {
 		t.Fatalf("replica swapped to generation %d past a failed verify", gen)
 	}
 	requireModelEqual(t, rs.Snapshot().Model, icspm.Mine(g))
-	qpath := filepath.Join(wal.Layout{Root: rroot}.CheckpointDir("prod"), checkpointGraphName+shardcache.QuarantineSuffix)
+	rckpt, _ := wal.TenantDirs(wal.Layout{Root: rroot}.NamespaceDir("prod"))
+	qpath := filepath.Join(rckpt, checkpointGraphName+shardcache.QuarantineSuffix)
 	if _, err := os.Stat(qpath); err != nil {
 		t.Fatalf("corrupt graph was not quarantined at %s: %v", qpath, err)
 	}
@@ -425,6 +426,83 @@ func TestPromoteReplicaLosesNoAckedBatch(t *testing.T) {
 	time.Sleep(100 * time.Millisecond) // a few sync-loop ticks against the dead leader
 	if _, ok := replica.Tenant("prod"); !ok {
 		t.Fatal("membership sync removed the promoted tenant")
+	}
+}
+
+// TestFollowerMirrorGapReinstallsAndResets drives the mirror-gap path: a
+// replica whose mirror stopped at batch 1 restarts after the leader folded
+// batches 1–2 into a checkpoint and compacted them away. Its first tail
+// sync meets wal.ErrGap, so it re-installs the leader's checkpoint, resets
+// its mirror log and mirrors batch 3 — and promoting it then folds every
+// acknowledged batch.
+func TestFollowerMirrorGapReinstallsAndResets(t *testing.T) {
+	g := testGraph(t)
+	batches := testBatches()[:3]
+	// One mine slot, held by the test whenever batches must stay unfolded:
+	// the leader's re-mine queues behind it.
+	leader := newTestHost(t, HostOptions{RootDir: t.TempDir(), MineBudget: 1})
+	ls, err := leader.Create("prod", g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lhs := startHostHTTP(t, leader)
+	held := false
+	hold := func(on bool) {
+		if on {
+			leader.Budget().acquire()
+		} else {
+			leader.Budget().release()
+		}
+		held = on
+	}
+	t.Cleanup(func() { // before the leader closes: its final re-mine needs the slot
+		if held {
+			hold(false)
+		}
+	})
+
+	hold(true)
+	if err := ls.SubmitMutations(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	rroot := t.TempDir()
+	replica := newReplicaHost(t, lhs.URL, HostOptions{RootDir: rroot})
+	rs, _ := replica.Tenant("prod")
+	within(t, 15*time.Second, "the mirror holds batch 1", func() bool { return rs.walPos.Load() == 1 })
+	if err := replica.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// With the replica down, the leader folds batches 1–2 into checkpoint
+	// generation 2, then acknowledges batch 3 unfolded.
+	if err := ls.SubmitMutations(batches[1]); err != nil {
+		t.Fatal(err)
+	}
+	hold(false)
+	if err := ls.Flush(ctxShort(t)); err != nil {
+		t.Fatal(err)
+	}
+	within(t, 15*time.Second, "the leader checkpoints generation 2", func() bool { return ls.lastCkptGen.Load() == 2 })
+	hold(true)
+	if err := ls.SubmitMutations(batches[2]); err != nil {
+		t.Fatal(err)
+	}
+
+	replica = newReplicaHost(t, lhs.URL, HostOptions{RootDir: rroot})
+	rs, _ = replica.Tenant("prod")
+	within(t, 15*time.Second, "the reset mirror holds batch 3", func() bool { return rs.walPos.Load() == 3 })
+	if gen := rs.Snapshot().Generation; gen != 2 {
+		t.Fatalf("replica serves generation %d, want the re-installed 2", gen)
+	}
+	ps, err := replica.Promote("prod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ps.Recovery().ReplayedBatches; got != 1 {
+		t.Fatalf("promotion replayed %d batches, want 1 (batch 3 on top of checkpoint 2)", got)
+	}
+	if want, got := prefixChecksums(t, g, batches)[len(batches)], modelChecksum(ps.Snapshot().Model); got != want {
+		t.Fatalf("promoted model = %s, offline mine of every acked batch = %s", got, want)
 	}
 }
 

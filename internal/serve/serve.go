@@ -34,24 +34,24 @@ import (
 	"cspm/internal/wal"
 )
 
-// Options configures a Server. The zero value serves with the paper's
-// parameter-free search, a fresh unbounded in-memory shard cache, local
-// re-mining and immediate (uncoalesced) re-mine triggering.
+// Options configures a Server. The zero value serves memory-only with the
+// paper's parameter-free search, local re-mining and immediate
+// (uncoalesced) re-mine triggering.
 type Options struct {
 	// Mining are the search options every re-mine runs with. ShardEdgeCut
 	// is rejected: serving re-mines are component-grained (the cache and
 	// the distributed fan-out have no stable per-group unit under edge
 	// cuts), exactly like MineShardedCached.
 	Mining icspm.Options
-	// Cache is the shard-result cache consulted by every re-mine, so an
-	// edit that dirties one component group re-mines only that group. Nil
-	// uses a fresh unbounded in-memory cache owned by the server.
-	Cache *shardcache.Cache
-	// PersistDir, when non-empty, is where Close flushes the cache's
-	// resident entries (one blob per key, the shard-cache disk format), so
-	// a restarted server warm-starts from a disk-backed cache opened on
-	// the same directory.
-	PersistDir string
+	// Dir is the tenant directory; "" serves memory-only. Set, the server
+	// is durable: a mutation batch is acknowledged only after it is fsync'd
+	// into the WAL, every published re-mine checkpoints the folded state
+	// (graph, shard-cache blobs, MANIFEST) and compacts the log, and
+	// NewServer recovers both, so a crash never loses an acknowledged batch
+	// (DESIGN.md "Durability & crash recovery"). wal.TenantDirs names the
+	// two subdirectories, and the shard cache is disk-backed on the
+	// checkpoint one. A Host namespace's subtree is exactly such a Dir.
+	Dir string
 	// Transport, when non-nil, fans dirty component groups out to remote
 	// workers as shard jobs (MineDistributed's executor) instead of mining
 	// them in-process.
@@ -76,26 +76,17 @@ type Options struct {
 	// RetryBackoffMax caps the exponential retry backoff. 0 uses a 30s
 	// default; it is raised to RetryBackoff if set below it.
 	RetryBackoffMax time.Duration
-	// WALDir, when non-empty, enables the durability contract: a mutation
-	// batch is acknowledged only after it is fsync'd into a write-ahead log
-	// under this directory, and NewServer replays unfolded batches on
-	// startup, so a crash never loses an acknowledged batch (see DESIGN.md
-	// "Durability & crash recovery"). With PersistDir also set, every
-	// published re-mine checkpoints the folded state there and compacts the
-	// log; WAL-only servers keep the full log and replay it all on restart.
-	WALDir string
 	// WALSegmentBytes is the WAL's segment rotation threshold
 	// (0 = wal.DefaultSegmentBytes).
 	WALSegmentBytes int64
 	// WALFS overrides the filesystem the WAL runs on (nil = the real one).
-	// Recovery tests inject a fault-injecting shim here; requires WALDir.
+	// Recovery tests inject a fault-injecting shim here; requires Dir.
 	WALFS wal.FS
 	// Standby makes NewServer refuse to cold-start: it must find durable
-	// state — a committed checkpoint in PersistDir or acknowledged batches
-	// in WALDir — to promote, so a warm spare pointed at a primary's
-	// directories can never silently come up empty. With a checkpoint
-	// present the base graph argument may be nil. Requires WALDir or
-	// PersistDir.
+	// state under Dir — a committed checkpoint or acknowledged batches in
+	// the log — to promote, so a warm spare pointed at a primary's directory
+	// can never silently come up empty. With a checkpoint present the base
+	// graph argument may be nil. Requires Dir.
 	Standby bool
 	// Budget, when non-nil, is the shared re-mine worker budget this server
 	// draws every mining pass (initial mine, re-mines, the shutdown drain)
@@ -108,8 +99,8 @@ type Options struct {
 	// every shipped artifact against the MANIFEST's SHA-256 commitments, and
 	// mirrors the leader's WAL tail so promotion loses no acknowledged batch.
 	// Followers serve all read endpoints locally and reject mutations with
-	// ErrNotLeader. Requires both WALDir (the mirror log) and PersistDir (the
-	// mirrored checkpoint); incompatible with Standby.
+	// ErrNotLeader. Requires Dir (the mirrored checkpoint and log);
+	// incompatible with Standby.
 	Follow *FollowOptions
 	// Logger receives the server's structured component logs (log/slog). A
 	// multi-tenant Host hands every tenant a logger pre-tagged with its
@@ -193,18 +184,18 @@ func (o Options) Validate() error {
 	if o.WALSegmentBytes < 0 {
 		return fmt.Errorf("serve: WALSegmentBytes must be >= 0, got %d", o.WALSegmentBytes)
 	}
-	if o.WALFS != nil && o.WALDir == "" {
-		return fmt.Errorf("serve: WALFS requires WALDir")
+	if o.WALFS != nil && o.Dir == "" {
+		return fmt.Errorf("serve: WALFS requires Dir")
 	}
-	if o.Standby && o.WALDir == "" && o.PersistDir == "" {
-		return fmt.Errorf("serve: Standby requires WALDir or PersistDir to promote from")
+	if o.Standby && o.Dir == "" {
+		return fmt.Errorf("serve: Standby requires Dir to promote from")
 	}
 	if o.Follow != nil {
 		if o.Follow.Leader == "" {
 			return fmt.Errorf("serve: Follow requires a leader URL")
 		}
-		if o.WALDir == "" || o.PersistDir == "" {
-			return fmt.Errorf("serve: Follow requires WALDir and PersistDir (the mirror log and checkpoint)")
+		if o.Dir == "" {
+			return fmt.Errorf("serve: Follow requires Dir (the mirrored checkpoint and log)")
 		}
 		if o.Standby {
 			return fmt.Errorf("serve: Follow and Standby are exclusive (a follower IS a continuously-warmed standby)")
@@ -262,7 +253,12 @@ type Server struct {
 	snap  atomic.Pointer[Snapshot]
 	met   metrics
 
-	wl           *wal.Log      // nil unless Options.WALDir enabled durability
+	// Durable state under Options.Dir (all zero on a memory-only server):
+	// the checkpoint and log directories wal.TenantDirs derives, and the
+	// log itself, opened once by recoverStartup and never replaced.
+	ckptDir      string
+	logDir       string
+	wl           *wal.Log
 	subMu        sync.Mutex    // serialises submits so WAL order = log order
 	subVerts     int           // vertex count after every accepted batch; guarded by subMu
 	rec          RecoveryStats // what NewServer recovered; fixed at startup
@@ -283,8 +279,8 @@ type Server struct {
 	followers   map[string]*followerState
 
 	// Replication state. walPos shadows the WAL's last appended sequence in
-	// an atomic so metrics and the replication handlers never race the wl
-	// pointer (a follower's resetMirrorWAL swaps it). walTail holds the
+	// an atomic so metrics and the replication handlers never take the
+	// log's lock (a follower's mirror reset rewinds it). walTail holds the
 	// unfolded records a leader ships to followers; lastLeaderGen is the
 	// newest generation a follower has seen its leader publish (lag = that
 	// minus the served generation). followCtx cancels every in-flight pull
@@ -305,11 +301,9 @@ type Server struct {
 	failSeq       uint64        // mutations covered by the latest failed attempt
 	attempts      uint64        // completed re-mine attempts (success or failure)
 	consecFails   uint64        // consecutive failed attempts; drives the backoff
-	batchSeq      uint64        // last WAL batch sequence appended or replayed
-	foldedBatches uint64        // WAL batches covered by the published snapshot
-	traceSeq      uint64        // last trace sequence assigned (= batchSeq when a WAL runs)
-	foldedTrace   uint64        // trace sequences covered by the published snapshot
-	ckptTrace     uint64        // trace sequences covered by the last committed checkpoint
+	batchSeq      uint64        // last batch sequence: the WAL's when durable, 1, 2, 3… otherwise
+	foldedBatches uint64        // batches covered by the published snapshot
+	ckptBatches   uint64        // batches covered by the last committed checkpoint
 	lastErr       error         // latest re-mine failure, nil after a success
 	notify        chan struct{} // closed and replaced on every publish or failure
 
@@ -322,20 +316,18 @@ type Server struct {
 	closeErr  error
 }
 
-// NewServer validates opts, recovers any durable state (checkpoint in
-// PersistDir, unfolded batches in the WAL — see DESIGN.md "Durability &
+// NewServer validates opts, recovers any durable state under Dir (the
+// checkpoint, then unfolded batches in the WAL — see DESIGN.md "Durability &
 // crash recovery"), mines the recovered graph synchronously for the first
 // snapshot, and starts the background re-mine loop. Callers must Close the
-// server to stop the loop (and flush the cache when PersistDir is set). g
-// may be nil only when Standby is set and a committed checkpoint supplies
-// the graph.
+// server to stop the loop (and checkpoint when Dir is set). g may be nil
+// only when Standby is set and a committed checkpoint supplies the graph.
 func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{
 		opts:      opts,
-		cache:     opts.Cache,
 		log:       opts.Logger,
 		traces:    obs.NewTraceRing(0),
 		profiles:  obs.NewProfileRing(0),
@@ -349,15 +341,20 @@ func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 	if s.log == nil {
 		s.log = obs.Nop()
 	}
-	if s.cache == nil {
+	if s.durable() {
+		s.ckptDir, s.logDir = wal.TenantDirs(opts.Dir)
+		cache, err := shardcache.Open(0, s.ckptDir)
+		if err != nil {
+			return nil, err
+		}
+		s.cache = cache
+	} else {
 		s.cache = shardcache.New(0)
 	}
 	if opts.Follow != nil {
 		// The follower's stable identity on every replication pull: lets the
 		// leader report per-follower fetch state in /replication/status.
 		s.followerID = obs.NewTraceID()
-	}
-	if opts.Follow != nil {
 		// Followers bootstrap from the leader BEFORE recovery: install its
 		// current checkpoint (verified in memory first) if the local mirror
 		// is missing or older, then recover through the exact same
@@ -372,11 +369,9 @@ func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 		return nil, err
 	}
 	// Batches recovered from the WAL fold into the initial snapshot below
-	// (and the ring holds no traces for them anyway); start the trace clock
-	// past them so new batches line up with WAL sequences.
-	s.traceSeq = s.batchSeq
-	s.foldedTrace = s.batchSeq
-	s.ckptTrace = s.batchSeq
+	// (and the ring holds no traces for them anyway): the first checkpoint
+	// traces only batches submitted after startup.
+	s.ckptBatches = s.batchSeq
 	s.subVerts = base.NumVertices()
 	// The initial mine draws from the shared budget too: a fleet recovering
 	// (or bulk-creating) many namespaces mines them at the budget's pace,
@@ -395,13 +390,10 @@ func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 	}
 	snap := newSnapshot(gen, base, model)
 	s.snap.Store(snap)
-	if s.wl != nil && opts.PersistDir != "" && opts.Follow == nil {
+	if s.Role() == RoleLeader {
 		// Commit the recovered state immediately: replayed batches fold into
 		// a fresh checkpoint and their segments compact away, so the next
-		// restart (or a standby on the same directories) starts clean.
-		s.mu.Lock()
-		s.foldedBatches = s.batchSeq
-		s.mu.Unlock()
+		// restart (or a standby on the same directory) starts clean.
 		if err := s.checkpoint(snap); err != nil {
 			return nil, fmt.Errorf("serve: startup checkpoint: %w", err)
 		}
@@ -428,6 +420,10 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 // inspection).
 func (s *Server) Cache() *shardcache.Cache { return s.cache }
 
+// durable reports whether the server keeps a checkpoint and a WAL under
+// Options.Dir.
+func (s *Server) durable() bool { return s.opts.Dir != "" }
+
 // SubmitMutations validates muts and appends them to the mutation log,
 // triggering a background re-mine. The batch is all-or-nothing: the first
 // invalid mutation rejects the whole slice and nothing is enqueued. Vertex
@@ -436,10 +432,10 @@ func (s *Server) Cache() *shardcache.Cache { return s.cache }
 // threads the running count through the batch — a mutation may reference a
 // vertex added earlier in its own batch.
 //
-// With a WAL configured, a nil return means the batch is DURABLE: it was
-// fsync'd into the log before being enqueued, and recovery replays it if
-// the process dies before a snapshot folds it in. A failed append returns
-// ErrUnavailable (wrapped) and the batch is not accepted.
+// On a durable server (Options.Dir set), a nil return means the batch is
+// DURABLE: it was fsync'd into the log before being enqueued, and recovery
+// replays it if the process dies before a snapshot folds it in. A failed
+// append returns ErrUnavailable (wrapped) and the batch is not accepted.
 func (s *Server) SubmitMutations(muts []Mutation) error {
 	_, err := s.submit(muts, "")
 	return err
@@ -447,8 +443,8 @@ func (s *Server) SubmitMutations(muts []Mutation) error {
 
 // submit is SubmitMutations with lifecycle tracing: traceID is the client's
 // X-Request-Id (or "" to skip correlation), and the returned sequence is the
-// batch's trace key — the WAL sequence on durable servers, a process-local
-// counter otherwise — queryable at /debug/trace/{seq}.
+// batch's trace key — the WAL sequence on durable servers, 1, 2, 3… on
+// memory-only ones — queryable at /debug/trace/{seq}.
 func (s *Server) submit(muts []Mutation, traceID string) (uint64, error) {
 	if len(muts) == 0 {
 		return 0, fmt.Errorf("serve: empty mutation batch")
@@ -469,14 +465,15 @@ func (s *Server) submit(muts []Mutation, traceID string) (uint64, error) {
 		return 0, fmt.Errorf("serve: %w", err)
 	}
 	s.mu.Lock()
-	closed := s.closed
+	closed, seq := s.closed, s.batchSeq+1
 	s.mu.Unlock()
 	if closed {
 		s.met.mutationsRejected.Add(uint64(len(muts)))
 		return 0, fmt.Errorf("serve: server closed, mutations not accepted")
 	}
-	var seq uint64
-	if s.wl != nil {
+	if s.durable() {
+		// Durable: the WAL assigns the sequence. It equals batchSeq+1,
+		// because batchSeq tracks the log's last record.
 		payload, err := encodeBatch(muts)
 		if err != nil {
 			s.met.mutationsRejected.Add(uint64(len(muts)))
@@ -489,30 +486,20 @@ func (s *Server) submit(muts []Mutation, traceID string) (uint64, error) {
 		}
 		s.met.walAppends.Add(1)
 		s.walPos.Store(seq)
-		if s.replicable() {
-			// Leaders keep the unfolded tail in memory so followers mirror
-			// acknowledged batches without the leader re-reading its own log.
-			s.appendTail(seq, payload, traceID)
-		}
+		// Every durable server that accepts writes leads: it keeps the
+		// unfolded tail in memory so followers mirror acknowledged batches
+		// without the leader re-reading its own log.
+		s.appendTail(seq, payload, traceID)
 	}
 	s.mu.Lock()
 	s.pending = append(s.pending, muts...)
 	s.mutSeq += uint64(len(muts))
-	if s.wl != nil {
-		s.batchSeq = seq
-		s.traceSeq = seq
-	} else {
-		// No WAL: trace keys come off a process-local counter so batchSeq
-		// (which checkpoint manifests record as FoldedBatches) stays zero on
-		// persist-only servers.
-		s.traceSeq++
-		seq = s.traceSeq
-	}
+	s.batchSeq = seq
 	s.mu.Unlock()
 	s.subVerts += delta
 	s.met.mutationsAccepted.Add(uint64(len(muts)))
 	s.traces.Start(seq, traceID, len(muts), obs.StageSubmitted, 0, "")
-	if s.wl != nil {
+	if s.durable() {
 		s.traces.Record(seq, obs.StageWALAppended, 0, "")
 	}
 	s.log.Debug("mutations accepted", "batch", seq, "trace", traceID, "mutations", len(muts))
@@ -603,11 +590,10 @@ func (s *Server) Drain() {
 
 // Close stops the re-mine loop (letting an in-flight re-mine finish),
 // runs one final re-mine over any still-pending acknowledged mutations so
-// a graceful shutdown never silently discards a 202-acked batch, and, when
-// PersistDir is set, checkpoints the served state (folded graph, cache
-// blobs, MANIFEST) so the next server — or a warm standby — promotes
-// without a cold re-mine. With a WAL, folded segments are compacted and the
-// log is closed last. Close is idempotent and does not drain HTTP requests
+// a graceful shutdown never silently discards a 202-acked batch, and, on a
+// durable server, checkpoints the served state (folded graph, cache blobs,
+// MANIFEST) so the next server — or a warm standby — promotes without a
+// cold re-mine; folded segments are compacted and the log is closed last. Close is idempotent and does not drain HTTP requests
 // — the owning http.Server's Shutdown does that first, which is exactly
 // what lets mutations accepted mid-drain reach the final re-mine. The one
 // exception is /watch long-polls: Close (like Drain) releases them
@@ -635,12 +621,12 @@ func (s *Server) Close() error {
 				len(s.pending), s.lastErr)
 			s.mu.Unlock()
 		}
-		if s.opts.PersistDir != "" && s.opts.Follow == nil {
+		if s.Role() == RoleLeader {
 			if err := s.checkpoint(s.snap.Load()); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
 		}
-		if s.wl != nil {
+		if s.durable() {
 			if err := s.wl.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
@@ -713,21 +699,19 @@ func (s *Server) remine() bool {
 	batch := s.pending
 	s.pending = nil
 	covered := s.mutSeq
-	coveredBatch := s.batchSeq
-	prevTrace := s.foldedTrace
-	coveredTrace := s.traceSeq
+	prevBatch, coveredBatch := s.foldedBatches, s.batchSeq
 	s.mu.Unlock()
 	if len(batch) == 0 {
 		return true
 	}
 	cur := s.snap.Load()
-	s.traces.RecordRange(prevTrace, coveredTrace, obs.StageRemineStart, cur.Generation, "")
+	s.traces.RecordRange(prevBatch, coveredBatch, obs.StageRemineStart, cur.Generation, "")
 	rec := obs.NewRecorder()
 	start := time.Now()
 	next, model, err := s.rebuildAndMine(cur.Graph, batch, rec)
 	if err != nil {
 		s.met.remineFailures.Add(1)
-		s.profiles.Add(rec.Finish(0, int(coveredTrace-prevTrace), err))
+		s.profiles.Add(rec.Finish(0, int(coveredBatch-prevBatch), err))
 		s.log.Warn("remine failed", "gen", cur.Generation, "mutations", len(batch), "err", err)
 		s.mu.Lock()
 		s.pending = append(batch, s.pending...)
@@ -740,7 +724,7 @@ func (s *Server) remine() bool {
 		return false
 	}
 	elapsed := time.Since(start)
-	s.traces.RecordRange(prevTrace, coveredTrace, obs.StageFolded, cur.Generation+1, "")
+	s.traces.RecordRange(prevBatch, coveredBatch, obs.StageFolded, cur.Generation+1, "")
 	var snap *Snapshot
 	rec.Time(obs.SpanPublish, func() {
 		snap = newSnapshot(cur.Generation+1, next, model)
@@ -752,16 +736,15 @@ func (s *Server) remine() bool {
 	s.mu.Lock()
 	s.minedSeq = covered
 	s.foldedBatches = coveredBatch
-	s.foldedTrace = coveredTrace
 	s.attempts++
 	s.consecFails = 0
 	s.lastErr = nil
 	s.broadcastLocked()
 	s.mu.Unlock()
-	s.traces.RecordRange(prevTrace, coveredTrace, obs.StagePublished, snap.Generation, "")
-	if s.wl != nil && s.opts.PersistDir != "" {
+	s.traces.RecordRange(prevBatch, coveredBatch, obs.StagePublished, snap.Generation, "")
+	if s.durable() {
 		// Checkpoint-then-compact: once the folded state is committed in the
-		// persist dir, the WAL segments holding those batches may go. A
+		// checkpoint dir, the WAL segments holding those batches may go. A
 		// failed checkpoint is non-fatal — the log simply keeps the batches
 		// and the next publish (or Close) tries again.
 		var cerr error
@@ -771,7 +754,7 @@ func (s *Server) remine() bool {
 			s.log.Warn("checkpoint failed", "gen", snap.Generation, "err", cerr)
 		}
 	}
-	s.profiles.Add(rec.Finish(snap.Generation, int(coveredTrace-prevTrace), nil))
+	s.profiles.Add(rec.Finish(snap.Generation, int(coveredBatch-prevBatch), nil))
 	s.log.Info("remine published", "gen", snap.Generation, "mutations", len(batch),
 		"seconds", elapsed.Seconds())
 	return true

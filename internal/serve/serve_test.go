@@ -11,7 +11,6 @@ import (
 
 	icspm "cspm/internal/cspm"
 	"cspm/internal/graph"
-	"cspm/internal/shardcache"
 	"cspm/internal/shardrpc"
 )
 
@@ -305,13 +304,13 @@ func TestFailedRemineKeepsLastGood(t *testing.T) {
 	requireModelEqual(t, snap.Model, icspm.Mine(Rebuild(g, muts)))
 }
 
-// TestPersistOnClose pins the shutdown contract: a memory-only cache with
-// PersistDir set flushes its entries on Close, and a server restarted over
-// a disk cache on that directory warm-starts with zero misses.
+// TestPersistOnClose pins the shutdown contract: a durable server persists
+// its cache entries on Close, and a server restarted on the same Dir
+// warm-starts with zero misses.
 func TestPersistOnClose(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t)
-	s, err := NewServer(g, Options{PersistDir: dir})
+	s, err := NewServer(g, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +325,7 @@ func TestPersistOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := shardcache.Open(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewServer(Rebuild(g, muts), Options{Cache: warm})
+	s2, err := NewServer(Rebuild(g, muts), Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,8 @@ func TestV1WALSegmentRecoversUnderV2Reader(t *testing.T) {
 		t.Fatalf("read fixture: %v (regenerate with UPDATE_WIRE_GOLDEN=1)", err)
 	}
 	dir := t.TempDir()
-	wl, _, err := wal.Open(dir, wal.Options{})
+	_, logDir := wal.TenantDirs(dir)
+	wl, _, err := wal.Open(logDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestV1WALSegmentRecoversUnderV2Reader(t *testing.T) {
 	}
 
 	g := testGraph(t)
-	s := newTestServer(t, g, Options{WALDir: dir})
+	s := newTestServer(t, g, Options{Dir: dir})
 	rec := s.Recovery()
 	if rec.ReplayedBatches != 1 || rec.ReplayedMutations != len(goldenWALBatchV1()) {
 		t.Fatalf("v1 segment recovery replayed %d batches / %d mutations, want 1/%d",

@@ -259,3 +259,52 @@ func TestDriveWAL(t *testing.T) {
 		t.Fatalf("recovered %d records %+v, want the 3 synced appends", len(recs), recs)
 	}
 }
+
+// TestWALResetThroughFS: Log.Reset removes every segment through the log's
+// own FS (never the real disk behind it), leaves other files alone, and
+// restarts the log so a mirror can resume at any sequence.
+func TestWALResetThroughFS(t *testing.T) {
+	d := New(Config{})
+	dir := filepath.Join("/w", "wal")
+	if err := write(t, d, filepath.Join(dir, "NOTES"), []byte("keep"), true); err != nil {
+		t.Fatal(err)
+	}
+	// Tiny segments: the three appends span several files.
+	l, _, err := wal.Open(dir, wal.Options{FS: d, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"a", "b", "c"} {
+		if _, err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := d.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "NOTES" {
+		t.Fatalf("after Reset the shim holds %v, want only NOTES", names)
+	}
+	if l.NextSeq() != 1 || l.Segments() != 0 {
+		t.Fatalf("after Reset: next=%d segments=%d, want 1/0", l.NextSeq(), l.Segments())
+	}
+	if wrote, err := l.AppendAt(7, []byte("seven")); err != nil || !wrote {
+		t.Fatalf("AppendAt(7) after Reset = (%v, %v), want a write", wrote, err)
+	}
+	l.Close()
+	if err := l.Reset(); err == nil {
+		t.Fatal("Reset revived a closed log")
+	}
+	l2, recs, err := wal.Open(dir, wal.Options{FS: d.Recover()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(recs) != 1 || recs[0].Seq != 7 || string(recs[0].Payload) != "seven" {
+		t.Fatalf("recovered %+v, want only {7 seven}", recs)
+	}
+}

@@ -65,12 +65,14 @@ type Layout struct {
 // NamespaceDir is the tenant's whole subtree.
 func (l Layout) NamespaceDir(ns string) string { return filepath.Join(l.Root, ns) }
 
-// WALDir is where the tenant's mutation WAL lives.
-func (l Layout) WALDir(ns string) string { return filepath.Join(l.Root, ns, walSubdir) }
-
-// CheckpointDir is where the tenant's verified checkpoints (and shard-cache
-// blobs) live.
-func (l Layout) CheckpointDir(ns string) string { return filepath.Join(l.Root, ns, checkpointSubdir) }
+// TenantDirs maps one tenant directory to the two directories its durable
+// state lives in: the checkpoint (GRAPH, MANIFEST and shard-cache blobs) and
+// the mutation log. It is the only place the subdirectory names are spelled,
+// so a standalone server's directory and a host namespace's subtree are the
+// same layout.
+func TenantDirs(dir string) (checkpoint, log string) {
+	return filepath.Join(dir, checkpointSubdir), filepath.Join(dir, walSubdir)
+}
 
 // Namespaces scans the root for tenant subtrees: directories whose names
 // pass ValidNamespace, sorted. A missing root is an empty fleet, not an

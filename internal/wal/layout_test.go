@@ -33,12 +33,19 @@ func TestLayoutPaths(t *testing.T) {
 	if got := l.NamespaceDir("prod"); got != filepath.Join("/srv/cspm", "prod") {
 		t.Errorf("NamespaceDir = %q", got)
 	}
-	if got := l.WALDir("prod"); got != filepath.Join("/srv/cspm", "prod", "wal") {
-		t.Errorf("WALDir = %q", got)
+	ckpt, log := TenantDirs(l.NamespaceDir("prod"))
+	if ckpt != filepath.Join("/srv/cspm", "prod", "checkpoint") {
+		t.Errorf("checkpoint dir = %q", ckpt)
 	}
-	if got := l.CheckpointDir("prod"); got != filepath.Join("/srv/cspm", "prod", "checkpoint") {
-		t.Errorf("CheckpointDir = %q", got)
+	if log != filepath.Join("/srv/cspm", "prod", "wal") {
+		t.Errorf("log dir = %q", log)
 	}
+}
+
+// walDir is a namespace's log directory under l.
+func walDir(l Layout, ns string) string {
+	_, log := TenantDirs(l.NamespaceDir(ns))
+	return log
 }
 
 func TestLayoutNamespacesScan(t *testing.T) {
@@ -51,7 +58,7 @@ func TestLayoutNamespacesScan(t *testing.T) {
 	root := t.TempDir()
 	l = Layout{Root: root}
 	for _, ns := range []string{"beta", "alpha", "z9"} {
-		if err := os.MkdirAll(l.WALDir(ns), 0o755); err != nil {
+		if err := os.MkdirAll(walDir(l, ns), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,10 +88,10 @@ func TestLayoutQuarantine(t *testing.T) {
 	l := Layout{Root: t.TempDir()}
 	payload := []byte("acked-batch-bytes")
 	mkNS := func() {
-		if err := os.MkdirAll(l.WALDir("prod"), 0o755); err != nil {
+		if err := os.MkdirAll(walDir(l, "prod"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(l.WALDir("prod"), "00000000000000000001.wal"), payload, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(walDir(l, "prod"), "00000000000000000001.wal"), payload, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

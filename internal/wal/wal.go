@@ -42,6 +42,11 @@ const (
 // this error — torn tails are truncated and reported via TornTail.
 var ErrCorrupt = errors.New("wal: corrupt record before log tail")
 
+// ErrGap reports an AppendAt whose sequence would leave a hole after the
+// log's last record. A replica mirroring a leader's log treats it as "the
+// leader compacted past me" and restarts its mirror with Reset.
+var ErrGap = errors.New("wal: sequence gap")
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one replayed log entry: a dense 1-based sequence number and the
@@ -297,7 +302,7 @@ func (l *Log) AppendAt(seq uint64, payload []byte) (bool, error) {
 	case l.nextSeq == 1 && l.curName == "" && len(l.closed) == 0:
 		l.nextSeq = seq
 	default:
-		return false, fmt.Errorf("wal: append at sequence %d would leave a gap after %d", seq, l.nextSeq-1)
+		return false, fmt.Errorf("%w: append at sequence %d would leave a gap after %d", ErrGap, seq, l.nextSeq-1)
 	}
 	if _, err := l.appendLocked(payload); err != nil {
 		return false, err
@@ -406,6 +411,40 @@ func (l *Log) Compact(upTo uint64) error {
 	if len(errs) > 0 {
 		return fmt.Errorf("wal: compact: %w", errors.Join(errs...))
 	}
+	return nil
+}
+
+// Reset discards the whole log: it removes every segment through the log's
+// FS, fsyncs the directory and restarts at sequence 1, so the next AppendAt
+// may resume at any sequence. Callers must hold a durable copy of every
+// record dropped (a replica installs its leader's newer checkpoint first).
+// A wedged or closed log refuses with its sticky error, and a failed Reset
+// wedges the log.
+func (l *Log) Reset() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	if l.cur != nil {
+		l.cur.Close() // every record in it was fsync'd; the file goes next
+		l.cur = nil
+	}
+	names, err := l.fs.List(l.dir)
+	if err != nil {
+		return l.fail(err)
+	}
+	for _, name := range names {
+		if _, ok := parseSegName(name); ok {
+			if err := l.fs.Remove(filepath.Join(l.dir, name)); err != nil {
+				return l.fail(err)
+			}
+		}
+	}
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return l.fail(err)
+	}
+	l.closed, l.curName, l.curSize, l.nextSeq = nil, "", 0, 1
 	return nil
 }
 

@@ -508,8 +508,8 @@ func TestAppendAtMirrorsExplicitSequences(t *testing.T) {
 	}
 	// The sequence jump is only legal on a COMPLETELY empty log: after the
 	// reopen the log holds records, so a jump is now a gap.
-	if _, err := l2.AppendAt(20, []byte("jump")); err == nil {
-		t.Fatal("AppendAt jump on a non-empty log succeeded")
+	if _, err := l2.AppendAt(20, []byte("jump")); !errors.Is(err, ErrGap) {
+		t.Fatalf("AppendAt jump on a non-empty log = %v, want ErrGap", err)
 	}
 	// Normal Append interoperates: it continues the mirrored sequence.
 	if got := appendAll(t, l2, []byte("ten"))[0]; got != 10 {
@@ -526,8 +526,8 @@ func TestAppendAtJumpOnlyWhenEmpty(t *testing.T) {
 	defer l.Close()
 	appendAll(t, l, []byte("first"))
 	// nextSeq is 2; 3 would leave a gap even though the log was "almost" new.
-	if _, err := l.AppendAt(3, []byte("gap")); err == nil {
-		t.Fatal("AppendAt(3) after one append succeeded")
+	if _, err := l.AppendAt(3, []byte("gap")); !errors.Is(err, ErrGap) {
+		t.Fatalf("AppendAt(3) after one append = %v, want ErrGap", err)
 	}
 	// seq == NextSeq appends normally.
 	appendAt(t, l, 2, "second", true)
