@@ -489,6 +489,33 @@ func BenchmarkMicro_IntersectCountAndDiffCount(b *testing.B) {
 	})
 }
 
+// BenchmarkMicro_ScoreNode_Mid measures the Algorithm 5 scorer as the
+// serving layer runs it: one op scores a fixed set of 512 vertices spread
+// over the repo benchmark's mid archipelago (4,210 vertices, 360 values,
+// ~22k a-stars) against the model a server publishes for it.
+func BenchmarkMicro_ScoreNode_Mid(b *testing.B) {
+	cfg := dataset.BenchIslands()
+	cfg.MinNodes, cfg.MaxNodes = 250, 500
+	g := dataset.IslandsWithEdgeSeeds(cfg, nil)
+	scorer := cspm.NewScorer(cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, nil), g)
+	const nVerts = 512
+	verts := make([]cspm.VertexID, nVerts)
+	for i := range verts {
+		verts[i] = cspm.VertexID(i * g.NumVertices() / nVerts)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range verts {
+			scoreSink = scorer.ScoreNode(v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nVerts), "ns/vertex")
+}
+
+// scoreSink keeps the compiler from discarding benchmarked ScoreNode calls.
+var scoreSink []float64
+
 // --- Online serving (DESIGN.md "Online serving", BENCH_5.json) ------------
 
 // startServeBench hosts an Islands graph as a multi-tenant host's default

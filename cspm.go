@@ -333,7 +333,7 @@ type (
 	// completion benchmark.
 	CompletionTask = completion.Task
 	// Scorer ranks candidate attribute values with a mined model
-	// (Algorithm 5).
+	// (Algorithm 5). It is safe for concurrent use.
 	Scorer = completion.Scorer
 	// CompletionMetrics holds Recall@K and NDCG@K.
 	CompletionMetrics = completion.Metrics
@@ -346,7 +346,10 @@ func NewCompletionTask(g *Graph, testFraction float64, seed int64) (*CompletionT
 	return completion.NewTask(g, testFraction, seed)
 }
 
-// NewScorer builds an Algorithm 5 scorer from a mined model.
+// NewScorer builds an Algorithm 5 scorer from a mined model. It indexes
+// the model once, so each ScoreNode call reads only the a-stars whose
+// leafsets meet the vertex's neighbourhood; the index is immutable and the
+// scorer is safe for concurrent use.
 func NewScorer(model *Model, g *Graph) *Scorer { return completion.NewScorer(model, g) }
 
 // Fuse multiplies normalised model scores with normalised CSPM scores

@@ -2,8 +2,10 @@ package completion
 
 import (
 	"math"
+	"sync"
 
 	"cspm/internal/cspm"
+	"cspm/internal/epoch"
 	"cspm/internal/graph"
 	"cspm/internal/tensor"
 )
@@ -12,65 +14,140 @@ import (
 // using a mined a-star model (paper Algorithm 5): a core value whose a-star
 // leafset resembles the vertex's neighbour attributes — and whose code is
 // short — is a likely missing value.
+//
+// NewScorer indexes the model once, so scoring a vertex touches only the
+// a-stars whose leafsets share a value with its neighbourhood. The index is
+// immutable and per-call scratch comes from a pool: a Scorer is safe for
+// concurrent use.
 type Scorer struct {
 	model *cspm.Model
 	g     *graph.Graph
+
+	// baseline[a] is core value a's score when no leaf value matches: the
+	// max of −2·CodeLen over the a-stars with a in their coreset, or −Inf
+	// when there are none (Algorithm 5 line 1).
+	baseline []float64
+	// postings[offsets[a]:offsets[a+1]] lists the a-stars with leaf value a,
+	// once per occurrence: Algorithm 5's overlap |SL ∩ N| counts a leaf
+	// value listed twice twice.
+	offsets  []int32
+	postings []int32
+	scratch  sync.Pool // *scoreScratch
 }
 
-// NewScorer builds a scorer from a model mined on (a training view of) g.
+// scoreScratch is one call's working state, reused across calls through
+// Scorer.scratch: hits is all zero and touched empty between calls.
+type scoreScratch struct {
+	hits    []int32   // per a-star: leaf values found around the vertex
+	seen    epoch.Set // values already walked for this vertex
+	touched []int32   // a-stars with hits > 0, in first-hit order
+}
+
+// NewScorer builds a scorer from a model mined on (a training view of) g,
+// indexing the model once for every later ScoreNode call. Neither the model
+// nor g may change afterwards.
 func NewScorer(model *cspm.Model, g *graph.Graph) *Scorer {
-	return &Scorer{model: model, g: g}
-}
-
-// neighborAttrs collects the attribute-value set visible around v.
-func (s *Scorer) neighborAttrs(v graph.VertexID) map[graph.AttrID]struct{} {
-	out := make(map[graph.AttrID]struct{})
-	for _, u := range s.g.Neighbors(v) {
-		for _, a := range s.g.Attrs(u) {
-			out[a] = struct{}{}
+	nA := g.NumAttrValues()
+	s := &Scorer{
+		model:    model,
+		g:        g,
+		baseline: make([]float64, nA),
+		offsets:  make([]int32, nA+1),
+	}
+	for i := range s.baseline {
+		s.baseline[i] = math.Inf(-1)
+	}
+	for _, p := range model.Patterns {
+		cl := -2 * p.CodeLen
+		for _, cv := range p.CoreValues {
+			if cl > s.baseline[cv] {
+				s.baseline[cv] = cl
+			}
+		}
+		for _, a := range p.LeafValues {
+			if int(a) < nA { // a value outside g's vocabulary never matches
+				s.offsets[a+1]++
+			}
 		}
 	}
-	return out
-}
-
-// similarity is the weight w of Algorithm 5: how well the a-star's leafset
-// matches the neighbours' values. We use the Jaccard-style overlap
-// |SL ∩ N| / |SL|, inverted into a weight where a worse match means a larger
-// w and hence a smaller (more negative) score.
-func similarity(leaf []graph.AttrID, neighbors map[graph.AttrID]struct{}) float64 {
-	if len(leaf) == 0 {
-		return 0
+	for a := 0; a < nA; a++ {
+		s.offsets[a+1] += s.offsets[a]
 	}
-	hit := 0
-	for _, a := range leaf {
-		if _, ok := neighbors[a]; ok {
-			hit++
+	s.postings = make([]int32, s.offsets[nA])
+	fill := append([]int32(nil), s.offsets[:nA]...)
+	for i, p := range model.Patterns {
+		for _, a := range p.LeafValues {
+			if int(a) < nA {
+				s.postings[fill[a]] = int32(i)
+				fill[a]++
+			}
 		}
 	}
-	return float64(hit) / float64(len(leaf))
+	nP := len(model.Patterns)
+	s.scratch.New = func() any {
+		sc := &scoreScratch{hits: make([]int32, nP)}
+		sc.seen.Grow(nA)
+		return sc
+	}
+	return s
 }
 
 // ScoreNode returns a score per attribute value for vertex v: higher is more
 // likely. Values never seen in any a-star keep −Inf (Algorithm 5 line 1).
+// The caller owns the returned row.
 func (s *Scorer) ScoreNode(v graph.VertexID) []float64 {
-	nA := s.g.NumAttrValues()
-	scores := make([]float64, nA)
-	for i := range scores {
-		scores[i] = math.Inf(-1)
-	}
-	neighbors := s.neighborAttrs(v)
-	for _, p := range s.model.Patterns {
-		match := similarity(p.LeafValues, neighbors)
-		// Algorithm 5 line 5–6: w grows as similarity falls; cl = −w·L(S).
-		w := 2 - match
-		cl := -w * p.CodeLen
-		for _, cv := range p.CoreValues {
-			if cl > scores[cv] {
-				scores[cv] = cl
+	row := make([]float64, len(s.baseline))
+	s.scoreInto(v, row)
+	return row
+}
+
+// scoreInto writes v's scores into dst, which must hold |A| entries.
+//
+// Every a-star scores cl = −w·L(S) with w = 2 − |SL ∩ N|/|SL| (Algorithm 5
+// lines 5–6), and a value's score is the max over the a-stars in whose
+// coreset it appears. An a-star with no leaf value around v has w exactly 2,
+// its baseline contribution; a matched one has w < 2 and, code lengths
+// being non-negative, a score no lower than its baseline. So the row is the
+// baseline raised by the matched a-stars alone, and since a max does not
+// depend on the order it is taken in, the result is bit-identical to
+// scoring every a-star.
+func (s *Scorer) scoreInto(v graph.VertexID, dst []float64) {
+	sc := s.scratch.Get().(*scoreScratch)
+	s.scoreWith(sc, v, dst)
+	s.scratch.Put(sc)
+}
+
+// scoreWith is scoreInto over an explicit scratch, which it leaves ready
+// for the next call.
+func (s *Scorer) scoreWith(sc *scoreScratch, v graph.VertexID, dst []float64) {
+	copy(dst, s.baseline)
+	sc.seen.Bump()
+	for _, u := range s.g.Neighbors(v) {
+		for _, a := range s.g.Attrs(u) {
+			if !sc.seen.Mark(int(a)) {
+				continue
+			}
+			for _, p := range s.postings[s.offsets[a]:s.offsets[a+1]] {
+				if sc.hits[p] == 0 {
+					sc.touched = append(sc.touched, p)
+				}
+				sc.hits[p]++
 			}
 		}
 	}
-	return scores
+	for _, pi := range sc.touched {
+		p := &s.model.Patterns[pi]
+		match := float64(sc.hits[pi]) / float64(len(p.LeafValues))
+		sc.hits[pi] = 0
+		w := 2 - match
+		cl := -w * p.CodeLen
+		for _, cv := range p.CoreValues {
+			if cl > dst[cv] {
+				dst[cv] = cl
+			}
+		}
+	}
+	sc.touched = sc.touched[:0]
 }
 
 // ScoreMatrix scores every test node of the task, returning an n×|A| matrix
@@ -78,8 +155,7 @@ func (s *Scorer) ScoreNode(v graph.VertexID) []float64 {
 func (s *Scorer) ScoreMatrix(task *Task) *tensor.Matrix {
 	out := tensor.NewMatrix(task.G.NumVertices(), task.NumAttr)
 	for _, v := range task.TestNodes {
-		row := out.Row(int(v))
-		copy(row, s.ScoreNode(v))
+		s.scoreInto(v, out.Row(int(v)))
 	}
 	return out
 }

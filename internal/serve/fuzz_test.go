@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"cspm/internal/completion"
 )
 
 // FuzzMutationBatchDecode hammers the WAL payload decode path with
@@ -118,6 +120,38 @@ func FuzzCompleteRequest(f *testing.F) {
 			}
 			if resp.Generation != snap.Generation {
 				t.Fatalf("200 answered generation %d, served snapshot is %d", resp.Generation, snap.Generation)
+			}
+			// Every answer must be the sorting oracle's ranking of the
+			// vertex's (fused) score row, decoded the way the handler did.
+			var req CompleteRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("200 for a body the handler cannot have decoded: %v", err)
+			}
+			topK := req.TopK
+			if topK == 0 {
+				topK = defaultTopK
+			}
+			fuse, err := parseModelScores(req.ModelScores, n, nA)
+			if err != nil {
+				t.Fatalf("200 for model_scores the handler must reject: %v", err)
+			}
+			if len(resp.Results) != len(req.Vertices) {
+				t.Fatalf("200 answered %d vertices, asked %d", len(resp.Results), len(req.Vertices))
+			}
+			for i, res := range resp.Results {
+				v := req.Vertices[i]
+				row := snap.Scorer.ScoreNode(v)
+				if mrow, ok := fuse[v]; ok {
+					if f := completion.FuseRows(mrow, row); f != nil {
+						row = f
+					} else {
+						row = mrow
+					}
+				}
+				want := rankRowReference(row, snap.Graph.Vocab(), topK)
+				if res.Vertex != v || !reflect.DeepEqual(res.Values, want) {
+					t.Fatalf("vertex %d answered %v %s, oracle ranks %s", v, res.Vertex, fmtCandidates(res.Values), fmtCandidates(want))
+				}
 			}
 		case http.StatusBadRequest:
 			var e ErrorJSON

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"cspm/internal/completion"
@@ -335,23 +338,58 @@ func parseModelScores(raw map[string][]float64, n, nA int) (map[graph.VertexID][
 
 // rankRow returns the top-k finite scores of row as named candidates,
 // ordered by descending score with ascending value name as the tie-break
-// (deterministic across identical snapshots).
+// (deterministic across identical snapshots). A bounded heap keeps the k
+// best value ids seen so far, so ranking a row costs O(|A|·log k) and only
+// the winners become candidates.
 func rankRow(row []float64, vocab *graph.Vocab, k int) []CandidateJSON {
-	out := make([]CandidateJSON, 0, len(row))
+	names := vocab.Names()
+	order := func(i, j int32) int {
+		if c := cmp.Compare(row[j], row[i]); c != 0 {
+			return c
+		}
+		return strings.Compare(names[i], names[j])
+	}
+	ahead := func(i, j int32) bool { return order(i, j) < 0 }
+	// top is a heap whose root top[0] is the worst candidate kept.
+	top := make([]int32, 0, min(k, len(row)))
 	for id, score := range row {
 		if math.IsInf(score, 0) || math.IsNaN(score) {
 			continue
 		}
-		out = append(out, CandidateJSON{Value: vocab.Name(graph.AttrID(id)), Score: score})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+		c := int32(id)
+		switch {
+		case len(top) < k:
+			top = append(top, c)
+			for i := len(top) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !ahead(top[parent], top[i]) {
+					break
+				}
+				top[parent], top[i] = top[i], top[parent]
+				i = parent
+			}
+		case len(top) > 0 && ahead(c, top[0]):
+			top[0] = c
+			for i := 0; ; {
+				worst, l, r := i, 2*i+1, 2*i+2
+				if l < len(top) && ahead(top[worst], top[l]) {
+					worst = l
+				}
+				if r < len(top) && ahead(top[worst], top[r]) {
+					worst = r
+				}
+				if worst == i {
+					break
+				}
+				top[i], top[worst] = top[worst], top[i]
+				i = worst
+			}
 		}
-		return out[i].Value < out[j].Value
-	})
-	if len(out) > k {
-		out = out[:k]
+	}
+	slices.SortFunc(top, order)
+	out := make([]CandidateJSON, len(top))
+	for i, id := range top {
+		out[i] = CandidateJSON{Value: names[id], Score: row[id]}
 	}
 	return out
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"cspm/internal/completion"
 	icspm "cspm/internal/cspm"
 	"cspm/internal/graph"
 )
@@ -54,8 +53,7 @@ func TestConcurrentCompleteDuringRemine(t *testing.T) {
 	staged := g
 	record := func(gen uint64) {
 		model := icspm.Mine(staged)
-		scorer := completion.NewScorer(model, staged)
-		expect[gen] = rankRow(scorer.ScoreNode(target), staged.Vocab(), topK)
+		expect[gen] = rankRowReference(scoreNodeReference(model, staged, target), staged.Vocab(), topK)
 	}
 	record(1)
 	for i, batch := range batches {
