@@ -489,14 +489,62 @@ func BenchmarkMicro_IntersectCountAndDiffCount(b *testing.B) {
 	})
 }
 
+// midIslands is the repo benchmark's mid archipelago (benchmark/README.md):
+// twelve islands of 250-500 vertices, 4,210 vertices and 360 values in all.
+// Island 0's edges are regenerated from edgeSeed when it is non-zero;
+// attributes, and with them the global standard table, never change.
+func midIslands(edgeSeed int64) *cspm.Graph {
+	cfg := dataset.BenchIslands()
+	cfg.MinNodes, cfg.MaxNodes = 250, 500
+	var seeds []int64
+	if edgeSeed != 0 {
+		seeds = []int64{edgeSeed}
+	}
+	return dataset.IslandsWithEdgeSeeds(cfg, seeds)
+}
+
+// BenchmarkMicro_ColdMine_Mid measures the miner core on the graph the
+// write_global workload re-mines: one op is a cold MineShardedCached of the
+// mid archipelago, all 12 component groups searched from scratch.
+func BenchmarkMicro_ColdMine_Mid(b *testing.B) {
+	g := midIslands(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *cspm.Model
+	for i := 0; i < b.N; i++ {
+		m = cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, nil)
+	}
+	b.ReportMetric(float64(m.GainEvals), "gain-evals")
+	b.ReportMetric(m.FinalDL, "final-bits")
+}
+
+// BenchmarkMicro_WarmRemine_Mid measures an incremental re-mine: the cache
+// is warmed on the base archipelago, then each op rewires island 0 to an
+// edge seed the cache has never seen (graph generation runs off the clock),
+// so 11 of 12 groups replay and one is searched.
+func BenchmarkMicro_WarmRemine_Mid(b *testing.B) {
+	opts := cspm.Options{CollectStats: true}
+	cache := cspm.NewShardCache(64)
+	cspm.MineShardedCached(midIslands(0), opts, cache)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *cspm.Model
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g := midIslands(1_000_000 + int64(i))
+		b.StartTimer()
+		m = cspm.MineShardedCached(g, opts, cache)
+	}
+	b.ReportMetric(float64(m.CacheHits), "hits")
+	b.ReportMetric(float64(m.CacheMisses), "misses")
+}
+
 // BenchmarkMicro_ScoreNode_Mid measures the Algorithm 5 scorer as the
 // serving layer runs it: one op scores a fixed set of 512 vertices spread
 // over the repo benchmark's mid archipelago (4,210 vertices, 360 values,
 // ~22k a-stars) against the model a server publishes for it.
 func BenchmarkMicro_ScoreNode_Mid(b *testing.B) {
-	cfg := dataset.BenchIslands()
-	cfg.MinNodes, cfg.MaxNodes = 250, 500
-	g := dataset.IslandsWithEdgeSeeds(cfg, nil)
+	g := midIslands(0)
 	scorer := cspm.NewScorer(cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, nil), g)
 	const nVerts = 512
 	verts := make([]cspm.VertexID, nVerts)

@@ -2,10 +2,13 @@
 //
 // CSPM stores the positions (vertex identifiers) of every inverted-database
 // line as an intset. The merge step of the miner is dominated by position-set
-// intersections, so the representation is a plain sorted slice: intersection
-// and difference run as linear merges with no allocation beyond the result,
-// and the iteration order is deterministic, which keeps mining runs
-// reproducible.
+// intersections, so a set has two representations. Set, the canonical one, is
+// a sorted slice: intersection and difference run as linear or galloping
+// merges with no allocation beyond the result, and the iteration order is
+// deterministic, which keeps mining runs reproducible. Bitmap is a dense
+// fixed-width mirror for small id universes, on which the counting kernels
+// reduce to AND + popcount; it only ever answers counts, always the same
+// counts as the Set kernels.
 package intset
 
 import (

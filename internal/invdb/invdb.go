@@ -8,7 +8,9 @@
 // Gain evaluation is the miner's hot path and is allocation-free in steady
 // state: lines are indexed with compact sorted slices (lineIndex), the
 // fused intset kernels avoid materialising intersections, and per-call
-// buffers live in EvalScratch arenas (see DESIGN.md).
+// buffers live in EvalScratch arenas (see DESIGN.md). Small DBs also give
+// every line a bitmap of its positions and price x·log2(x) terms from a
+// per-DB table (DESIGN.md "Bitmap position sets and the XLogX table").
 package invdb
 
 import (
@@ -32,6 +34,7 @@ type Line struct {
 	Core CoresetID
 	Leaf LeafsetID
 	Pos  intset.Set
+	bits intset.Bitmap // Pos as a bitmap while the owning DB has one (bmWords > 0)
 }
 
 // FL returns the line frequency fL.
@@ -66,7 +69,24 @@ type DB struct {
 	applyX      []*Line
 	applyY      []*Line
 	applyInter  intset.Set
+
+	// Dense evaluation state: per-line position bitmaps and the XLogX
+	// table. Both are owned by the DB and die with it.
+	bmWords int             // bitmap width in words; 0 = sorted-slice path
+	bmSlab  []uint64        // unused tail of the current bitmap slab
+	bmFree  []intset.Bitmap // bitmaps of removed lines, reused first
+	xlx     []float64       // xlx[n] = mdl.XLogX(float64(n)), n ≤ max f_c at build
 }
+
+// maxBitmapUniverse bounds the position universe (largest position id + 1)
+// of a DB whose lines carry bitmaps: 1024 ids, 16 words per line. The mid
+// archipelago's component shards (at most 500 ids) sit below it; DBLP-sized
+// or unsharded graphs sit far above it and keep the sorted-slice kernels.
+const maxBitmapUniverse = 1024
+
+// bitmapSlabLines is the minimum number of line bitmaps a slab refill
+// carves at once.
+const bitmapSlabLines = 64
 
 // StandardTable returns the ST the DB was built with.
 func (db *DB) StandardTable() *mdl.StandardTable { return db.st }
@@ -206,20 +226,7 @@ type neighborhood interface {
 // ids for adjacency lookups (nil = identity, the unsharded case). The shard
 // constructors pass a remapping so position sets stay dense per shard.
 func build(g neighborhood, st *mdl.StandardTable, content [][]graph.AttrID, positions []intset.Set, globalOf []graph.VertexID) *DB {
-	db := &DB{
-		st:          st,
-		coreContent: content,
-		coreCode:    make([]float64, len(content)),
-		corePos:     positions,
-		coreFreq:    make([]int, len(content)),
-		leafsets:    NewLeafsetTable(),
-		byCore:      make([]lineIndex[LeafsetID], len(content)),
-		byLeaf:      make(map[LeafsetID]*lineIndex[CoresetID]),
-		scratch:     NewEvalScratch(),
-	}
-	for c := range content {
-		db.coreCode[c] = st.SetLen(content[c])
-	}
+	db := newDB(st, content, positions)
 	// Initial lines: for every coreset position v and every attribute value l
 	// on a neighbour of v, v is a position of line (coreset, {l}).
 	lineBuf := make(map[uint64][]uint32)
@@ -250,20 +257,128 @@ func build(g neighborhood, st *mdl.StandardTable, content [][]graph.AttrID, posi
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	db.reserveBitmaps(len(keys))
 	for _, key := range keys {
 		c := CoresetID(key >> 32)
 		l := graph.AttrID(uint32(key))
 		ls := db.leafsets.Single(l)
 		db.insertLine(&Line{Core: c, Leaf: ls, Pos: intset.FromSorted(lineBuf[key])})
 	}
+	db.finish()
+	return db
+}
+
+// newDB allocates an empty DB over a coreset space. Every line's positions
+// are a subset of its coreset's, so corePos bounds the position universe,
+// and newDB is where the bitmap width is decided for every constructor.
+func newDB(st *mdl.StandardTable, content [][]graph.AttrID, corePos []intset.Set) *DB {
+	db := &DB{
+		st:          st,
+		coreContent: content,
+		coreCode:    make([]float64, len(content)),
+		corePos:     corePos,
+		coreFreq:    make([]int, len(content)),
+		leafsets:    NewLeafsetTable(),
+		byCore:      make([]lineIndex[LeafsetID], len(content)),
+		byLeaf:      make(map[LeafsetID]*lineIndex[CoresetID]),
+		scratch:     NewEvalScratch(),
+		bmWords:     bitmapWords(corePos),
+	}
+	for c := range content {
+		db.coreCode[c] = st.SetLen(content[c])
+	}
+	return db
+}
+
+// bitmapWords returns the bitmap width, in 64-bit words, for a DB whose
+// positions are drawn from corePos: enough words for its position universe,
+// or 0 (the sorted-slice path) when that universe is empty or exceeds
+// maxBitmapUniverse.
+func bitmapWords(corePos []intset.Set) int {
+	universe := 0
+	for _, s := range corePos {
+		if n := len(s); n > 0 && int(s[n-1]) >= universe {
+			universe = int(s[n-1]) + 1
+		}
+	}
+	if universe > maxBitmapUniverse {
+		return 0
+	}
+	return (universe + 63) / 64
+}
+
+// finish completes construction once the initial lines are in: it builds
+// the XLogX table up to the largest coreset frequency — merges never raise
+// one, so every count the DB later prices is covered — and freezes the
+// baseline DL.
+func (db *DB) finish() {
+	maxFreq := 0
+	for _, f := range db.coreFreq {
+		maxFreq = max(maxFreq, f)
+	}
+	db.xlx = make([]float64, maxFreq+1)
+	for n := range db.xlx {
+		db.xlx[n] = mdl.XLogX(float64(n))
+	}
 	db.dataDL, db.modelDL = db.recomputeDL()
 	db.baseDL = db.dataDL + db.modelDL
-	return db
+}
+
+// xlogx returns mdl.XLogX(float64(n)), from the table when n is in it.
+func (db *DB) xlogx(n int) float64 {
+	if uint(n) < uint(len(db.xlx)) {
+		return db.xlx[n]
+	}
+	return xlogxSlow(n)
+}
+
+// xlogxSlow is xlogx's fallback past the table. It stays out of line so
+// xlogx itself inlines into the gain arithmetic.
+//
+//go:noinline
+func xlogxSlow(n int) float64 { return mdl.XLogX(float64(n)) }
+
+// reserveBitmaps replaces the bitmap slab with a fresh one for n lines.
+// Constructors call it with their initial line count, so every initial
+// bitmap comes from one allocation.
+func (db *DB) reserveBitmaps(n int) {
+	if db.bmWords > 0 {
+		db.bmSlab = make([]uint64, n*db.bmWords)
+	}
+}
+
+// newBitmap returns a bitmap for a new line: a removed line's if one is
+// free, otherwise the next bmWords words of the slab, refilled in chunks.
+func (db *DB) newBitmap() intset.Bitmap {
+	if n := len(db.bmFree); n > 0 {
+		b := db.bmFree[n-1]
+		db.bmFree = db.bmFree[:n-1]
+		return b
+	}
+	w := db.bmWords
+	if len(db.bmSlab) < w {
+		db.reserveBitmaps(max(bitmapSlabLines, db.numLines/8))
+	}
+	b := intset.Bitmap(db.bmSlab[:w:w])
+	db.bmSlab = db.bmSlab[w:]
+	return b
+}
+
+// setPos replaces ln's positions, keeping its bitmap in step.
+func (db *DB) setPos(ln *Line, pos intset.Set) {
+	ln.Pos = pos
+	if ln.bits != nil {
+		ln.bits.Load(pos)
+	}
 }
 
 // insertLine registers a line in both indexes and the frequency tally. It
 // does not touch the DL accumulators.
 func (db *DB) insertLine(ln *Line) {
+	if db.bmWords > 0 {
+		ln.bits = db.newBitmap()
+		ln.bits.Load(ln.Pos)
+	}
 	db.byCore[ln.Core].insert(ln.Leaf, ln)
 	ix := db.byLeaf[ln.Leaf]
 	if ix == nil {
@@ -275,9 +390,13 @@ func (db *DB) insertLine(ln *Line) {
 	db.numLines++
 }
 
-// removeLine unregisters a line from both indexes. The caller has already
-// accounted its positions in coreFreq.
+// removeLine unregisters a line from both indexes and frees its bitmap for
+// reuse. The caller has already accounted its positions in coreFreq.
 func (db *DB) removeLine(ln *Line) {
+	if ln.bits != nil {
+		db.bmFree = append(db.bmFree, ln.bits)
+		ln.bits = nil
+	}
 	db.byCore[ln.Core].remove(ln.Leaf)
 	ix := db.byLeaf[ln.Leaf]
 	ix.remove(ln.Core)
@@ -297,10 +416,10 @@ func (db *DB) recomputeDL() (data, model float64) {
 	// slices provide that order directly.
 	for c := range db.byCore {
 		ix := &db.byCore[c]
-		data += mdl.XLogX(float64(db.coreFreq[c]))
+		data += db.xlogx(db.coreFreq[c])
 		for _, ln := range ix.lines {
 			model += db.coreCode[c]
-			data -= mdl.XLogX(float64(ln.FL()))
+			data -= db.xlogx(ln.FL())
 		}
 	}
 	leafIDs := make([]LeafsetID, 0, len(db.byLeaf))
@@ -373,6 +492,7 @@ func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 	zID, zExists := db.lookupUnion(x, y, sc)
 	zIsX := zExists && zID == x
 	zIsY := zExists && zID == y
+	dense := db.bmWords > 0
 
 	var dataGain, modelGain float64
 	removedX, removedY, zLinesAdded := 0, 0, 0
@@ -384,11 +504,17 @@ func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 		if zExists && !zIsX && !zIsY {
 			lnz = db.byCore[e].m[zID]
 		}
+		// Fused kernels: |x∩y|, plus |(x∩y)\z| when a z-line exists, in one
+		// unmaterialised pass over the bitmaps or the sorted slices.
 		var xye, zDiff int
-		if lnz != nil {
-			// Fused kernel: |x∩y| and |(x∩y)\z| in one unmaterialised pass.
+		switch {
+		case lnz != nil && dense:
+			xye, zDiff = lnx.bits.AndAndNotCount(lny.bits, lnz.bits)
+		case lnz != nil:
 			xye, zDiff = intset.IntersectCountAndDiffCount(lnx.Pos, lny.Pos, lnz.Pos)
-		} else {
+		case dense:
+			xye = lnx.bits.AndCount(lny.bits)
+		default:
 			xye = lnx.Pos.IntersectCount(lny.Pos)
 		}
 		if xye == 0 {
@@ -396,26 +522,27 @@ func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 		}
 		ev.CoOccurs++
 		xe, ye := lnx.FL(), lny.FL()
-		fe := float64(db.coreFreq[e])
+		fe := db.coreFreq[e]
 
+		// Every count is an integer, so the table terms equal mdl.XLogX's.
 		var oldTerms, newTerms float64
-		var feAfter float64
+		var feAfter int
 		var removed, added int
 		switch {
 		case zIsY:
 			// x ⊂ y: the union is y itself; only the x-line sheds overlap.
-			oldTerms = mdl.XLogX(float64(xe)) + mdl.XLogX(float64(ye))
-			newTerms = mdl.XLogX(float64(xe-xye)) + mdl.XLogX(float64(ye))
-			feAfter = fe - float64(xye)
+			oldTerms = db.xlogx(xe) + db.xlogx(ye)
+			newTerms = db.xlogx(xe-xye) + db.xlogx(ye)
+			feAfter = fe - xye
 			if xe == xye {
 				removed++
 				removedX++
 			}
 		case zIsX:
 			// y ⊂ x: symmetric.
-			oldTerms = mdl.XLogX(float64(xe)) + mdl.XLogX(float64(ye))
-			newTerms = mdl.XLogX(float64(xe)) + mdl.XLogX(float64(ye-xye))
-			feAfter = fe - float64(xye)
+			oldTerms = db.xlogx(xe) + db.xlogx(ye)
+			newTerms = db.xlogx(xe) + db.xlogx(ye-xye)
+			feAfter = fe - xye
 			if ye == xye {
 				removed++
 				removedY++
@@ -426,9 +553,9 @@ func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 				zeBefore = lnz.FL()
 				zeAfter = zeBefore + zDiff
 			}
-			oldTerms = mdl.XLogX(float64(xe)) + mdl.XLogX(float64(ye)) + mdl.XLogX(float64(zeBefore))
-			newTerms = mdl.XLogX(float64(xe-xye)) + mdl.XLogX(float64(ye-xye)) + mdl.XLogX(float64(zeAfter))
-			feAfter = fe - float64(2*xye) + float64(zeAfter-zeBefore)
+			oldTerms = db.xlogx(xe) + db.xlogx(ye) + db.xlogx(zeBefore)
+			newTerms = db.xlogx(xe-xye) + db.xlogx(ye-xye) + db.xlogx(zeAfter)
+			feAfter = fe - 2*xye + (zeAfter - zeBefore)
 			if xe == xye {
 				removed++
 				removedX++
@@ -442,7 +569,7 @@ func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 				zLinesAdded++
 			}
 		}
-		dataGain += (mdl.XLogX(fe) - mdl.XLogX(feAfter)) + (newTerms - oldTerms)
+		dataGain += (db.xlogx(fe) - db.xlogx(feAfter)) + (newTerms - oldTerms)
 		modelGain += float64(removed-added) * db.coreCode[e]
 	}
 	// Walk the shared coresets. Balanced index sizes take the linear
@@ -626,14 +753,13 @@ func (db *DB) ApplyMerge(x, y LeafsetID) MergeResult {
 			continue
 		}
 		res.Shared = append(res.Shared, e)
-		feBefore := float64(db.coreFreq[e])
-		dataDelta := -mdl.XLogX(feBefore)
+		dataDelta := -db.xlogx(db.coreFreq[e])
 		modelDelta := 0.0
 
 		update := func(ln *Line, newPos intset.Set) {
 			db.coreFreq[e] += newPos.Len() - ln.FL()
-			dataDelta += mdl.XLogX(float64(ln.FL())) - mdl.XLogX(float64(newPos.Len()))
-			ln.Pos = newPos
+			dataDelta += db.xlogx(ln.FL()) - db.xlogx(newPos.Len())
+			db.setPos(ln, newPos)
 			if ln.FL() == 0 {
 				db.removeLine(ln)
 				modelDelta += db.coreCode[e]
@@ -651,15 +777,15 @@ func (db *DB) ApplyMerge(x, y LeafsetID) MergeResult {
 			if lnz := db.byCore[e].get(z); lnz != nil {
 				newPos := lnz.Pos.Union(inter)
 				db.coreFreq[e] += newPos.Len() - lnz.FL()
-				dataDelta += mdl.XLogX(float64(lnz.FL())) - mdl.XLogX(float64(newPos.Len()))
-				lnz.Pos = newPos
+				dataDelta += db.xlogx(lnz.FL()) - db.xlogx(newPos.Len())
+				db.setPos(lnz, newPos)
 			} else {
 				db.insertLine(&Line{Core: e, Leaf: z, Pos: inter.Clone()})
-				dataDelta -= mdl.XLogX(float64(xye))
+				dataDelta -= db.xlogx(xye)
 				modelDelta -= db.coreCode[e]
 			}
 		}
-		dataDelta += mdl.XLogX(float64(db.coreFreq[e]))
+		dataDelta += db.xlogx(db.coreFreq[e])
 		db.dataDL += dataDelta
 		db.modelDL -= modelDelta // modelDelta accumulated as gain; DL moves opposite
 	}

@@ -3,6 +3,7 @@ package invdb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cspm/internal/graph"
@@ -200,7 +201,7 @@ func checkConsistency(t *testing.T, db *DB) {
 	lines := 0
 	for c := range db.byCore {
 		ix := &db.byCore[c]
-		checkIndex(t, ix)
+		checkIndex(t, db, ix)
 		sum := 0
 		for ls, ln := range ix.m {
 			if ln.FL() == 0 {
@@ -226,7 +227,7 @@ func checkConsistency(t *testing.T, db *DB) {
 		if ix.size() == 0 {
 			t.Errorf("leafset %d has empty coreset index", ls)
 		}
-		checkIndex(t, ix)
+		checkIndex(t, db, ix)
 		for c, ln := range ix.m {
 			if db.byCore[c].get(ls) != ln {
 				t.Errorf("byCore missing line (%d,%d)", c, ls)
@@ -236,8 +237,10 @@ func checkConsistency(t *testing.T, db *DB) {
 }
 
 // checkIndex asserts the lineIndex invariants: ids strictly ascending,
-// slices parallel, and id→line agreement between map and slices.
-func checkIndex[K ~int32](t *testing.T, ix *lineIndex[K]) {
+// slices parallel, and id→line agreement between map and slices. On a DB
+// with bitmaps it also asserts every indexed line's bitmap is exactly the
+// bitmap of its Pos.
+func checkIndex[K ~int32](t *testing.T, db *DB, ix *lineIndex[K]) {
 	t.Helper()
 	if len(ix.ids) != len(ix.lines) || len(ix.ids) != len(ix.m) {
 		t.Errorf("index size mismatch: ids=%d lines=%d map=%d", len(ix.ids), len(ix.lines), len(ix.m))
@@ -249,6 +252,15 @@ func checkIndex[K ~int32](t *testing.T, ix *lineIndex[K]) {
 		}
 		if ix.m[id] != ix.lines[i] {
 			t.Errorf("index slice/map disagree at id %d", id)
+		}
+		if db.bmWords == 0 {
+			continue
+		}
+		ln := ix.lines[i]
+		want := make(intset.Bitmap, db.bmWords)
+		want.Load(ln.Pos)
+		if !slices.Equal(ln.bits, want) {
+			t.Errorf("line (%d,%d) bitmap %#x, want %#x for Pos %v", ln.Core, ln.Leaf, ln.bits, want, ln.Pos)
 		}
 	}
 }

@@ -221,27 +221,16 @@ type RawLine struct {
 }
 
 // FromLineSet reconstructs a DB around an explicit line set. coreContent and
-// corePos describe the full coreset space (global ids); lines' leafsets are
-// interned in canonical (core, leaf) order so ids — and every downstream
-// tie-break — are a pure function of the input. Duplicate (core, leaf)
+// corePos describe the full coreset space (global ids), and every line's
+// positions must be a subset of its coreset's, as they are in any mined
+// database. Lines' leafsets are interned in canonical (core, leaf) order so
+// ids — and every downstream tie-break — are a pure function of the input. Duplicate (core, leaf)
 // entries (edge-cut shards splitting one line) are folded by position union.
 // The DB's BaselineDL freezes at the reconstructed state; callers tracking a
 // pre-merge baseline must carry it separately.
 func FromLineSet(st *mdl.StandardTable, coreContent [][]graph.AttrID, corePos []intset.Set, lines []RawLine) *DB {
-	db := &DB{
-		st:          st,
-		coreContent: coreContent,
-		coreCode:    make([]float64, len(coreContent)),
-		corePos:     corePos,
-		coreFreq:    make([]int, len(coreContent)),
-		leafsets:    NewLeafsetTable(),
-		byCore:      make([]lineIndex[LeafsetID], len(coreContent)),
-		byLeaf:      make(map[LeafsetID]*lineIndex[CoresetID]),
-		scratch:     NewEvalScratch(),
-	}
-	for c := range coreContent {
-		db.coreCode[c] = st.SetLen(coreContent[c])
-	}
+	db := newDB(st, coreContent, corePos)
+	db.reserveBitmaps(len(lines))
 	sort.Slice(lines, func(i, j int) bool {
 		if lines[i].Core != lines[j].Core {
 			return lines[i].Core < lines[j].Core
@@ -262,7 +251,6 @@ func FromLineSet(st *mdl.StandardTable, coreContent [][]graph.AttrID, corePos []
 		ls := db.leafsets.Intern(append([]graph.AttrID(nil), ln.Leaf...))
 		db.insertLine(&Line{Core: ln.Core, Leaf: ls, Pos: pos})
 	}
-	db.dataDL, db.modelDL = db.recomputeDL()
-	db.baseDL = db.dataDL + db.modelDL
+	db.finish()
 	return db
 }

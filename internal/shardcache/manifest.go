@@ -50,15 +50,25 @@ type Manifest struct {
 // ManifestVersion is the current manifest schema version.
 const ManifestVersion = 1
 
-// PersistManifest flushes every resident entry to dir (like Persist) and
-// then commits m — with m.Blobs filled from the written bytes — as
-// dir/MANIFEST via fsync'd temp file + rename, making the manifest a durable
-// commit point. Entry failures are non-fatal and aggregated exactly as in
-// Persist (failed entries are simply absent from m.Blobs); a manifest write
+// PersistManifest flushes every entry resident in memory to dir as a blob
+// (creating dir if needed) and then commits m — with m.Blobs filled from
+// the written bytes — as dir/MANIFEST via fsync'd temp file + rename, making
+// the manifest a durable commit point. A memory-only cache can be flushed
+// this way and re-opened later with Open for a warm start; a dir-backed
+// cache flushing to its own directory rewrites its blobs with identical
+// bytes. Entry failures are non-fatal: the rest still persist, the
+// PersistErrors stat counts them, they are absent from m.Blobs, and their
+// aggregated error is returned after the manifest commits. A manifest write
 // failure is fatal, since without the commitment the checkpoint must not be
 // trusted.
 func (c *Cache) PersistManifest(dir string, m *Manifest) error {
-	sums, perr := c.persistEntries(dir, true)
+	if dir == "" {
+		return fmt.Errorf("shardcache: empty persist directory")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("shardcache: %w", err)
+	}
+	sums, perr := c.persistEntries(dir)
 	m.Version = ManifestVersion
 	m.Blobs = sums
 	data, err := json.MarshalIndent(m, "", "  ")

@@ -105,7 +105,7 @@ func TestQuarantineDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Persist(dir); err != nil {
+	if err := c.PersistManifest(dir, &Manifest{}); err != nil {
 		t.Fatal(err)
 	}
 	// Non-blob files are untouched by the sweep.
@@ -131,7 +131,8 @@ func TestQuarantineDir(t *testing.T) {
 
 // TestPersistAggregatesPerEntryErrors: one unwritable entry must not abort
 // the flush — every other entry persists, the error names the failure count,
-// and the PersistErrors stat records it.
+// the PersistErrors stat records it, and the manifest commits only the
+// healthy blobs.
 func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 	dir := t.TempDir()
 	c := New(0)
@@ -146,9 +147,10 @@ func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, blocked), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Persist(dir)
+	man := &Manifest{}
+	err := c.PersistManifest(dir, man)
 	if err == nil || !strings.Contains(err.Error(), "1 of 3 entries failed to persist") {
-		t.Fatalf("Persist over a blocked entry = %v, want the aggregated count", err)
+		t.Fatalf("PersistManifest over a blocked entry = %v, want the aggregated count", err)
 	}
 	if got := c.Stats().PersistErrors; got != 1 {
 		t.Fatalf("PersistErrors stat = %d, want 1", got)
@@ -165,11 +167,6 @@ func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 	}
 	if persisted != 2 {
 		t.Fatalf("persisted %d healthy entries, want 2", persisted)
-	}
-	// The failed entry is absent from a manifest's blob commitments too.
-	man := &Manifest{}
-	if err := c.PersistManifest(dir, man); err == nil {
-		t.Fatal("PersistManifest over a blocked entry reported success")
 	}
 	if _, listed := man.Blobs[blocked]; listed || len(man.Blobs) != 2 {
 		t.Fatalf("manifest lists %d blobs (blocked listed=%v), want 2 healthy", len(man.Blobs), listed)

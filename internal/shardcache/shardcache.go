@@ -202,32 +202,15 @@ func (c *Cache) Put(k Key, e *Entry) error {
 	return nil
 }
 
-// Persist writes every entry currently resident in memory as a blob under
-// dir (creating it if needed), using the same atomic one-gob-blob-per-key
-// format as the disk layer (temp file + rename, so a crash mid-write leaves
-// either the old blob or none) — a memory-only cache can be flushed at
-// shutdown and re-opened later with Open for a warm start. Entries already
-// on disk are rewritten with identical bytes, which makes Persist an
-// idempotent no-op-equivalent for a dir-backed cache flushing to its own
-// directory. A failed entry is non-fatal: the rest still persist, the
-// failure count feeds the PersistErrors stat, and the aggregated error of
-// every failed entry is returned.
-func (c *Cache) Persist(dir string) error {
-	_, err := c.persistEntries(dir, false)
-	return err
-}
-
-// persistEntries is the shared flush path behind Persist and
-// PersistManifest. When withSums is set it returns each written blob's
-// SHA-256 (hex) keyed by file name; failed entries are counted, skipped in
-// the sums, and aggregated into the returned error.
-func (c *Cache) persistEntries(dir string, withSums bool) (map[string]string, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("shardcache: empty persist directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("shardcache: %w", err)
-	}
+// persistEntries writes every entry currently resident in memory as a blob
+// under the existing directory dir, in the atomic one-gob-blob-per-key
+// format of the disk layer (temp file + rename, so a crash mid-write leaves
+// either the old blob or none), and returns each written blob's SHA-256
+// (hex) keyed by file name. Entries already on disk are rewritten with
+// identical bytes. A failed entry is non-fatal: the rest still persist, the
+// failure is counted in the PersistErrors stat, skipped in the sums, and
+// aggregated into the returned error.
+func (c *Cache) persistEntries(dir string) (map[string]string, error) {
 	// Snapshot the resident set under the mutex, write outside it: entries
 	// are shared read-only once admitted, so encoding unlocked is safe and
 	// concurrent lookups never stall behind the flush.
@@ -238,10 +221,7 @@ func (c *Cache) persistEntries(dir string, withSums bool) (map[string]string, er
 		snapshot[le.key] = le.entry
 	}
 	c.mu.Unlock()
-	var sums map[string]string
-	if withSums {
-		sums = make(map[string]string, len(snapshot))
-	}
+	sums := make(map[string]string, len(snapshot))
 	var errs []error
 	for k, e := range snapshot {
 		blob, err := encodeEntry(e)
@@ -252,10 +232,8 @@ func (c *Cache) persistEntries(dir string, withSums bool) (map[string]string, er
 			errs = append(errs, err)
 			continue
 		}
-		if withSums {
-			sum := sha256.Sum256(blob)
-			sums[k.filename()] = hex.EncodeToString(sum[:])
-		}
+		sum := sha256.Sum256(blob)
+		sums[k.filename()] = hex.EncodeToString(sum[:])
 	}
 	if len(errs) > 0 {
 		c.mu.Lock()

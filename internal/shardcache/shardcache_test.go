@@ -190,11 +190,11 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := mem.Persist(""); err == nil {
-		t.Fatal("Persist accepted an empty directory")
+	if err := mem.PersistManifest("", &Manifest{}); err == nil {
+		t.Fatal("PersistManifest accepted an empty directory")
 	}
-	dir := filepath.Join(t.TempDir(), "nested", "cache") // Persist must mkdir
-	if err := mem.Persist(dir); err != nil {
+	dir := filepath.Join(t.TempDir(), "nested", "cache") // PersistManifest must mkdir
+	if err := mem.PersistManifest(dir, &Manifest{}); err != nil {
 		t.Fatal(err)
 	}
 	blobs, err := filepath.Glob(filepath.Join(dir, "*.gob"))
@@ -224,7 +224,7 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.Persist(dir); err != nil {
+	if err := warm.PersistManifest(dir, &Manifest{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(blobs[0])
