@@ -276,8 +276,7 @@ func BenchmarkAblation_DataGainOnly(b *testing.B) {
 // must beat the Unsharded row. On a single-core runner the margin comes from
 // smaller per-shard search structures (heaps, dictionaries, dedup sets) and
 // from not oversubscribing evaluation goroutines; with real cores the
-// concurrent shard searches widen it. The EdgeCut row exercises the fallback
-// on a connected graph and reports the refinement's share as a metric.
+// concurrent shard searches widen it.
 
 const shardedBenchWorkers = 8
 
@@ -301,19 +300,6 @@ func benchSharded(b *testing.B, shards int) {
 
 func BenchmarkSharded_Components_S4W8(b *testing.B)  { benchSharded(b, 4) }
 func BenchmarkSharded_Components_S12W8(b *testing.B) { benchSharded(b, 12) }
-
-func BenchmarkSharded_EdgeCut_USFlight_S4W8(b *testing.B) {
-	g := dataset.USFlight(1)
-	b.ResetTimer()
-	var refine float64
-	for i := 0; i < b.N; i++ {
-		m := cspm.MineSharded(g, cspm.Options{
-			Shards: 4, Workers: shardedBenchWorkers, ShardStrategy: cspm.ShardEdgeCut,
-		})
-		refine = m.RefinementGain
-	}
-	b.ReportMetric(refine, "refinement-bits")
-}
 
 // --- Distributed shards (DESIGN.md "Distributed shard exchange") ------------
 // The loopback-distributed scenario: the same archipelago as the Sharded

@@ -1,9 +1,9 @@
 // Cached-mining contract tests. MineShardedCached promises the same
-// bit-identical-to-Mine(g) contract as the component shard strategy for
-// EVERY cache state — cold, partially warm, fully warm, disk-reloaded, or
-// fed with entries from unrelated graphs — because replayed results are pure
-// functions of the cached line multisets and dirty groups re-mine through
-// the ordinary shard path (see DESIGN.md "Shard-result cache").
+// bit-identical-to-Mine(g) contract as MineSharded for EVERY cache state —
+// cold, partially warm, fully warm, disk-reloaded, or fed with entries from
+// unrelated graphs — because replayed results are pure functions of the
+// cached line multisets and dirty groups re-mine through the ordinary shard
+// path (see DESIGN.md "Shard-result cache").
 package cspm_test
 
 import (
@@ -168,8 +168,8 @@ func TestMinerFacade(t *testing.T) {
 	}
 
 	// nil cache mines through a private ephemeral cache: same bit-identical
-	// contract (even on graphs where MineSharded would pick edge-cut), every
-	// group a miss, nothing reused.
+	// contract (on a one-group graph too), every group a miss, nothing
+	// reused.
 	direct := cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, nil)
 	assertShardedMatchesMine(t, "nilcache", direct, want)
 	if direct.CacheHits != 0 || direct.CacheMisses != islands {

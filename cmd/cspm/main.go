@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	cspm [-variant partial|basic] [-multicore] [-shards K] [-shard-strategy auto|components|edgecut]
+//	cspm [-variant partial|basic] [-multicore] [-shards K]
 //	     [-cache] [-cache-dir DIR] [-remote host:port,...] [-remote-timeout D] [-remote-retries N]
 //	     [-remote-no-fallback] [-top N] [-stats] [-multileaf] graph.txt
 //
@@ -27,8 +27,7 @@ func main() {
 	flag.IntVar(&cfg.Top, "top", 50, "print at most this many patterns (0 = all)")
 	flag.BoolVar(&cfg.Stats, "stats", false, "print per-run statistics")
 	flag.BoolVar(&cfg.MultiOnly, "multileaf", false, "print only patterns with ≥2 leaf values")
-	flag.IntVar(&cfg.Shards, "shards", 0, "mine sharded, at most this many component groups at once (edgecut: this many regions; 0/1 = unsharded)")
-	flag.StringVar(&cfg.ShardStrategy, "shard-strategy", "auto", "shard partitioning: auto, components or edgecut")
+	flag.IntVar(&cfg.Shards, "shards", 0, "mine sharded, at most this many component groups at once (0/1 = unsharded)")
 	flag.BoolVar(&cfg.Cache, "cache", false, "mine incrementally through a shard-result cache")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "persist shard results under this directory (implies -cache)")
 	flag.StringVar(&cfg.Remote, "remote", "", "mine over these comma-separated cspm-worker addresses")

@@ -77,27 +77,12 @@ type (
 	Variant = icspm.Variant
 	// IterationStat records one merge iteration (Fig. 5 series).
 	IterationStat = icspm.IterationStat
-	// ShardStrategy selects how MineSharded partitions the graph.
-	ShardStrategy = icspm.ShardStrategy
 )
 
 // Re-exported variant constants.
 const (
 	Partial = icspm.Partial
 	Basic   = icspm.Basic
-)
-
-// Re-exported shard strategies.
-const (
-	// ShardAuto picks components when the graph decomposes, edge-cut
-	// otherwise.
-	ShardAuto = icspm.ShardAuto
-	// ShardComponents shards by attribute-closed component groups; the
-	// merged model is bit-identical to Mine's.
-	ShardComponents = icspm.ShardComponents
-	// ShardEdgeCut cuts one entangled component into balanced regions,
-	// then refines sequentially across the cut.
-	ShardEdgeCut = icspm.ShardEdgeCut
 )
 
 // Mine runs CSPM-Partial with single-value coresets — the parameter-free
@@ -110,13 +95,11 @@ func MineWithOptions(g *Graph, opts Options) *Model {
 	return icspm.MineWithOptions(g, opts)
 }
 
-// MineSharded partitions g into shards mined concurrently and merges the
-// per-shard models with exact description-length accounting. Under the
-// default component strategy every attribute-closed component group is one
-// shard run and the result is bit-identical to Mine(g) while wall time drops
-// with shard parallelism; Options.Shards bounds how many groups mine at once
-// (the region count under the edge-cut strategy) and Options.ShardStrategy
-// picks the partitioning.
+// MineSharded partitions g into its attribute-closed component groups, mines
+// them concurrently and merges the per-group models with exact
+// description-length accounting. The result is bit-identical to Mine(g)
+// while wall time drops with shard parallelism; Options.Shards bounds how
+// many groups mine at once. A graph with one group mines unsharded.
 func MineSharded(g *Graph, opts Options) *Model {
 	return icspm.MineSharded(g, opts)
 }
@@ -147,7 +130,7 @@ func OpenShardCache(capacity int, dir string) (*ShardCache, error) {
 	return shardcache.Open(capacity, dir)
 }
 
-// MineShardedCached mines g like MineSharded's component strategy but
+// MineShardedCached mines g like MineSharded but
 // replays component groups whose fingerprints hit in cache, re-mining only
 // dirty groups. The result is bit-identical to Mine(g) for every cache
 // state (with MineSharded's caveat that Options.MaxIterations caps each

@@ -90,20 +90,11 @@ func TestShardedDeterminism(t *testing.T) {
 			}
 		}
 	}
-	// The edge-cut fallback must be worker-deterministic too.
-	flights := dataset.USFlight(1)
-	ref := cspm.MineSharded(flights, cspm.Options{CollectStats: true, Shards: 4, Workers: 1})
-	got := cspm.MineSharded(flights, cspm.Options{CollectStats: true, Shards: 4, Workers: 8})
-	assertIdenticalModels(t, "usflight/edgecut", ref, got)
-	if !sameBits(ref.RefinementGain, got.RefinementGain) {
-		t.Fatalf("refinement gain differs across worker counts: %v vs %v",
-			ref.RefinementGain, got.RefinementGain)
-	}
 }
 
 func TestInvalidOptionsPanic(t *testing.T) {
 	g := experiments.MiniGraph(1)
-	for _, opts := range []cspm.Options{{Workers: -1}, {MaxIterations: -3}, {Shards: -2}, {ShardStrategy: cspm.ShardStrategy(7)}} {
+	for _, opts := range []cspm.Options{{Workers: -1}, {MaxIterations: -3}, {Shards: -2}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -54,27 +54,21 @@ type MineConfig struct {
 	Top       int
 	Stats     bool
 	MultiOnly bool
-	// Shards > 1 mines through cspm.MineSharded: under the component
-	// strategy every attribute-closed group is its own shard run and Shards
-	// bounds how many run at once; under edgecut the graph is cut into
-	// Shards regions. Setting ShardStrategy to "components" or "edgecut"
-	// also opts into sharded mining (with an automatic bound when Shards is
-	// 0). Shards ≤ 1 with ShardStrategy empty or "auto" mines unsharded.
-	// Incompatible with MultiCore.
-	Shards        int
-	ShardStrategy string
+	// Shards > 1 mines through cspm.MineSharded: every attribute-closed
+	// group is its own shard run and Shards bounds how many run at once.
+	// Shards ≤ 1 mines unsharded. Incompatible with MultiCore.
+	Shards int
 	// Cache mines through cspm.MineShardedCached with a shard-result cache
 	// (in-memory unless CacheDir names a directory to persist shard blobs
 	// under; CacheDir implies Cache). A single cspm invocation only benefits
 	// with CacheDir, where warm entries survive across runs. Incompatible
-	// with MultiCore and with the edgecut shard strategy (cached mining is
-	// component-grained).
+	// with MultiCore.
 	Cache    bool
 	CacheDir string
 	// Remote mines through cspm.MineDistributed over the comma-separated
 	// cspm-worker addresses ("" = local mining). Like the cache it is
-	// component-grained, so it is incompatible with MultiCore and the
-	// edgecut strategy; it composes with Cache/CacheDir (hits skip the
+	// component-grained, so it is incompatible with MultiCore; it composes
+	// with Cache/CacheDir (hits skip the
 	// workers). RemoteTimeout bounds each job attempt, RemoteRetries the
 	// re-submissions before local fallback, and RemoteNoFallback turns
 	// exhausted jobs into errors instead of mining them locally.
@@ -103,20 +97,6 @@ func parseRemoteAddrs(s string) ([]string, error) {
 	return addrs, nil
 }
 
-// parseShardStrategy maps the flag spelling to the miner's constant.
-func parseShardStrategy(s string) (cspm.ShardStrategy, error) {
-	switch s {
-	case "", "auto":
-		return cspm.ShardAuto, nil
-	case "components":
-		return cspm.ShardComponents, nil
-	case "edgecut":
-		return cspm.ShardEdgeCut, nil
-	default:
-		return 0, fmt.Errorf("unknown shard strategy %q (want auto, components or edgecut)", s)
-	}
-}
-
 // Mine reads a graph from r, mines it per cfg, and writes the ranked
 // patterns to w.
 func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
@@ -125,10 +105,6 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 	// surface as instant usage errors, never as silent behaviour changes,
 	// panics, or errors minutes into a graph load.
 	logger, err := cfg.Log.Logger(os.Stderr)
-	if err != nil {
-		return err
-	}
-	strategy, err := parseShardStrategy(cfg.ShardStrategy)
 	if err != nil {
 		return err
 	}
@@ -143,16 +119,13 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 	if cfg.Top < 0 {
 		return fmt.Errorf("-top must be >= 0, got %d", cfg.Top)
 	}
-	sharded := cfg.Shards > 1 || strategy != cspm.ShardAuto
+	sharded := cfg.Shards > 1
 	if sharded && cfg.MultiCore {
 		return fmt.Errorf("-multicore cannot be combined with sharded mining (multi-value coresets are mined globally)")
 	}
 	cached := cfg.Cache || cfg.CacheDir != ""
 	if cached && cfg.MultiCore {
 		return fmt.Errorf("-multicore cannot be combined with the shard cache (multi-value coresets are mined globally)")
-	}
-	if cached && strategy == cspm.ShardEdgeCut {
-		return fmt.Errorf("-shard-strategy edgecut cannot be combined with the shard cache (cached mining is component-grained)")
 	}
 	remote := cfg.Remote != ""
 	var workerAddrs []string
@@ -162,9 +135,6 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 		}
 		if cfg.MultiCore {
 			return fmt.Errorf("-multicore cannot be combined with -remote (multi-value coresets are mined globally)")
-		}
-		if strategy == cspm.ShardEdgeCut {
-			return fmt.Errorf("-shard-strategy edgecut cannot be combined with -remote (distributed mining is component-grained)")
 		}
 	} else if cfg.RemoteTimeout != 0 || cfg.RemoteRetries != 0 || cfg.RemoteNoFallback {
 		return fmt.Errorf("-remote-timeout, -remote-retries and -remote-no-fallback require -remote")
@@ -177,7 +147,7 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 	}
 	shardOpts := cspm.Options{
 		Variant: variant, CollectStats: true,
-		Shards: cfg.Shards, ShardStrategy: strategy,
+		Shards: cfg.Shards,
 	}
 	if err := shardOpts.Validate(); err != nil {
 		return err
@@ -243,7 +213,7 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 			model.BaselineDL, model.FinalDL, model.CompressionRatio())
 		fmt.Fprintf(w, "# iterations: %d, gain evaluations: %d\n", model.Iterations, model.GainEvals)
 		if model.ShardCount > 0 {
-			fmt.Fprintf(w, "# shards: %d, refinement gain: %.1f bits\n", model.ShardCount, model.RefinementGain)
+			fmt.Fprintf(w, "# shards: %d\n", model.ShardCount)
 		}
 		if model.CacheHits+model.CacheMisses > 0 {
 			fmt.Fprintf(w, "# cache: %d hits, %d misses, %d evictions\n",

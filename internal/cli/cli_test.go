@@ -94,27 +94,16 @@ func TestMineSharded(t *testing.T) {
 	if !strings.Contains(sharded.String(), "# shards: 2") {
 		t.Fatalf("shard header missing:\n%s", sharded.String())
 	}
-	// Same patterns, same DLs: the component strategy is exact, so only the
-	// extra shard header line may differ.
-	trim := func(s string) string { return strings.ReplaceAll(s, "# shards: 2, refinement gain: 0.0 bits\n", "") }
+	// Same patterns, same DLs: sharded mining is exact, so only the extra
+	// shard header line may differ.
+	trim := func(s string) string { return strings.ReplaceAll(s, "# shards: 2\n", "") }
 	if trim(sharded.String()) != unsharded.String() {
 		t.Fatalf("sharded output diverged:\n%s\nvs\n%s", sharded.String(), unsharded.String())
 	}
 	for _, cfg := range []MineConfig{
-		{Shards: 2, ShardStrategy: "edgecut"},
-		{Shards: 2, ShardStrategy: "components"},
-		{ShardStrategy: "components"},
-	} {
-		if err := Mine(strings.NewReader(twoIslandText), &bytes.Buffer{}, cfg); err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-	}
-	for _, cfg := range []MineConfig{
-		{Shards: 2, ShardStrategy: "bogus"},
-		{Shards: 1, ShardStrategy: "bogus"},       // strategy validated even when unsharded
-		{Shards: 2, MultiCore: true},              // unsupported combination
-		{Shards: 2, Variant: "bogus"},             // variant validated on the sharded path
-		{Shards: -2, ShardStrategy: "components"}, // must error, not panic
+		{Shards: 2, MultiCore: true},  // unsupported combination
+		{Shards: 2, Variant: "bogus"}, // variant validated on the sharded path
+		{Shards: -2},                  // must error, not panic
 	} {
 		if err := Mine(strings.NewReader(twoIslandText), &bytes.Buffer{}, cfg); err == nil {
 			t.Fatalf("invalid config %+v accepted", cfg)
@@ -178,18 +167,15 @@ func (r failingReader) Read([]byte) (int, error) {
 func TestMineValidatesBeforeLoad(t *testing.T) {
 	for _, cfg := range []MineConfig{
 		{Variant: "bogus"},
-		{ShardStrategy: "bogus"},
 		{Top: -1},
 		{Shards: -2},
 		{Cache: true, MultiCore: true},
 		{CacheDir: "/dev/null/not-a-dir", MultiCore: true}, // combination rejected before dir open
-		{Cache: true, ShardStrategy: "edgecut"},
-		{CacheDir: "/dev/null/not-a-dir"}, // unusable cache dir rejected pre-load
-		{Remote: "not-an-address"},        // no port
-		{Remote: "host:1,"},               // trailing empty worker
-		{Remote: "host:1, ,host:2"},       // blank worker in the middle
+		{CacheDir: "/dev/null/not-a-dir"},                  // unusable cache dir rejected pre-load
+		{Remote: "not-an-address"},                         // no port
+		{Remote: "host:1,"},                                // trailing empty worker
+		{Remote: "host:1, ,host:2"},                        // blank worker in the middle
 		{Remote: "host:1", MultiCore: true},
-		{Remote: "host:1", ShardStrategy: "edgecut"},
 		{Remote: "host:1", RemoteRetries: -1},
 		{Remote: "host:1", RemoteTimeout: -time.Second},
 		{RemoteRetries: 2},                   // remote knobs require -remote

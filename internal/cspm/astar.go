@@ -64,12 +64,9 @@ type IterationStat struct {
 	Gain          float64 // realised DL reduction of the applied merge
 	TotalDL       float64 // DL after the merge
 	// Shard is the shard that applied the merge: in a component-grained run
-	// the index of its group among the run's dirty groups, in an edge-cut
-	// run the region (-1 for the refinement pass), 0 in unsharded runs.
+	// the index of its group among the run's dirty groups, 0 in unsharded
+	// runs.
 	Shard int
-	// Refinement marks merges applied by the sequential refinement pass of
-	// the edge-cut strategy; their summed Gain is Model.RefinementGain.
-	Refinement bool
 }
 
 // Model is the output of a mining run: the a-stars ordered by ascending code
@@ -89,11 +86,8 @@ type Model struct {
 	// number of component groups a component-grained run mined (0 when
 	// every group replayed from cache — check CacheHits to tell that apart
 	// from an unsharded run, which reports 0 on all three cache counters),
-	// or the region count of an edge-cut run.
+	// or 1 when MineSharded fell back to the unsharded search.
 	ShardCount int
-	// RefinementGain is the DL reduction realised by the sequential
-	// refinement pass of the edge-cut shard strategy (0 elsewhere).
-	RefinementGain float64
 
 	// CacheHits/CacheMisses count the component groups a MineShardedCached
 	// run replayed from, respectively re-mined into, its shard cache (both 0

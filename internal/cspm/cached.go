@@ -64,9 +64,7 @@ func searchFingerprint(opts Options) graph.Fingerprint {
 // concurrently (0 = all cores) and Options.Workers is the total evaluation
 // budget, exactly as in MineSharded. Options.MaxIterations caps each group's
 // merges independently — like MineSharded and unlike Mine's single global
-// cap, so capped runs match MineSharded, not Mine. Options.ShardStrategy is
-// ignored: cached mining is always component-grained (the edge-cut strategy
-// has no stable per-group unit to key). A nil cache mines through a private
+// cap, so capped runs match MineSharded, not Mine. A nil cache mines through a private
 // ephemeral cache, so the result contract is identical — only the reuse is
 // lost. It panics if opts fails Validate.
 func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *Model {
@@ -103,8 +101,8 @@ func MineShardedCachedObserved(g *graph.Graph, opts DistributedOptions, observe 
 // counters) on m. A non-nil error aborts the run.
 type groupExecutor func(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error
 
-// mineGroups is the one component-mining pipeline behind MineSharded's
-// component strategy, MineShardedCached and MineDistributed: partition g
+// mineGroups is the one component-mining pipeline behind MineSharded,
+// MineShardedCached and MineDistributed: partition g
 // into attribute-closed groups and fingerprint them, diff them against
 // cache, hand the dirty groups to exec and store their entries, then fold
 // the diagnostics and merge every group's entry with the canonical DL
@@ -190,7 +188,7 @@ func (o Options) mineLocal(g *graph.Graph, st *mdl.StandardTable, members [][]gr
 			Iterations: sh.stats.iterations, GainEvals: sh.stats.gainEvals,
 		}
 		if o.CollectStats {
-			appendPerIter(m, sh.stats.perIter, i, false)
+			appendPerIter(m, sh.stats.perIter, i)
 		}
 	}
 	return nil

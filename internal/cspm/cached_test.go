@@ -156,7 +156,6 @@ func TestMineShardedCachedValidates(t *testing.T) {
 	for _, opts := range []Options{
 		{Shards: -1},
 		{Workers: -1},
-		{ShardStrategy: ShardStrategy(99)},
 	} {
 		func() {
 			defer func() {

@@ -183,8 +183,7 @@ func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts
 // Options.MaxIterations caps each group's merges independently (the
 // MineSharded/MineShardedCached semantics, not Mine's global cap) and
 // per-iteration traces (Model.PerIter) are not collected — entries carry
-// only the iteration totals. Like MineShardedCached, mining is always
-// component-grained; Options.ShardStrategy is ignored.
+// only the iteration totals.
 func MineDistributed(g *graph.Graph, opts DistributedOptions) (*Model, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

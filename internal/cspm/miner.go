@@ -57,21 +57,13 @@ type Options struct {
 	// bit-identical regardless of the worker count. MineSharded treats
 	// Workers as the TOTAL budget and splits it across shards.
 	Workers int
-	// Shards bounds sharded mining: component-grained runs (MineSharded's
-	// component strategy, MineShardedCached, MineDistributed) mine one shard
-	// per attribute-closed group with at most Shards running at once, and
-	// the edge-cut strategy cuts the graph into Shards regions. 0 (the
-	// default) resolves to GOMAXPROCS; in MineSharded a resolved count of 1
-	// degenerates to the unsharded search; negative values are rejected by
-	// Validate. Mine, MineWithOptions and MineDB ignore it. Under the
-	// component strategy results are identical for every value; under the
-	// edge-cut fallback the cut — and so the mined model — depends on the
-	// count, so pin Shards explicitly when edge-cut output must be
-	// reproducible across machines.
+	// Shards bounds sharded mining: MineSharded, MineShardedCached and
+	// MineDistributed mine one shard per attribute-closed group with at most
+	// Shards running at once. 0 (the default) resolves to GOMAXPROCS; in
+	// MineSharded a resolved count of 1 degenerates to the unsharded search;
+	// negative values are rejected by Validate. Mine, MineWithOptions and
+	// MineDB ignore it. Results are identical for every value.
 	Shards int
-	// ShardStrategy selects how MineSharded partitions the graph; see the
-	// ShardStrategy constants. Ignored outside MineSharded.
-	ShardStrategy ShardStrategy
 }
 
 // Validate sanity-checks options.
@@ -84,9 +76,6 @@ func (o Options) Validate() error {
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("cspm: Shards must be >= 0, got %d", o.Shards)
-	}
-	if o.ShardStrategy < ShardAuto || o.ShardStrategy > ShardEdgeCut {
-		return fmt.Errorf("cspm: unknown ShardStrategy %d", o.ShardStrategy)
 	}
 	return nil
 }
@@ -476,29 +465,23 @@ func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult,
 	}
 }
 
-// minePartial is Algorithms 3–4: seed candidates once, then after each merge
-// only (1) remove candidates of totally merged leafsets, (2) evaluate the
-// new leafset against the leafsets co-occurring with it, and (3) refresh
-// pairs touching partially merged leafsets.
-func minePartial(db *invdb.DB, opts Options, st *runStats) {
-	s := newSearchState()
-	s.seed(db, opts)
-	merges := 0
-	// Distinct pairs whose gain was evaluated since the last committed
-	// merge; Fig. 5's update ratio counts each pair once per iteration.
-	evaled := make(map[uint64]struct{})
-	for opts.MaxIterations == 0 || merges < opts.MaxIterations {
+// step is one iteration of Algorithm 3: pop the best candidate, apply it and
+// refresh the candidates it affected (Algorithm 4). It returns the applied
+// merge and true, or false when no candidate compresses any more. note, when
+// non-nil, observes every pair key whose gain was evaluated.
+func (s *searchState) step(db *invdb.DB, opts Options, note func(uint64)) (invdb.MergeResult, bool) {
+	for {
 		x, y, _, ok := s.cands.PopMax()
 		if !ok {
-			return
+			return invdb.MergeResult{}, false
 		}
-		n := db.NumActiveLeafsets()
-		possible := n * (n - 1) / 2
 		// Gains of pairs untouched by a merge can only shrink (their shared
 		// coreset frequencies fall), so the stored gain is an upper bound.
 		// Re-evaluate lazily on pop and re-queue if another pair now leads —
 		// this recovers the exact greedy order without eager refreshes.
-		evaled[pairKey(x, y)] = struct{}{}
+		if note != nil {
+			note(pairKey(x, y))
+		}
 		g := evalGain(db, opts, x, y)
 		if g <= 0 {
 			s.rd.removePair(x, y)
@@ -508,17 +491,35 @@ func minePartial(db *invdb.DB, opts Options, st *runStats) {
 			s.cands.Set(x, y, g)
 			continue
 		}
+		// A positive gain implies the pair co-occurs, so the merge shares at
+		// least one coreset.
 		s.rd.removePair(x, y)
 		res := db.ApplyMerge(x, y)
-		if len(res.Shared) == 0 {
-			st.record(db, len(evaled), possible, 0)
-			clear(evaled)
-			merges++
-			continue
+		s.refresh(db, opts, res, note)
+		return res, true
+	}
+}
+
+// minePartial is Algorithms 3–4: seed candidates once, then after each merge
+// only (1) remove candidates of totally merged leafsets, (2) evaluate the
+// new leafset against the leafsets co-occurring with it, and (3) refresh
+// pairs touching partially merged leafsets.
+func minePartial(db *invdb.DB, opts Options, st *runStats) {
+	s := newSearchState()
+	s.seed(db, opts)
+	// Distinct pairs whose gain was evaluated since the last committed
+	// merge; Fig. 5's update ratio counts each pair once per iteration.
+	evaled := make(map[uint64]struct{})
+	note := func(k uint64) { evaled[k] = struct{}{} }
+	for merges := 0; opts.MaxIterations == 0 || merges < opts.MaxIterations; merges++ {
+		// Popping leaves the active leafsets alone, so the count before the
+		// step is the count at the applied merge's iteration start.
+		n := db.NumActiveLeafsets()
+		res, ok := s.step(db, opts, note)
+		if !ok {
+			return
 		}
-		s.refresh(db, opts, res, func(k uint64) { evaled[k] = struct{}{} })
-		st.record(db, len(evaled), possible, res.Gain)
+		st.record(db, len(evaled), n*(n-1)/2, res.Gain)
 		clear(evaled)
-		merges++
 	}
 }

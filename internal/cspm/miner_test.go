@@ -274,19 +274,11 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{Shards: -1}).Validate(); err == nil {
 		t.Fatal("negative Shards accepted")
 	}
-	if err := (Options{ShardStrategy: ShardStrategy(3)}).Validate(); err == nil {
-		t.Fatal("out-of-range ShardStrategy accepted")
-	}
-	if err := (Options{ShardStrategy: ShardStrategy(-1)}).Validate(); err == nil {
-		t.Fatal("negative ShardStrategy accepted")
-	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []ShardStrategy{ShardAuto, ShardComponents, ShardEdgeCut} {
-		if err := (Options{Shards: 4, ShardStrategy: s}).Validate(); err != nil {
-			t.Fatalf("valid strategy %v rejected: %v", s, err)
-		}
+	if err := (Options{Shards: 4}).Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // good enough — every prefix of the merge sequence is a valid lossless
 // model). Construct with NewStepper, call Step until it returns false, and
 // read Snapshot for the current model at any point. Step applies exactly the
-// merges MineWithOptions would, in the same order.
+// merges MineWithOptions would, in the same order, and stops after
+// Options.MaxIterations merges when that cap is set.
 type Stepper struct {
 	db    *invdb.DB
 	vocab *graph.Vocab
@@ -36,41 +37,26 @@ func NewStepper(g *graph.Graph, opts Options) *Stepper {
 }
 
 // Step applies the next best merge. It returns the realised merge result
-// and true, or a zero result and false when nothing compresses any more.
+// and true, or a zero result and false when nothing compresses any more or
+// Options.MaxIterations merges have been applied.
 func (s *Stepper) Step() (StepResult, bool) {
 	if s.doneC {
 		return StepResult{}, false
 	}
-	for {
-		x, y, _, ok := s.state.cands.PopMax()
-		if !ok {
-			s.doneC = true
-			return StepResult{}, false
-		}
-		g := evalGain(s.db, s.opts, x, y)
-		if g <= 0 {
-			s.state.rd.removePair(x, y)
-			continue
-		}
-		if top, live := s.state.cands.PeekGain(); live && g < top-1e-12 {
-			s.state.cands.Set(x, y, g)
-			continue
-		}
-		s.state.rd.removePair(x, y)
-		res := s.db.ApplyMerge(x, y)
-		if len(res.Shared) == 0 {
-			continue
-		}
-		s.state.refresh(s.db, s.opts, res, nil)
-		s.merges++
-		out := StepResult{
-			Merges:  s.merges,
-			Gain:    res.Gain,
-			TotalDL: s.db.TotalDL(),
-		}
-		out.NewLeafset = append(out.NewLeafset, s.db.Leafsets().Values(res.New)...)
-		return out, true
+	res, ok := s.state.step(s.db, s.opts, nil)
+	if !ok {
+		s.doneC = true
+		return StepResult{}, false
 	}
+	s.merges++
+	s.doneC = s.merges == s.opts.MaxIterations
+	out := StepResult{
+		Merges:  s.merges,
+		Gain:    res.Gain,
+		TotalDL: s.db.TotalDL(),
+	}
+	out.NewLeafset = append(out.NewLeafset, s.db.Leafsets().Values(res.New)...)
+	return out, true
 }
 
 // StepResult describes one applied merge.
@@ -81,7 +67,8 @@ type StepResult struct {
 	NewLeafset []graph.AttrID // content of the merged leafset
 }
 
-// Done reports whether the search is exhausted.
+// Done reports whether the search is exhausted or has applied
+// Options.MaxIterations merges.
 func (s *Stepper) Done() bool { return s.doneC }
 
 // TotalDL returns the current description length from the search's

@@ -184,12 +184,20 @@ func TestUnionCollisionWithExistingLine(t *testing.T) {
 		content[v] = []graph.AttrID{graph.AttrID(v)}
 	}
 	corePos[c] = intset.New(0, 1, 2, 3, 4, 5)
-	lines := []RawLine{
-		{Core: CoresetID(c), Leaf: []graph.AttrID{a}, Pos: intset.New(0, 1, 2, 3)},
-		{Core: CoresetID(c), Leaf: []graph.AttrID{b}, Pos: intset.New(1, 2, 3, 5)},
-		{Core: CoresetID(c), Leaf: []graph.AttrID{min(a, b), max(a, b)}, Pos: intset.New(3, 4)},
+	db := newDB(mdl.NewStandardTable(g), content, corePos)
+	lines := []struct {
+		leaf []graph.AttrID
+		pos  intset.Set
+	}{
+		{[]graph.AttrID{a}, intset.New(0, 1, 2, 3)},
+		{[]graph.AttrID{b}, intset.New(1, 2, 3, 5)},
+		{[]graph.AttrID{min(a, b), max(a, b)}, intset.New(3, 4)},
 	}
-	db := FromLineSet(mdl.NewStandardTable(g), content, corePos, lines)
+	db.reserveBitmaps(len(lines))
+	for _, ln := range lines {
+		db.insertLine(&Line{Core: CoresetID(c), Leaf: db.leafsets.Intern(ln.leaf), Pos: ln.pos})
+	}
+	db.finish()
 	if db.bmWords != 1 {
 		t.Fatalf("bitmap width %d, want 1 word", db.bmWords)
 	}

@@ -172,32 +172,12 @@ func (db *DB) TotalDL() float64 { return db.dataDL + db.modelDL }
 // merge; compression ratios are measured against it.
 func (db *DB) BaselineDL() float64 { return db.baseDL }
 
-// SingleValueCoresets builds the single-core-value coreset space of g: one
-// coreset per attribute value, firing at the vertices carrying it (ascending
-// order). Shared by FromGraph and the sharded miner's edge-cut reassembly so
-// the coreset-space construction cannot drift between them.
-func SingleValueCoresets(g *graph.Graph) (content [][]graph.AttrID, positions []intset.Set) {
-	nA := g.NumAttrValues()
-	content = make([][]graph.AttrID, nA)
-	positions = make([]intset.Set, nA)
-	posBuf := make([][]uint32, nA)
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, a := range g.Attrs(graph.VertexID(v)) {
-			posBuf[a] = append(posBuf[a], uint32(v))
-		}
-	}
-	for a := 0; a < nA; a++ {
-		content[a] = []graph.AttrID{graph.AttrID(a)}
-		positions[a] = intset.FromSorted(posBuf[a]) // built in ascending v order
-	}
-	return content, positions
-}
-
 // FromGraph builds the single-core-value inverted database of g: one coreset
 // per attribute value, one initial line per (core value, leaf value) pair
 // with the core-vertex positions where they are adjacent (paper Fig. 2).
 func FromGraph(g *graph.Graph) *DB {
-	content, positions := SingleValueCoresets(g)
+	content, positions := singleValueCoresets(g.NumAttrValues(), g.NumVertices(),
+		func(v int) []graph.AttrID { return g.Attrs(graph.VertexID(v)) })
 	return build(g, mdl.NewStandardTable(g), content, positions, nil)
 }
 

@@ -27,22 +27,22 @@ import (
 // (sorted ascending global vertex ids), using the provided standard table —
 // typically the GLOBAL table, which shard gains must price against. Line
 // positions are local indexes into verts; only shard vertices generate
-// lines, but leafsets are drawn from the GLOBAL adjacency, so boundary
-// vertices of an edge-cut shard contribute their attribute values to their
-// neighbours' lines without being replicated into the shard.
+// lines, but leafsets are drawn from the GLOBAL adjacency. For the
+// attribute-closed component groups the miner shards by, no edge leaves
+// verts, so the shard's lines are exactly the global lines of its vertices.
 func FromGraphShard(g *graph.Graph, st *mdl.StandardTable, verts []graph.VertexID) *DB {
-	content, positions := singleValueShardCoresets(g.NumAttrValues(), len(verts),
+	content, positions := singleValueCoresets(g.NumAttrValues(), len(verts),
 		func(li int) []graph.AttrID { return g.Attrs(verts[li]) })
 	return build(g, st, content, positions, verts)
 }
 
-// singleValueShardCoresets inverts per-local-vertex attribute lists into the
-// single-value coreset space of a shard: one coreset per GLOBAL attribute
-// value, firing at the local vertices carrying it (ascending li, so the
-// position sets are sorted). Shared by FromGraphShard and FromShardData —
-// the local/remote bit-identity contract depends on both feeding build the
-// same inversion, so there is exactly one copy of it.
-func singleValueShardCoresets(nA, n int, attrsOf func(li int) []graph.AttrID) (content [][]graph.AttrID, positions []intset.Set) {
+// singleValueCoresets inverts per-vertex attribute lists into the
+// single-value coreset space: one coreset per GLOBAL attribute value, firing
+// at the (local) vertices carrying it (ascending li, so the position sets
+// are sorted). Shared by FromGraph, FromGraphShard and FromShardData — the
+// local/remote bit-identity contract depends on every constructor feeding
+// build the same inversion, so there is exactly one copy of it.
+func singleValueCoresets(nA, n int, attrsOf func(li int) []graph.AttrID) (content [][]graph.AttrID, positions []intset.Set) {
 	posBuf := make([][]uint32, nA)
 	for li := 0; li < n; li++ {
 		for _, a := range attrsOf(li) {
@@ -77,7 +77,7 @@ func (d shardData) Attrs(v graph.VertexID) []graph.AttrID       { return d.attrs
 // result is identical to FromGraphShard(g, st, verts): both feed build the
 // same positions, neighbour order and attribute values, in the same order.
 func FromShardData(st *mdl.StandardTable, nA int, attrs [][]graph.AttrID, adj [][]graph.VertexID) *DB {
-	content, positions := singleValueShardCoresets(nA, len(attrs),
+	content, positions := singleValueCoresets(nA, len(attrs),
 		func(li int) []graph.AttrID { return attrs[li] })
 	return build(shardData{attrs: attrs, adj: adj}, st, content, positions, nil)
 }
@@ -106,10 +106,10 @@ func (db *DB) AppendLineStats(dst []LineStat) []LineStat {
 
 // NormalizeLineStats returns a copy of stats sorted into the canonical
 // (coreset id, leafset content) order with duplicate (core, leaf) entries
-// folded by summing their frequencies — duplicates arise when edge-cut
-// shards split one global line's positions. The input is left untouched, so
-// passing the same slice through several canonical computations is safe.
-// The result is a pure function of the input multiset.
+// folded by summing their frequencies, so a multiset that lists one line
+// under several entries prices like its folded form. The input is left
+// untouched, so passing the same slice through several canonical
+// computations is safe. The result is a pure function of the input multiset.
 func NormalizeLineStats(stats []LineStat) []LineStat {
 	stats = append([]LineStat(nil), stats...)
 	sort.Slice(stats, func(i, j int) bool {
@@ -208,49 +208,4 @@ func CanonicalSummary(st *mdl.StandardTable, coreCode func(CoresetID) float64, s
 // association; bit-stable across merge interleavings).
 func (db *DB) CanonicalDL() (data, model float64) {
 	return CanonicalDL(db.st, db.CoreCodeLen, db.AppendLineStats(nil))
-}
-
-// RawLine is one line of an explicit line set: coreset, leafset content
-// (sorted global attribute ids) and global position set. It is the exchange
-// format of the edge-cut merge step, which reassembles a global database
-// from per-shard mined lines.
-type RawLine struct {
-	Core CoresetID
-	Leaf []graph.AttrID
-	Pos  intset.Set
-}
-
-// FromLineSet reconstructs a DB around an explicit line set. coreContent and
-// corePos describe the full coreset space (global ids), and every line's
-// positions must be a subset of its coreset's, as they are in any mined
-// database. Lines' leafsets are interned in canonical (core, leaf) order so
-// ids — and every downstream tie-break — are a pure function of the input. Duplicate (core, leaf)
-// entries (edge-cut shards splitting one line) are folded by position union.
-// The DB's BaselineDL freezes at the reconstructed state; callers tracking a
-// pre-merge baseline must carry it separately.
-func FromLineSet(st *mdl.StandardTable, coreContent [][]graph.AttrID, corePos []intset.Set, lines []RawLine) *DB {
-	db := newDB(st, coreContent, corePos)
-	db.reserveBitmaps(len(lines))
-	sort.Slice(lines, func(i, j int) bool {
-		if lines[i].Core != lines[j].Core {
-			return lines[i].Core < lines[j].Core
-		}
-		return graph.CompareAttrs(lines[i].Leaf, lines[j].Leaf) < 0
-	})
-	for i := 0; i < len(lines); {
-		ln := lines[i]
-		pos := ln.Pos
-		j := i + 1
-		for ; j < len(lines) && lines[j].Core == ln.Core && graph.CompareAttrs(lines[j].Leaf, ln.Leaf) == 0; j++ {
-			pos = pos.Union(lines[j].Pos)
-		}
-		i = j
-		if pos.Len() == 0 {
-			continue
-		}
-		ls := db.leafsets.Intern(append([]graph.AttrID(nil), ln.Leaf...))
-		db.insertLine(&Line{Core: ln.Core, Leaf: ls, Pos: pos})
-	}
-	db.finish()
-	return db
 }

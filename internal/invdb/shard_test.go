@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cspm/internal/graph"
-	"cspm/internal/intset"
 	"cspm/internal/mdl"
 )
 
@@ -124,51 +123,6 @@ func TestNormalizeLineStatsFoldsDuplicates(t *testing.T) {
 	}
 	if out[2].Core != 2 || out[2].FL != 7 {
 		t.Fatalf("duplicate not folded: %+v", out[2])
-	}
-}
-
-func TestFromLineSetReconstructsDB(t *testing.T) {
-	g := islands(t)
-	src := FromGraph(g)
-	st := src.StandardTable()
-	var lines []RawLine
-	for c := 0; c < src.NumCoresets(); c++ {
-		ids := src.LeafsetIDsOf(CoresetID(c))
-		for _, ls := range ids {
-			ln := src.CoresetsOf(ls)[CoresetID(c)]
-			lines = append(lines, RawLine{
-				Core: CoresetID(c),
-				Leaf: src.Leafsets().Values(ls),
-				Pos:  ln.Pos.Clone(),
-			})
-		}
-	}
-	content := make([][]graph.AttrID, src.NumCoresets())
-	pos := make([]intset.Set, src.NumCoresets())
-	for c := range content {
-		content[c] = src.CoreValues(CoresetID(c))
-		pos[c] = src.CorePositions(CoresetID(c))
-	}
-	re := FromLineSet(st, content, pos, lines)
-	if re.NumLines() != src.NumLines() {
-		t.Fatalf("line counts differ: %d vs %d", re.NumLines(), src.NumLines())
-	}
-	rd, rm := re.CanonicalDL()
-	sd, sm := src.CanonicalDL()
-	if math.Float64bits(rd) != math.Float64bits(sd) || math.Float64bits(rm) != math.Float64bits(sm) {
-		t.Fatalf("reconstructed DL (%v,%v) != source (%v,%v)", rd, rm, sd, sm)
-	}
-	// Split one line's positions across two RawLines: FromLineSet must fold.
-	split := append([]RawLine(nil), lines...)
-	first := split[0]
-	if first.Pos.Len() >= 2 {
-		half := first.Pos.Len() / 2
-		split[0] = RawLine{Core: first.Core, Leaf: first.Leaf, Pos: first.Pos[:half].Clone()}
-		split = append(split, RawLine{Core: first.Core, Leaf: first.Leaf, Pos: first.Pos[half:].Clone()})
-		re2 := FromLineSet(st, content, pos, split)
-		if re2.NumLines() != src.NumLines() {
-			t.Fatalf("split lines not folded: %d vs %d", re2.NumLines(), src.NumLines())
-		}
 	}
 }
 

@@ -503,14 +503,7 @@ func TestFleetTraceEndToEnd(t *testing.T) {
 	}
 
 	// The re-mine that folded the batch left a stage profile behind.
-	var rms ReminesResponse
-	if err := json.Unmarshal(readBytes(t, lhs.URL+"/v2/graphs/prod/debug/remines"), &rms); err != nil {
-		t.Fatal(err)
-	}
-	if len(rms.Remines) == 0 {
-		t.Fatal("leader /debug/remines is empty after a fold")
-	}
-	prof := rms.Remines[0]
+	prof := awaitRemineProfile(t, lhs.URL+"/v2/graphs/prod/debug/remines")
 	if prof.Generation != 2 || prof.Batches != 1 || prof.Error != "" {
 		t.Fatalf("newest re-mine profile = %+v, want generation 2 covering 1 batch", prof)
 	}
@@ -550,14 +543,7 @@ func TestRemineProfileSpansLocalAndDistributed(t *testing.T) {
 			if err := s.Flush(ctxShort(t)); err != nil {
 				t.Fatal(err)
 			}
-			var rms ReminesResponse
-			if err := json.Unmarshal(readBytes(t, hs.URL+"/v2/graphs/prod/debug/remines"), &rms); err != nil {
-				t.Fatal(err)
-			}
-			if len(rms.Remines) == 0 {
-				t.Fatal("/debug/remines is empty after a flushed re-mine")
-			}
-			prof := rms.Remines[0]
+			prof := awaitRemineProfile(t, hs.URL+"/v2/graphs/prod/debug/remines")
 			if prof.Error != "" {
 				t.Fatalf("re-mine failed: %s", prof.Error)
 			}
@@ -572,6 +558,21 @@ func TestRemineProfileSpansLocalAndDistributed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// awaitRemineProfile polls a /debug/remines URL until it lists a profile and
+// returns the newest. A durable re-mine adds its profile only after the
+// checkpoint it times, which can land after Flush has already returned.
+func awaitRemineProfile(t *testing.T, url string) RemineProfileJSON {
+	t.Helper()
+	var rms ReminesResponse
+	within(t, 5*time.Second, "a re-mine profile at "+url, func() bool {
+		if err := json.Unmarshal(readBytes(t, url), &rms); err != nil {
+			t.Fatal(err)
+		}
+		return len(rms.Remines) > 0
+	})
+	return rms.Remines[0]
 }
 
 // jsonNumber renders a uint64 for a URL path.

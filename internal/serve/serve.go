@@ -38,10 +38,8 @@ import (
 // paper's parameter-free search, local re-mining and immediate
 // (uncoalesced) re-mine triggering.
 type Options struct {
-	// Mining are the search options every re-mine runs with. ShardEdgeCut
-	// is rejected: serving re-mines are component-grained (the cache and
-	// the distributed fan-out have no stable per-group unit under edge
-	// cuts), exactly like MineShardedCached.
+	// Mining are the search options every re-mine runs with. Re-mines are
+	// component-grained, exactly like MineShardedCached.
 	Mining icspm.Options
 	// Dir is the tenant directory; "" serves memory-only. Set, the server
 	// is durable: a mutation batch is acknowledged only after it is fsync'd
@@ -162,9 +160,6 @@ func retryDelay(base, max time.Duration, failures uint64) time.Duration {
 func (o Options) Validate() error {
 	if err := o.Mining.Validate(); err != nil {
 		return err
-	}
-	if o.Mining.ShardStrategy == icspm.ShardEdgeCut {
-		return fmt.Errorf("serve: ShardEdgeCut cannot be served (re-mining is component-grained)")
 	}
 	if o.RemoteRetries < 0 {
 		return fmt.Errorf("serve: RemoteRetries must be >= 0, got %d", o.RemoteRetries)

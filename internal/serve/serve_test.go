@@ -364,7 +364,6 @@ func TestOptionsValidate(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"edgecut strategy", Options{Mining: icspm.Options{ShardStrategy: icspm.ShardEdgeCut}}},
 		{"negative retries", Options{RemoteRetries: -1}},
 		{"negative timeout", Options{RemoteTimeout: -time.Second}},
 		{"negative debounce", Options{Debounce: -time.Second}},

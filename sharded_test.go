@@ -1,14 +1,13 @@
-// Sharded-mining contract tests. The component strategy promises models
-// bit-identical to Mine(g) — same DLs to the last bit, same merge count,
-// same pattern list — for any shard count, because attribute-closed
-// component groups make per-shard gains exactly the global ones and the
-// canonical DL order makes reporting independent of merge interleaving (see
-// DESIGN.md "Sharded mining"). The edge-cut fallback promises a valid
-// compressing model with exact baseline accounting, not bit-equality.
+// Sharded-mining contract tests. MineSharded promises models bit-identical
+// to Mine(g) — same DLs to the last bit, same merge count, same pattern
+// list — for any shard count, because attribute-closed component groups
+// make per-shard gains exactly the global ones and the canonical DL order
+// makes reporting independent of merge interleaving (see DESIGN.md "Sharded
+// mining"). A graph with one group mines unsharded.
 package cspm_test
 
 import (
-	"math"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,7 +40,7 @@ func assertShardedMatchesMine(t *testing.T, name string, got, want *cspm.Model) 
 	}
 }
 
-// TestShardedEquivalence is the property test of the exact strategy: across
+// TestShardedEquivalence is the property test of the sharded contract: across
 // randomized multi-component graphs, MineSharded equals Mine bit-for-bit at
 // every shard count.
 func TestShardedEquivalence(t *testing.T) {
@@ -76,49 +75,19 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedEdgeCut covers the fallback on a single entangled component:
-// the baseline must still be exact (it is a pure function of the initial
-// lines), the model must compress, and the refinement pass must be
-// reported.
-func TestShardedEdgeCut(t *testing.T) {
+// TestShardedEquivalenceOneComponent pins the one-group case: a graph
+// that does not decompose mines the exact model unsharded, whatever the
+// shard bound.
+func TestShardedEquivalenceOneComponent(t *testing.T) {
 	g := dataset.USFlight(1)
 	want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-	got := cspm.MineSharded(g, cspm.Options{CollectStats: true, Shards: 4})
-	if got.ShardCount != 4 {
-		t.Fatalf("ShardCount = %d, want 4", got.ShardCount)
-	}
-	if !sameBits(got.BaselineDL, want.BaselineDL) {
-		t.Fatalf("edge-cut BaselineDL %v != Mine's %v", got.BaselineDL, want.BaselineDL)
-	}
-	if got.FinalDL >= got.BaselineDL {
-		t.Fatalf("edge-cut did not compress: %v >= %v", got.FinalDL, got.BaselineDL)
-	}
-	// Greedy paths may differ across the cut, but not wildly: the sharded
-	// model must land within 2% of the monolithic one, baseline-relative.
-	if rel := math.Abs(got.FinalDL-want.FinalDL) / want.BaselineDL; rel > 0.02 {
-		t.Fatalf("edge-cut diverged by %.2f%% of baseline", 100*rel)
-	}
-	if got.RefinementGain < 0 {
-		t.Fatalf("refinement increased DL by %v bits", -got.RefinementGain)
-	}
-	refined := 0
-	for _, it := range got.PerIter {
-		if it.Refinement {
-			refined++
-			if it.Shard != -1 {
-				t.Fatalf("refinement iteration carries shard id %d", it.Shard)
-			}
+	for _, shards := range []int{0, 4} {
+		got := cspm.MineSharded(g, cspm.Options{CollectStats: true, Shards: shards})
+		name := fmt.Sprintf("usflight/shards%d", shards)
+		assertShardedMatchesMine(t, name, got, want)
+		if got.ShardCount != 1 {
+			t.Fatalf("%s: ShardCount = %d, want 1", name, got.ShardCount)
 		}
-	}
-	if got.RefinementGain > 0 && refined == 0 {
-		t.Fatal("refinement gain reported without refinement iterations")
-	}
-	// Forcing the strategy on a multi-component graph also works: the
-	// cut simply never crosses a component.
-	ig := dataset.Islands(dataset.DefaultIslands())
-	forced := cspm.MineSharded(ig, cspm.Options{CollectStats: true, Shards: 4, ShardStrategy: cspm.ShardEdgeCut})
-	if forced.FinalDL > forced.BaselineDL {
-		t.Fatal("forced edge-cut expanded DL")
 	}
 }
 
@@ -138,8 +107,6 @@ func TestMineShardedValidates(t *testing.T) {
 	g := experiments.MiniGraph(1)
 	for _, opts := range []cspm.Options{
 		{Shards: -1},
-		{ShardStrategy: cspm.ShardStrategy(99)},
-		{ShardStrategy: cspm.ShardStrategy(-1)},
 	} {
 		func() {
 			defer func() {
