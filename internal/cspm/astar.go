@@ -8,7 +8,9 @@
 package cspm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -162,15 +164,14 @@ func extractPatterns(db *invdb.DB) []AStar {
 // contents. The order is total over distinct (core, leafset) pairs, so runs
 // — sharded or not — are deterministic.
 func sortPatterns(ps []AStar) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		if a.CodeLen != b.CodeLen {
-			return a.CodeLen < b.CodeLen
+	slices.SortFunc(ps, func(a, b AStar) int {
+		if c := cmp.Compare(a.CodeLen, b.CodeLen); c != 0 {
+			return c
 		}
 		if c := graph.CompareAttrs(a.CoreValues, b.CoreValues); c != 0 {
-			return c < 0
+			return c
 		}
-		return graph.CompareAttrs(a.LeafValues, b.LeafValues) < 0
+		return graph.CompareAttrs(a.LeafValues, b.LeafValues)
 	})
 }
 
@@ -180,7 +181,7 @@ func sortPatterns(ps []AStar) {
 func extractModel(db *invdb.DB, vocab *graph.Vocab) *Model {
 	m := &Model{Vocab: vocab, Patterns: extractPatterns(db)}
 	sortPatterns(m.Patterns)
-	fd, fm, cond := invdb.CanonicalSummary(db.StandardTable(), db.CoreCodeLen, db.AppendLineStats(nil))
+	fd, fm, cond, _ := invdb.CanonicalSummary(db.StandardTable(), db.CoreCodeLen, db.AppendLineStats(nil))
 	m.FinalDL = fd + fm
 	m.CondEntropy = cond
 	return m

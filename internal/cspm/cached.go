@@ -208,22 +208,21 @@ func mergeEntryStats(m *Model, st *mdl.StandardTable, entries []*shardcache.Entr
 	coreCode := func(c invdb.CoresetID) float64 { return st.Len(graph.AttrID(c)) }
 	bd, bm := invdb.CanonicalDL(st, coreCode, init)
 	m.BaselineDL = bd + bm
-	fd, fm, cond := invdb.CanonicalSummary(st, coreCode, final)
+	fd, fm, cond, norm := invdb.CanonicalSummary(st, coreCode, final)
 	m.FinalDL = fd + fm
 	m.CondEntropy = cond
-	m.Patterns = patternsFromStats(st, final)
+	m.Patterns = patternsFromStats(st, norm)
 	sortPatterns(m.Patterns)
 }
 
 // patternsFromStats derives the a-star pattern list from a final line
-// multiset — the cache-replay twin of extractPatterns. Under single-value
-// coresets every AStar field is a pure function of the stats: FC is the sum
-// of the core's line frequencies, the core code length is the standard-table
-// length of its one value, and the conditional code length follows from
-// (fL, fc) — so replayed and freshly mined groups produce identical
-// patterns, bit for bit.
-func patternsFromStats(st *mdl.StandardTable, stats []invdb.LineStat) []AStar {
-	norm := invdb.NormalizeLineStats(stats)
+// multiset already normalized by invdb.NormalizeLineStats — the cache-replay
+// twin of extractPatterns. Under single-value coresets every AStar field is
+// a pure function of the stats: FC is the sum of the core's line
+// frequencies, the core code length is the standard-table length of its one
+// value, and the conditional code length follows from (fL, fc) — so
+// replayed and freshly mined groups produce identical patterns, bit for bit.
+func patternsFromStats(st *mdl.StandardTable, norm []invdb.LineStat) []AStar {
 	out := make([]AStar, 0, len(norm))
 	for i := 0; i < len(norm); {
 		c := norm[i].Core

@@ -44,3 +44,23 @@ func (b Bitmap) AndAndNotCount(c, z Bitmap) (n, d int) {
 	}
 	return n, d
 }
+
+// Or sets b to b ∪ c.
+func (b Bitmap) Or(c Bitmap) {
+	c = c[:len(b)]
+	for i, w := range c {
+		b[i] |= w
+	}
+}
+
+// Intersects reports whether b ∩ c is non-empty, the early-exit form of
+// AndCount(c) > 0: it stops at the first word the two share.
+func (b Bitmap) Intersects(c Bitmap) bool {
+	c = c[:len(b)]
+	for i, w := range b {
+		if w&c[i] != 0 {
+			return true
+		}
+	}
+	return false
+}

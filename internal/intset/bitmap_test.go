@@ -2,6 +2,7 @@ package intset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -62,6 +63,13 @@ func checkBitmapCounts(t *testing.T, x, y, z Set, words int) {
 	wantN, wantD := IntersectCountAndDiffCount(x, y, z)
 	if n != wantN || d != wantD {
 		t.Fatalf("AndAndNotCount = (%d,%d), want (%d,%d) on x=%v y=%v z=%v", n, d, wantN, wantD, x, y, z)
+	}
+	if got, want := bx.Intersects(by), bx.AndCount(by) > 0; got != want {
+		t.Fatalf("Intersects = %v, want AndCount > 0 = %v on x=%v y=%v", got, want, x, y)
+	}
+	bx.Or(by)
+	if want := bitmapOf(x.Union(y), words); !slices.Equal(bx, want) {
+		t.Fatalf("Or = %#x, want %#x on x=%v y=%v", bx, want, x, y)
 	}
 }
 

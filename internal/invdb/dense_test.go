@@ -128,6 +128,55 @@ func TestBitmapPathMatchesSlicePath(t *testing.T) {
 	}
 }
 
+// TestFootprintPrefilterExact is the exactness proof of the footprint
+// prefilter: on every shard DB of both benchmark graphs, at every step of a
+// greedy search (to completion on the small graph, a bounded prefix on the
+// mid archipelago), every co-occurring pair evaluates to the same MergeEval
+// (==, no tolerance) through EvalMergeScratch as through the unfiltered
+// evalLines. A skipped pair never reaches the union lookup, so an untouched
+// union buffer marks it; the filter must skip some pairs on each graph.
+func TestFootprintPrefilterExact(t *testing.T) {
+	steps := map[string]int{"small": math.MaxInt, "mid": 25}
+	if testing.Short() {
+		steps = map[string]int{"small": 8, "mid": 2}
+	}
+	for name, g := range benchGraphs() {
+		evals, skipped := 0, 0
+		for i, db := range shardDBs(g) {
+			sc := NewEvalScratch()
+			for step := 0; step < steps[name]; step++ {
+				var best MergeEval
+				for _, p := range coOccurringPairs(db) {
+					sc.unionBuf = sc.unionBuf[:0]
+					got := db.EvalMergeScratch(p[0], p[1], sc)
+					if len(sc.unionBuf) == 0 {
+						skipped++
+					}
+					if want := db.evalLines(p[0], p[1], db.byLeaf[p[0]], db.byLeaf[p[1]], sc); got != want {
+						t.Fatalf("%s shard %d step %d: prefiltered %+v != unfiltered %+v", name, i, step, got, want)
+					}
+					evals++
+					if got.Gain > best.Gain {
+						best = got
+					}
+				}
+				if best.Gain <= 0 {
+					break
+				}
+				db.ApplyMerge(best.X, best.Y)
+				checkConsistency(t, db)
+				if t.Failed() {
+					t.FailNow()
+				}
+			}
+		}
+		if skipped == 0 {
+			t.Fatalf("%s: the footprint test skipped none of %d evaluations", name, evals)
+		}
+		t.Logf("%s: footprint test skipped %d of %d evaluations", name, skipped, evals)
+	}
+}
+
 func TestBitmapWordsBound(t *testing.T) {
 	for _, tc := range []struct {
 		maxPos uint32

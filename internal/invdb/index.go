@@ -1,6 +1,10 @@
 package invdb
 
-import "sort"
+import (
+	"sort"
+
+	"cspm/internal/intset"
+)
 
 // lineIndex is one side of the inverted-database line index: a map for
 // random access plus a sorted id slice with parallel line pointers, so the
@@ -12,10 +16,14 @@ import "sort"
 //
 // Invariants (checked by the invdb tests): ids is strictly ascending,
 // len(ids) == len(lines) == len(m), and m[ids[i]] == lines[i] for all i.
+// A leafset's index in a DB with bitmaps also keeps the leafset's footprint,
+// fp = the OR of its lines' bitmaps (DESIGN.md "Leafset footprints"); fp is
+// nil in coreset indexes and on the sorted-slice path.
 type lineIndex[K ~int32] struct {
 	m     map[K]*Line
 	ids   []K
 	lines []*Line
+	fp    intset.Bitmap
 }
 
 // get returns the line keyed by k, or nil.

@@ -10,7 +10,8 @@
 // fused intset kernels avoid materialising intersections, and per-call
 // buffers live in EvalScratch arenas (see DESIGN.md). Small DBs also give
 // every line a bitmap of its positions and price x·log2(x) terms from a
-// per-DB table (DESIGN.md "Bitmap position sets and the XLogX table").
+// per-DB table (DESIGN.md "Bitmap position sets and the XLogX table"), and
+// skip the exact evaluation of pairs whose leafset footprints are disjoint.
 package invdb
 
 import (
@@ -70,11 +71,12 @@ type DB struct {
 	applyY      []*Line
 	applyInter  intset.Set
 
-	// Dense evaluation state: per-line position bitmaps and the XLogX
-	// table. Both are owned by the DB and die with it.
+	// Dense evaluation state: per-line position bitmaps, per-leafset
+	// footprints and the XLogX table. All are owned by the DB and die with
+	// it.
 	bmWords int             // bitmap width in words; 0 = sorted-slice path
 	bmSlab  []uint64        // unused tail of the current bitmap slab
-	bmFree  []intset.Bitmap // bitmaps of removed lines, reused first
+	bmFree  []intset.Bitmap // bitmaps of removed lines and leafsets, reused first
 	xlx     []float64       // xlx[n] = mdl.XLogX(float64(n)), n ≤ max f_c at build
 }
 
@@ -237,12 +239,15 @@ func build(g neighborhood, st *mdl.StandardTable, content [][]graph.AttrID, posi
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	db.reserveBitmaps(len(keys))
-	for _, key := range keys {
-		c := CoresetID(key >> 32)
-		l := graph.AttrID(uint32(key))
-		ls := db.leafsets.Single(l)
-		db.insertLine(&Line{Core: c, Leaf: ls, Pos: intset.FromSorted(lineBuf[key])})
+	// Intern the leafsets before inserting any line, so one slab can hold
+	// every line bitmap and every leafset footprint.
+	leafs := make([]LeafsetID, len(keys))
+	for i, key := range keys {
+		leafs[i] = db.leafsets.Single(graph.AttrID(uint32(key)))
+	}
+	db.reserveBitmaps(len(keys) + db.leafsets.Size())
+	for i, key := range keys {
+		db.insertLine(&Line{Core: CoresetID(key >> 32), Leaf: leafs[i], Pos: intset.FromSorted(lineBuf[key])})
 	}
 	db.finish()
 	return db
@@ -318,17 +323,18 @@ func (db *DB) xlogx(n int) float64 {
 //go:noinline
 func xlogxSlow(n int) float64 { return mdl.XLogX(float64(n)) }
 
-// reserveBitmaps replaces the bitmap slab with a fresh one for n lines.
-// Constructors call it with their initial line count, so every initial
-// bitmap comes from one allocation.
+// reserveBitmaps replaces the bitmap slab with a fresh one for n bitmaps.
+// Constructors call it with their initial line and leafset counts, so every
+// initial bitmap comes from one allocation.
 func (db *DB) reserveBitmaps(n int) {
 	if db.bmWords > 0 {
 		db.bmSlab = make([]uint64, n*db.bmWords)
 	}
 }
 
-// newBitmap returns a bitmap for a new line: a removed line's if one is
-// free, otherwise the next bmWords words of the slab, refilled in chunks.
+// newBitmap returns a bitmap for a new line or leafset: a removed one's if
+// one is free, otherwise the next bmWords words of the slab, refilled in
+// chunks. Its contents are unspecified.
 func (db *DB) newBitmap() intset.Bitmap {
 	if n := len(db.bmFree); n > 0 {
 		b := db.bmFree[n-1]
@@ -352,8 +358,8 @@ func (db *DB) setPos(ln *Line, pos intset.Set) {
 	}
 }
 
-// insertLine registers a line in both indexes and the frequency tally. It
-// does not touch the DL accumulators.
+// insertLine registers a line in both indexes, its leafset's footprint and
+// the frequency tally. It does not touch the DL accumulators.
 func (db *DB) insertLine(ln *Line) {
 	if db.bmWords > 0 {
 		ln.bits = db.newBitmap()
@@ -363,15 +369,24 @@ func (db *DB) insertLine(ln *Line) {
 	ix := db.byLeaf[ln.Leaf]
 	if ix == nil {
 		ix = &lineIndex[CoresetID]{}
+		if db.bmWords > 0 {
+			ix.fp = db.newBitmap()
+			clear(ix.fp)
+		}
 		db.byLeaf[ln.Leaf] = ix
 	}
 	ix.insert(ln.Core, ln)
+	if ix.fp != nil {
+		ix.fp.Or(ln.bits)
+	}
 	db.coreFreq[ln.Core] += ln.FL()
 	db.numLines++
 }
 
 // removeLine unregisters a line from both indexes and frees its bitmap for
-// reuse. The caller has already accounted its positions in coreFreq.
+// reuse, and its leafset's footprint with the leafset's last line. It leaves
+// a surviving footprint stale; ApplyMerge refreshes it. The caller has
+// already accounted the line's positions in coreFreq.
 func (db *DB) removeLine(ln *Line) {
 	if ln.bits != nil {
 		db.bmFree = append(db.bmFree, ln.bits)
@@ -381,9 +396,25 @@ func (db *DB) removeLine(ln *Line) {
 	ix := db.byLeaf[ln.Leaf]
 	ix.remove(ln.Core)
 	if ix.size() == 0 {
+		if ix.fp != nil {
+			db.bmFree = append(db.bmFree, ix.fp)
+		}
 		delete(db.byLeaf, ln.Leaf)
 	}
 	db.numLines--
+}
+
+// refreshFootprint recomputes the footprint of leafset ls from its lines'
+// bitmaps. A leafset without lines, or a DB without bitmaps, has none.
+func (db *DB) refreshFootprint(ls LeafsetID) {
+	ix := db.byLeaf[ls]
+	if ix == nil || ix.fp == nil {
+		return
+	}
+	clear(ix.fp)
+	for _, ln := range ix.lines {
+		ix.fp.Or(ln.bits)
+	}
 }
 
 // recomputeDL recalculates the data and model description lengths from
@@ -460,15 +491,27 @@ func (db *DB) EvalMerge(x, y LeafsetID) MergeEval {
 // nothing once sc's buffers have warmed up, and the result is a pure
 // function of (db, x, y) — independent of which scratch is passed.
 func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
-	ev := MergeEval{X: x, Y: y}
 	if x == y {
-		return ev
+		return MergeEval{X: x, Y: y}
 	}
 	ixx := db.byLeaf[x]
 	ixy := db.byLeaf[y]
 	if ixx.size() == 0 || ixy.size() == 0 {
-		return ev
+		return MergeEval{X: x, Y: y}
 	}
+	// A position x and y share under some coreset lies in both footprints,
+	// so disjoint footprints mean CoOccurs == 0, for which evalLines returns
+	// exactly this zero evaluation.
+	if ixx.fp != nil && !ixx.fp.Intersects(ixy.fp) {
+		return MergeEval{X: x, Y: y}
+	}
+	return db.evalLines(x, y, ixx, ixy, sc)
+}
+
+// evalLines is EvalMergeScratch's exact evaluation over the shared coresets
+// of x ≠ y, whose leafset indexes ixx and ixy are non-empty.
+func (db *DB) evalLines(x, y LeafsetID, ixx, ixy *lineIndex[CoresetID], sc *EvalScratch) MergeEval {
+	ev := MergeEval{X: x, Y: y}
 	zID, zExists := db.lookupUnion(x, y, sc)
 	zIsX := zExists && zID == x
 	zIsY := zExists && zID == y
@@ -788,6 +831,9 @@ func (db *DB) ApplyMerge(x, y LeafsetID) MergeResult {
 	if !zHadLines && db.byLeaf[z].size() > 0 && z != x && z != y {
 		db.modelDL += db.st.SetLen(db.leafsets.Values(z))
 	}
+	db.refreshFootprint(x)
+	db.refreshFootprint(y)
+	db.refreshFootprint(z)
 	res.Gain = (dlBeforeData + dlBeforeModel) - (db.dataDL + db.modelDL)
 	return res
 }

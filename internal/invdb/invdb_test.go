@@ -239,12 +239,27 @@ func checkConsistency(t *testing.T, db *DB) {
 // checkIndex asserts the lineIndex invariants: ids strictly ascending,
 // slices parallel, and id→line agreement between map and slices. On a DB
 // with bitmaps it also asserts every indexed line's bitmap is exactly the
-// bitmap of its Pos.
+// bitmap of its Pos, and every leafset index's footprint is exactly the OR
+// of its lines' bitmaps; other indexes carry no footprint.
 func checkIndex[K ~int32](t *testing.T, db *DB, ix *lineIndex[K]) {
 	t.Helper()
 	if len(ix.ids) != len(ix.lines) || len(ix.ids) != len(ix.m) {
 		t.Errorf("index size mismatch: ids=%d lines=%d map=%d", len(ix.ids), len(ix.lines), len(ix.m))
 		return
+	}
+	_, leafIndex := any(ix).(*lineIndex[CoresetID])
+	if !leafIndex || db.bmWords == 0 {
+		if ix.fp != nil {
+			t.Errorf("index without footprint carries %#x", ix.fp)
+		}
+	} else {
+		want := make(intset.Bitmap, db.bmWords)
+		for _, ln := range ix.lines {
+			want.Or(ln.bits)
+		}
+		if !slices.Equal(ix.fp, want) {
+			t.Errorf("leafset footprint %#x, want OR of its lines %#x", ix.fp, want)
+		}
 	}
 	for i, id := range ix.ids {
 		if i > 0 && ix.ids[i-1] >= id {

@@ -16,7 +16,8 @@
 package invdb
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"cspm/internal/graph"
 	"cspm/internal/intset"
@@ -112,11 +113,11 @@ func (db *DB) AppendLineStats(dst []LineStat) []LineStat {
 // computations is safe. The result is a pure function of the input multiset.
 func NormalizeLineStats(stats []LineStat) []LineStat {
 	stats = append([]LineStat(nil), stats...)
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].Core != stats[j].Core {
-			return stats[i].Core < stats[j].Core
+	slices.SortFunc(stats, func(a, b LineStat) int {
+		if c := cmp.Compare(a.Core, b.Core); c != 0 {
+			return c
 		}
-		return graph.CompareAttrs(stats[i].Leaf, stats[j].Leaf) < 0
+		return graph.CompareAttrs(a.Leaf, b.Leaf)
 	})
 	out := stats[:0]
 	for _, s := range stats {
@@ -160,7 +161,7 @@ func canonicalDL(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats 
 	for _, s := range stats {
 		leafs = append(leafs, s.Leaf)
 	}
-	sort.Slice(leafs, func(i, j int) bool { return graph.CompareAttrs(leafs[i], leafs[j]) < 0 })
+	slices.SortFunc(leafs, graph.CompareAttrs)
 	for i, lf := range leafs {
 		if i > 0 && graph.CompareAttrs(leafs[i-1], lf) == 0 {
 			continue
@@ -196,11 +197,12 @@ func canonicalCondEntropy(stats []LineStat) float64 {
 
 // CanonicalSummary normalizes a line multiset once and returns its canonical
 // data/model description lengths together with its conditional entropy — the
-// bundle model extraction reports.
-func CanonicalSummary(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats []LineStat) (data, model, condEntropy float64) {
-	norm := NormalizeLineStats(stats)
+// bundle model extraction reports — and the normalized multiset itself, for
+// callers that derive more from it.
+func CanonicalSummary(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats []LineStat) (data, model, condEntropy float64, norm []LineStat) {
+	norm = NormalizeLineStats(stats)
 	data, model = canonicalDL(st, coreCode, norm)
-	return data, model, canonicalCondEntropy(norm)
+	return data, model, canonicalCondEntropy(norm), norm
 }
 
 // CanonicalDL reports the DB's current description lengths through the

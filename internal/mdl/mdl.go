@@ -46,7 +46,8 @@ func CodeLen(p float64) float64 {
 // per-value encoding of attribute values from their global frequencies in
 // the vertex→attribute mapping, ignoring labels and structure.
 type StandardTable struct {
-	freq  []int // indexed by AttrID
+	freq  []int     // indexed by AttrID
+	lens  []float64 // lens[a] = L_ST(a), computed once from freq and total
 	total int
 }
 
@@ -59,6 +60,7 @@ func NewStandardTable(g *graph.Graph) *StandardTable {
 			st.total++
 		}
 	}
+	st.fillLens()
 	return st
 }
 
@@ -69,7 +71,21 @@ func NewStandardTableFromFreqs(freq []int) *StandardTable {
 	for _, f := range freq {
 		st.total += f
 	}
+	st.fillLens()
 	return st
+}
+
+// fillLens tabulates every value's code length, so Len and SetLen — priced
+// on every merge evaluation that creates a leafset — never take a logarithm.
+func (st *StandardTable) fillLens() {
+	st.lens = make([]float64, len(st.freq))
+	for a, f := range st.freq {
+		if f == 0 || st.total == 0 {
+			st.lens[a] = math.Inf(1)
+		} else {
+			st.lens[a] = -math.Log2(float64(f) / float64(st.total))
+		}
+	}
 }
 
 // Freqs returns a copy of the per-value occurrence counts, indexed by
@@ -94,10 +110,10 @@ func (st *StandardTable) Total() int { return st.total }
 // Len returns L_ST(a) = −log2(freq(a)/total) in bits (Eq. 5 applied to the
 // mapping-table frequencies). Values never seen get +Inf.
 func (st *StandardTable) Len(a graph.AttrID) float64 {
-	if int(a) >= len(st.freq) || st.freq[a] == 0 || st.total == 0 {
+	if uint(a) >= uint(len(st.lens)) {
 		return math.Inf(1)
 	}
-	return -math.Log2(float64(st.freq[a]) / float64(st.total))
+	return st.lens[a]
 }
 
 // SetLen returns Σ_{a∈set} L_ST(a), the cost of spelling out a value set

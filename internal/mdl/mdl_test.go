@@ -115,6 +115,32 @@ func TestStandardTableFromFreqs(t *testing.T) {
 	}
 }
 
+// TestStandardTableLensMatchFormula pins the code-length table to the
+// formula it replaces, bit for bit: −log2(freq/total) for every value, +Inf
+// for a zero frequency, a zero total or an id outside the table.
+func TestStandardTableLensMatchFormula(t *testing.T) {
+	fig1, _ := fig1ST(t)
+	for _, st := range []*StandardTable{
+		fig1,
+		NewStandardTableFromFreqs([]int{3, 0, 5, 1, 0, 1 << 20}),
+		NewStandardTableFromFreqs([]int{0, 0}),
+		NewStandardTableFromFreqs(nil),
+	} {
+		for a := graph.AttrID(-2); int(a) < len(st.freq)+2; a++ {
+			want := math.Inf(1)
+			if a >= 0 && int(a) < len(st.freq) && st.freq[a] != 0 && st.total != 0 {
+				want = -math.Log2(float64(st.freq[a]) / float64(st.total))
+			}
+			if got := st.Len(a); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("freqs %v: Len(%d) = %v, want %v", st.freq, a, got, want)
+			}
+			if got := st.SetLen([]graph.AttrID{a}); math.Float64bits(got) != math.Float64bits(0+want) {
+				t.Errorf("freqs %v: SetLen({%d}) = %v, want %v", st.freq, a, got, want)
+			}
+		}
+	}
+}
+
 func TestDataDLEq8(t *testing.T) {
 	// Two coresets with frequencies 6 and 4; lines 2,2,2 and 1,2,1.
 	got := DataDL([]int{6, 4}, []int{2, 2, 2, 1, 2, 1})

@@ -11,9 +11,11 @@ import (
 )
 
 // ManifestName is the file a checkpointed cache directory is committed
-// under. The manifest is written last, atomically: its presence means every
-// blob it lists was already durable, so it is the commit point of a
-// checkpoint (see DESIGN.md "Durability & crash recovery").
+// under. The manifest is written last, fsync'd and atomically renamed, so it
+// is the durable commit point of a checkpoint (see DESIGN.md "Durability &
+// crash recovery"). The blobs it lists are renamed into place atomically but
+// not fsync'd: a crash can still lose or tear one, which VerifyBlobs then
+// finds missing (a cache miss) or quarantines, and the group is re-mined.
 const ManifestName = "MANIFEST"
 
 // QuarantineSuffix is appended to a blob whose content no longer matches its
