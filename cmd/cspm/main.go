@@ -9,7 +9,9 @@
 //
 // The input format is line oriented: "v <id> <value>..." declares vertex
 // attributes, "e <u> <v>" an undirected edge, "#" starts a comment. With
-// "-" as the file name, the graph is read from stdin.
+// "-" as the file name, the graph is read from stdin. A file of r records
+// may use vertex ids below 2r only; a file that skips ids must name each
+// vertex it uses, for example with a bare "v <id>" line.
 package main
 
 import (

@@ -59,6 +59,8 @@ type (
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // Load parses the line-oriented text format ("v id val..." / "e u v").
+// An input of r records may use vertex ids below 2r only (a bare "v id"
+// line names a vertex without attributes); larger ids are rejected.
 func Load(r io.Reader) (*Graph, error) { return graph.Load(r) }
 
 // Write serialises g in the format accepted by Load.

@@ -202,32 +202,22 @@ func (pe *pairEnum) forEachCoOccurringPair(db *invdb.DB, fn func(x, y invdb.Leaf
 	slices.Sort(active)
 	pe.seen.Grow(db.Leafsets().Size())
 	for _, x := range active {
-		partners := pe.partnersOf(db, x, func(y invdb.LeafsetID) bool { return y > x })
-		for _, y := range partners {
+		for _, y := range pe.partnersAbove(db, x) {
 			fn(x, y)
 		}
 	}
 }
 
-// coOccurring returns, in ascending order, the leafsets sharing at least
-// one coreset with ls. The returned slice is scratch owned by pe: callers
-// must consume it before the next pairEnum call.
-func (pe *pairEnum) coOccurring(db *invdb.DB, ls invdb.LeafsetID) []invdb.LeafsetID {
-	pe.seen.Grow(db.Leafsets().Size())
-	return pe.partnersOf(db, ls, func(y invdb.LeafsetID) bool { return y != ls })
-}
-
-// partnersOf collects into pe.buf the distinct leafsets that share a coreset
-// with ls and satisfy keep, sorted ascending.
-func (pe *pairEnum) partnersOf(db *invdb.DB, ls invdb.LeafsetID, keep func(invdb.LeafsetID) bool) []invdb.LeafsetID {
+// partnersAbove collects into pe.buf the distinct leafsets y > ls that share
+// a coreset with ls, sorted ascending.
+func (pe *pairEnum) partnersAbove(db *invdb.DB, ls invdb.LeafsetID) []invdb.LeafsetID {
 	pe.seen.Bump()
 	out := pe.buf[:0]
 	for _, e := range db.CoresetIDsOf(ls) {
 		for _, y := range db.LeafsetIDsOf(e) {
-			if !keep(y) || !pe.seen.Mark(int(y)) {
-				continue
+			if y > ls && pe.seen.Mark(int(y)) {
+				out = append(out, y)
 			}
-			out = append(out, y)
 		}
 	}
 	slices.Sort(out)
@@ -236,17 +226,27 @@ func (pe *pairEnum) partnersOf(db *invdb.DB, ls invdb.LeafsetID, keep func(invdb
 }
 
 // parallelMinBatch is the pair count below which evalPairs stays serial:
-// tiny refresh batches are cheaper on one goroutine than across a pool.
+// tiny batches are cheaper on one goroutine than across a pool.
 const parallelMinBatch = 256
 
 // evalState bundles the reusable gain-evaluation buffers of one search: the
-// pair enumerator, the batch and gain slices, and one persistent EvalScratch
-// arena per worker, so repeated batches allocate nothing once warmed up.
+// pair enumerator, the batch and gain slices, the sweep results, and one
+// persistent EvalScratch arena per worker, so repeated batches allocate
+// nothing once warmed up.
 type evalState struct {
 	pe        pairEnum
 	batch     []uint64
 	gains     []float64
+	evs       []invdb.MergeEval // the current refresh's sweep results
 	scratches []*invdb.EvalScratch
+}
+
+// scratch returns worker w's persistent arena, creating arenas up to it.
+func (es *evalState) scratch(w int) *invdb.EvalScratch {
+	for len(es.scratches) <= w {
+		es.scratches = append(es.scratches, invdb.NewEvalScratch())
+	}
+	return es.scratches[w]
 }
 
 // evalPairs computes gains for all pairs into es.gains (reusing its
@@ -272,9 +272,7 @@ func (es *evalState) evalPairs(db *invdb.DB, opts Options, pairs []uint64) []flo
 		}
 		return gains
 	}
-	for len(es.scratches) < workers {
-		es.scratches = append(es.scratches, invdb.NewEvalScratch())
-	}
+	es.scratch(workers - 1)
 	var wg sync.WaitGroup
 	chunk := (len(pairs) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -409,7 +407,9 @@ func (s *searchState) seed(db *invdb.DB, opts Options) {
 }
 
 // refresh applies Algorithm 4's candidate updates after a committed merge,
-// batching the step-2 and step-3 gain evaluations through the worker pool.
+// pricing each changed leafset against all its partners in one sweep. A
+// sweep runs on the search's own goroutine: concurrency comes from mining
+// component groups side by side (runShards), not from splitting a sweep.
 // note, when non-nil, observes every evaluated pair key (Fig. 5 stats).
 func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult, note func(uint64)) {
 	// (1) Remove totally merged leafsets and their candidates.
@@ -417,50 +417,40 @@ func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult,
 		s.rd.removeLeafset(t, s.cands)
 	}
 	// (2) Pairs with the new leafset. Algorithm 4 line 6 draws these from
-	// rdict[x] ∩ rdict[y]; we enumerate the leafsets co-occurring with the
-	// new pattern instead — a superset of that intersection (positions of
-	// the new lines lie inside both parents') that keeps Partial's search
+	// rdict[x] ∩ rdict[y]; we sweep the leafsets co-occurring with the new
+	// pattern instead — a superset of that intersection (positions of the
+	// new lines lie inside both parents') that keeps Partial's search
 	// aligned with Basic when a parent pair was not itself a positive
 	// candidate. §V's sparsity observation still bounds the work: only
 	// co-occurring leafsets are touched.
-	batch := s.batch[:0]
-	if len(db.CoresetsOf(res.New)) > 0 {
-		for _, rel := range s.pe.coOccurring(db, res.New) {
-			batch = append(batch, pairKey(rel, res.New))
-		}
-	}
-	step2 := len(batch)
+	sc := s.scratch(0)
+	s.evs = db.SweepMerges(s.evs[:0], res.New, res.New, sc) // never pairs p with itself
+	step2 := len(s.evs)
 	// (3) Pairs whose gain the merge influenced: every pair that touches a
 	// partially merged leafset. Its lines shrank, so gains in both
 	// directions are possible (a previously useless pair can flip positive
 	// when the leftover positions align better); co-occurrence bounds the
-	// work exactly as §V observes.
+	// work exactly as §V observes. Pairs with the new leafset were priced
+	// in step 2.
 	for _, p := range res.Part {
-		if p == res.New || len(db.CoresetsOf(p)) == 0 {
-			continue
-		}
-		for _, rel := range s.pe.coOccurring(db, p) {
-			if rel == res.New {
-				continue // handled in step 2
-			}
-			batch = append(batch, pairKey(p, rel))
+		if p != res.New {
+			s.evs = db.SweepMerges(s.evs, p, res.New, sc)
 		}
 	}
-	s.batch = batch
-	gains := s.evalPairs(db, opts, batch)
-	for i, k := range batch {
+	for i, ev := range s.evs {
 		if note != nil {
-			note(k)
+			note(pairKey(ev.X, ev.Y))
 		}
-		x, y := unpackPair(k)
-		if g := gains[i]; g > 0 {
-			s.cands.Set(x, y, g)
-			s.rd.add(x, y)
-		} else if i >= step2 {
-			// Step-2 pairs are additions only; step-3 pairs also clear the
-			// stale candidate when the gain flipped non-positive.
-			s.cands.Remove(x, y)
-			s.rd.removePair(x, y)
+		if g := gainOf(ev, opts); g > 0 {
+			s.cands.Set(ev.X, ev.Y, g)
+			s.rd.add(ev.X, ev.Y)
+		} else if i >= step2 && s.cands.Contains(ev.X, ev.Y) {
+			// Step-2 pairs are additions only; a step-3 pair also clears
+			// its stale candidate when the gain flipped non-positive. rdict
+			// holds exactly the live candidates, so a pair absent from the
+			// candidate set has nothing to clear in either.
+			s.cands.Remove(ev.X, ev.Y)
+			s.rd.removePair(ev.X, ev.Y)
 		}
 	}
 }
@@ -507,10 +497,14 @@ func (s *searchState) step(db *invdb.DB, opts Options, note func(uint64)) (invdb
 func minePartial(db *invdb.DB, opts Options, st *runStats) {
 	s := newSearchState()
 	s.seed(db, opts)
-	// Distinct pairs whose gain was evaluated since the last committed
-	// merge; Fig. 5's update ratio counts each pair once per iteration.
-	evaled := make(map[uint64]struct{})
-	note := func(k uint64) { evaled[k] = struct{}{} }
+	// Keys of the pairs whose gain was evaluated since the last committed
+	// merge; Fig. 5's update ratio counts each distinct pair once per
+	// iteration.
+	var evaled []uint64
+	var note func(uint64)
+	if st != nil {
+		note = func(k uint64) { evaled = append(evaled, k) }
+	}
 	for merges := 0; opts.MaxIterations == 0 || merges < opts.MaxIterations; merges++ {
 		// Popping leaves the active leafsets alone, so the count before the
 		// step is the count at the applied merge's iteration start.
@@ -519,7 +513,8 @@ func minePartial(db *invdb.DB, opts Options, st *runStats) {
 		if !ok {
 			return
 		}
-		st.record(db, len(evaled), n*(n-1)/2, res.Gain)
-		clear(evaled)
+		slices.Sort(evaled)
+		st.record(db, len(slices.Compact(evaled)), n*(n-1)/2, res.Gain)
+		evaled = evaled[:0]
 	}
 }

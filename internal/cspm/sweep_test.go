@@ -1,0 +1,76 @@
+package cspm
+
+import (
+	"testing"
+
+	"cspm/internal/dataset"
+	"cspm/internal/graph"
+	"cspm/internal/invdb"
+	"cspm/internal/mdl"
+)
+
+// TestRefreshSweepMatchesEvalMerge is the differential proof of the
+// coreset-major refresh sweep: along full greedy searches of the serving
+// benchmark's two graphs, every MergeEval a refresh produced must equal
+// EvalMerge of the same pair on the same database, compared with ==. Each
+// graph is searched whole and as its component-group shards, with one and
+// with four workers, so the sweep runs on bitmap DBs (every shard, and the
+// whole small graph) and on a sorted-slice DB (the whole mid archipelago,
+// whose position universe is too large for bitmaps; invdb's
+// TestSweepMergesMatchesEvalMerge pins both whole-graph kinds). The test
+// fails if either kind yields no sweep result.
+func TestRefreshSweepMatchesEvalMerge(t *testing.T) {
+	mid := dataset.BenchIslands()
+	mid.MinNodes, mid.MaxNodes = 250, 500
+	small := dataset.DefaultIslands()
+	small.Seed = 7
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"mid", dataset.IslandsWithEdgeSeeds(mid, nil)},
+		{"small", dataset.Islands(small)},
+	}
+	type build struct {
+		kind string // "bitmap" or "slice"
+		db   func() *invdb.DB
+	}
+	checked := map[string]int{} // sweep results per DB kind
+	for _, gr := range graphs {
+		st := mdl.NewStandardTable(gr.g)
+		whole := "bitmap"
+		if gr.name == "mid" {
+			whole = "slice"
+		}
+		builds := []build{{whole, func() *invdb.DB { return invdb.FromGraph(gr.g) }}}
+		for _, verts := range graph.AttrClosedComponents(gr.g).Members() {
+			builds = append(builds, build{"bitmap", func() *invdb.DB { return invdb.FromGraphShard(gr.g, st, verts) }})
+		}
+		for _, workers := range []int{1, 4} {
+			for bi, b := range builds {
+				db := b.db()
+				opts := Options{Workers: workers}
+				s := newSearchState()
+				s.seed(db, opts)
+				for {
+					if _, ok := s.step(db, opts, nil); !ok {
+						break
+					}
+					for _, ev := range s.evs {
+						if want := db.EvalMerge(ev.X, ev.Y); ev != want {
+							t.Fatalf("%s build %d workers %d: sweep %+v != EvalMerge %+v",
+								gr.name, bi, workers, ev, want)
+						}
+					}
+					checked[b.kind] += len(s.evs)
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"bitmap", "slice"} {
+		if checked[kind] == 0 {
+			t.Errorf("the sweep never ran on a %s DB", kind)
+		}
+	}
+	t.Logf("checked %d bitmap and %d sorted-slice sweep results", checked["bitmap"], checked["slice"])
+}

@@ -223,12 +223,79 @@ func TestLoadErrors(t *testing.T) {
 		"e arity":        "e 1\n",
 		"e bad id":       "e 1 zz\n",
 		"self loop":      "e 3 3\n",
+		"id past range":  "v 4294967295\n",
+		"sparse edge":    "e 0 1\ne 2 4\n",
 	}
 	for name, input := range cases {
 		if _, err := Load(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: Load accepted %q", name, input)
 		}
 	}
+}
+
+// TestLoadBoundsVertexIDs pins the id-space bound: an input of r records
+// may name ids below 2r, a past-range id is rejected with its line number
+// before anything is sized by it, and the tightest inputs Write emits —
+// every vertex named exactly once, by edges between attributeless vertices
+// — still load.
+func TestLoadBoundsVertexIDs(t *testing.T) {
+	_, err := Load(strings.NewReader("# header\nv 0 a\n\ne 0 1\nv 9 b\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 5") {
+		t.Fatalf("Load = %v, want an out-of-range error naming line 5", err)
+	}
+	b := NewBuilder(6)
+	for _, e := range [][2]VertexID{{0, 1}, {2, 3}, {4, 5}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 6 || g.NumEdges() != 3 {
+		t.Fatalf("round trip: %d vertices, %d edges, want 6 and 3", g.NumVertices(), g.NumEdges())
+	}
+}
+
+// FuzzGraphLoad checks that Load never panics, and that every input it
+// accepts survives Write and Load: the reloaded graph writes the same bytes.
+func FuzzGraphLoad(f *testing.F) {
+	for _, seed := range []string{
+		"", "# only a comment\n", "v 0 a b\nv 1 b\ne 0 1\n", "v 0\nv 1\n",
+		"e 0 1\ne 2 3\n", "v 4294967295\n", "v 1 a\ne 1 1\n", "x 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := Write(&first, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Write output does not load: %v\n%s", err, first.Bytes())
+		}
+		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
+			t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
+				g2.NumVertices(), g2.NumEdges(), g.NumVertices(), g.NumEdges())
+		}
+		var second bytes.Buffer
+		if err := Write(&second, g2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the written bytes:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestLoadEmptyAndComments(t *testing.T) {

@@ -17,7 +17,11 @@ import (
 //	e <u> <v>                      undirected edge
 //
 // Vertex count is inferred as max id + 1; a v line with no values just
-// declares the vertex. Values may not contain whitespace.
+// declares the vertex. Values may not contain whitespace. Each record names
+// at most two vertices, so an input of r records may use ids below 2r only:
+// Write names every vertex, and the bound keeps a short input from sizing
+// the graph by an arbitrary id. An input that skips ids must name each
+// vertex it uses, for example with a bare "v <id>" line.
 
 // Load parses the text format from r.
 func Load(r io.Reader) (*Graph, error) {
@@ -27,11 +31,17 @@ func Load(r io.Reader) (*Graph, error) {
 		vals []string
 	}
 	var (
-		edges  []edge
-		vattrs []vattr
-		maxID  uint64
-		anyRow bool
+		edges   []edge
+		vattrs  []vattr
+		maxID   uint64
+		maxLine int // the line maxID first appears on; 0 before any id
+		records uint64
 	)
+	noteID := func(id uint64, lineNo int) {
+		if id > maxID || maxLine == 0 {
+			maxID, maxLine = id, lineNo
+		}
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	lineNo := 0
@@ -52,10 +62,8 @@ func Load(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad vertex id %q", lineNo, fields[1])
 			}
 			vattrs = append(vattrs, vattr{v: id, vals: fields[2:]})
-			if id > maxID {
-				maxID = id
-			}
-			anyRow = true
+			noteID(id, lineNo)
+			records++
 		case "e":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph: line %d: e needs exactly two vertex ids", lineNo)
@@ -69,13 +77,9 @@ func Load(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad vertex id %q", lineNo, fields[2])
 			}
 			edges = append(edges, edge{u, v})
-			if u > maxID {
-				maxID = u
-			}
-			if v > maxID {
-				maxID = v
-			}
-			anyRow = true
+			noteID(u, lineNo)
+			noteID(v, lineNo)
+			records++
 		default:
 			return nil, fmt.Errorf("graph: line %d: unknown record type %q", lineNo, fields[0])
 		}
@@ -83,8 +87,12 @@ func Load(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading input: %w", err)
 	}
-	if !anyRow {
+	if records == 0 {
 		return NewBuilder(0).Build(), nil
+	}
+	if maxID >= 2*records {
+		return nil, fmt.Errorf("graph: line %d: vertex id %d is out of range: %d records name at most %d vertices",
+			maxLine, maxID, records, 2*records)
 	}
 	b := NewBuilder(int(maxID) + 1)
 	for _, va := range vattrs {

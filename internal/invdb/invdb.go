@@ -12,6 +12,8 @@
 // every line a bitmap of its positions and price x·log2(x) terms from a
 // per-DB table (DESIGN.md "Bitmap position sets and the XLogX table"), and
 // skip the exact evaluation of pairs whose leafset footprints are disjoint.
+// SweepMerges prices one leafset against all its partners in a single
+// coreset-major pass, with the same per-coreset terms as EvalMergeScratch.
 package invdb
 
 import (
@@ -511,94 +513,12 @@ func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 // evalLines is EvalMergeScratch's exact evaluation over the shared coresets
 // of x ≠ y, whose leafset indexes ixx and ixy are non-empty.
 func (db *DB) evalLines(x, y LeafsetID, ixx, ixy *lineIndex[CoresetID], sc *EvalScratch) MergeEval {
-	ev := MergeEval{X: x, Y: y}
-	zID, zExists := db.lookupUnion(x, y, sc)
-	zIsX := zExists && zID == x
-	zIsY := zExists && zID == y
-	dense := db.bmWords > 0
-
-	var dataGain, modelGain float64
-	removedX, removedY, zLinesAdded := 0, 0, 0
-	// evalShared accounts one shared coreset. Callers invoke it in ascending
-	// coreset order, keeping float accumulation (and therefore candidate
-	// tie-breaking) reproducible across runs.
-	evalShared := func(e CoresetID, lnx, lny *Line) {
-		var lnz *Line
-		if zExists && !zIsX && !zIsY {
-			lnz = db.byCore[e].m[zID]
-		}
-		// Fused kernels: |x∩y|, plus |(x∩y)\z| when a z-line exists, in one
-		// unmaterialised pass over the bitmaps or the sorted slices.
-		var xye, zDiff int
-		switch {
-		case lnz != nil && dense:
-			xye, zDiff = lnx.bits.AndAndNotCount(lny.bits, lnz.bits)
-		case lnz != nil:
-			xye, zDiff = intset.IntersectCountAndDiffCount(lnx.Pos, lny.Pos, lnz.Pos)
-		case dense:
-			xye = lnx.bits.AndCount(lny.bits)
-		default:
-			xye = lnx.Pos.IntersectCount(lny.Pos)
-		}
-		if xye == 0 {
-			return
-		}
-		ev.CoOccurs++
-		xe, ye := lnx.FL(), lny.FL()
-		fe := db.coreFreq[e]
-
-		// Every count is an integer, so the table terms equal mdl.XLogX's.
-		var oldTerms, newTerms float64
-		var feAfter int
-		var removed, added int
-		switch {
-		case zIsY:
-			// x ⊂ y: the union is y itself; only the x-line sheds overlap.
-			oldTerms = db.xlogx(xe) + db.xlogx(ye)
-			newTerms = db.xlogx(xe-xye) + db.xlogx(ye)
-			feAfter = fe - xye
-			if xe == xye {
-				removed++
-				removedX++
-			}
-		case zIsX:
-			// y ⊂ x: symmetric.
-			oldTerms = db.xlogx(xe) + db.xlogx(ye)
-			newTerms = db.xlogx(xe) + db.xlogx(ye-xye)
-			feAfter = fe - xye
-			if ye == xye {
-				removed++
-				removedY++
-			}
-		default:
-			zeBefore, zeAfter := 0, xye
-			if lnz != nil {
-				zeBefore = lnz.FL()
-				zeAfter = zeBefore + zDiff
-			}
-			oldTerms = db.xlogx(xe) + db.xlogx(ye) + db.xlogx(zeBefore)
-			newTerms = db.xlogx(xe-xye) + db.xlogx(ye-xye) + db.xlogx(zeAfter)
-			feAfter = fe - 2*xye + (zeAfter - zeBefore)
-			if xe == xye {
-				removed++
-				removedX++
-			}
-			if ye == xye {
-				removed++
-				removedY++
-			}
-			if zeBefore == 0 {
-				added++
-				zLinesAdded++
-			}
-		}
-		dataGain += (db.xlogx(fe) - db.xlogx(feAfter)) + (newTerms - oldTerms)
-		modelGain += float64(removed-added) * db.coreCode[e]
-	}
-	// Walk the shared coresets. Balanced index sizes take the linear
-	// merge-walk; badly skewed ones (a hub leafset against a small one)
-	// gallop over the larger sorted id slice instead, preserving the old
-	// small-side asymptotics.
+	a := db.newMergeAcc(x, y, sc)
+	// Walk the shared coresets in ascending order, which keeps the float
+	// accumulation (and therefore candidate tie-breaking) reproducible.
+	// Balanced index sizes take the linear merge-walk; badly skewed ones (a
+	// hub leafset against a small one) gallop over the larger sorted id
+	// slice instead, preserving the old small-side asymptotics.
 	xids, yids := ixx.ids, ixy.ids
 	if len(yids) > indexGallopRatio*len(xids) || len(xids) > indexGallopRatio*len(yids) {
 		small, big := ixx, ixy
@@ -617,9 +537,9 @@ func (db *DB) evalLines(x, y LeafsetID, ixx, ixy *lineIndex[CoresetID], sc *Eval
 				continue
 			}
 			if swapped {
-				evalShared(e, big.lines[lo], small.lines[si])
+				db.addShared(&a, e, big.lines[lo], small.lines[si])
 			} else {
-				evalShared(e, small.lines[si], big.lines[lo])
+				db.addShared(&a, e, small.lines[si], big.lines[lo])
 			}
 			lo++
 			if lo >= len(big.ids) {
@@ -635,31 +555,153 @@ func (db *DB) evalLines(x, y LeafsetID, ixx, ixy *lineIndex[CoresetID], sc *Eval
 			case xids[i] > yids[j]:
 				j++
 			default:
-				evalShared(xids[i], ixx.lines[i], ixy.lines[j])
+				db.addShared(&a, xids[i], ixx.lines[i], ixy.lines[j])
 				i++
 				j++
 			}
 		}
 	}
-	if ev.CoOccurs == 0 {
-		return ev
+	return db.finishEval(x, y, len(xids), len(yids), &a, sc)
+}
+
+// mergeAcc is the running state of one pair's evaluation: the union
+// leafset's lookup, fixed before the first coreset, and the sums addShared
+// accumulates over the shared coresets.
+type mergeAcc struct {
+	z                   LeafsetID // interned id of content(x) ∪ content(y), unless zNew
+	zKind               unionKind
+	dataGain, modelGain float64
+	// Lines of x and y the merge would empty, z-lines it would create, and
+	// shared coresets with a shared position.
+	removedX, removedY, zLinesAdded, coOccurs int32
+}
+
+// unionKind says what the union z of a pair (x, y) is.
+type unionKind uint8
+
+const (
+	zNew   unionKind = iota // not interned yet
+	zIsX                    // x itself: y ⊂ x
+	zIsY                    // y itself: x ⊂ y
+	zOther                  // interned, distinct from x and y
+)
+
+// newMergeAcc starts the evaluation of the pair (x, y) by looking up its
+// union leafset.
+func (db *DB) newMergeAcc(x, y LeafsetID, sc *EvalScratch) mergeAcc {
+	z, ok := db.lookupUnion(x, y, sc)
+	a := mergeAcc{z: z, zKind: zOther}
+	switch {
+	case !ok:
+		a.zKind = zNew
+	case z == x:
+		a.zKind = zIsX
+	case z == y:
+		a.zKind = zIsY
 	}
-	// Leafset spell-out costs: credit x/y if they lose their last line,
-	// charge z if it gains its first.
-	if removedX == len(xids) && !zIsX {
-		modelGain += db.st.SetLen(db.leafsets.Values(x))
+	return a
+}
+
+// addShared accounts one shared coreset e of the pair (lnx.Leaf, lny.Leaf)
+// into a. Callers invoke it in ascending coreset order, keeping float
+// accumulation (and therefore candidate tie-breaking) reproducible across
+// runs and across evaluators.
+func (db *DB) addShared(a *mergeAcc, e CoresetID, lnx, lny *Line) {
+	var lnz *Line
+	if a.zKind == zOther {
+		lnz = db.byCore[e].m[a.z]
 	}
-	if removedY == len(yids) && !zIsY {
-		modelGain += db.st.SetLen(db.leafsets.Values(y))
+	// Fused kernels: |x∩y|, plus |(x∩y)\z| when a z-line exists, in one
+	// unmaterialised pass over the bitmaps or the sorted slices.
+	dense := db.bmWords > 0
+	var xye, zDiff int
+	switch {
+	case lnz != nil && dense:
+		xye, zDiff = lnx.bits.AndAndNotCount(lny.bits, lnz.bits)
+	case lnz != nil:
+		xye, zDiff = intset.IntersectCountAndDiffCount(lnx.Pos, lny.Pos, lnz.Pos)
+	case dense:
+		xye = lnx.bits.AndCount(lny.bits)
+	default:
+		xye = lnx.Pos.IntersectCount(lny.Pos)
 	}
-	if !zIsX && !zIsY && zLinesAdded > 0 {
-		if !zExists || db.byLeaf[zID].size() == 0 {
-			modelGain -= db.unionSpellLen(x, y, sc)
+	if xye == 0 {
+		return
+	}
+	a.coOccurs++
+	xe, ye := lnx.FL(), lny.FL()
+	fe := db.coreFreq[e]
+
+	// Every count is an integer, so the table terms equal mdl.XLogX's.
+	var oldTerms, newTerms float64
+	var feAfter int
+	var removed, added int
+	switch a.zKind {
+	case zIsY:
+		// x ⊂ y: the union is y itself; only the x-line sheds overlap.
+		oldTerms = db.xlogx(xe) + db.xlogx(ye)
+		newTerms = db.xlogx(xe-xye) + db.xlogx(ye)
+		feAfter = fe - xye
+		if xe == xye {
+			removed++
+			a.removedX++
+		}
+	case zIsX:
+		// y ⊂ x: symmetric.
+		oldTerms = db.xlogx(xe) + db.xlogx(ye)
+		newTerms = db.xlogx(xe) + db.xlogx(ye-xye)
+		feAfter = fe - xye
+		if ye == xye {
+			removed++
+			a.removedY++
+		}
+	default:
+		zeBefore, zeAfter := 0, xye
+		if lnz != nil {
+			zeBefore = lnz.FL()
+			zeAfter = zeBefore + zDiff
+		}
+		oldTerms = db.xlogx(xe) + db.xlogx(ye) + db.xlogx(zeBefore)
+		newTerms = db.xlogx(xe-xye) + db.xlogx(ye-xye) + db.xlogx(zeAfter)
+		feAfter = fe - 2*xye + (zeAfter - zeBefore)
+		if xe == xye {
+			removed++
+			a.removedX++
+		}
+		if ye == xye {
+			removed++
+			a.removedY++
+		}
+		if zeBefore == 0 {
+			added++
+			a.zLinesAdded++
 		}
 	}
-	ev.DataGain = dataGain
+	a.dataGain += (db.xlogx(fe) - db.xlogx(feAfter)) + (newTerms - oldTerms)
+	a.modelGain += float64(removed-added) * db.coreCode[e]
+}
+
+// finishEval turns the coreset sums of x ≠ y, whose indexes hold nx and ny
+// lines, into the MergeEval: it applies the leafset spell-out terms —
+// credit x or y if it loses its last line, charge z if it gains its first.
+func (db *DB) finishEval(x, y LeafsetID, nx, ny int, a *mergeAcc, sc *EvalScratch) MergeEval {
+	ev := MergeEval{X: x, Y: y, CoOccurs: int(a.coOccurs)}
+	if a.coOccurs == 0 {
+		return ev
+	}
+	modelGain := a.modelGain
+	if int(a.removedX) == nx && a.zKind != zIsX {
+		modelGain += db.st.SetLen(db.leafsets.Values(x))
+	}
+	if int(a.removedY) == ny && a.zKind != zIsY {
+		modelGain += db.st.SetLen(db.leafsets.Values(y))
+	}
+	if a.zLinesAdded > 0 && (a.zKind == zNew || (a.zKind == zOther && db.byLeaf[a.z].size() == 0)) {
+		modelGain -= db.unionSpellLen(x, y, sc)
+	}
+	ev.DataGain = a.dataGain
 	ev.ModelGain = modelGain
-	ev.Gain = dataGain + modelGain
+	ev.Gain = a.dataGain + modelGain
 	if math.IsNaN(ev.Gain) {
 		ev.Gain = math.Inf(-1)
 	}

@@ -46,7 +46,7 @@ func attr(t *testing.T, g *graph.Graph, name string) graph.AttrID {
 func lineOf(t *testing.T, db *DB, g *graph.Graph, core, leaf string) *Line {
 	t.Helper()
 	c := CoresetID(attr(t, g, core))
-	ls, ok := db.Leafsets().byKey[leafsetKey([]graph.AttrID{attr(t, g, leaf)})]
+	ls, ok := db.Leafsets().byKey[string(appendLeafsetKey(nil, []graph.AttrID{attr(t, g, leaf)}))]
 	if !ok {
 		return nil
 	}

@@ -16,6 +16,7 @@ type LeafsetID int32
 type LeafsetTable struct {
 	byKey   map[string]LeafsetID
 	content [][]graph.AttrID
+	keyBuf  []byte // Intern's lookup key, reused across calls
 }
 
 // NewLeafsetTable returns an empty table.
@@ -24,8 +25,7 @@ func NewLeafsetTable() *LeafsetTable {
 }
 
 // appendLeafsetKey appends the interning key encoding of vals to dst: the
-// single source of truth shared by leafsetKey and lookup, so the allocating
-// and allocation-free paths can never drift apart.
+// single source of truth of the key, shared by every lookup and insert.
 func appendLeafsetKey(dst []byte, vals []graph.AttrID) []byte {
 	for _, v := range vals {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
@@ -33,20 +33,16 @@ func appendLeafsetKey(dst []byte, vals []graph.AttrID) []byte {
 	return dst
 }
 
-func leafsetKey(vals []graph.AttrID) string {
-	return string(appendLeafsetKey(make([]byte, 0, 4*len(vals)), vals))
-}
-
 // Intern returns the id of the sorted value set vals, assigning a fresh id on
 // first sight. vals must be sorted ascending and duplicate-free; the table
-// takes ownership of the slice.
+// takes ownership of the slice. Only a first sight allocates: the key is
+// looked up through a reused buffer and copied into a string on a miss.
 func (t *LeafsetTable) Intern(vals []graph.AttrID) LeafsetID {
-	key := leafsetKey(vals)
-	if id, ok := t.byKey[key]; ok {
+	if id, ok := t.lookup(vals, &t.keyBuf); ok {
 		return id
 	}
 	id := LeafsetID(len(t.content))
-	t.byKey[key] = id
+	t.byKey[string(t.keyBuf)] = id
 	t.content = append(t.content, vals)
 	return id
 }
@@ -62,8 +58,13 @@ func (t *LeafsetTable) lookup(vals []graph.AttrID, buf *[]byte) (LeafsetID, bool
 	return id, ok
 }
 
-// Single interns the one-element leafset {a}.
+// Single interns the one-element leafset {a}, allocating its content only
+// on first sight.
 func (t *LeafsetTable) Single(a graph.AttrID) LeafsetID {
+	one := [1]graph.AttrID{a}
+	if id, ok := t.lookup(one[:], &t.keyBuf); ok {
+		return id
+	}
 	return t.Intern([]graph.AttrID{a})
 }
 

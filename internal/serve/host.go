@@ -626,7 +626,8 @@ func (h *Host) handleNamespaceInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCreateNamespace is POST /v2/graphs/{ns}: the body is the initial
-// graph in the text format (empty body = empty graph). 201 on success with
+// graph in the text format (empty body = empty graph; r records may use
+// vertex ids below 2r only, larger ones are a 400). 201 on success with
 // the namespace's directory entry; the initial mine runs synchronously
 // under the shared budget, so the entry already names generation 1.
 func (h *Host) handleCreateNamespace(w http.ResponseWriter, r *http.Request) {

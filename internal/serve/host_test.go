@@ -680,6 +680,8 @@ func TestHostErrorEnvelopes(t *testing.T) {
 		{"unknown namespace delete", "DELETE", "/v2/graphs/ghost", "", http.StatusNotFound, CodeNamespaceNotFound, false},
 		{"invalid namespace name", "POST", "/v2/graphs/UPPER", "", http.StatusBadRequest, CodeBadRequest, false},
 		{"unparseable graph upload", "POST", "/v2/graphs/fresh", "not a graph", http.StatusBadRequest, CodeBadRequest, false},
+		// 13 bytes that would otherwise size a 2^32-vertex graph.
+		{"graph upload past its id space", "POST", "/v2/graphs/fresh", "v 4294967295", http.StatusBadRequest, CodeBadRequest, false},
 		{"duplicate namespace", "POST", "/v2/graphs/alpha", "", http.StatusConflict, CodeNamespaceExists, false},
 		{"method miss on admin", "PUT", "/v2/graphs/alpha", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed, true},
 		{"method miss on tenant route", "POST", "/v2/graphs/alpha/patterns", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed, true},

@@ -53,16 +53,17 @@ type Manifest struct {
 const ManifestVersion = 1
 
 // PersistManifest flushes every entry resident in memory to dir as a blob
-// (creating dir if needed) and then commits m — with m.Blobs filled from
-// the written bytes — as dir/MANIFEST via fsync'd temp file + rename, making
-// the manifest a durable commit point. A memory-only cache can be flushed
-// this way and re-opened later with Open for a warm start; a dir-backed
-// cache flushing to its own directory rewrites its blobs with identical
-// bytes. Entry failures are non-fatal: the rest still persist, the
-// PersistErrors stat counts them, they are absent from m.Blobs, and their
-// aggregated error is returned after the manifest commits. A manifest write
-// failure is fatal, since without the commitment the checkpoint must not be
-// trusted.
+// (creating dir if needed) and then commits m — with m.Blobs listing every
+// resident entry's blob and checksum — as dir/MANIFEST via fsync'd temp file
+// + rename, making the manifest a durable commit point. A memory-only cache
+// can be flushed this way and re-opened later with Open for a warm start; a
+// dir-backed cache flushing to its own directory writes only the blobs it
+// has not written there yet, and lists the others with the checksums it
+// recorded when it wrote them. Entry failures are non-fatal: the rest still
+// persist, the PersistErrors stat counts them, they are absent from m.Blobs,
+// and their aggregated error is returned after the manifest commits. A
+// manifest write failure is fatal, since without the commitment the
+// checkpoint must not be trusted.
 func (c *Cache) PersistManifest(dir string, m *Manifest) error {
 	if dir == "" {
 		return fmt.Errorf("shardcache: empty persist directory")

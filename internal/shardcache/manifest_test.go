@@ -172,3 +172,87 @@ func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 		t.Fatalf("manifest lists %d blobs (blocked listed=%v), want 2 healthy", len(man.Blobs), listed)
 	}
 }
+
+// TestPersistManifestWritesOnlyNewBlobs pins the checkpoint cost of a
+// dir-backed cache flushing to its own directory: a blob the cache already
+// wrote there is listed with its recorded checksum, not written again. Each
+// write is a temp file renamed into place, so a rewritten blob is a new
+// file; os.SameFile tells the two apart.
+func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(1); i <= 3; i++ {
+		if err := c.Put(key(i), entry(int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stat := func() map[string]os.FileInfo {
+		t.Helper()
+		out := make(map[string]os.FileInfo)
+		for i := byte(1); i <= 4; i++ {
+			if fi, err := os.Stat(filepath.Join(dir, key(i).filename())); err == nil {
+				out[key(i).filename()] = fi
+			}
+		}
+		return out
+	}
+	persist := func() *Manifest {
+		t.Helper()
+		man := &Manifest{Generation: 1}
+		if err := c.PersistManifest(dir, man); err != nil {
+			t.Fatal(err)
+		}
+		if q, err := VerifyBlobs(dir, man); err != nil || len(q) != 0 {
+			t.Fatalf("VerifyBlobs = %v, %v", q, err)
+		}
+		return man
+	}
+	before := stat()
+	if man := persist(); len(man.Blobs) != 3 {
+		t.Fatalf("manifest lists %d blobs, want 3", len(man.Blobs))
+	}
+	persist()
+	for name, fi := range stat() {
+		if !os.SameFile(before[name], fi) {
+			t.Errorf("PersistManifest rewrote %s, which Put had written", name)
+		}
+	}
+
+	// An entry loaded back from disk was not written by this cache: the
+	// next flush writes it once and records its checksum.
+	other, err := Open(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := other.Get(key(1)); !ok {
+		t.Fatal("blob 1 did not load")
+	}
+	c = other
+	if man := persist(); len(man.Blobs) != 1 {
+		t.Fatalf("manifest lists %d blobs, want 1", len(man.Blobs))
+	}
+	written := stat()
+	if os.SameFile(before[key(1).filename()], written[key(1).filename()]) {
+		t.Error("the flush did not write the loaded entry's blob")
+	}
+	persist()
+	if !os.SameFile(written[key(1).filename()], stat()[key(1).filename()]) {
+		t.Error("the second flush rewrote the blob the first one wrote")
+	}
+
+	// A flush to another directory writes every resident entry there.
+	elsewhere := t.TempDir()
+	man := &Manifest{}
+	if err := c.PersistManifest(elsewhere, man); err != nil {
+		t.Fatal(err)
+	}
+	if q, err := VerifyBlobs(elsewhere, man); err != nil || len(q) != 0 || len(man.Blobs) != 1 {
+		t.Fatalf("flush elsewhere: %d blobs, VerifyBlobs = %v, %v", len(man.Blobs), q, err)
+	}
+	if _, err := os.Stat(filepath.Join(elsewhere, key(1).filename())); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -19,9 +19,7 @@ package shardcache
 import (
 	"bytes"
 	"container/list"
-	"crypto/sha256"
 	"encoding/gob"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -101,10 +99,13 @@ type Cache struct {
 }
 
 // lruEntry is the list payload: the key rides along so eviction can index
-// back into byKey.
+// back into byKey. sum is the SHA-256 (hex) of the entry's blob in the
+// cache's own directory, recorded when the cache wrote that blob; "" when
+// the cache has not written it there.
 type lruEntry struct {
 	key   Key
 	entry *Entry
+	sum   string
 }
 
 // New returns a memory-only cache holding at most capacity entries
@@ -188,7 +189,8 @@ func (c *Cache) Put(k Key, e *Entry) error {
 	cp := e.clone()
 	c.mu.Lock()
 	if el, ok := c.byKey[k]; ok {
-		el.Value.(*lruEntry).entry = cp
+		le := el.Value.(*lruEntry)
+		le.entry, le.sum = cp, ""
 		c.ll.MoveToFront(el)
 	} else {
 		c.admit(k, cp)
@@ -197,43 +199,63 @@ func (c *Cache) Put(k Key, e *Entry) error {
 	if c.dir != "" {
 		// cp is shared read-only once admitted, so encoding it unlocked is
 		// safe.
-		return c.storeDisk(k, cp)
+		sum, err := storeBlob(c.dir, k, cp)
+		if err != nil {
+			return err
+		}
+		c.noteSum(k, cp, sum)
 	}
 	return nil
 }
 
-// persistEntries writes every entry currently resident in memory as a blob
+// noteSum records sum as the checksum of e's blob in the cache's own
+// directory, if e is still the entry resident under k.
+func (c *Cache) noteSum(k Key, e *Entry, sum string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[k]; ok {
+		if le := el.Value.(*lruEntry); le.entry == e {
+			le.sum = sum
+		}
+	}
+}
+
+// persistEntries makes every entry currently resident in memory a blob
 // under the existing directory dir, in the atomic one-gob-blob-per-key
 // format of the disk layer (temp file + rename, so a crash mid-write leaves
-// either the old blob or none), and returns each written blob's SHA-256
-// (hex) keyed by file name. Entries already on disk are rewritten with
-// identical bytes. A failed entry is non-fatal: the rest still persist, the
+// either the old blob or none), and returns each blob's SHA-256 (hex) keyed
+// by file name. When dir is the cache's own directory, an entry whose blob
+// the cache already wrote there is not written again: its recorded sum is
+// returned. A failed entry is non-fatal: the rest still persist, the
 // failure is counted in the PersistErrors stat, skipped in the sums, and
 // aggregated into the returned error.
 func (c *Cache) persistEntries(dir string) (map[string]string, error) {
+	own := c.dir != "" && filepath.Clean(dir) == filepath.Clean(c.dir)
 	// Snapshot the resident set under the mutex, write outside it: entries
 	// are shared read-only once admitted, so encoding unlocked is safe and
 	// concurrent lookups never stall behind the flush.
 	c.mu.Lock()
-	snapshot := make(map[Key]*Entry, c.ll.Len())
+	snapshot := make([]lruEntry, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		le := el.Value.(*lruEntry)
-		snapshot[le.key] = le.entry
+		snapshot = append(snapshot, *el.Value.(*lruEntry))
 	}
 	c.mu.Unlock()
 	sums := make(map[string]string, len(snapshot))
 	var errs []error
-	for k, e := range snapshot {
-		blob, err := encodeEntry(e)
-		if err == nil {
-			err = writeFileAtomic(dir, k.filename(), blob, false)
+	for _, le := range snapshot {
+		if own && le.sum != "" {
+			sums[le.key.filename()] = le.sum
+			continue
 		}
+		sum, err := storeBlob(dir, le.key, le.entry)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		sum := sha256.Sum256(blob)
-		sums[k.filename()] = hex.EncodeToString(sum[:])
+		sums[le.key.filename()] = sum
+		if own {
+			c.noteSum(le.key, le.entry, sum)
+		}
 	}
 	if len(errs) > 0 {
 		c.mu.Lock()
@@ -302,21 +324,18 @@ func (c *Cache) loadDisk(k Key) (*Entry, bool) {
 	return e, true
 }
 
-// storeDisk writes the blob of k into the cache's own directory. Runs
-// unlocked (c.dir is immutable).
-func (c *Cache) storeDisk(k Key, e *Entry) error {
-	return storeBlob(c.dir, k, e)
-}
-
 // storeBlob writes the blob of k under dir atomically (temp file + rename),
 // so a crash mid-write leaves either the old blob or none, and concurrent
-// writers of one key leave one winner.
-func storeBlob(dir string, k Key, e *Entry) error {
+// writers of one key leave one winner. It returns the blob's SHA-256 (hex).
+func storeBlob(dir string, k Key, e *Entry) (string, error) {
 	blob, err := encodeEntry(e)
 	if err != nil {
-		return err
+		return "", err
 	}
-	return writeFileAtomic(dir, k.filename(), blob, false)
+	if err := writeFileAtomic(dir, k.filename(), blob, false); err != nil {
+		return "", err
+	}
+	return hashHex(blob), nil
 }
 
 // encodeEntry gob-encodes e into a byte slice, so callers can checksum the
