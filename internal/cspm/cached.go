@@ -8,16 +8,17 @@ import (
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
 	"cspm/internal/mdl"
+	"cspm/internal/obs"
 	"cspm/internal/shardcache"
 )
 
 // StageObserver receives the wall-clock duration of each phase of a
-// component-pipeline run: "fingerprint" (component fingerprinting), "diff"
-// (cache lookup splitting clean from dirty groups), "shard_mine" (mining the
-// dirty groups, in-process or over a transport) and "merge" (exact model
-// merge). The serving layer's re-mine profiler plugs in here; a plain
-// function type (not an Options field) keeps Options gob-encodable for the
-// shardrpc wire.
+// component-pipeline run, named by the obs span constants: SpanFingerprint
+// (component fingerprinting), SpanDiff (cache lookup splitting clean from
+// dirty groups), SpanShardMine (mining the dirty groups, in-process or over
+// a transport) and SpanMerge (exact model merge). The serving layer's
+// re-mine profiler plugs in here; a plain function type (not an Options
+// field) keeps Options gob-encodable for the shardrpc wire.
 type StageObserver func(stage string, d time.Duration)
 
 func (f StageObserver) observe(stage string, since time.Time) {
@@ -119,7 +120,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	fps := groups.Fingerprints(g)
 	global := graph.GlobalFingerprint(g)
 	search := searchFingerprint(opts)
-	observe.observe("fingerprint", t)
+	observe.observe(obs.SpanFingerprint, t)
 	st := mdl.NewStandardTable(g)
 	members := groups.Members()
 	key := func(gi int) shardcache.Key {
@@ -136,7 +137,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 			dirty = append(dirty, gi)
 		}
 	}
-	observe.observe("diff", t)
+	observe.observe(obs.SpanDiff, t)
 
 	evBefore := cache.Stats().Evictions
 	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
@@ -151,7 +152,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 			_ = cache.Put(key(gi), entries[gi])
 		}
 	}
-	observe.observe("shard_mine", t)
+	observe.observe(obs.SpanShardMine, t)
 
 	t = time.Now()
 	if counted {
@@ -164,7 +165,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 		m.GainEvals += e.GainEvals
 	}
 	mergeEntryStats(m, st, entries)
-	observe.observe("merge", t)
+	observe.observe(obs.SpanMerge, t)
 	return m, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"cspm/internal/epoch"
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
 )
@@ -48,14 +47,16 @@ type Options struct {
 	// pure Eq. 9 data gain. Exposed for the ablation benchmark; the default
 	// (false) is the documented reconstruction.
 	DisableModelCost bool
-	// Workers parallelises gain evaluation across goroutines (the paper's
-	// future-work item 3, at shared-memory scale). Candidate gains are pure
-	// reads of the inverted database — each worker owns an EvalScratch
-	// arena — so evaluation is embarrassingly parallel; merges stay
-	// sequential. 0 (the default) uses all cores; 1 forces serial
-	// evaluation; negative values are rejected by Validate. Results are
-	// bit-identical regardless of the worker count. MineSharded treats
-	// Workers as the TOTAL budget and splits it across shards.
+	// Workers parallelises the passes that price every co-occurring pair —
+	// CSPM-Partial's seed and each CSPM-Basic iteration — across goroutines
+	// (the paper's future-work item 3, at shared-memory scale). Each worker
+	// sweeps its share of the leafsets with its own EvalScratch arena; the
+	// sweeps are pure reads of the inverted database, so merges and
+	// Partial's per-merge refresh stay sequential. 0 (the default) uses all
+	// cores; 1 forces serial evaluation; negative values are rejected by
+	// Validate. Results are bit-identical regardless of the worker count.
+	// MineSharded treats Workers as the TOTAL budget and splits it across
+	// shards.
 	Workers int
 	// Shards bounds sharded mining: MineSharded, MineShardedCached and
 	// MineDistributed mine one shard per attribute-closed group with at most
@@ -181,146 +182,89 @@ func gainOf(ev invdb.MergeEval, opts Options) float64 {
 	return ev.Gain
 }
 
-// pairEnum holds the reusable state of co-occurring pair enumeration: an
-// epoch-stamped visited set keyed by LeafsetID replaces the per-call hash
-// set of every co-occurring pair, so enumeration allocates nothing in
-// steady state. A pairEnum belongs to one search; it is not safe for
-// concurrent use.
-type pairEnum struct {
-	seen   epoch.Set
-	buf    []invdb.LeafsetID
-	active []invdb.LeafsetID
-}
-
-// forEachCoOccurringPair invokes fn once per unordered pair of leafsets that
-// share at least one coreset — the only pairs that can ever have positive
-// gain (paper §V). Pairs are emitted in canonical ascending (x, y) order
-// with x < y, so enumeration order is a pure function of the database.
-func (pe *pairEnum) forEachCoOccurringPair(db *invdb.DB, fn func(x, y invdb.LeafsetID)) {
-	pe.active = db.AppendActiveLeafsets(pe.active)
-	active := pe.active
-	slices.Sort(active)
-	pe.seen.Grow(db.Leafsets().Size())
-	for _, x := range active {
-		for _, y := range pe.partnersAbove(db, x) {
-			fn(x, y)
-		}
-	}
-}
-
-// partnersAbove collects into pe.buf the distinct leafsets y > ls that share
-// a coreset with ls, sorted ascending.
-func (pe *pairEnum) partnersAbove(db *invdb.DB, ls invdb.LeafsetID) []invdb.LeafsetID {
-	pe.seen.Bump()
-	out := pe.buf[:0]
-	for _, e := range db.CoresetIDsOf(ls) {
-		for _, y := range db.LeafsetIDsOf(e) {
-			if y > ls && pe.seen.Mark(int(y)) {
-				out = append(out, y)
-			}
-		}
-	}
-	slices.Sort(out)
-	pe.buf = out
-	return out
-}
-
-// parallelMinBatch is the pair count below which evalPairs stays serial:
-// tiny batches are cheaper on one goroutine than across a pool.
-const parallelMinBatch = 256
-
 // evalState bundles the reusable gain-evaluation buffers of one search: the
-// pair enumerator, the batch and gain slices, the sweep results, and one
-// persistent EvalScratch arena per worker, so repeated batches allocate
-// nothing once warmed up.
+// active-leafset list, the sweep results, and one persistent EvalScratch
+// arena and result slice per worker, so repeated sweeps allocate nothing
+// once warmed up.
 type evalState struct {
-	pe        pairEnum
-	batch     []uint64
-	gains     []float64
-	evs       []invdb.MergeEval // the current refresh's sweep results
+	active    []invdb.LeafsetID
+	evs       []invdb.MergeEval // the last refresh's or parallel sweepAll's results
 	scratches []*invdb.EvalScratch
+	parts     [][]invdb.MergeEval // per-worker sweepAll results
 }
 
 // scratch returns worker w's persistent arena, creating arenas up to it.
 func (es *evalState) scratch(w int) *invdb.EvalScratch {
 	for len(es.scratches) <= w {
 		es.scratches = append(es.scratches, invdb.NewEvalScratch())
+		es.parts = append(es.parts, nil)
 	}
 	return es.scratches[w]
 }
 
-// evalPairs computes gains for all pairs into es.gains (reusing its
-// capacity), optionally across workers. The result is index-aligned with
-// pairs and every gain is a pure function of (db, pair), so parallelism
-// cannot change any downstream decision.
-func (es *evalState) evalPairs(db *invdb.DB, opts Options, pairs []uint64) []float64 {
-	gains := es.gains
-	if cap(gains) < len(pairs) {
-		gains = make([]float64, len(pairs))
-	} else {
-		gains = gains[:len(pairs)]
-	}
-	es.gains = gains
-	workers := opts.workerCount()
-	if workers > len(pairs)/parallelMinBatch+1 {
-		workers = len(pairs)/parallelMinBatch + 1
-	}
-	if workers <= 1 {
-		for i, k := range pairs {
-			x, y := unpackPair(k)
-			gains[i] = evalGain(db, opts, x, y)
-		}
-		return gains
-	}
+// sweepAll prices every unordered pair of leafsets that share a coreset —
+// the only pairs that can ever have positive gain (paper §V) — exactly
+// once, by sweeping each active leafset p against its partners q > p. The
+// leafsets are dealt round-robin to up to opts.workerCount() goroutines,
+// each with its own scratch and result slice, and the slices are
+// concatenated. The order of the results is unspecified, but every
+// MergeEval is a pure function of (db, pair), so callers that choose by
+// (gain desc, packed key asc) reach the same decisions for any worker count.
+func (es *evalState) sweepAll(db *invdb.DB, opts Options) []invdb.MergeEval {
+	active := db.AppendActiveLeafsets(es.active)
+	es.active = active
+	workers := max(1, min(opts.workerCount(), len(active)))
 	es.scratch(workers - 1)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(pairs) {
-			break
+	sweep := func(w int) {
+		out := es.parts[w][:0]
+		for i := w; i < len(active); i += workers {
+			p := active[i]
+			out = db.SweepMerges(out, p, p+1, p, es.scratches[w])
 		}
-		hi := min(lo+chunk, len(pairs))
+		es.parts[w] = out
+	}
+	if workers == 1 {
+		sweep(0)
+		return es.parts[0]
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
 		wg.Add(1)
-		// Worker-owned persistent arena; the DB is a pure read here.
-		go func(lo, hi int, sc *invdb.EvalScratch) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				x, y := unpackPair(pairs[i])
-				gains[i] = gainOf(db.EvalMergeScratch(x, y, sc), opts)
-			}
-		}(lo, hi, es.scratches[w])
+			sweep(w)
+		}()
 	}
 	wg.Wait()
-	return gains
+	es.evs = es.evs[:0]
+	for _, part := range es.parts[:workers] {
+		es.evs = append(es.evs, part...)
+	}
+	return es.evs
 }
 
 // mineBasic is Algorithm 1: regenerate all candidates each iteration, merge
 // the best pair, repeat until nothing compresses. Ties on gain resolve to
-// the pair earliest in canonical enumeration order (smallest packed key).
+// the smallest packed pair key, the candidate heap's order.
 func mineBasic(db *invdb.DB, opts Options, st *runStats) {
 	es := &evalState{}
 	for iter := 0; opts.MaxIterations == 0 || iter < opts.MaxIterations; iter++ {
 		n := db.NumActiveLeafsets()
 		possible := n * (n - 1) / 2
-		es.batch = es.batch[:0]
-		es.pe.forEachCoOccurringPair(db, func(x, y invdb.LeafsetID) {
-			es.batch = append(es.batch, pairKey(x, y))
-		})
-		gains := es.evalPairs(db, opts, es.batch)
-		var bestX, bestY invdb.LeafsetID
+		evs := es.sweepAll(db, opts)
+		var bestKey uint64
 		bestGain := 0.0
-		for i, g := range gains {
-			if g > bestGain {
-				bestGain = g
-				bestX, bestY = unpackPair(es.batch[i])
+		for _, ev := range evs {
+			g := gainOf(ev, opts)
+			if k := pairKey(ev.X, ev.Y); g > bestGain || (g == bestGain && g > 0 && k < bestKey) {
+				bestGain, bestKey = g, k
 			}
 		}
 		if bestGain <= 0 {
 			return
 		}
-		res := db.ApplyMerge(bestX, bestY)
-		st.record(db, len(es.batch), possible, res.Gain)
+		res := db.ApplyMerge(unpackPair(bestKey))
+		st.record(db, len(evs), possible, res.Gain)
 	}
 }
 
@@ -380,8 +324,9 @@ func (r rdict) related(x invdb.LeafsetID) []invdb.LeafsetID {
 // searchState bundles the candidate heap, related-leafset dictionary and
 // reusable evaluation buffers shared by minePartial and the Stepper.
 type searchState struct {
-	cands *candidateSet
-	rd    rdict
+	cands  *candidateSet
+	rd     rdict
+	popped []uint64 // distinct keys of the pairs the last step popped
 	evalState
 }
 
@@ -389,29 +334,24 @@ func newSearchState() *searchState {
 	return &searchState{cands: newCandidateSet(), rd: make(rdict)}
 }
 
-// seed evaluates every co-occurring pair (in parallel for large databases)
-// and enqueues the positive-gain ones (Algorithm 3 line 2).
+// seed evaluates every co-occurring pair (across workers) and enqueues the
+// positive-gain ones (Algorithm 3 line 2). The heap orders candidates by
+// (gain desc, key asc), so the insertion order does not matter.
 func (s *searchState) seed(db *invdb.DB, opts Options) {
-	s.batch = s.batch[:0]
-	s.pe.forEachCoOccurringPair(db, func(x, y invdb.LeafsetID) {
-		s.batch = append(s.batch, pairKey(x, y))
-	})
-	gains := s.evalPairs(db, opts, s.batch)
-	for i, k := range s.batch {
-		if g := gains[i]; g > 0 {
-			x, y := unpackPair(k)
-			s.cands.Set(x, y, g)
-			s.rd.add(x, y)
+	for _, ev := range s.sweepAll(db, opts) {
+		if g := gainOf(ev, opts); g > 0 {
+			s.cands.Set(ev.X, ev.Y, g)
+			s.rd.add(ev.X, ev.Y)
 		}
 	}
+	clear(s.parts) // refreshes never reuse the per-worker seed results
 }
 
 // refresh applies Algorithm 4's candidate updates after a committed merge,
 // pricing each changed leafset against all its partners in one sweep. A
 // sweep runs on the search's own goroutine: concurrency comes from mining
 // component groups side by side (runShards), not from splitting a sweep.
-// note, when non-nil, observes every evaluated pair key (Fig. 5 stats).
-func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult, note func(uint64)) {
+func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult) {
 	// (1) Remove totally merged leafsets and their candidates.
 	for _, t := range res.Total {
 		s.rd.removeLeafset(t, s.cands)
@@ -424,7 +364,7 @@ func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult,
 	// candidate. §V's sparsity observation still bounds the work: only
 	// co-occurring leafsets are touched.
 	sc := s.scratch(0)
-	s.evs = db.SweepMerges(s.evs[:0], res.New, res.New, sc) // never pairs p with itself
+	s.evs = db.SweepMerges(s.evs[:0], res.New, 0, res.New, sc) // never pairs p with itself
 	step2 := len(s.evs)
 	// (3) Pairs whose gain the merge influenced: every pair that touches a
 	// partially merged leafset. Its lines shrank, so gains in both
@@ -434,13 +374,10 @@ func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult,
 	// in step 2.
 	for _, p := range res.Part {
 		if p != res.New {
-			s.evs = db.SweepMerges(s.evs, p, res.New, sc)
+			s.evs = db.SweepMerges(s.evs, p, 0, res.New, sc)
 		}
 	}
 	for i, ev := range s.evs {
-		if note != nil {
-			note(pairKey(ev.X, ev.Y))
-		}
 		if g := gainOf(ev, opts); g > 0 {
 			s.cands.Set(ev.X, ev.Y, g)
 			s.rd.add(ev.X, ev.Y)
@@ -457,9 +394,10 @@ func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult,
 
 // step is one iteration of Algorithm 3: pop the best candidate, apply it and
 // refresh the candidates it affected (Algorithm 4). It returns the applied
-// merge and true, or false when no candidate compresses any more. note, when
-// non-nil, observes every pair key whose gain was evaluated.
-func (s *searchState) step(db *invdb.DB, opts Options, note func(uint64)) (invdb.MergeResult, bool) {
+// merge and true, or false when no candidate compresses any more. The
+// distinct keys of the popped pairs are left in s.popped.
+func (s *searchState) step(db *invdb.DB, opts Options) (invdb.MergeResult, bool) {
+	s.popped = s.popped[:0]
 	for {
 		x, y, _, ok := s.cands.PopMax()
 		if !ok {
@@ -469,8 +407,8 @@ func (s *searchState) step(db *invdb.DB, opts Options, note func(uint64)) (invdb
 		// coreset frequencies fall), so the stored gain is an upper bound.
 		// Re-evaluate lazily on pop and re-queue if another pair now leads —
 		// this recovers the exact greedy order without eager refreshes.
-		if note != nil {
-			note(pairKey(x, y))
+		if k := pairKey(x, y); !slices.Contains(s.popped, k) {
+			s.popped = append(s.popped, k)
 		}
 		g := evalGain(db, opts, x, y)
 		if g <= 0 {
@@ -485,7 +423,7 @@ func (s *searchState) step(db *invdb.DB, opts Options, note func(uint64)) (invdb
 		// least one coreset.
 		s.rd.removePair(x, y)
 		res := db.ApplyMerge(x, y)
-		s.refresh(db, opts, res, note)
+		s.refresh(db, opts, res)
 		return res, true
 	}
 }
@@ -497,24 +435,36 @@ func (s *searchState) step(db *invdb.DB, opts Options, note func(uint64)) (invdb
 func minePartial(db *invdb.DB, opts Options, st *runStats) {
 	s := newSearchState()
 	s.seed(db, opts)
-	// Keys of the pairs whose gain was evaluated since the last committed
-	// merge; Fig. 5's update ratio counts each distinct pair once per
-	// iteration.
-	var evaled []uint64
-	var note func(uint64)
-	if st != nil {
-		note = func(k uint64) { evaled = append(evaled, k) }
-	}
 	for merges := 0; opts.MaxIterations == 0 || merges < opts.MaxIterations; merges++ {
 		// Popping leaves the active leafsets alone, so the count before the
 		// step is the count at the applied merge's iteration start.
 		n := db.NumActiveLeafsets()
-		res, ok := s.step(db, opts, note)
+		res, ok := s.step(db, opts)
 		if !ok {
 			return
 		}
-		slices.Sort(evaled)
-		st.record(db, len(slices.Compact(evaled)), n*(n-1)/2, res.Gain)
-		evaled = evaled[:0]
+		if st != nil {
+			st.record(db, s.pricedPairs(), n*(n-1)/2, res.Gain)
+		}
 	}
+}
+
+// pricedPairs counts the distinct pairs whose gain the last step evaluated,
+// which Fig. 5's update ratio reports: the popped pairs and the refresh's
+// sweep results. Each sweep reports distinct partners and step 3 skips the
+// new leafset, so a pair repeats in s.evs only when both its leafsets were
+// swept: the merged pair (X, Y) when both parents stay partial, which was
+// popped. A popped pair priced c times by the sweeps therefore adds 1 - c.
+func (s *searchState) pricedPairs() int {
+	n := len(s.evs)
+	for _, k := range s.popped {
+		x, y := unpackPair(k)
+		n++
+		for _, ev := range s.evs {
+			if ev.X == x && ev.Y == y {
+				n--
+			}
+		}
+	}
+	return n
 }

@@ -43,7 +43,7 @@ func (s *Stepper) Step() (StepResult, bool) {
 	if s.doneC {
 		return StepResult{}, false
 	}
-	res, ok := s.state.step(s.db, s.opts, nil)
+	res, ok := s.state.step(s.db, s.opts)
 	if !ok {
 		s.doneC = true
 		return StepResult{}, false

@@ -53,7 +53,7 @@ func TestRefreshSweepMatchesEvalMerge(t *testing.T) {
 				s := newSearchState()
 				s.seed(db, opts)
 				for {
-					if _, ok := s.step(db, opts, nil); !ok {
+					if _, ok := s.step(db, opts); !ok {
 						break
 					}
 					for _, ev := range s.evs {
@@ -73,4 +73,50 @@ func TestRefreshSweepMatchesEvalMerge(t *testing.T) {
 		}
 	}
 	t.Logf("checked %d bitmap and %d sorted-slice sweep results", checked["bitmap"], checked["slice"])
+}
+
+// TestSweepAllPricesEachPairOnce checks the seed's and CSPM-Basic's pricing
+// pass against brute force: at one and four workers, along a greedy search
+// of the small islands graph, sweepAll must report every unordered pair of
+// leafsets that share a coreset exactly once, with x < y and the EvalMerge
+// result, and no other pair.
+func TestSweepAllPricesEachPairOnce(t *testing.T) {
+	cfg := dataset.DefaultIslands()
+	cfg.Seed = 7
+	g := dataset.Islands(cfg)
+	for _, workers := range []int{1, 4} {
+		db := invdb.FromGraph(g)
+		opts := Options{Workers: workers}
+		s := newSearchState()
+		s.seed(db, opts)
+		for merge := 0; merge < 40; merge++ {
+			want := make(map[[2]invdb.LeafsetID]bool)
+			for c := range db.NumCoresets() {
+				ids := db.LeafsetIDsOf(invdb.CoresetID(c))
+				for i, x := range ids {
+					for _, y := range ids[i+1:] {
+						want[[2]invdb.LeafsetID{x, y}] = true
+					}
+				}
+			}
+			got := make(map[[2]invdb.LeafsetID]bool)
+			for _, ev := range s.sweepAll(db, opts) {
+				pr := [2]invdb.LeafsetID{ev.X, ev.Y}
+				if !want[pr] || got[pr] {
+					t.Fatalf("workers %d merge %d: pair %v reported (co-occurring %v, repeated %v)",
+						workers, merge, pr, want[pr], got[pr])
+				}
+				got[pr] = true
+				if ref := db.EvalMerge(ev.X, ev.Y); ev != ref {
+					t.Fatalf("workers %d merge %d: sweep %+v != EvalMerge %+v", workers, merge, ev, ref)
+				}
+			}
+			if len(got) != len(want) || len(want) == 0 {
+				t.Fatalf("workers %d merge %d: %d pairs reported, %d co-occur", workers, merge, len(got), len(want))
+			}
+			if _, ok := s.step(db, opts); !ok {
+				t.Fatalf("workers %d: search ended after %d merges", workers, merge)
+			}
+		}
+	}
 }

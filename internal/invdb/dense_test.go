@@ -66,7 +66,7 @@ func evalSlice(db *DB, x, y LeafsetID, sc *EvalScratch) MergeEval {
 	w := db.bmWords
 	db.bmWords = 0
 	defer func() { db.bmWords = w }()
-	return db.EvalMergeScratch(x, y, sc)
+	return db.evalMergeScratch(x, y, sc)
 }
 
 // TestBitmapPathMatchesSlicePath is the bit-identity proof of the bitmap
@@ -91,13 +91,13 @@ func TestBitmapPathMatchesSlicePath(t *testing.T) {
 			for step := 0; step < steps[name]; step++ {
 				var best MergeEval
 				for _, p := range coOccurringPairs(db) {
-					dense := db.EvalMergeScratch(p[0], p[1], sc)
+					dense := db.evalMergeScratch(p[0], p[1], sc)
 					if slice := evalSlice(db, p[0], p[1], sc); dense != slice {
 						t.Fatalf("%s shard %d step %d: bitmap %+v != slice %+v", name, i, step, dense, slice)
 					}
 					evals++
 					if z, ok := db.lookupUnion(p[0], p[1], sc); ok && z != p[0] && z != p[1] {
-						for _, e := range db.CoresetIDsOf(z) {
+						for _, e := range coresetIDsOf(db, z) {
 							if db.byCore[e].get(p[0]) != nil && db.byCore[e].get(p[1]) != nil {
 								fused++
 							}
@@ -132,7 +132,7 @@ func TestBitmapPathMatchesSlicePath(t *testing.T) {
 // prefilter: on every shard DB of both benchmark graphs, at every step of a
 // greedy search (to completion on the small graph, a bounded prefix on the
 // mid archipelago), every co-occurring pair evaluates to the same MergeEval
-// (==, no tolerance) through EvalMergeScratch as through the unfiltered
+// (==, no tolerance) through evalMergeScratch as through the unfiltered
 // evalLines. A skipped pair never reaches the union lookup, so an untouched
 // union buffer marks it; the filter must skip some pairs on each graph.
 func TestFootprintPrefilterExact(t *testing.T) {
@@ -148,7 +148,7 @@ func TestFootprintPrefilterExact(t *testing.T) {
 				var best MergeEval
 				for _, p := range coOccurringPairs(db) {
 					sc.unionBuf = sc.unionBuf[:0]
-					got := db.EvalMergeScratch(p[0], p[1], sc)
+					got := db.evalMergeScratch(p[0], p[1], sc)
 					if len(sc.unionBuf) == 0 {
 						skipped++
 					}
@@ -252,13 +252,13 @@ func TestUnionCollisionWithExistingLine(t *testing.T) {
 	}
 	x, y := db.leafsets.Single(a), db.leafsets.Single(b)
 	sc := NewEvalScratch()
-	ev := db.EvalMergeScratch(x, y, sc)
+	ev := db.evalMergeScratch(x, y, sc)
 	if slice := evalSlice(db, x, y, sc); ev != slice {
 		t.Fatalf("bitmap %+v != slice %+v", ev, slice)
 	}
-	dataBefore, modelBefore := db.RecomputeDL()
+	dataBefore, modelBefore := db.recomputeDL()
 	res := db.ApplyMerge(x, y)
-	dataAfter, modelAfter := db.RecomputeDL()
+	dataAfter, modelAfter := db.recomputeDL()
 	if want := (dataBefore + modelBefore) - (dataAfter + modelAfter); !almost(res.Gain, want) || !almost(ev.Gain, want) {
 		t.Fatalf("eval gain %v, applied gain %v, recomputed delta %v", ev.Gain, res.Gain, want)
 	}

@@ -57,7 +57,7 @@ func (ix *lineIndex[K]) insert(k K, ln *Line) {
 }
 
 // indexGallopRatio is the size skew at which the shared-coreset walk of
-// EvalMergeScratch switches from the linear merge to galloping over the
+// evalMergeScratch switches from the linear merge to galloping over the
 // larger index via intset.Seek (mirrors intset's gallopRatio).
 const indexGallopRatio = 16
 

@@ -13,7 +13,8 @@
 // per-DB table (DESIGN.md "Bitmap position sets and the XLogX table"), and
 // skip the exact evaluation of pairs whose leafset footprints are disjoint.
 // SweepMerges prices one leafset against all its partners in a single
-// coreset-major pass, with the same per-coreset terms as EvalMergeScratch.
+// coreset-major pass, with the same per-coreset terms as EvalMerge; it is
+// the only kernel that prices many pairs at once.
 package invdb
 
 import (
@@ -44,8 +45,8 @@ type Line struct {
 func (ln *Line) FL() int { return ln.Pos.Len() }
 
 // DB is the inverted database plus incremental description-length state.
-// Mutating methods are not safe for concurrent use; EvalMergeScratch is a
-// pure read and may run from many goroutines at once (each with its own
+// Mutating methods are not safe for concurrent use; SweepMerges is a pure
+// read and may run from many goroutines at once (each with its own
 // EvalScratch) as long as no mutation is in flight.
 type DB struct {
 	st *mdl.StandardTable
@@ -101,9 +102,6 @@ func (db *DB) Leafsets() *LeafsetTable { return db.leafsets }
 // NumCoresets reports the number of coresets (including ones without lines).
 func (db *DB) NumCoresets() int { return len(db.coreContent) }
 
-// NumLines reports the current number of inverted-database lines.
-func (db *DB) NumLines() int { return db.numLines }
-
 // NumActiveLeafsets reports leafsets that still own at least one line.
 func (db *DB) NumActiveLeafsets() int { return len(db.byLeaf) }
 
@@ -116,9 +114,6 @@ func (db *DB) CoreCodeLen(c CoresetID) float64 { return db.coreCode[c] }
 // CoreFreq returns f_c for coreset c.
 func (db *DB) CoreFreq(c CoresetID) int { return db.coreFreq[c] }
 
-// CorePositions returns the mapping-table positions of coreset c.
-func (db *DB) CorePositions(c CoresetID) intset.Set { return db.corePos[c] }
-
 // LinesOf returns the live lines of coreset c keyed by leafset. Callers must
 // not modify the map.
 func (db *DB) LinesOf(c CoresetID) map[LeafsetID]*Line { return db.byCore[c].m }
@@ -127,29 +122,6 @@ func (db *DB) LinesOf(c CoresetID) map[LeafsetID]*Line { return db.byCore[c].m }
 // ascending. The slice aliases the index: callers must not modify it and
 // must not hold it across a mutation.
 func (db *DB) LeafsetIDsOf(c CoresetID) []LeafsetID { return db.byCore[c].ids }
-
-// CoresetsOf returns the live lines of leafset ls keyed by coreset, or nil
-// if the leafset owns no lines. Callers must not modify the map.
-func (db *DB) CoresetsOf(ls LeafsetID) map[CoresetID]*Line {
-	if ix := db.byLeaf[ls]; ix != nil {
-		return ix.m
-	}
-	return nil
-}
-
-// CoresetIDsOf returns the coresets under which leafset ls owns lines,
-// sorted ascending. Same aliasing rules as LeafsetIDsOf.
-func (db *DB) CoresetIDsOf(ls LeafsetID) []CoresetID {
-	if ix := db.byLeaf[ls]; ix != nil {
-		return ix.ids
-	}
-	return nil
-}
-
-// ActiveLeafsets returns the ids of all leafsets that currently own lines.
-func (db *DB) ActiveLeafsets() []LeafsetID {
-	return db.AppendActiveLeafsets(nil)
-}
 
 // AppendActiveLeafsets appends the active leafset ids to dst[:0] and
 // returns it, reusing dst's capacity. Order is unspecified (map order).
@@ -160,14 +132,6 @@ func (db *DB) AppendActiveLeafsets(dst []LeafsetID) []LeafsetID {
 	}
 	return dst
 }
-
-// DataDL returns the current L(I|M) per Eq. 8.
-func (db *DB) DataDL() float64 { return db.dataDL }
-
-// ModelDL returns the current L(M) under the reconstruction documented in
-// DESIGN.md (leafset ST spell-out once per active leafset, plus one coreset
-// pointer per line).
-func (db *DB) ModelDL() float64 { return db.modelDL }
 
 // TotalDL returns L(M) + L(I|M).
 func (db *DB) TotalDL() float64 { return db.dataDL + db.modelDL }
@@ -446,21 +410,6 @@ func (db *DB) recomputeDL() (data, model float64) {
 	return data, model
 }
 
-// RecomputeDL exposes the from-scratch DL for verification.
-func (db *DB) RecomputeDL() (data, model float64) { return db.recomputeDL() }
-
-// CondEntropy reports H(Y|X) (Eq. 7) over the current lines, a diagnostic of
-// how tightly leafsets are bound to their coresets.
-func (db *DB) CondEntropy() float64 {
-	pairs := make([][2]int, 0, db.numLines)
-	for c := range db.byCore {
-		for _, ln := range db.byCore[c].lines {
-			pairs = append(pairs, [2]int{ln.FL(), db.coreFreq[c]})
-		}
-	}
-	return mdl.CondEntropy(pairs)
-}
-
 // MergeEval is the exact outcome of merging leafset pair (X, Y) without
 // applying it. Gain > 0 means the total DL would shrink by Gain bits.
 type MergeEval struct {
@@ -476,12 +425,12 @@ type MergeEval struct {
 }
 
 // EvalMerge computes the exact DL gain of merging leafsets x and y using the
-// DB-owned scratch arena. See EvalMergeScratch for the concurrent variant.
+// DB-owned scratch arena (serial callers only; see evalMergeScratch).
 func (db *DB) EvalMerge(x, y LeafsetID) MergeEval {
-	return db.EvalMergeScratch(x, y, db.scratch)
+	return db.evalMergeScratch(x, y, db.scratch)
 }
 
-// EvalMergeScratch computes the exact DL gain of merging leafsets x and y.
+// evalMergeScratch computes the exact DL gain of merging leafsets x and y.
 // It generalises Eq. 9–15: the three per-coreset merge cases (partly,
 // totally, one-side totally merged) fall out of the same position
 // arithmetic, and the cases where the union collides with an existing
@@ -492,7 +441,7 @@ func (db *DB) EvalMerge(x, y LeafsetID) MergeEval {
 // sc, so concurrent calls with distinct scratches are safe. It allocates
 // nothing once sc's buffers have warmed up, and the result is a pure
 // function of (db, x, y) — independent of which scratch is passed.
-func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
+func (db *DB) evalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 	if x == y {
 		return MergeEval{X: x, Y: y}
 	}
@@ -510,7 +459,7 @@ func (db *DB) EvalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 	return db.evalLines(x, y, ixx, ixy, sc)
 }
 
-// evalLines is EvalMergeScratch's exact evaluation over the shared coresets
+// evalLines is evalMergeScratch's exact evaluation over the shared coresets
 // of x ≠ y, whose leafset indexes ixx and ixy are non-empty.
 func (db *DB) evalLines(x, y LeafsetID, ixx, ixy *lineIndex[CoresetID], sc *EvalScratch) MergeEval {
 	a := db.newMergeAcc(x, y, sc)

@@ -12,6 +12,26 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// coresetIDsOf returns the coresets under which leafset ls owns lines,
+// sorted ascending.
+func coresetIDsOf(db *DB, ls LeafsetID) []CoresetID {
+	if ix := db.byLeaf[ls]; ix != nil {
+		return ix.ids
+	}
+	return nil
+}
+
+// canonicalDLOf prices the DB's current lines in the canonical order.
+func canonicalDLOf(db *DB) (data, model float64) {
+	return CanonicalDL(db.st, db.CoreCodeLen, db.AppendLineStats(nil))
+}
+
+// condEntropyOf computes H(Y|X) (Eq. 7) over a line multiset in the
+// canonical order.
+func condEntropyOf(stats []LineStat) float64 {
+	return canonicalCondEntropy(NormalizeLineStats(stats))
+}
+
 // fig1 builds the paper's running example. Vertex ids: v1..v5 → 0..4.
 func fig1(t *testing.T) *graph.Graph {
 	t.Helper()
@@ -63,7 +83,7 @@ func TestFig1MappingTable(t *testing.T) {
 		"c": intset.New(1, 2),
 	}
 	for name, pos := range want {
-		got := db.CorePositions(CoresetID(attr(t, g, name)))
+		got := db.corePos[CoresetID(attr(t, g, name))]
 		if !got.Equal(pos) {
 			t.Errorf("positions(%s) = %v, want %v", name, got, pos)
 		}
@@ -73,8 +93,8 @@ func TestFig1MappingTable(t *testing.T) {
 func TestFig1InitialLines(t *testing.T) {
 	g := fig1(t)
 	db := FromGraph(g)
-	if db.NumLines() != 8 {
-		t.Fatalf("NumLines = %d, want 8", db.NumLines())
+	if db.numLines != 8 {
+		t.Fatalf("numLines = %d, want 8", db.numLines)
 	}
 	// Manual expansion of Fig. 2(b)-style inverted database.
 	want := map[[2]string]intset.Set{
@@ -108,9 +128,9 @@ func TestFig1InitialLines(t *testing.T) {
 func TestFig1DLBookkeeping(t *testing.T) {
 	g := fig1(t)
 	db := FromGraph(g)
-	data, model := db.RecomputeDL()
-	if !almost(data, db.DataDL()) || !almost(model, db.ModelDL()) {
-		t.Fatalf("incremental DL (%v,%v) != recomputed (%v,%v)", db.DataDL(), db.ModelDL(), data, model)
+	data, model := db.recomputeDL()
+	if !almost(data, db.dataDL) || !almost(model, db.modelDL) {
+		t.Fatalf("incremental DL (%v,%v) != recomputed (%v,%v)", db.dataDL, db.modelDL, data, model)
 	}
 	if !almost(db.BaselineDL(), db.TotalDL()) {
 		t.Fatal("baseline should equal total before merges")
@@ -191,12 +211,12 @@ func TestFig4Merge(t *testing.T) {
 // in lockstep with the maps.
 func checkConsistency(t *testing.T, db *DB) {
 	t.Helper()
-	data, model := db.RecomputeDL()
-	if !almost(data, db.DataDL()) {
-		t.Errorf("dataDL drifted: incremental %v, recomputed %v", db.DataDL(), data)
+	data, model := db.recomputeDL()
+	if !almost(data, db.dataDL) {
+		t.Errorf("dataDL drifted: incremental %v, recomputed %v", db.dataDL, data)
 	}
-	if !almost(model, db.ModelDL()) {
-		t.Errorf("modelDL drifted: incremental %v, recomputed %v", db.ModelDL(), model)
+	if !almost(model, db.modelDL) {
+		t.Errorf("modelDL drifted: incremental %v, recomputed %v", db.modelDL, model)
 	}
 	lines := 0
 	for c := range db.byCore {
@@ -318,7 +338,7 @@ func TestPropertyMergeGainExact(t *testing.T) {
 		g := randomGraph(rng, 12+rng.Intn(12), 3+rng.Intn(4), 0.25, 0.45)
 		db := FromGraph(g)
 		for step := 0; step < 30; step++ {
-			active := db.ActiveLeafsets()
+			active := db.AppendActiveLeafsets(nil)
 			if len(active) < 2 {
 				break
 			}
@@ -336,9 +356,9 @@ func TestPropertyMergeGainExact(t *testing.T) {
 				}
 				continue
 			}
-			dataBefore, modelBefore := db.RecomputeDL()
+			dataBefore, modelBefore := db.recomputeDL()
 			res := db.ApplyMerge(x, y)
-			dataAfter, modelAfter := db.RecomputeDL()
+			dataAfter, modelAfter := db.recomputeDL()
 			wantGain := (dataBefore + modelBefore) - (dataAfter + modelAfter)
 			if !almost(res.Gain, wantGain) {
 				t.Fatalf("seed %d step %d: ApplyMerge gain %v, recomputed %v", seed, step, res.Gain, wantGain)
@@ -366,7 +386,7 @@ func TestSubsetUnionCollision(t *testing.T) {
 		// merge one of its singletons into it.
 		var multi LeafsetID = -1
 		for step := 0; step < 20 && multi < 0; step++ {
-			active := db.ActiveLeafsets()
+			active := db.AppendActiveLeafsets(nil)
 			for _, x := range active {
 				for _, y := range active {
 					if x >= y {
@@ -374,7 +394,7 @@ func TestSubsetUnionCollision(t *testing.T) {
 					}
 					if ev := db.EvalMerge(x, y); ev.Gain > 0 {
 						res := db.ApplyMerge(x, y)
-						if len(db.leafsets.Values(res.New)) >= 2 && len(db.CoresetsOf(res.New)) > 0 {
+						if len(db.leafsets.Values(res.New)) >= 2 && db.byLeaf[res.New].size() > 0 {
 							multi = res.New
 						}
 						break
@@ -389,13 +409,13 @@ func TestSubsetUnionCollision(t *testing.T) {
 			continue
 		}
 		sub := db.leafsets.Single(db.leafsets.Values(multi)[0])
-		if len(db.CoresetsOf(sub)) == 0 {
+		if db.byLeaf[sub].size() == 0 {
 			continue
 		}
 		ev := db.EvalMerge(sub, multi)
-		dataBefore, modelBefore := db.RecomputeDL()
+		dataBefore, modelBefore := db.recomputeDL()
 		res := db.ApplyMerge(sub, multi)
-		dataAfter, modelAfter := db.RecomputeDL()
+		dataAfter, modelAfter := db.recomputeDL()
 		wantGain := (dataBefore + modelBefore) - (dataAfter + modelAfter)
 		if ev.CoOccurs > 0 && !almost(ev.Gain, res.Gain) {
 			t.Fatalf("seed %d: subset-case EvalMerge %v != ApplyMerge %v", seed, ev.Gain, res.Gain)
@@ -484,11 +504,11 @@ func TestLeafsetTable(t *testing.T) {
 func TestCondEntropyDecreasesWithMerges(t *testing.T) {
 	g := fig1(t)
 	db := FromGraph(g)
-	before := db.CondEntropy()
+	before := condEntropyOf(db.AppendLineStats(nil))
 	lsB := db.Leafsets().Single(attr(t, g, "b"))
 	lsC := db.Leafsets().Single(attr(t, g, "c"))
 	db.ApplyMerge(lsB, lsC)
-	if after := db.CondEntropy(); after >= before {
+	if after := condEntropyOf(db.AppendLineStats(nil)); after >= before {
 		t.Fatalf("conditional entropy should drop: %v -> %v", before, after)
 	}
 }

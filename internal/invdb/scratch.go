@@ -5,9 +5,9 @@ import (
 	"cspm/internal/graph"
 )
 
-// EvalScratch is the per-evaluator scratch arena that makes EvalMergeScratch
-// and SweepMerges allocation-free in steady state: the leafset-union buffer and interning
-// key buffer back the union-collision lookup, and the epoch-stamped
+// EvalScratch is the per-evaluator scratch arena that makes gain evaluation
+// (SweepMerges, EvalMerge) allocation-free in steady state: the leafset-union
+// buffer and interning key buffer back the union-collision lookup, and the epoch-stamped
 // attribute set replaces the per-call dedup map of the union spell-out
 // cost. A scratch belongs to exactly one goroutine; parallel gain evaluators
 // each own one (NewEvalScratch) and share the DB read-only, so scratches
@@ -25,6 +25,6 @@ type EvalScratch struct {
 	order    []LeafsetID
 }
 
-// NewEvalScratch returns an empty scratch arena for use with
-// EvalMergeScratch. Buffers are sized lazily on first use.
+// NewEvalScratch returns an empty scratch arena for use with SweepMerges.
+// Buffers are sized lazily on first use.
 func NewEvalScratch() *EvalScratch { return &EvalScratch{} }

@@ -10,12 +10,12 @@ import (
 	"cspm/internal/graph"
 )
 
-// TestEvalMergeScratchEquivalence drives random merge sequences and checks,
+// TestevalMergeScratchEquivalence drives random merge sequences and checks,
 // for every candidate pair at every step, the three-way agreement the
-// allocation-free rewrite must preserve: EvalMergeScratch with a private
+// allocation-free rewrite must preserve: evalMergeScratch with a private
 // arena ≡ EvalMerge on the DB-owned arena (bit-identical floats — they are
 // the same code path), and both ≡ the realised ApplyMerge gain ≡ the
-// from-scratch RecomputeDL delta.
+// from-scratch recomputeDL delta.
 func TestEvalMergeScratchEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -23,7 +23,7 @@ func TestEvalMergeScratchEquivalence(t *testing.T) {
 		db := FromGraph(g)
 		sc := NewEvalScratch()
 		for step := 0; step < 20; step++ {
-			active := db.ActiveLeafsets()
+			active := db.AppendActiveLeafsets(nil)
 			if len(active) < 2 {
 				break
 			}
@@ -31,10 +31,10 @@ func TestEvalMergeScratchEquivalence(t *testing.T) {
 			// serial entry point everywhere, not just on applied merges.
 			for _, x := range active {
 				for _, y := range active {
-					evS := db.EvalMergeScratch(x, y, sc)
+					evS := db.evalMergeScratch(x, y, sc)
 					evD := db.EvalMerge(x, y)
 					if evS != evD {
-						t.Fatalf("seed %d step %d: EvalMergeScratch %+v != EvalMerge %+v", seed, step, evS, evD)
+						t.Fatalf("seed %d step %d: evalMergeScratch %+v != EvalMerge %+v", seed, step, evS, evD)
 					}
 				}
 			}
@@ -43,16 +43,16 @@ func TestEvalMergeScratchEquivalence(t *testing.T) {
 			if x == y {
 				continue
 			}
-			ev := db.EvalMergeScratch(x, y, sc)
-			dataBefore, modelBefore := db.RecomputeDL()
+			ev := db.evalMergeScratch(x, y, sc)
+			dataBefore, modelBefore := db.recomputeDL()
 			res := db.ApplyMerge(x, y)
-			dataAfter, modelAfter := db.RecomputeDL()
+			dataAfter, modelAfter := db.recomputeDL()
 			wantGain := (dataBefore + modelBefore) - (dataAfter + modelAfter)
 			if !almost(res.Gain, wantGain) {
-				t.Fatalf("seed %d step %d: ApplyMerge gain %v != RecomputeDL delta %v", seed, step, res.Gain, wantGain)
+				t.Fatalf("seed %d step %d: ApplyMerge gain %v != recomputeDL delta %v", seed, step, res.Gain, wantGain)
 			}
 			if ev.CoOccurs > 0 && !almost(ev.Gain, res.Gain) {
-				t.Fatalf("seed %d step %d: EvalMergeScratch %v != ApplyMerge %v", seed, step, ev.Gain, res.Gain)
+				t.Fatalf("seed %d step %d: evalMergeScratch %v != ApplyMerge %v", seed, step, ev.Gain, res.Gain)
 			}
 			checkConsistency(t, db)
 			if t.Failed() {
@@ -62,16 +62,16 @@ func TestEvalMergeScratchEquivalence(t *testing.T) {
 	}
 }
 
-// TestEvalMergeScratchConcurrent runs many evaluators over one DB, each with
+// TestevalMergeScratchConcurrent runs many evaluators over one DB, each with
 // its own arena, and checks every result is bit-identical to the serial one.
-// Run with -race to validate the read-only contract of EvalMergeScratch.
+// Run with -race to validate the read-only contract of evalMergeScratch.
 func TestEvalMergeScratchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := randomGraph(rng, 40, 6, 0.15, 0.4)
 	db := FromGraph(g)
 	// Advance the database a few merges so union collisions exist.
 	for step := 0; step < 5; step++ {
-		active := db.ActiveLeafsets()
+		active := db.AppendActiveLeafsets(nil)
 		best, bx, by := 0.0, LeafsetID(-1), LeafsetID(-1)
 		for _, x := range active {
 			for _, y := range active {
@@ -87,7 +87,7 @@ func TestEvalMergeScratchConcurrent(t *testing.T) {
 		}
 		db.ApplyMerge(bx, by)
 	}
-	active := db.ActiveLeafsets()
+	active := db.AppendActiveLeafsets(nil)
 	type pair struct{ x, y LeafsetID }
 	var pairs []pair
 	want := make(map[pair]MergeEval)
@@ -108,7 +108,7 @@ func TestEvalMergeScratchConcurrent(t *testing.T) {
 			sc := NewEvalScratch()
 			for i := w; i < len(pairs); i += workers {
 				p := pairs[i]
-				if got := db.EvalMergeScratch(p.x, p.y, sc); got != want[p] {
+				if got := db.evalMergeScratch(p.x, p.y, sc); got != want[p] {
 					errs <- "concurrent eval diverged from serial"
 					return
 				}
@@ -128,7 +128,7 @@ func TestEvalMergeAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 50, 7, 0.15, 0.4)
 	db := FromGraph(g)
-	active := db.ActiveLeafsets()
+	active := db.AppendActiveLeafsets(nil)
 	if len(active) < 4 {
 		t.Skip("graph too sparse")
 	}
@@ -137,18 +137,18 @@ func TestEvalMergeAllocationFree(t *testing.T) {
 	for _, x := range active {
 		for _, y := range active {
 			db.EvalMerge(x, y)
-			db.EvalMergeScratch(x, y, sc)
+			db.evalMergeScratch(x, y, sc)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, x := range active {
 			for _, y := range active {
-				db.EvalMergeScratch(x, y, sc)
+				db.evalMergeScratch(x, y, sc)
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("EvalMergeScratch allocated %v times per sweep, want 0", allocs)
+		t.Fatalf("evalMergeScratch allocated %v times per sweep, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(20, func() {
 		for _, x := range active {
@@ -198,7 +198,7 @@ func TestEvalMergeGallopWalk(t *testing.T) {
 	db := FromGraph(g)
 
 	var lsM, lsQ LeafsetID = -1, -1
-	for _, ls := range db.ActiveLeafsets() {
+	for _, ls := range db.AppendActiveLeafsets(nil) {
 		vals := db.Leafsets().Values(ls)
 		if len(vals) != 1 {
 			continue
@@ -213,7 +213,7 @@ func TestEvalMergeGallopWalk(t *testing.T) {
 	if lsM < 0 || lsQ < 0 {
 		t.Fatal("hub graph did not produce the expected leafsets")
 	}
-	nm, nq := len(db.CoresetIDsOf(lsM)), len(db.CoresetIDsOf(lsQ))
+	nm, nq := len(coresetIDsOf(db, lsM)), len(coresetIDsOf(db, lsQ))
 	if nm <= indexGallopRatio*nq {
 		t.Fatalf("index sizes %d vs %d do not exercise the gallop walk", nm, nq)
 	}
@@ -224,12 +224,12 @@ func TestEvalMergeGallopWalk(t *testing.T) {
 		}
 	}
 	ev := db.EvalMerge(lsQ, lsM)
-	dataBefore, modelBefore := db.RecomputeDL()
+	dataBefore, modelBefore := db.recomputeDL()
 	res := db.ApplyMerge(lsQ, lsM)
-	dataAfter, modelAfter := db.RecomputeDL()
+	dataAfter, modelAfter := db.recomputeDL()
 	wantGain := (dataBefore + modelBefore) - (dataAfter + modelAfter)
 	if !almost(res.Gain, wantGain) {
-		t.Fatalf("ApplyMerge gain %v != RecomputeDL delta %v", res.Gain, wantGain)
+		t.Fatalf("ApplyMerge gain %v != recomputeDL delta %v", res.Gain, wantGain)
 	}
 	if !almost(ev.Gain, res.Gain) {
 		t.Fatalf("gallop-walk EvalMerge %v != ApplyMerge %v", ev.Gain, res.Gain)

@@ -171,13 +171,8 @@ func canonicalDL(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats 
 	return data, model
 }
 
-// CanonicalCondEntropy computes H(Y|X) (Eq. 7) over a line multiset in the
-// canonical order.
-func CanonicalCondEntropy(stats []LineStat) float64 {
-	return canonicalCondEntropy(NormalizeLineStats(stats))
-}
-
-// canonicalCondEntropy is CanonicalCondEntropy over already-normalized stats.
+// canonicalCondEntropy computes H(Y|X) (Eq. 7) over already-normalized
+// line stats, in the canonical order.
 func canonicalCondEntropy(stats []LineStat) float64 {
 	pairs := make([][2]int, 0, len(stats))
 	for i := 0; i < len(stats); {
@@ -203,11 +198,4 @@ func CanonicalSummary(st *mdl.StandardTable, coreCode func(CoresetID) float64, s
 	norm = NormalizeLineStats(stats)
 	data, model = canonicalDL(st, coreCode, norm)
 	return data, model, canonicalCondEntropy(norm), norm
-}
-
-// CanonicalDL reports the DB's current description lengths through the
-// canonical summation order (same totals as DataDL/ModelDL up to float
-// association; bit-stable across merge interleavings).
-func (db *DB) CanonicalDL() (data, model float64) {
-	return CanonicalDL(db.st, db.CoreCodeLen, db.AppendLineStats(nil))
 }

@@ -40,11 +40,11 @@ func TestFromGraphShardIdentityMatchesFromGraph(t *testing.T) {
 	if got, want := shard.BaselineDL(), whole.BaselineDL(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("identity shard baseline %v != whole-graph baseline %v", got, want)
 	}
-	if shard.NumLines() != whole.NumLines() {
-		t.Fatalf("line counts differ: %d vs %d", shard.NumLines(), whole.NumLines())
+	if shard.numLines != whole.numLines {
+		t.Fatalf("line counts differ: %d vs %d", shard.numLines, whole.numLines)
 	}
-	sd, sm := shard.CanonicalDL()
-	wd, wm := whole.CanonicalDL()
+	sd, sm := canonicalDLOf(shard)
+	wd, wm := canonicalDLOf(whole)
 	if math.Float64bits(sd) != math.Float64bits(wd) || math.Float64bits(sm) != math.Float64bits(wm) {
 		t.Fatalf("canonical DLs differ: (%v,%v) vs (%v,%v)", sd, sm, wd, wm)
 	}
@@ -59,11 +59,11 @@ func TestShardStatsUnionMatchesGlobal(t *testing.T) {
 	union := a.AppendLineStats(nil)
 	union = b.AppendLineStats(union)
 	ud, um := CanonicalDL(st, whole.CoreCodeLen, union)
-	wd, wm := whole.CanonicalDL()
+	wd, wm := canonicalDLOf(whole)
 	if math.Float64bits(ud+um) != math.Float64bits(wd+wm) {
 		t.Fatalf("union of shard stats prices %v, global %v", ud+um, wd+wm)
 	}
-	if ue, we := CanonicalCondEntropy(union), CanonicalCondEntropy(whole.AppendLineStats(nil)); math.Float64bits(ue) != math.Float64bits(we) {
+	if ue, we := condEntropyOf(union), condEntropyOf(whole.AppendLineStats(nil)); math.Float64bits(ue) != math.Float64bits(we) {
 		t.Fatalf("cond entropy differs: %v vs %v", ue, we)
 	}
 }
@@ -72,7 +72,7 @@ func TestCanonicalDLMatchesRecomputeAndIsOrderFree(t *testing.T) {
 	g := islands(t)
 	db := FromGraph(g)
 	// Apply one compressing merge if available so the line set is nontrivial.
-	ids := db.ActiveLeafsets()
+	ids := db.AppendActiveLeafsets(nil)
 merge:
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
@@ -82,8 +82,8 @@ merge:
 			}
 		}
 	}
-	data, model := db.CanonicalDL()
-	rd, rm := db.RecomputeDL()
+	data, model := canonicalDLOf(db)
+	rd, rm := db.recomputeDL()
 	if math.Abs((data+model)-(rd+rm)) > 1e-9 {
 		t.Fatalf("canonical %v far from recompute %v", data+model, rd+rm)
 	}
@@ -111,7 +111,7 @@ func TestNormalizeLineStatsFoldsDuplicates(t *testing.T) {
 		t.Fatalf("len = %d, want 3", len(out))
 	}
 	// The input must survive untouched: canonical computations are chained
-	// over the same slice (CanonicalDL then CanonicalCondEntropy).
+	// over the same slice (CanonicalDL then canonicalCondEntropy).
 	if len(stats) != 4 || stats[0].Core != 2 || stats[0].FL != 3 || stats[2].FL != 4 {
 		t.Fatalf("input slice mutated: %+v", stats)
 	}
@@ -193,14 +193,14 @@ func TestFromShardDataMatchesFromGraphShard(t *testing.T) {
 		want := FromGraphShard(g, st, verts)
 		attrs, adj := remapShard(g, verts)
 		got := FromShardData(mdl.NewStandardTableFromFreqs(st.Freqs()), g.NumAttrValues(), attrs, adj)
-		if got.NumLines() != want.NumLines() {
-			t.Fatalf("verts %v: line counts differ: %d vs %d", verts, got.NumLines(), want.NumLines())
+		if got.numLines != want.numLines {
+			t.Fatalf("verts %v: line counts differ: %d vs %d", verts, got.numLines, want.numLines)
 		}
 		if math.Float64bits(got.BaselineDL()) != math.Float64bits(want.BaselineDL()) {
 			t.Fatalf("verts %v: baseline %v != %v", verts, got.BaselineDL(), want.BaselineDL())
 		}
-		gi, gm := got.CanonicalDL()
-		wi, wm := want.CanonicalDL()
+		gi, gm := canonicalDLOf(got)
+		wi, wm := canonicalDLOf(want)
 		if math.Float64bits(gi) != math.Float64bits(wi) || math.Float64bits(gm) != math.Float64bits(wm) {
 			t.Fatalf("verts %v: canonical DLs differ: (%v,%v) vs (%v,%v)", verts, gi, gm, wi, wm)
 		}

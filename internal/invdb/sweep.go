@@ -1,20 +1,23 @@
 package invdb
 
-// SweepMerges evaluates the merges of leafset p with every leafset q that
-// shares a coreset with it, appending one MergeEval per partner to dst in
-// first-sight order, and returns dst. It is the coreset-major form of
-// calling EvalMergeScratch(min(p, q), max(p, q), sc) for each partner, and
-// every result equals that call bit for bit (DESIGN.md "Coreset-major
-// refresh sweep"): p's coresets are walked once in ascending order, and each
-// coreset's posting list adds its term to the accumulator of every partner
-// on it, so each pair still sums its shared coresets in ascending order with
-// x = min(p, q). The footprint test and the union lookup run once per
-// partner, at first sight; the spell-out terms are applied at the end.
-// Partners with disjoint footprints are still reported, with the zero
-// evaluation EvalMergeScratch returns for them. The partner skip is left
-// out. Like EvalMergeScratch, SweepMerges only
-// reads the DB, so sweeps with distinct scratches may run concurrently.
-func (db *DB) SweepMerges(dst []MergeEval, p, skip LeafsetID, sc *EvalScratch) []MergeEval {
+import "slices"
+
+// SweepMerges evaluates the merges of leafset p with every leafset q ≥ lo
+// that shares a coreset with it, appending one MergeEval per partner to dst
+// in first-sight order, and returns dst. The refresh after a merge passes
+// lo = 0 to price p against all its partners; pricing every co-occurring
+// pair once passes lo = p+1 for each p. Every result equals
+// EvalMerge(min(p, q), max(p, q)) bit for bit (DESIGN.md
+// "Coreset-major refresh sweep"): p's coresets are walked once in ascending
+// order, and each coreset's posting list adds its term to the accumulator of
+// every partner on it, so each pair still sums its shared coresets in
+// ascending order with x = min(p, q). The footprint test and the union
+// lookup run once per partner, at first sight; the spell-out terms are
+// applied at the end. Partners with disjoint footprints are still reported,
+// with the zero evaluation EvalMerge returns for them. The partner skip is
+// left out. SweepMerges only reads the DB, so sweeps with distinct scratches
+// may run concurrently.
+func (db *DB) SweepMerges(dst []MergeEval, p, lo, skip LeafsetID, sc *EvalScratch) []MergeEval {
 	ixp := db.byLeaf[p]
 	if ixp.size() == 0 {
 		return dst
@@ -27,7 +30,14 @@ func (db *DB) SweepMerges(dst []MergeEval, p, skip LeafsetID, sc *EvalScratch) [
 	for i, e := range ixp.ids {
 		lnp := ixp.lines[i]
 		bc := &db.byCore[e]
-		for j, q := range bc.ids {
+		// Posting lists are sorted ascending, so the partners below lo
+		// form a prefix.
+		j0 := 0
+		if lo > 0 {
+			j0, _ = slices.BinarySearch(bc.ids, lo)
+		}
+		for j := j0; j < len(bc.ids); j++ {
+			q := bc.ids[j]
 			if q == p || q == skip {
 				continue
 			}
@@ -37,7 +47,7 @@ func (db *DB) SweepMerges(dst []MergeEval, p, skip LeafsetID, sc *EvalScratch) [
 				*a = sweepAcc{lines: int32(len(ixq.ids))}
 				order = append(order, q)
 				// Disjoint footprints mean CoOccurs == 0 (see
-				// EvalMergeScratch).
+				// evalMergeScratch).
 				if ixp.fp != nil && !ixp.fp.Intersects(ixq.fp) {
 					a.disjoint = true
 					continue
