@@ -57,8 +57,6 @@ func newCandidateSet() *candidateSet {
 	return &candidateSet{live: make(map[uint64]candEntry)}
 }
 
-func (cs *candidateSet) Len() int { return len(cs.live) }
-
 // Set inserts or updates the pair's gain.
 func (cs *candidateSet) Set(a, b invdb.LeafsetID, gain float64) {
 	cs.seq++

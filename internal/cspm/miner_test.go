@@ -233,8 +233,8 @@ func TestCandidateSet(t *testing.T) {
 	cs.Set(1, 2, 5.0)
 	cs.Set(3, 4, 9.0)
 	cs.Set(1, 2, 7.0) // supersedes
-	if cs.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", cs.Len())
+	if len(cs.live) != 2 {
+		t.Fatalf("Len = %d, want 2", len(cs.live))
 	}
 	a, b, gain, ok := cs.PopMax()
 	if !ok || gain != 9.0 || pairKey(a, b) != pairKey(3, 4) {
@@ -299,7 +299,7 @@ func TestRdict(t *testing.T) {
 	if len(r) != 0 {
 		t.Fatalf("rdict not empty after removeLeafset: %v", r)
 	}
-	if cs.Len() != 0 {
+	if len(cs.live) != 0 {
 		t.Fatal("candidates not cleared with leafset")
 	}
 }

@@ -21,15 +21,6 @@ type Table4Row struct {
 	Fused   completion.Metrics // CSPM ⊗ model
 }
 
-// Improvement returns the relative Recall@K gain of fusion at the smallest K.
-func (r Table4Row) Improvement() float64 {
-	k := r.Ks[0]
-	if r.Base.RecallAtK[k] == 0 {
-		return 0
-	}
-	return (r.Fused.RecallAtK[k] - r.Base.RecallAtK[k]) / r.Base.RecallAtK[k]
-}
-
 // Table4Options configures the completion experiment.
 type Table4Options struct {
 	Scale        Scale

@@ -3,15 +3,14 @@ package graph
 // Partitioning support for sharded mining (see DESIGN.md "Sharded mining").
 // The miner shards an attributed graph by grouping vertices into units whose
 // searches are provably independent, then mining each unit as one shard.
-// Two grain sizes are provided: plain connected components, and
-// attribute-closed component groups — components additionally merged when
-// they share any attribute value. Only the latter guarantees bit-exact
-// sharded mining: a value occurring in two components couples their coreset
-// frequencies f_c, leafset spell-out charges, and pair gains, so such
-// components must be mined together.
+// The unit is the attribute-closed component group: connected components,
+// additionally merged when they share any attribute value. Plain connected
+// components would not give bit-exact sharded mining: a value occurring in
+// two components couples their coreset frequencies f_c, leafset spell-out
+// charges, and pair gains, so such components must be mined together.
 
 // UnionFind is a classic disjoint-set forest with union by size and path
-// halving. It is the substrate of the component partitioners and is exported
+// halving. It is the substrate of the component partitioner and is exported
 // for reuse by other grouping passes.
 type UnionFind struct {
 	parent []int32
@@ -75,18 +74,6 @@ func finish(uf *UnionFind, n int) Partition {
 		p.Group[v] = id
 	}
 	return p
-}
-
-// Components partitions g into connected components.
-func Components(g *Graph) Partition {
-	n := g.NumVertices()
-	uf := NewUnionFind(n)
-	for v := 0; v < n; v++ {
-		for _, u := range g.adj[v] {
-			uf.Union(v, int(u))
-		}
-	}
-	return finish(uf, n)
 }
 
 // AttrClosedComponents partitions g into attribute-closed component groups:

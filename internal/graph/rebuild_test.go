@@ -167,7 +167,7 @@ func TestRebuildFingerprintWarmness(t *testing.T) {
 	_ = b.AddAttr(5, "y")
 	g := b.Build()
 	fpOf := func(g *Graph, member VertexID) Fingerprint {
-		p := Components(g)
+		p := AttrClosedComponents(g)
 		return p.Fingerprints(g)[p.Group[member]]
 	}
 	island2 := fpOf(g, 3)

@@ -45,15 +45,6 @@ func FromSorted(vals []uint32) Set { return Set(vals) }
 // Len reports the number of elements.
 func (s Set) Len() int { return len(s) }
 
-// Empty reports whether the set has no elements.
-func (s Set) Empty() bool { return len(s) == 0 }
-
-// Contains reports whether v is in the set.
-func (s Set) Contains(v uint32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
 // Clone returns an independent copy of the set.
 func (s Set) Clone() Set {
 	if len(s) == 0 {
@@ -264,20 +255,3 @@ func (s Set) Union(t Set) Set {
 	out = append(out, t[j:]...)
 	return out
 }
-
-// Add returns a set containing the elements of s plus v. The receiver is not
-// modified; when v is already present the receiver itself is returned.
-func (s Set) Add(v uint32) Set {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	out := make(Set, 0, len(s)+1)
-	out = append(out, s[:i]...)
-	out = append(out, v)
-	out = append(out, s[i:]...)
-	return out
-}
-
-// Values exposes the underlying sorted slice. Callers must not modify it.
-func (s Set) Values() []uint32 { return s }

@@ -109,64 +109,3 @@ func gallopIntersectInto(small, big, dst Set) Set {
 	}
 	return dst
 }
-
-// DiffInto writes s \ t into dst[:0] and returns the result, reusing dst's
-// capacity. When t is much larger than s the subtrahend is galloped over.
-// DiffInto and UnionInto are not used by the merge evaluator itself —
-// ApplyMerge stores its results, so it must allocate — they complete the
-// scratch-kernel API for transient set arithmetic (incremental/dynamic
-// update paths).
-func (s Set) DiffInto(t Set, dst Set) Set {
-	dst = dst[:0]
-	if len(s) == 0 {
-		return dst
-	}
-	if len(t) > gallopRatio*len(s) {
-		lo := 0
-		for _, v := range s {
-			lo = seek(t, v, lo)
-			if lo >= len(t) || t[lo] != v {
-				dst = append(dst, v)
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(s) {
-		if j >= len(t) || s[i] < t[j] {
-			dst = append(dst, s[i])
-			i++
-		} else if s[i] > t[j] {
-			j++
-		} else {
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// UnionInto writes s ∪ t into dst[:0] and returns the result, reusing dst's
-// capacity. dst must not alias s or t.
-func (s Set) UnionInto(t Set, dst Set) Set {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		a, b := s[i], t[j]
-		switch {
-		case a < b:
-			dst = append(dst, a)
-			i++
-		case a > b:
-			dst = append(dst, b)
-			j++
-		default:
-			dst = append(dst, a)
-			i++
-			j++
-		}
-	}
-	dst = append(dst, s[i:]...)
-	dst = append(dst, t[j:]...)
-	return dst
-}

@@ -196,22 +196,6 @@ func (ct *CodeTable) ModelDL() float64 {
 // TotalDL returns L(CT, D) = L(CT|D) + L(D|CT).
 func (ct *CodeTable) TotalDL() float64 { return ct.DataDL() + ct.ModelDL() }
 
-// AddItemset inserts an itemset (≥2 items), re-sorts, and re-covers.
-// Returns the new entry; adding an existing itemset returns the existing
-// entry unchanged.
-func (ct *CodeTable) AddItemset(items []fim.Item) *Entry {
-	sorted := append([]fim.Item(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if e := ct.find(sorted); e != nil {
-		return e
-	}
-	e := &Entry{Items: sorted, Support: ct.support(sorted)}
-	ct.entries = append(ct.entries, e)
-	ct.sortEntries()
-	ct.Recover()
-	return e
-}
-
 // TryItemset adds the itemset and re-covers, returning the new entry and a
 // rollback that restores the previous table and cover without another
 // re-cover. The rollback must be called at most once, and only while no
@@ -251,20 +235,6 @@ func (ct *CodeTable) TryItemset(items []fim.Item) (*Entry, func()) {
 		ct.totalUsage = prevTotal
 	}
 	return e, rollback
-}
-
-// RemoveEntry deletes a non-singleton entry and re-covers.
-func (ct *CodeTable) RemoveEntry(e *Entry) {
-	if len(e.Items) <= 1 {
-		return // singletons are permanent
-	}
-	for i, x := range ct.entries {
-		if x == e {
-			ct.entries = append(ct.entries[:i], ct.entries[i+1:]...)
-			break
-		}
-	}
-	ct.Recover()
 }
 
 func (ct *CodeTable) find(items []fim.Item) *Entry {
@@ -313,9 +283,6 @@ func (ct *CodeTable) NonSingletons() []*Entry {
 
 // TotalUsage reports the number of codes emitted by the current cover.
 func (ct *CodeTable) TotalUsage() int { return ct.totalUsage }
-
-// DB returns the database the table covers.
-func (ct *CodeTable) DB() *fim.DB { return ct.db }
 
 // Decode verifies losslessness: re-expanding every transaction's cover must
 // reproduce the transaction exactly. Returns an error on the first mismatch.

@@ -48,7 +48,7 @@ func TestAddItemsetImprovesPlantedDB(t *testing.T) {
 	db := patternedDB(2, 80)
 	ct := NewCodeTable(db)
 	before := ct.TotalDL()
-	ct.AddItemset([]fim.Item{0, 1, 2})
+	ct.TryItemset([]fim.Item{0, 1, 2})
 	after := ct.TotalDL()
 	if after >= before {
 		t.Fatalf("planted itemset did not compress: %v -> %v", before, after)
@@ -62,39 +62,31 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	db := patternedDB(3, 40)
 	ct := NewCodeTable(db)
 	before := ct.TotalDL()
-	e := ct.AddItemset([]fim.Item{0, 1})
-	ct.RemoveEntry(e)
+	_, rollback := ct.TryItemset([]fim.Item{0, 1})
+	rollback()
 	if math.Abs(ct.TotalDL()-before) > 1e-9 {
-		t.Fatalf("add+remove changed DL: %v -> %v", before, ct.TotalDL())
+		t.Fatalf("try+rollback changed DL: %v -> %v", before, ct.TotalDL())
+	}
+	if ct.Has([]fim.Item{0, 1}) {
+		t.Fatal("rolled-back itemset is still in the table")
 	}
 }
 
 func TestAddExistingItemsetIdempotent(t *testing.T) {
 	db := patternedDB(4, 40)
 	ct := NewCodeTable(db)
-	e1 := ct.AddItemset([]fim.Item{0, 1, 2})
-	e2 := ct.AddItemset([]fim.Item{2, 1, 0})
-	if e1 != e2 {
+	e1, _ := ct.TryItemset([]fim.Item{0, 1, 2})
+	e2, rollback := ct.TryItemset([]fim.Item{2, 1, 0})
+	if e1 != e2 || rollback != nil {
 		t.Fatal("re-adding an itemset created a duplicate entry")
-	}
-}
-
-func TestSingletonsNotRemovable(t *testing.T) {
-	db := patternedDB(5, 30)
-	ct := NewCodeTable(db)
-	entries := ct.Entries()
-	before := len(ct.Entries())
-	ct.RemoveEntry(entries[0]) // a singleton
-	if len(ct.Entries()) != before {
-		t.Fatal("singleton was removed")
 	}
 }
 
 func TestCoverDisjointAndOrdered(t *testing.T) {
 	db := fim.NewDB([][]fim.Item{{0, 1, 2, 3}})
 	ct := NewCodeTable(db)
-	ct.AddItemset([]fim.Item{0, 1})
-	ct.AddItemset([]fim.Item{1, 2}) // overlaps {0,1}; cover must stay disjoint
+	ct.TryItemset([]fim.Item{0, 1})
+	ct.TryItemset([]fim.Item{1, 2}) // overlaps {0,1}; cover must stay disjoint
 	cover := ct.CoverTx(db.Txs[0])
 	seen := map[fim.Item]int{}
 	for _, e := range cover {

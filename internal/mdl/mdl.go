@@ -14,15 +14,6 @@ import (
 	"cspm/internal/graph"
 )
 
-// Log2 returns log2(x) with Log2(0) = 0, matching the 0·log 0 = 0 convention
-// used by every entropy formula in the paper.
-func Log2(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Log2(x)
-}
-
 // XLogX returns x·log2(x) with 0·log 0 = 0. The description length of the
 // inverted database (Eq. 8) is a signed sum of these terms.
 func XLogX(x float64) float64 {
@@ -30,16 +21,6 @@ func XLogX(x float64) float64 {
 		return 0
 	}
 	return x * math.Log2(x)
-}
-
-// CodeLen returns the Shannon code length −log2(p) in bits for an event of
-// probability p. Probabilities outside (0, 1] yield +Inf, signalling an
-// unencodable event; callers treat that as "pattern cannot occur".
-func CodeLen(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return -math.Log2(p)
 }
 
 // StandardTable is the standard code table ST (paper §III): the optimal
@@ -96,17 +77,6 @@ func (st *StandardTable) Freqs() []int {
 	return append([]int(nil), st.freq...)
 }
 
-// Freq reports the global occurrence count of value a.
-func (st *StandardTable) Freq(a graph.AttrID) int {
-	if int(a) >= len(st.freq) {
-		return 0
-	}
-	return st.freq[a]
-}
-
-// Total reports the total number of attribute occurrences.
-func (st *StandardTable) Total() int { return st.total }
-
 // Len returns L_ST(a) = −log2(freq(a)/total) in bits (Eq. 5 applied to the
 // mapping-table frequencies). Values never seen get +Inf.
 func (st *StandardTable) Len(a graph.AttrID) float64 {
@@ -126,20 +96,6 @@ func (st *StandardTable) SetLen(set []graph.AttrID) float64 {
 	return sum
 }
 
-// BaselineDL is L(D|ST): the cost of the raw mapping encoded with standard
-// codes only, i.e. Σ_a freq(a)·L_ST(a). It is the compression baseline that
-// mined models are measured against.
-func (st *StandardTable) BaselineDL() float64 {
-	sum := 0.0
-	tot := float64(st.total)
-	for _, f := range st.freq {
-		if f > 0 {
-			sum += float64(f) * -math.Log2(float64(f)/tot)
-		}
-	}
-	return sum
-}
-
 // CondCodeLen returns the conditional-entropy code length of an
 // inverted-database line (Eq. 6): L(SL | Sc) = −log2(fL/fc).
 // fL must satisfy 0 < fL ≤ fc; violations return +Inf.
@@ -148,20 +104,6 @@ func CondCodeLen(fL, fc int) float64 {
 		return math.Inf(1)
 	}
 	return -math.Log2(float64(fL) / float64(fc))
-}
-
-// DataDL computes L(I|M) from Eq. (8): Σ_j c_j·log c_j − Σ_ij l_ij·log l_ij,
-// where coreFreq holds each coreset's frequency c_j and lineFreqs the fL of
-// every line grouped in any order (grouping is irrelevant to the sum).
-func DataDL(coreFreq []int, lineFreqs []int) float64 {
-	sum := 0.0
-	for _, c := range coreFreq {
-		sum += XLogX(float64(c))
-	}
-	for _, l := range lineFreqs {
-		sum -= XLogX(float64(l))
-	}
-	return sum
 }
 
 // CondEntropy computes H(Y|X) from Eq. (7) given each line's (fL, fc) and

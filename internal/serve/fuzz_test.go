@@ -163,3 +163,79 @@ func FuzzCompleteRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzQueryParams feeds raw query strings to GET /patterns and GET /watch
+// through the host's HTTP surface. Neither handler may panic, and each must
+// answer 200 or the 400 bad_request envelope. A 200 page from /patterns has
+// a non-negative offset, a limit in [1, maxPageLimit] and at most limit
+// patterns. The /watch query is prefixed with generation=0, which the
+// served snapshot always satisfies, so every 200 resolves at once with the
+// served generation and never times out. The seed corpus covers paging
+// bounds, int64 overflow, malformed escapes and separators, and the watch
+// timeout's clamp.
+func FuzzQueryParams(f *testing.F) {
+	h, err := NewHost(HostOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { h.Close() })
+	s, err := h.Create(DefaultNamespace, testGraph(f), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	gen := s.Snapshot().Generation
+	for _, seed := range []string{
+		"",
+		"offset=1&limit=2",
+		"limit=1000&multileaf=1",
+		"limit=1001",
+		"limit=0",
+		"offset=-1",
+		"offset=9223372036854775807&limit=1000",
+		"offset=99999999999999999999",
+		"limit=1;offset=2",
+		"offset=%zz&limit=%31",
+		"timeout_ms=-5",
+		"timeout_ms=9223372036854775807",
+		"generation=99&timeout_ms=1", // the prefixed generation=0 wins
+	} {
+		f.Add(seed)
+	}
+
+	get := func(t *testing.T, path, rawQuery string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.URL.RawQuery = rawQuery
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code == http.StatusBadRequest {
+			var e ErrorJSON
+			if err := json.NewDecoder(w.Body).Decode(&e); err != nil || e.Code != CodeBadRequest || e.Error == "" {
+				t.Fatalf("%s?%s: 400 body is not the bad_request envelope: %+v (%v)", path, rawQuery, e, err)
+			}
+		} else if w.Code != http.StatusOK {
+			t.Fatalf("%s?%s: status %d, want 200 or 400", path, rawQuery, w.Code)
+		}
+		return w
+	}
+
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		if w := get(t, "/v2/graphs/default/patterns", rawQuery); w.Code == http.StatusOK {
+			var page PatternsResponse
+			if err := json.NewDecoder(w.Body).Decode(&page); err != nil {
+				t.Fatalf("200 body is not a PatternsResponse: %v", err)
+			}
+			if page.Offset < 0 || page.Limit < 1 || page.Limit > maxPageLimit || len(page.Patterns) > page.Limit {
+				t.Fatalf("%q: page offset %d limit %d with %d patterns", rawQuery, page.Offset, page.Limit, len(page.Patterns))
+			}
+		}
+		if w := get(t, "/v2/graphs/default/watch", "generation=0&"+rawQuery); w.Code == http.StatusOK {
+			var resp WatchResponse
+			if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
+				t.Fatalf("200 body is not a WatchResponse: %v", err)
+			}
+			if resp.Generation != gen || resp.TimedOut {
+				t.Fatalf("%q: watch answered %+v, want generation %d without a timeout", rawQuery, resp, gen)
+			}
+		}
+	})
+}

@@ -830,8 +830,39 @@ func TestHostCreateViaHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	respDel.Body.Close()
-	if respDel.StatusCode != http.StatusOK || del.QuarantinedTo == "" {
+	if respDel.StatusCode != http.StatusOK || del.Name != "uploaded" || del.QuarantinedTo == "" {
 		t.Fatalf("delete = %d %+v, want 200 with a quarantine path", respDel.StatusCode, del)
+	}
+
+	// The deleted namespace leaves the directory and no longer resolves.
+	var list NamespacesResponse
+	getJSON(t, hs.URL+"/v2/graphs", &list)
+	if len(list.Namespaces) != 1 || list.Namespaces[0].Name != "empty" {
+		t.Fatalf("list after delete = %+v, want [empty]", list.Namespaces)
+	}
+	var env ErrorJSON
+	if r := getJSON(t, hs.URL+"/v2/graphs/uploaded", &env); r.StatusCode != http.StatusNotFound || env.Code != CodeNamespaceNotFound {
+		t.Fatalf("info after delete = %d %+v, want 404 %s", r.StatusCode, env, CodeNamespaceNotFound)
+	}
+
+	// A memory-only tenant has no on-disk state to quarantine.
+	mem := newTestHost(t, HostOptions{})
+	if _, err := mem.Create("beta", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	memHS := startHostHTTP(t, mem)
+	reqDel, _ = http.NewRequest(http.MethodDelete, memHS.URL+"/v2/graphs/beta", nil)
+	respDel, err = http.DefaultClient.Do(reqDel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del = DeleteNamespaceResponse{}
+	if err := json.NewDecoder(respDel.Body).Decode(&del); err != nil {
+		t.Fatal(err)
+	}
+	respDel.Body.Close()
+	if respDel.StatusCode != http.StatusOK || del.Name != "beta" || del.QuarantinedTo != "" {
+		t.Fatalf("delete of a memory-only tenant = %d %+v, want 200 with no quarantine path", respDel.StatusCode, del)
 	}
 }
 

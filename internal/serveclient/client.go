@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,7 +24,7 @@ import (
 
 // APIError is a non-2xx response decoded from the server's unified error
 // envelope. Code carries the stable machine code (serve.Code*); branch on
-// it with HasCode rather than parsing Message.
+// it (errors.As) rather than parsing Message.
 type APIError struct {
 	StatusCode int
 	Code       string
@@ -34,13 +33,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("serveclient: %d %s: %s", e.StatusCode, e.Code, e.Message)
-}
-
-// HasCode reports whether err is an APIError carrying the given envelope
-// code.
-func HasCode(err error, code string) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Code == code
 }
 
 // Client talks to one serving process. The zero value is not usable; New
@@ -80,24 +72,6 @@ func (c *Client) V1() *NamespaceClient {
 	return &NamespaceClient{c: c, prefix: "/v1"}
 }
 
-// CreateNamespace registers ns serving the uploaded graph text (nil/empty =
-// an empty graph) and returns its directory entry; the server's initial
-// mine has completed by the time this returns.
-func (c *Client) CreateNamespace(ctx context.Context, ns string, graphText []byte) (serve.NamespaceInfo, error) {
-	var out serve.NamespaceInfo
-	err := c.do(ctx, http.MethodPost, "/v2/graphs/"+url.PathEscape(ns), graphText, &out)
-	return out, err
-}
-
-// ListNamespaces returns every live namespace, sorted by name.
-func (c *Client) ListNamespaces(ctx context.Context) ([]serve.NamespaceInfo, error) {
-	var out serve.NamespacesResponse
-	if err := c.do(ctx, http.MethodGet, "/v2/graphs", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Namespaces, nil
-}
-
 // NamespaceInfo returns one namespace's directory entry.
 func (c *Client) NamespaceInfo(ctx context.Context, ns string) (serve.NamespaceInfo, error) {
 	var out serve.NamespaceInfo
@@ -105,16 +79,8 @@ func (c *Client) NamespaceInfo(ctx context.Context, ns string) (serve.NamespaceI
 	return out, err
 }
 
-// DeleteNamespace unregisters ns; the response names where its on-disk
-// state was quarantined (deletes never unlink acknowledged WAL data).
-func (c *Client) DeleteNamespace(ctx context.Context, ns string) (serve.DeleteNamespaceResponse, error) {
-	var out serve.DeleteNamespaceResponse
-	err := c.do(ctx, http.MethodDelete, "/v2/graphs/"+url.PathEscape(ns), nil, &out)
-	return out, err
-}
-
-// do runs one request: body nil sends no payload, []byte sends it raw, any
-// other value is JSON-encoded. A 2xx decodes into out (out nil discards);
+// do runs one request: body nil sends no payload, any other value is
+// JSON-encoded. A 2xx decodes into out (out nil discards);
 // anything else decodes the error envelope into an *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body any, out any) error {
 	return c.doHeaders(ctx, method, path, nil, body, out)
@@ -123,12 +89,8 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 // doHeaders is do with extra request headers.
 func (c *Client) doHeaders(ctx context.Context, method, path string, hdr http.Header, body any, out any) error {
 	var rd io.Reader
-	switch b := body.(type) {
-	case nil:
-	case []byte:
-		rd = bytes.NewReader(b)
-	default:
-		enc, err := json.Marshal(b)
+	if body != nil {
+		enc, err := json.Marshal(body)
 		if err != nil {
 			return fmt.Errorf("serveclient: encode request: %w", err)
 		}
@@ -226,20 +188,6 @@ func (n *NamespaceClient) Model(ctx context.Context) (serve.ModelResponse, error
 	return out, err
 }
 
-// Healthz fetches the tenant's health summary.
-func (n *NamespaceClient) Healthz(ctx context.Context) (serve.HealthResponse, error) {
-	var out serve.HealthResponse
-	err := n.c.do(ctx, http.MethodGet, n.prefix+"/healthz", nil, &out)
-	return out, err
-}
-
-// Metrics fetches the tenant's counters and latency histograms.
-func (n *NamespaceClient) Metrics(ctx context.Context) (serve.MetricsSnapshot, error) {
-	var out serve.MetricsSnapshot
-	err := n.c.do(ctx, http.MethodGet, n.prefix+"/metrics", nil, &out)
-	return out, err
-}
-
 // Mutate submits one mutation batch; the ack names the backlog and the
 // generation still being served (re-mining is asynchronous — use Watch to
 // observe the fold).
@@ -278,42 +226,6 @@ func (n *NamespaceClient) Watch(ctx context.Context, generation uint64, timeout 
 	}
 	var out serve.WatchResponse
 	err := n.c.do(ctx, http.MethodGet, path, nil, &out)
-	return out, err
-}
-
-// ReplicationStatus fetches the tenant's replication role, served
-// generation, fold position and WAL position. Works for every role —
-// standalones answer too — so fleet tooling can probe any member.
-func (n *NamespaceClient) ReplicationStatus(ctx context.Context) (serve.ReplicationStatusResponse, error) {
-	var out serve.ReplicationStatusResponse
-	err := n.c.do(ctx, http.MethodGet, n.prefix+"/replication/status", nil, &out)
-	return out, err
-}
-
-// Promote turns a follower tenant into a leader (replaying every mirrored
-// unfolded batch first). Only meaningful against a replica host; anything
-// else answers 409 not_follower.
-func (n *NamespaceClient) Promote(ctx context.Context) (serve.PromoteResponse, error) {
-	var out serve.PromoteResponse
-	err := n.c.do(ctx, http.MethodPost, n.prefix+"/replication/promote", nil, &out)
-	return out, err
-}
-
-// Trace fetches the recorded lifecycle of batch seq on this server (the
-// leader's WAL sequence number, which followers index their mirror traces
-// under too — so the same seq joins the story across fleet roles). A batch
-// never submitted here, or evicted from the bounded ring, answers 404
-// trace_not_found.
-func (n *NamespaceClient) Trace(ctx context.Context, seq uint64) (serve.TraceResponse, error) {
-	var out serve.TraceResponse
-	err := n.c.do(ctx, http.MethodGet, n.prefix+"/debug/trace/"+strconv.FormatUint(seq, 10), nil, &out)
-	return out, err
-}
-
-// Remines fetches the tenant's recent re-mine stage profiles, newest first.
-func (n *NamespaceClient) Remines(ctx context.Context) (serve.ReminesResponse, error) {
-	var out serve.ReminesResponse
-	err := n.c.do(ctx, http.MethodGet, n.prefix+"/debug/remines", nil, &out)
 	return out, err
 }
 

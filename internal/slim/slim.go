@@ -176,28 +176,6 @@ func lessItems(a, b []fim.Item) bool {
 	return len(a) < len(b)
 }
 
-// GraphTransactions flattens an attributed graph into one transaction per
-// vertex holding the attribute values of the vertex and of all its
-// neighbours (the full star content, with core/leaf roles erased). This is
-// a denser alternative input to Mine for star-content analysis; the
-// Table III baseline uses VertexTransactions instead.
-func GraphTransactions(g *graph.Graph) *fim.DB {
-	raw := make([][]fim.Item, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		var tx []fim.Item
-		for _, a := range g.Attrs(graph.VertexID(v)) {
-			tx = append(tx, fim.Item(a))
-		}
-		for _, u := range g.Neighbors(graph.VertexID(v)) {
-			for _, a := range g.Attrs(u) {
-				tx = append(tx, fim.Item(a))
-			}
-		}
-		raw[v] = tx
-	}
-	return fim.NewDB(raw)
-}
-
 // MineGraph is the Table III baseline entry point: SLIM over the
 // vertex-attribute transactions.
 func MineGraph(g *graph.Graph, opts Options) *Result {

@@ -96,18 +96,6 @@ func buildGraph(t *testing.T) *graph.Graph {
 	return b.Build()
 }
 
-func TestGraphTransactionsShape(t *testing.T) {
-	g := buildGraph(t)
-	db := GraphTransactions(g)
-	if len(db.Txs) != 6 {
-		t.Fatalf("%d transactions, want 6", len(db.Txs))
-	}
-	// Vertex 1 star: own {x,y} + neighbours 0:{x,y}, 2:{z} → {x,y,z}.
-	if len(db.Txs[1]) != 3 {
-		t.Fatalf("tx[1] = %v, want 3 distinct values", db.Txs[1])
-	}
-}
-
 func TestVertexTransactionsShape(t *testing.T) {
 	g := buildGraph(t)
 	db := VertexTransactions(g)

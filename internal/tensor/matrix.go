@@ -140,24 +140,6 @@ func Glorot(m *Matrix, rng *rand.Rand) {
 	}
 }
 
-// RowNormalize scales each row to sum 1 (rows of zeros stay zero).
-func RowNormalize(m *Matrix) *Matrix {
-	out := m.Clone()
-	for i := 0; i < m.Rows; i++ {
-		row := out.Row(i)
-		sum := 0.0
-		for _, v := range row {
-			sum += v
-		}
-		if sum != 0 {
-			for j := range row {
-				row[j] /= sum
-			}
-		}
-	}
-	return out
-}
-
 // MaxAbsDiff reports the largest absolute element difference (for tests).
 func MaxAbsDiff(a, b *Matrix) float64 {
 	assertShape(a, b, "diff")

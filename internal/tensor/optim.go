@@ -51,6 +51,3 @@ func (a *Adam) Step() {
 		g.Zero()
 	}
 }
-
-// Params returns the registered parameter matrices (for tests/inspection).
-func (a *Adam) Params() []*Matrix { return a.params }

@@ -237,24 +237,6 @@ func (t *Tape) ReLU(a *Node) *Node {
 	return out
 }
 
-// Sigmoid returns 1/(1+e^(−a)) elementwise.
-func (t *Tape) Sigmoid(a *Node) *Node {
-	v := a.Value.Clone()
-	for i, x := range v.Data {
-		v.Data[i] = 1 / (1 + math.Exp(-x))
-	}
-	out := t.node(v, a.requiresGrad, nil, a)
-	if out.requiresGrad {
-		out.back = func() {
-			for i, g := range out.Grad.Data {
-				s := out.Value.Data[i]
-				a.Grad.Data[i] += g * s * (1 - s)
-			}
-		}
-	}
-	return out
-}
-
 // Tanh returns tanh(a) elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
 	v := a.Value.Clone()

@@ -90,9 +90,6 @@ func TestGradChainedOps(t *testing.T) {
 		"relu": func(tape *Tape) *Node {
 			return tape.Mean(tape.ReLU(tape.MatMul(tape.Const(x), tape.Param(w))))
 		},
-		"sigmoid": func(tape *Tape) *Node {
-			return tape.Mean(tape.Sigmoid(tape.MatMul(tape.Const(x), tape.Param(w))))
-		},
 		"tanh": func(tape *Tape) *Node {
 			return tape.Mean(tape.Tanh(tape.MatMul(tape.Const(x), tape.Param(w))))
 		},
@@ -241,17 +238,6 @@ func TestCustomOpGrad(t *testing.T) {
 		})
 		return tape.Mean(sq)
 	})
-}
-
-func TestRowNormalize(t *testing.T) {
-	m := FromRows([][]float64{{1, 3}, {0, 0}, {2, 2}})
-	n := RowNormalize(m)
-	if math.Abs(n.At(0, 0)-0.25) > 1e-12 || math.Abs(n.At(0, 1)-0.75) > 1e-12 {
-		t.Fatalf("row 0 = %v", n.Row(0))
-	}
-	if n.At(1, 0) != 0 || n.At(1, 1) != 0 {
-		t.Fatal("zero row changed")
-	}
 }
 
 func TestBackwardWithoutParamsIsNoop(t *testing.T) {

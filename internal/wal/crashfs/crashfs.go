@@ -111,18 +111,6 @@ func (d *Dir) Recover() *Dir {
 	return out
 }
 
-// DurableBytes returns a copy of name's durable content (nil, false if the
-// file does not exist) — for white-box assertions in tests.
-func (d *Dir) DurableBytes(name string) ([]byte, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	f, ok := d.files[filepath.Clean(name)]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), f.durable...), true
-}
-
 // step counts one mutating operation and reports whether it is the crash
 // point. Caller holds d.mu.
 func (d *Dir) step() bool {

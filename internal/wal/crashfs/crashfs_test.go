@@ -10,6 +10,18 @@ import (
 	"cspm/internal/wal"
 )
 
+// durableBytes returns a copy of name's durable content (nil, false if the
+// file does not exist).
+func durableBytes(d *Dir, name string) ([]byte, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	f, ok := d.files[filepath.Clean(name)]
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), f.durable...), true
+}
+
 // write is a helper: create name, write data, optionally sync, close.
 func write(t *testing.T, d *Dir, name string, data []byte, sync bool) error {
 	t.Helper()
@@ -42,7 +54,7 @@ func TestPendingBytesDieInCrash(t *testing.T) {
 	if !d.Crashed() {
 		t.Fatal("Crashed() = false after the injected crash")
 	}
-	data, ok := d.Recover().DurableBytes("/x/a")
+	data, ok := durableBytes(d.Recover(), "/x/a")
 	if !ok || len(data) != 0 {
 		t.Fatalf("recovered %q (exists=%v), want empty file: pending bytes must die", data, ok)
 	}
@@ -56,7 +68,7 @@ func TestSyncPromotesToDurable(t *testing.T) {
 	if err := d.Remove("/x/a"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("op 4 = %v, want ErrCrashed", err)
 	}
-	data, ok := d.Recover().DurableBytes("/x/a")
+	data, ok := durableBytes(d.Recover(), "/x/a")
 	if !ok || string(data) != "committed" {
 		t.Fatalf("recovered %q, want %q: synced bytes must survive", data, "committed")
 	}
@@ -74,7 +86,7 @@ func TestTornWrite(t *testing.T) {
 	if _, err := f.Write([]byte("torn-write")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crashing write = %v, want ErrCrashed", err)
 	}
-	data, _ := d.Recover().DurableBytes("/x/a")
+	data, _ := durableBytes(d.Recover(), "/x/a")
 	if string(data) != "old-tor" {
 		t.Fatalf("recovered %q, want %q: a torn write leaves a contiguous 3-byte prefix", data, "old-tor")
 	}
@@ -92,7 +104,7 @@ func TestTornSyncFlushesPrefixOfPending(t *testing.T) {
 	if err := f.Sync(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crashing sync = %v, want ErrCrashed", err)
 	}
-	data, _ := d.Recover().DurableBytes("/x/a")
+	data, _ := durableBytes(d.Recover(), "/x/a")
 	if string(data) != "pe" {
 		t.Fatalf("recovered %q, want %q", data, "pe")
 	}
@@ -117,7 +129,7 @@ func TestFailSyncAtSurvives(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := d.Recover().DurableBytes("/x/a")
+	data, _ := durableBytes(d.Recover(), "/x/a")
 	if string(data) != "volatile" {
 		t.Fatalf("recovered %q after the retried sync", data)
 	}
@@ -196,14 +208,14 @@ func TestTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Sync()
-	data, _ := d.Recover().DurableBytes("/x/a")
+	data, _ := durableBytes(d.Recover(), "/x/a")
 	if string(data) != "durable-p" {
 		t.Fatalf("after truncate-into-pending: %q", data)
 	}
 	if err := d.Truncate("/x/a", 3); err != nil { // cuts into durable
 		t.Fatal(err)
 	}
-	data, _ = d.Recover().DurableBytes("/x/a")
+	data, _ = durableBytes(d.Recover(), "/x/a")
 	if string(data) != "dur" {
 		t.Fatalf("after truncate-into-durable: %q", data)
 	}

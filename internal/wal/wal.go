@@ -234,9 +234,6 @@ func scanSegment(f File, want uint64) (recs []Record, good int64, torn bool, err
 // the damaged record was never acknowledged).
 func (l *Log) TornTail() bool { return l.torn }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // NextSeq returns the sequence number the next Append will assign.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()

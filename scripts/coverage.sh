@@ -10,7 +10,7 @@
 #              (incl. replication.go — the leader/replica
 #               shipping, verify-before-swap and promotion
 #               paths are inside the serve match)
-#            + internal/serveclient (incl. fleet.go)
+#            + internal/serveclient (the typed client)
 #            + internal/wal (and wal/crashfs)
 #            + internal/dynamic
 #            + internal/obs                                >= 85%  (subsystem bar:
