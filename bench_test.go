@@ -21,6 +21,7 @@ import (
 	"cspm"
 	"cspm/internal/alarm"
 	"cspm/internal/completion"
+	icspm "cspm/internal/cspm"
 	"cspm/internal/dataset"
 	"cspm/internal/experiments"
 	"cspm/internal/gnn"
@@ -28,6 +29,7 @@ import (
 	"cspm/internal/invdb"
 	"cspm/internal/serve"
 	"cspm/internal/serveclient"
+	"cspm/internal/shardrpc"
 	"cspm/internal/slim"
 )
 
@@ -272,7 +274,7 @@ func BenchmarkAblation_DataGainOnly(b *testing.B) {
 }
 
 // --- Sharded mining (DESIGN.md "Sharded mining") ----------------------------
-// One multi-component graph, equal total worker budgets: the Components rows
+// One multi-component graph, equal total worker budgets: the Components row
 // must beat the Unsharded row. On a single-core runner the margin comes from
 // smaller per-shard search structures (heaps, dictionaries, dedup sets) and
 // from not oversubscribing evaluation goroutines; with real cores the
@@ -288,34 +290,37 @@ func BenchmarkSharded_Unsharded_W8(b *testing.B) {
 	}
 }
 
-func benchSharded(b *testing.B, shards int) {
+func BenchmarkSharded_Components_W8(b *testing.B) {
 	g := dataset.Islands(dataset.BenchIslands())
 	b.ResetTimer()
 	var m *cspm.Model
 	for i := 0; i < b.N; i++ {
-		m = cspm.MineSharded(g, cspm.Options{Shards: shards, Workers: shardedBenchWorkers})
+		m = cspm.MineShardedCached(g, cspm.Options{Workers: shardedBenchWorkers}, nil)
 	}
 	b.ReportMetric(float64(m.ShardCount), "shards")
 }
-
-func BenchmarkSharded_Components_S4W8(b *testing.B)  { benchSharded(b, 4) }
-func BenchmarkSharded_Components_S12W8(b *testing.B) { benchSharded(b, 12) }
 
 // --- Distributed shards (DESIGN.md "Distributed shard exchange") ------------
 // The loopback-distributed scenario: the same archipelago as the Sharded
 // rows, mined through MineDistributed's full job pipeline — component
 // remap, gob encode, worker-pool mine, checksummed blob decode, exact merge
-// — minus the sockets. The gap to BenchmarkSharded_Components is the
-// serialisation tax a remote worker fleet pays per job.
+// — over an in-process loopback pool of S workers, minus the sockets. The
+// coordinator's W evaluators are split across the pool, as the in-process
+// pipeline splits them across concurrent groups. The gap to
+// BenchmarkSharded_Components is the serialisation tax a remote worker
+// fleet pays per job.
 
-func benchDistributed(b *testing.B, shards int) {
+func benchDistributed(b *testing.B, pool int) {
 	g := dataset.Islands(dataset.BenchIslands())
+	lb := shardrpc.NewLoopback(icspm.ExecuteShardJob, pool)
+	defer lb.Close()
 	b.ResetTimer()
 	var m *cspm.Model
 	for i := 0; i < b.N; i++ {
 		var err error
 		m, err = cspm.MineDistributed(g, cspm.DistributedOptions{
-			Options: cspm.Options{Shards: shards, Workers: shardedBenchWorkers},
+			Options:   cspm.Options{Workers: max(1, shardedBenchWorkers/pool)},
+			Transport: lb,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -330,7 +335,7 @@ func BenchmarkDistributed_Loopback_S12W8(b *testing.B) { benchDistributed(b, 12)
 // --- Shard-result cache (DESIGN.md "Shard-result cache") --------------------
 // The incremental re-mining scenario of BENCH_3.json: rewire one of twelve
 // islands (≈8% of the components) and mine the mutated graph. The Cold row
-// re-mines everything through MineSharded; the WarmIncremental row serves
+// re-mines everything uncached; the WarmIncremental row serves
 // the eleven clean islands from a cache warmed on the base graph and
 // re-mines only the dirty one; WarmFull is the all-hits replay floor. Each
 // iteration mutates to an edge seed the cache has never seen (graph
@@ -338,7 +343,7 @@ func BenchmarkDistributed_Loopback_S12W8(b *testing.B) { benchDistributed(b, 12)
 // shard search and the Cold/WarmIncremental ratio is the incremental win.
 
 func cacheBenchOpts() cspm.Options {
-	return cspm.Options{Shards: 4, Workers: shardedBenchWorkers}
+	return cspm.Options{Workers: shardedBenchWorkers}
 }
 
 // cacheBenchVariant mutates island 0 of the BenchIslands archipelago to the
@@ -354,7 +359,7 @@ func BenchmarkCache_ColdSharded_S4W8(b *testing.B) {
 		b.StopTimer()
 		g := cacheBenchVariant(i)
 		b.StartTimer()
-		m = cspm.MineSharded(g, cacheBenchOpts())
+		m = cspm.MineShardedCached(g, cacheBenchOpts(), nil)
 	}
 	b.ReportMetric(float64(m.ShardCount), "shards")
 }

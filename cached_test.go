@@ -1,5 +1,6 @@
-// Cached-mining contract tests. MineShardedCached promises the same
-// bit-identical-to-Mine(g) contract as MineSharded for EVERY cache state —
+// Cached-mining contract tests. MineShardedCached promises the
+// bit-identical-to-Mine(g) contract of the component pipeline for EVERY
+// cache state —
 // cold, partially warm, fully warm, disk-reloaded, or fed with entries from
 // unrelated graphs — because replayed results are pure functions of the
 // cached line multisets and dirty groups re-mine through the ordinary shard
@@ -26,7 +27,7 @@ func cachedTestGraph(seed int64) (*cspm.Graph, int) {
 }
 
 // TestCachedEquivalence is the property test of the acceptance criterion:
-// across seeds × shard counts, a cold run, a warm replay, and a re-run over
+// across seeds × worker budgets, a cold run, a warm replay, and a re-run over
 // a cache poisoned with another graph's entries are all bit-identical to
 // Mine(g), and the hit/miss counters account for every component group.
 func TestCachedEquivalence(t *testing.T) {
@@ -34,10 +35,10 @@ func TestCachedEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g, islands := cachedTestGraph(seed)
 		want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-		for _, shards := range []int{1, 2, 8} {
-			opts := cspm.Options{CollectStats: true, Shards: shards}
+		for _, workers := range []int{1, 2, 8} {
+			opts := cspm.Options{CollectStats: true, Workers: workers}
 			cache := cspm.NewShardCache(0)
-			name := "seed" + string(rune('0'+seed)) + "/shards" + string(rune('0'+shards))
+			name := "seed" + string(rune('0'+seed)) + "/workers" + string(rune('0'+workers))
 
 			cold := cspm.MineShardedCached(g, opts, cache)
 			assertShardedMatchesMine(t, name+"/cold", cold, want)
@@ -144,40 +145,4 @@ func TestCachedSingleComponent(t *testing.T) {
 	if warm.CacheHits != 1 || warm.ShardCount != 0 {
 		t.Fatalf("warm single-component run: hits=%d shards=%d", warm.CacheHits, warm.ShardCount)
 	}
-}
-
-// TestMinerFacade covers the public Miner bundle and nil-cache degradations.
-func TestMinerFacade(t *testing.T) {
-	if _, err := cspm.NewMiner(cspm.Options{Shards: -1}, nil); err == nil {
-		t.Fatal("NewMiner accepted invalid options")
-	}
-	g, islands := cachedTestGraph(4)
-	want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-	miner, err := cspm.NewMiner(cspm.Options{CollectStats: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShardedMatchesMine(t, "miner/cold", miner.Mine(g), want)
-	warm := miner.Mine(g)
-	assertShardedMatchesMine(t, "miner/warm", warm, want)
-	if warm.CacheHits != islands {
-		t.Fatalf("miner warm run hit %d groups, want %d", warm.CacheHits, islands)
-	}
-	if st := miner.Cache().Stats(); st.Hits == 0 || st.Entries != islands {
-		t.Fatalf("miner cache stats %+v look wrong for %d islands", st, islands)
-	}
-
-	// nil cache mines through a private ephemeral cache: same bit-identical
-	// contract (on a one-group graph too), every group a miss, nothing
-	// reused.
-	direct := cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, nil)
-	assertShardedMatchesMine(t, "nilcache", direct, want)
-	if direct.CacheHits != 0 || direct.CacheMisses != islands {
-		t.Fatalf("nil-cache run counted %d hits, %d misses (want 0, %d)",
-			direct.CacheHits, direct.CacheMisses, islands)
-	}
-	connected := dataset.USFlight(1)
-	wantConn := cspm.MineWithOptions(connected, cspm.Options{CollectStats: true})
-	assertShardedMatchesMine(t, "nilcache/connected",
-		cspm.MineShardedCached(connected, cspm.Options{CollectStats: true}, nil), wantConn)
 }

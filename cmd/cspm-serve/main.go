@@ -21,13 +21,16 @@
 //
 // Usage:
 //
-//	cspm-serve [-listen :7480] [-shards K] [-root-dir DIR]
+//	cspm-serve [-listen :7480] [-root-dir DIR]
 //	           [-max-namespaces N] [-mine-budget N]
 //	           [-standby] [-follow URL] [-follow-poll D] [-proxy-writes]
 //	           [-debounce D] [-remote host:port,...]
 //	           [-remote-timeout D] [-remote-retries N] [-remote-no-fallback]
 //	           [-log-level L] [-log-format text|json] [-debug-addr host:port]
 //	           [graph.txt]
+//
+// Re-mines run on every core (GOMAXPROCS), one shard per dirty
+// attribute-closed component group, or on the -remote workers.
 //
 // The graph file seeds the "default" namespace; with "-" it is read from
 // stdin, and it may be omitted with -root-dir (start empty or from
@@ -83,7 +86,6 @@ import (
 func main() {
 	cfg := cli.ServeConfig{}
 	flag.StringVar(&cfg.Listen, "listen", ":7480", "host:port to serve the v2 API (plus the deprecated /v1 alias) on")
-	flag.IntVar(&cfg.Shards, "shards", 0, "max concurrently re-mining component groups (0 = all cores)")
 	flag.DurationVar(&cfg.Debounce, "debounce", 100*time.Millisecond, "coalescing window before a re-mine (0 = immediate)")
 	flag.StringVar(&cfg.Remote, "remote", "", "re-mine over these comma-separated cspm-worker addresses")
 	flag.DurationVar(&cfg.RemoteTimeout, "remote-timeout", 0, "per-attempt wait for a remote shard result (0 = default)")

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	cspm [-variant partial|basic] [-multicore] [-shards K]
+//	cspm [-variant partial|basic] [-multicore]
 //	     [-cache] [-cache-dir DIR] [-remote host:port,...] [-remote-timeout D] [-remote-retries N]
 //	     [-remote-no-fallback] [-top N] [-stats] [-multileaf] graph.txt
 //
@@ -12,6 +12,11 @@
 // "-" as the file name, the graph is read from stdin. A file of r records
 // may use vertex ids below 2r only; a file that skips ids must name each
 // vertex it uses, for example with a bare "v <id>" line.
+//
+// By default the whole graph is mined as one search. -cache, -cache-dir
+// and -remote instead mine each attribute-closed component group as its own
+// shard, on every core or on the listed workers, and merge the shards into
+// the same model.
 package main
 
 import (
@@ -29,7 +34,6 @@ func main() {
 	flag.IntVar(&cfg.Top, "top", 50, "print at most this many patterns (0 = all)")
 	flag.BoolVar(&cfg.Stats, "stats", false, "print per-run statistics")
 	flag.BoolVar(&cfg.MultiOnly, "multileaf", false, "print only patterns with ≥2 leaf values")
-	flag.IntVar(&cfg.Shards, "shards", 0, "mine sharded, at most this many component groups at once (0/1 = unsharded)")
 	flag.BoolVar(&cfg.Cache, "cache", false, "mine incrementally through a shard-result cache")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "persist shard results under this directory (implies -cache)")
 	flag.StringVar(&cfg.Remote, "remote", "", "mine over these comma-separated cspm-worker addresses")

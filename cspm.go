@@ -97,15 +97,6 @@ func MineWithOptions(g *Graph, opts Options) *Model {
 	return icspm.MineWithOptions(g, opts)
 }
 
-// MineSharded partitions g into its attribute-closed component groups, mines
-// them concurrently and merges the per-group models with exact
-// description-length accounting. The result is bit-identical to Mine(g)
-// while wall time drops with shard parallelism; Options.Shards bounds how
-// many groups mine at once. A graph with one group mines unsharded.
-func MineSharded(g *Graph, opts Options) *Model {
-	return icspm.MineSharded(g, opts)
-}
-
 // Incremental mining: a fingerprint-keyed shard-result cache turns repeated
 // mining of evolving graphs into jobs that re-mine only changed components.
 type (
@@ -114,8 +105,6 @@ type (
 	ShardCache = shardcache.Cache
 	// ShardCacheStats snapshots a cache's hit/miss/eviction counters.
 	ShardCacheStats = shardcache.Stats
-	// Miner bundles options with a ShardCache for repeated cached mining.
-	Miner = icspm.Miner
 	// ComponentFingerprint is the canonical content hash of one component
 	// group (or of the graph-global attribute context).
 	ComponentFingerprint = graph.Fingerprint
@@ -132,22 +121,17 @@ func OpenShardCache(capacity int, dir string) (*ShardCache, error) {
 	return shardcache.Open(capacity, dir)
 }
 
-// MineShardedCached mines g like MineSharded but
-// replays component groups whose fingerprints hit in cache, re-mining only
-// dirty groups. The result is bit-identical to Mine(g) for every cache
-// state (with MineSharded's caveat that Options.MaxIterations caps each
-// group independently rather than globally); Model.CacheHits/CacheMisses
-// report what the run reused. A nil cache mines through a private
-// ephemeral cache — same results, no reuse across calls.
+// MineShardedCached mines g in-process by attribute-closed component groups,
+// mines the groups concurrently and merges the per-group models with exact
+// description-length accounting, replaying groups whose fingerprints hit
+// in cache and re-mining only dirty ones. The result is bit-identical to
+// Mine(g) for every cache state, except that Options.MaxIterations caps
+// each group independently rather than globally; Model.CacheHits and
+// CacheMisses report what the run reused. A nil cache mines every group
+// and reports zero cache counters. Options.Workers bounds how many groups
+// mine at once. It panics on invalid options.
 func MineShardedCached(g *Graph, opts Options, cache *ShardCache) *Model {
 	return icspm.MineShardedCached(g, opts, cache)
-}
-
-// NewMiner validates opts and returns a Miner whose Mine method runs
-// MineShardedCached over a persistent cache (nil = fresh unbounded
-// in-memory cache).
-func NewMiner(opts Options, cache *ShardCache) (*Miner, error) {
-	return icspm.NewMiner(opts, cache)
 }
 
 // Distributed mining: shard jobs fan out over a pluggable transport to
@@ -171,14 +155,15 @@ type (
 	ShardResult = shardrpc.Result
 )
 
-// MineDistributed mines g by fanning one shard job per attribute-closed
-// component group over a transport (nil = an in-process worker pool),
-// retrying failed attempts and falling back to local mining, so the result
-// is bit-identical to Mine(g) under any transport behaviour — or, with
-// NoFallback set, a typed *DistributedError. See DESIGN.md "Distributed
-// shard exchange".
+// MineDistributed is the error-returning form of MineShardedCached with
+// its cache in opts.Cache. With a non-nil opts.Transport it fans one shard
+// job per dirty component group over the transport, retrying failed
+// attempts and falling back to local mining, so the result is
+// bit-identical to Mine(g) under any transport behaviour — or, with
+// NoFallback set, a typed *DistributedError. A nil Transport mines
+// in-process. See DESIGN.md "Distributed shard exchange".
 func MineDistributed(g *Graph, opts DistributedOptions) (*Model, error) {
-	return icspm.MineDistributed(g, opts)
+	return icspm.MineDistributed(g, opts, nil)
 }
 
 // DialShardWorkers connects to cspm-worker processes at the given TCP
@@ -272,15 +257,7 @@ func NewServeHost(opts ServeHostOptions) (*ServeHost, error) {
 // MineMultiCore runs the §IV-F general mode: multi-value coresets are first
 // selected by SLIM on the vertex-attribute transaction database, then
 // a-stars are mined over them. Still parameter-free.
-func MineMultiCore(g *Graph) (*Model, error) {
-	res := slim.Mine(slim.VertexTransactions(g), slim.Options{})
-	coresets, positions := slim.ItemsetsAsCoresets(res)
-	db, err := invdb.FromGraphWithCoresets(g, coresets, positions)
-	if err != nil {
-		return nil, err
-	}
-	return icspm.MineDB(db, g.Vocab(), Options{CollectStats: true}), nil
-}
+func MineMultiCore(g *Graph) (*Model, error) { return icspm.MineMultiCore(g) }
 
 // Stepper exposes the CSPM-Partial search one merge at a time (anytime
 // mining: every prefix of the merge sequence is a valid lossless model).

@@ -69,24 +69,23 @@ func TestWorkersDeterminismMini(t *testing.T) {
 	assertIdenticalModels(t, "mini/serial-vs-default", serial, defaulted)
 }
 
-// TestShardedDeterminism extends the worker-count contract to sharded runs:
-// for every (shards, workers) combination the full model — including the
-// per-iteration merge trajectory with its shard assignments — must be
-// bit-identical, because shard construction, per-shard searches, and the
-// merge step are all pure functions of the graph and the shard count.
+// TestShardedDeterminism extends the worker-count contract to the component
+// pipeline: for every worker budget — which also bounds how many groups mine
+// at once — the full model, including the per-iteration merge trajectory
+// with its shard assignments, must be bit-identical, because shard
+// construction, per-shard searches, and the merge step are all pure
+// functions of the graph.
 func TestShardedDeterminism(t *testing.T) {
 	g := dataset.Islands(dataset.DefaultIslands())
-	for _, shards := range []int{2, 3, 8} {
-		ref := cspm.MineSharded(g, cspm.Options{CollectStats: true, Shards: shards, Workers: 1})
-		for _, workers := range []int{2, 8, 0} { // 0 → all cores
-			got := cspm.MineSharded(g, cspm.Options{CollectStats: true, Shards: shards, Workers: workers})
-			name := fmt.Sprintf("islands/shards=%d/workers=%d", shards, workers)
-			assertIdenticalModels(t, name, ref, got)
-			for i := range ref.PerIter {
-				if ref.PerIter[i].Shard != got.PerIter[i].Shard {
-					t.Fatalf("%s: iteration %d ran on shard %d vs %d",
-						name, i+1, got.PerIter[i].Shard, ref.PerIter[i].Shard)
-				}
+	ref := cspm.MineShardedCached(g, cspm.Options{CollectStats: true, Workers: 1}, nil)
+	for _, workers := range []int{2, 3, 8, 0} { // 0 → all cores
+		got := cspm.MineShardedCached(g, cspm.Options{CollectStats: true, Workers: workers}, nil)
+		name := fmt.Sprintf("islands/workers=%d", workers)
+		assertIdenticalModels(t, name, ref, got)
+		for i := range ref.PerIter {
+			if ref.PerIter[i].Shard != got.PerIter[i].Shard {
+				t.Fatalf("%s: iteration %d ran on shard %d vs %d",
+					name, i+1, got.PerIter[i].Shard, ref.PerIter[i].Shard)
 			}
 		}
 	}
@@ -94,7 +93,7 @@ func TestShardedDeterminism(t *testing.T) {
 
 func TestInvalidOptionsPanic(t *testing.T) {
 	g := experiments.MiniGraph(1)
-	for _, opts := range []cspm.Options{{Workers: -1}, {MaxIterations: -3}, {Shards: -2}} {
+	for _, opts := range []cspm.Options{{Workers: -1}, {MaxIterations: -3}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -21,12 +21,10 @@ import (
 	"cspm/internal/cspm"
 	"cspm/internal/dataset"
 	"cspm/internal/graph"
-	"cspm/internal/invdb"
 	"cspm/internal/obs"
 	"cspm/internal/serve"
 	"cspm/internal/shardcache"
 	"cspm/internal/shardrpc"
-	"cspm/internal/slim"
 )
 
 // LogConfig mirrors the -log-level and -log-format flags every command
@@ -54,15 +52,11 @@ type MineConfig struct {
 	Top       int
 	Stats     bool
 	MultiOnly bool
-	// Shards > 1 mines through cspm.MineSharded: every attribute-closed
-	// group is its own shard run and Shards bounds how many run at once.
-	// Shards ≤ 1 mines unsharded. Incompatible with MultiCore.
-	Shards int
-	// Cache mines through cspm.MineShardedCached with a shard-result cache
-	// (in-memory unless CacheDir names a directory to persist shard blobs
-	// under; CacheDir implies Cache). A single cspm invocation only benefits
-	// with CacheDir, where warm entries survive across runs. Incompatible
-	// with MultiCore.
+	// Cache mines by attribute-closed component group through
+	// cspm.MineShardedCached with a shard-result cache (in-memory unless
+	// CacheDir names a directory to persist shard blobs under; CacheDir
+	// implies Cache). A single cspm invocation only benefits with CacheDir,
+	// where warm entries survive across runs. Incompatible with MultiCore.
 	Cache    bool
 	CacheDir string
 	// Remote mines through cspm.MineDistributed over the comma-separated
@@ -119,10 +113,6 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 	if cfg.Top < 0 {
 		return fmt.Errorf("-top must be >= 0, got %d", cfg.Top)
 	}
-	sharded := cfg.Shards > 1
-	if sharded && cfg.MultiCore {
-		return fmt.Errorf("-multicore cannot be combined with sharded mining (multi-value coresets are mined globally)")
-	}
 	cached := cfg.Cache || cfg.CacheDir != ""
 	if cached && cfg.MultiCore {
 		return fmt.Errorf("-multicore cannot be combined with the shard cache (multi-value coresets are mined globally)")
@@ -145,13 +135,7 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 	if err := distOpts.Validate(); err != nil {
 		return err
 	}
-	shardOpts := cspm.Options{
-		Variant: variant, CollectStats: true,
-		Shards: cfg.Shards,
-	}
-	if err := shardOpts.Validate(); err != nil {
-		return err
-	}
+	shardOpts := cspm.Options{Variant: variant, CollectStats: true}
 	var cache *shardcache.Cache
 	if cached {
 		if cfg.CacheDir != "" {
@@ -184,22 +168,16 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 		distOpts.Options = shardOpts
 		distOpts.Transport = transport
 		distOpts.Cache = cache
-		model, err = cspm.MineDistributed(g, distOpts)
+		model, err = cspm.MineDistributed(g, distOpts, nil)
 		if err != nil {
 			return err
 		}
 	case cached:
 		model = cspm.MineShardedCached(g, shardOpts, cache)
-	case sharded:
-		model = cspm.MineSharded(g, shardOpts)
 	case cfg.MultiCore:
-		res := slim.Mine(slim.VertexTransactions(g), slim.Options{})
-		coresets, positions := slim.ItemsetsAsCoresets(res)
-		db, err := invdb.FromGraphWithCoresets(g, coresets, positions)
-		if err != nil {
+		if model, err = cspm.MineMultiCore(g); err != nil {
 			return err
 		}
-		model = cspm.MineDB(db, g.Vocab(), cspm.Options{CollectStats: true})
 	case variant == cspm.Basic:
 		model = cspm.MineWithOptions(g, cspm.Options{Variant: cspm.Basic, CollectStats: true})
 	default:
@@ -338,9 +316,6 @@ type ServeConfig struct {
 	// Listen is the host:port to serve the HTTP API on (":0" picks a
 	// free port; the bound address is returned by StartServe).
 	Listen string
-	// Shards bounds how many dirty component groups re-mine concurrently
-	// (0 = all cores), exactly as in cspm -shards.
-	Shards int
 	// Debounce is the re-mine coalescing window (0 = re-mine immediately).
 	Debounce time.Duration
 	// Remote and its knobs mirror cspm -remote*: fan dirty groups out to
@@ -452,7 +427,7 @@ func StartServe(r io.Reader, cfg ServeConfig) (addr string, shutdown func(contex
 		MaxNamespaces: cfg.MaxNamespaces,
 		MineBudget:    cfg.MineBudget,
 		Tenant: serve.Options{
-			Mining:        cspm.Options{Shards: cfg.Shards, CollectStats: true},
+			Mining:        cspm.Options{CollectStats: true},
 			Debounce:      cfg.Debounce,
 			RemoteTimeout: cfg.RemoteTimeout, RemoteRetries: cfg.RemoteRetries,
 			RemoteNoFallback: cfg.RemoteNoFallback,

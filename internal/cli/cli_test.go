@@ -74,7 +74,7 @@ func TestMineVariants(t *testing.T) {
 }
 
 // twoIslandText is fig1 plus a disconnected second component with its own
-// alphabet, so -shards has something to split.
+// alphabet, so component mining has something to split.
 const twoIslandText = fig1Text + `v 5 x
 v 6 x y
 v 7 y
@@ -83,27 +83,30 @@ e 6 7
 e 5 7
 `
 
+// TestMineSharded pins the component path of cspm: -cache mines one shard
+// per attribute-closed group, and its output is the whole-graph run's plus
+// the shard and cache header lines.
 func TestMineSharded(t *testing.T) {
 	var unsharded, sharded bytes.Buffer
 	if err := Mine(strings.NewReader(twoIslandText), &unsharded, MineConfig{Stats: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Mine(strings.NewReader(twoIslandText), &sharded, MineConfig{Stats: true, Shards: 2}); err != nil {
+	if err := Mine(strings.NewReader(twoIslandText), &sharded, MineConfig{Stats: true, Cache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sharded.String(), "# shards: 2") {
-		t.Fatalf("shard header missing:\n%s", sharded.String())
+	const headers = "# shards: 2\n# cache: 0 hits, 2 misses, 0 evictions\n"
+	if !strings.Contains(sharded.String(), headers) {
+		t.Fatalf("shard and cache headers missing:\n%s", sharded.String())
 	}
 	// Same patterns, same DLs: sharded mining is exact, so only the extra
-	// shard header line may differ.
-	trim := func(s string) string { return strings.ReplaceAll(s, "# shards: 2\n", "") }
+	// header lines may differ.
+	trim := func(s string) string { return strings.ReplaceAll(s, headers, "") }
 	if trim(sharded.String()) != unsharded.String() {
 		t.Fatalf("sharded output diverged:\n%s\nvs\n%s", sharded.String(), unsharded.String())
 	}
 	for _, cfg := range []MineConfig{
-		{Shards: 2, MultiCore: true},  // unsupported combination
-		{Shards: 2, Variant: "bogus"}, // variant validated on the sharded path
-		{Shards: -2},                  // must error, not panic
+		{Cache: true, MultiCore: true},  // unsupported combination
+		{Cache: true, Variant: "bogus"}, // variant validated on the sharded path
 	} {
 		if err := Mine(strings.NewReader(twoIslandText), &bytes.Buffer{}, cfg); err == nil {
 			t.Fatalf("invalid config %+v accepted", cfg)
@@ -168,7 +171,6 @@ func TestMineValidatesBeforeLoad(t *testing.T) {
 	for _, cfg := range []MineConfig{
 		{Variant: "bogus"},
 		{Top: -1},
-		{Shards: -2},
 		{Cache: true, MultiCore: true},
 		{CacheDir: "/dev/null/not-a-dir", MultiCore: true}, // combination rejected before dir open
 		{CacheDir: "/dev/null/not-a-dir"},                  // unusable cache dir rejected pre-load
@@ -182,7 +184,6 @@ func TestMineValidatesBeforeLoad(t *testing.T) {
 		{RemoteTimeout: time.Second},         //
 		{RemoteNoFallback: true},             //
 		{Remote: "host:1", Variant: "bogus"}, // variant still validated on the remote path
-		{Remote: "127.0.0.1:1", Shards: -2},  // shard count validated before dialing
 		{Remote: "127.0.0.1:1"},              // unreachable fleet rejected pre-load
 	} {
 		if err := Mine(failingReader{t}, &bytes.Buffer{}, cfg); err == nil {
@@ -327,7 +328,6 @@ func TestStartServeValidatesBeforeLoad(t *testing.T) {
 		{Listen: "127.0.0.1:0", RemoteTimeout: time.Second}, // remote knob without -remote
 		{Listen: "127.0.0.1:0", RemoteNoFallback: true},     // remote knob without -remote
 		{Listen: "127.0.0.1:0", Remote: "not-an-address"},
-		{Listen: "127.0.0.1:0", Shards: -1},
 		{Listen: "127.0.0.1:0", Standby: true},         // standby needs a root to restore from
 		{Listen: "127.0.0.1:0", Remote: "127.0.0.1:1"}, // unreachable fleet rejected pre-load
 	} {

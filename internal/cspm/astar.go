@@ -84,14 +84,13 @@ type Model struct {
 	PerIter     []IterationStat
 	CondEntropy float64
 
-	// ShardCount is the number of shard searches the run executed: the
-	// number of component groups a component-grained run mined (0 when
-	// every group replayed from cache — check CacheHits to tell that apart
-	// from an unsharded run, which reports 0 on all three cache counters),
-	// or 1 when MineSharded fell back to the unsharded search.
+	// ShardCount is the number of shard searches a component-pipeline run
+	// executed: the number of component groups it mined (0 when every group
+	// replayed from cache). Whole-graph runs (Mine, MineWithOptions,
+	// MineDB) report 0.
 	ShardCount int
 
-	// CacheHits/CacheMisses count the component groups a MineShardedCached
+	// CacheHits/CacheMisses count the component groups a component-pipeline
 	// run replayed from, respectively re-mined into, its shard cache (both 0
 	// in uncached runs). CacheEvictions counts cache entries the run's
 	// stores pushed out of memory.

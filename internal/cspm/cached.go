@@ -38,9 +38,9 @@ const cachedSearchVersion = 1
 // searchFingerprint digests the options that change what a shard search
 // produces — the variant, the per-shard iteration cap, and the model-cost
 // ablation — so results mined under one configuration are never replayed
-// into another. Workers and Shards only change scheduling (results are
-// bit-identical by the determinism contract) and CollectStats only controls
-// diagnostics, so they deliberately stay out of the key.
+// into another. Workers only changes scheduling (results are bit-identical
+// by the determinism contract) and CollectStats only controls diagnostics,
+// so they deliberately stay out of the key.
 func searchFingerprint(opts Options) graph.Fingerprint {
 	var buf [18]byte
 	buf[0] = cachedSearchVersion
@@ -52,49 +52,29 @@ func searchFingerprint(opts Options) graph.Fingerprint {
 	return sha256.Sum256(buf[:])
 }
 
-// MineShardedCached mines g by attribute-closed component groups through the
-// component pipeline (see mineGroups), consulting cache before mining: groups
-// whose fingerprint (together with the graph's global attribute context) has
-// a cached shard result are replayed from the cache, and only dirty groups
-// are re-mined. The merged model is bit-identical to Mine(g) whether every
-// group, no group, or any subset came from the cache, because patterns and
-// all reported description lengths are pure functions of the per-group line
-// multisets the cache stores (see DESIGN.md "Shard-result cache").
+// MineShardedCached mines g in-process by attribute-closed component
+// groups through the component pipeline (see mineGroups), consulting cache
+// before mining: groups whose fingerprint (together with the graph's global
+// attribute context) has a cached shard result are replayed from the
+// cache, and only dirty groups are re-mined. The merged model is
+// bit-identical to Mine(g) whether every group, no group, or any subset
+// came from the cache, because patterns and all reported description
+// lengths are pure functions of the per-group line multisets the cache
+// stores (see DESIGN.md "Shard-result cache"). A nil cache mines every
+// group and reports zero cache counters.
 //
-// Each dirty group is one shard run; Options.Shards bounds how many run
-// concurrently (0 = all cores) and Options.Workers is the total evaluation
-// budget, exactly as in MineSharded. Options.MaxIterations caps each group's
-// merges independently — like MineSharded and unlike Mine's single global
-// cap, so capped runs match MineSharded, not Mine. A nil cache mines through a private
-// ephemeral cache, so the result contract is identical — only the reuse is
-// lost. It panics if opts fails Validate.
+// Each dirty group is one shard run; Options.Workers is the total
+// evaluation budget and bounds how many groups mine at once (see
+// runShards). Options.MaxIterations caps each group's merges independently,
+// unlike Mine's single global cap, so capped runs match only other
+// component-pipeline runs. It panics if opts fails Validate; MineDistributed
+// is the error-returning form.
 func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *Model {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	if cache == nil {
-		cache = shardcache.New(0)
-	}
 	m, _ := mineGroups(g, opts, cache, opts.mineLocal, nil)
 	return m
-}
-
-// MineShardedCachedObserved runs the component pipeline over opts.Cache with
-// per-phase timing reported to observe (nil = no observation; the mining
-// result is identical either way). Dirty groups mine in-process like
-// MineShardedCached when opts.Transport is nil, and as shard jobs over the
-// transport like MineDistributed otherwise — so unlike MineDistributed, a
-// nil Transport never starts a loopback pool. A nil opts.Cache mines
-// uncached (the cache counters stay 0).
-func MineShardedCachedObserved(g *graph.Graph, opts DistributedOptions, observe StageObserver) (*Model, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	exec := opts.Options.mineLocal
-	if opts.Transport != nil {
-		exec = opts.mineRemote
-	}
-	return mineGroups(g, opts.Options, opts.Cache, exec, observe)
 }
 
 // groupExecutor mines the dirty component groups — indices into members —
@@ -102,14 +82,14 @@ func MineShardedCachedObserved(g *graph.Graph, opts DistributedOptions, observe 
 // counters) on m. A non-nil error aborts the run.
 type groupExecutor func(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error
 
-// mineGroups is the one component-mining pipeline behind MineSharded,
-// MineShardedCached and MineDistributed: partition g
-// into attribute-closed groups and fingerprint them, diff them against
-// cache, hand the dirty groups to exec and store their entries, then fold
-// the diagnostics and merge every group's entry with the canonical DL
-// accounting. A nil cache mines through an ephemeral one and leaves the
-// cache counters at 0, as in any uncached run. Each phase is reported to
-// observe (see StageObserver). The caller validates opts.
+// mineGroups is the one component-mining pipeline behind MineShardedCached
+// and MineDistributed: partition g into attribute-closed groups and
+// fingerprint them, diff them against cache, hand the dirty groups to exec
+// and store their entries, then fold the diagnostics and merge every
+// group's entry with the canonical DL accounting. A nil cache mines
+// through an ephemeral one and leaves the cache counters at 0, as in any
+// uncached run. Each phase is reported to observe (see StageObserver). The
+// caller validates opts.
 func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec groupExecutor, observe StageObserver) (*Model, error) {
 	counted := cache != nil
 	if !counted {
@@ -170,7 +150,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 }
 
 // mineLocal is the in-process group executor: one shard run per dirty
-// group, at most Options.Shards (0 = all cores) running at once. Runs always
+// group, at most Options.Workers (0 = all cores) running at once. Runs always
 // collect stats — an entry must carry the iteration totals even when a warm
 // replay later reports them — while PerIter is surfaced only when the
 // caller asked, each merge tagged with its dirty-group index.
@@ -248,31 +228,3 @@ func patternsFromStats(st *mdl.StandardTable, norm []invdb.LineStat) []AStar {
 	}
 	return out
 }
-
-// Miner bundles mining options with a shard-result cache for repeated runs
-// over evolving graphs: each Mine call re-mines only the component groups
-// whose content changed since the cache last saw them.
-type Miner struct {
-	opts  Options
-	cache *shardcache.Cache
-}
-
-// NewMiner validates opts and returns a Miner backed by cache (nil = a fresh
-// unbounded in-memory cache).
-func NewMiner(opts Options, cache *shardcache.Cache) (*Miner, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if cache == nil {
-		cache = shardcache.New(0)
-	}
-	return &Miner{opts: opts, cache: cache}, nil
-}
-
-// Mine runs MineShardedCached over the miner's cache.
-func (mi *Miner) Mine(g *graph.Graph) *Model {
-	return MineShardedCached(g, mi.opts, mi.cache)
-}
-
-// Cache exposes the miner's shard-result cache (for stats and invalidation).
-func (mi *Miner) Cache() *shardcache.Cache { return mi.cache }

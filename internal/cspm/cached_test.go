@@ -149,12 +149,12 @@ func TestCachedOptionsKeying(t *testing.T) {
 	}
 }
 
-// TestMineShardedCachedValidates mirrors TestMineShardedValidates for the
-// cached entry point.
+// TestMineShardedCachedValidates pins the panic on invalid options; its
+// error-returning twin is TestDistributedOptionsValidate.
 func TestMineShardedCachedValidates(t *testing.T) {
 	g := dataset.Islands(dataset.DefaultIslands())
 	for _, opts := range []Options{
-		{Shards: -1},
+		{MaxIterations: -1},
 		{Workers: -1},
 	} {
 		func() {

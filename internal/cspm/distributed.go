@@ -22,9 +22,11 @@ const DefaultRemoteTimeout = 30 * time.Second
 type DistributedOptions struct {
 	Options
 
-	// Transport moves jobs to workers; nil runs an in-process loopback
-	// worker pool (Options.Shards bounds its size) — the same code path
-	// minus the sockets, which is what the bench scenario measures.
+	// Transport moves shard jobs to workers: cspm-worker processes over
+	// TCP, an in-process shardrpc loopback pool, or a fault-injecting
+	// wrapper in tests. Nil mines the dirty groups in-process, exactly as
+	// MineShardedCached does, and the retry, timeout and fallback fields
+	// below are unused.
 	Transport shardrpc.Transport
 	// Retries is how many times one job is re-submitted after a failed
 	// attempt (timeout, corrupt blob, worker error) before it falls back
@@ -89,10 +91,10 @@ func (e *DistributedError) Unwrap() []error {
 
 // ExecuteShardJob mines one shard job into a cache entry — the worker side
 // of distributed mining, wired as the shardrpc Handler by cmd/cspm-worker
-// and the in-process loopback. The job is self-contained: the DB is rebuilt
-// from the shipped vertex slice against the shipped global standard table,
-// so the entry is bit-identical to the one a local shard run over the same
-// group would produce (see invdb.FromShardData).
+// and by the loopback pools of tests. The job is self-contained: the DB is
+// rebuilt from the shipped vertex slice against the shipped global standard
+// table, so the entry is bit-identical to the one a local shard run over the
+// same group would produce (see invdb.FromShardData).
 func ExecuteShardJob(job shardrpc.Job) (*shardcache.Entry, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -168,50 +170,43 @@ func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts
 	}
 }
 
-// MineDistributed mines g like MineShardedCached — one shard job per
-// attribute-closed component group, merged exactly — but executes the jobs
-// over a shardrpc transport: an in-process worker pool by default, remote
-// cspm-worker processes over TCP, or a fault-injecting wrapper in tests.
-// Failed attempts (drop, timeout, corrupt or truncated blob, worker error)
+// MineDistributed is the general entry point of the component pipeline:
+// it mines g like MineShardedCached — one shard run per dirty
+// attribute-closed component group, merged exactly, consulting opts.Cache
+// (nil = uncached) — but returns invalid options as an error and reports
+// each pipeline phase to observe (nil = none; see StageObserver). With a
+// nil opts.Transport the dirty groups mine in-process and Model.PerIter is
+// collected when asked for. With a transport they travel as shard jobs:
+// failed attempts (drop, timeout, corrupt or truncated blob, worker error)
 // are retried up to opts.Retries times and then mined locally, so the
 // result is bit-identical to Mine(g) for every transport behaviour — or,
 // with NoFallback set, a *DistributedError; never a silently wrong model.
 // Responses are matched and deduplicated by job id, so a transport that
 // delivers a result twice (a retry racing its late original) cannot
-// double-count a group in the merge.
+// double-count a group in the merge. Transport runs collect no PerIter
+// trace — entries carry only the iteration totals.
 //
 // Options.MaxIterations caps each group's merges independently (the
-// MineSharded/MineShardedCached semantics, not Mine's global cap) and
-// per-iteration traces (Model.PerIter) are not collected — entries carry
-// only the iteration totals.
-func MineDistributed(g *graph.Graph, opts DistributedOptions) (*Model, error) {
+// MineShardedCached semantics, not Mine's global cap).
+func MineDistributed(g *graph.Graph, opts DistributedOptions, observe StageObserver) (*Model, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return mineGroups(g, opts.Options, opts.Cache, opts.mineRemote, nil)
+	exec := opts.Options.mineLocal
+	if opts.Transport != nil {
+		exec = opts.mineRemote
+	}
+	return mineGroups(g, opts.Options, opts.Cache, exec, observe)
 }
 
 // mineRemote is the transport group executor: one shard job per dirty group
-// over o.Transport (nil = an in-process loopback pool of at most
-// Options.Shards workers), retried and deduplicated by collectRemote. Jobs
-// that exhaust their attempts are mined in-process by mineLocal, or fail the
-// run with a *DistributedError under NoFallback. No PerIter trace is
-// collected, fallback runs included.
+// over o.Transport, retried and deduplicated by collectRemote. Jobs that
+// exhaust their attempts are mined in-process by mineLocal, or fail the run
+// with a *DistributedError under NoFallback. No PerIter trace is collected,
+// fallback runs included.
 func (o DistributedOptions) mineRemote(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error {
 	local := o.Options
 	local.CollectStats = false
-	if o.Transport == nil {
-		pool := min(o.shardLimit(), len(dirty))
-		lb := shardrpc.NewLoopback(ExecuteShardJob, pool)
-		defer lb.Close()
-		o.Transport = lb
-		// The in-process pool shares the coordinator's cores, so split the
-		// evaluation budget across the concurrent jobs the way runShards
-		// splits it — each job's Workers is its own evaluator count, and
-		// results are bit-identical for any value. Remote transports keep
-		// the unsplit budget: their workers' cores are not ours.
-		o.Workers = max(1, o.workerCount()/pool)
-	}
 	m.RemoteJobs = len(dirty)
 	failed := collectRemote(g, st.Freqs(), o, dirty, members, entries, m)
 	if len(failed) == 0 {

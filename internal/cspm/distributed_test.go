@@ -43,14 +43,16 @@ func TestDistributedLoopbackEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 5} {
 		g := distTestGraph(seed)
 		want := MineWithOptions(g, Options{CollectStats: true})
-		for _, shards := range []int{1, 2, 8} {
-			m, err := MineDistributed(g, DistributedOptions{Options: Options{Shards: shards}})
+		for _, workers := range []int{1, 2, 8} {
+			lb := shardrpc.NewLoopback(ExecuteShardJob, workers)
+			m, err := MineDistributed(g, DistributedOptions{Options: Options{Workers: workers}, Transport: lb}, nil)
+			lb.Close()
 			if err != nil {
-				t.Fatalf("seed %d shards %d: %v", seed, shards, err)
+				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
 			assertSameModel(t, "loopback", m, want)
 			if m.RemoteJobs == 0 || m.LocalFallbacks != 0 || m.RemoteRetries != 0 {
-				t.Fatalf("seed %d shards %d: unexpected diagnostics %+v", seed, shards, m)
+				t.Fatalf("seed %d workers %d: unexpected diagnostics %+v", seed, workers, m)
 			}
 		}
 	}
@@ -75,7 +77,7 @@ func TestDistributedTCPEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	m, err := MineDistributed(g, DistributedOptions{Transport: cl})
+	m, err := MineDistributed(g, DistributedOptions{Transport: cl}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestDistributedChaosEquivalence(t *testing.T) {
 				Retries:    tc.retries,
 				Timeout:    timeout,
 				NoFallback: tc.noFallback,
-			})
+			}, nil)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("fault swallowed: run reported success")
@@ -196,7 +198,7 @@ func TestDistributedChaosErrorTypes(t *testing.T) {
 		defer ch.Close()
 		_, err := MineDistributed(g, DistributedOptions{
 			Transport: ch, Timeout: 80 * time.Millisecond, NoFallback: true,
-		})
+		}, nil)
 		return err
 	}
 	if err := run(always(shardrpc.FaultCorrupt)); !errors.Is(err, shardrpc.ErrCorruptResult) {
@@ -244,7 +246,7 @@ func TestDistributedDeduplicatesDoubleDelivery(t *testing.T) {
 	want := MineWithOptions(g, Options{CollectStats: true})
 	groups := graph.AttrClosedComponents(g)
 	tr := &duplicatingTransport{out: make(chan shardrpc.Result, 4*groups.Count)}
-	m, err := MineDistributed(g, DistributedOptions{Transport: tr})
+	m, err := MineDistributed(g, DistributedOptions{Transport: tr}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestDistributedTransportDeath(t *testing.T) {
 	// exact, without it the run fails with the typed error.
 	dead := &closingTransport{out: make(chan shardrpc.Result)}
 	close(dead.out)
-	m, err := MineDistributed(g, DistributedOptions{Transport: dead, Timeout: time.Second})
+	m, err := MineDistributed(g, DistributedOptions{Transport: dead, Timeout: time.Second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestDistributedTransportDeath(t *testing.T) {
 
 	dead2 := &closingTransport{out: make(chan shardrpc.Result)}
 	close(dead2.out)
-	if _, err := MineDistributed(g, DistributedOptions{Transport: dead2, Timeout: time.Second, NoFallback: true}); !errors.Is(err, shardrpc.ErrClosed) {
+	if _, err := MineDistributed(g, DistributedOptions{Transport: dead2, Timeout: time.Second, NoFallback: true}, nil); !errors.Is(err, shardrpc.ErrClosed) {
 		t.Fatalf("transport death not reported as ErrClosed: %v", err)
 	}
 
@@ -296,7 +298,7 @@ func TestDistributedTransportDeath(t *testing.T) {
 	lb := shardrpc.NewLoopback(ExecuteShardJob, 1)
 	lb.Close()
 	start := time.Now()
-	m, err = MineDistributed(g, DistributedOptions{Transport: lb, Timeout: time.Hour})
+	m, err = MineDistributed(g, DistributedOptions{Transport: lb, Timeout: time.Hour}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +314,9 @@ func TestDistributedCacheComposition(t *testing.T) {
 	groups := graph.AttrClosedComponents(g)
 	cache := shardcache.New(0)
 
-	cold, err := MineDistributed(g, DistributedOptions{Cache: cache})
+	lb := shardrpc.NewLoopback(ExecuteShardJob, 2)
+	defer lb.Close()
+	cold, err := MineDistributed(g, DistributedOptions{Cache: cache, Transport: lb}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +331,7 @@ func TestDistributedCacheComposition(t *testing.T) {
 	ch := shardrpc.NewChaos(shardrpc.NewLoopback(ExecuteShardJob, 1), always(shardrpc.FaultDrop), 0)
 	defer ch.Close()
 	warm, err := MineDistributed(g, DistributedOptions{Cache: cache, Transport: ch,
-		Timeout: 50 * time.Millisecond, NoFallback: true})
+		Timeout: 50 * time.Millisecond, NoFallback: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +343,7 @@ func TestDistributedCacheComposition(t *testing.T) {
 	// Eviction accounting mirrors the cached miner: a capacity-1 cache
 	// evicts on every fill past the first, and the run must report the
 	// delta.
-	small, err := MineDistributed(g, DistributedOptions{Cache: shardcache.New(1)})
+	small, err := MineDistributed(g, DistributedOptions{Cache: shardcache.New(1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +367,9 @@ func TestDistributedOptionsValidate(t *testing.T) {
 		{Retries: -1},
 		{Timeout: -time.Second},
 		{Options: Options{Workers: -1}},
-		{Options: Options{Shards: -2}},
+		{Options: Options{MaxIterations: -2}},
 	} {
-		if _, err := MineDistributed(g, opts); err == nil {
+		if _, err := MineDistributed(g, opts, nil); err == nil {
 			t.Fatalf("invalid options %+v accepted", opts)
 		}
 	}
@@ -450,7 +454,7 @@ func TestDistributedStaleResultsAcrossRuns(t *testing.T) {
 	g1, g2 := distTestGraph(19), distTestGraph(23)
 	want2 := MineWithOptions(g2, Options{CollectStats: true})
 	tr := &replayableTransport{out: make(chan shardrpc.Result, 256)}
-	if _, err := MineDistributed(g1, DistributedOptions{Transport: tr}); err != nil {
+	if _, err := MineDistributed(g1, DistributedOptions{Transport: tr}, nil); err != nil {
 		t.Fatal(err)
 	}
 	stale := len(tr.history)
@@ -459,7 +463,7 @@ func TestDistributedStaleResultsAcrossRuns(t *testing.T) {
 		tr.out <- res
 	}
 	tr.history = nil
-	m, err := MineDistributed(g2, DistributedOptions{Transport: tr})
+	m, err := MineDistributed(g2, DistributedOptions{Transport: tr}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +503,7 @@ func TestDistributedRejectsMutatedJobs(t *testing.T) {
 	groups := graph.AttrClosedComponents(g)
 	m, err := MineDistributed(g, DistributedOptions{
 		Transport: &mutatingTransport{out: make(chan shardrpc.Result, 64)},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +514,7 @@ func TestDistributedRejectsMutatedJobs(t *testing.T) {
 	_, err = MineDistributed(g, DistributedOptions{
 		Transport:  &mutatingTransport{out: make(chan shardrpc.Result, 64)},
 		NoFallback: true,
-	})
+	}, nil)
 	if !errors.Is(err, shardrpc.ErrCorruptResult) {
 		t.Fatalf("mutated jobs not reported as corruption: %v", err)
 	}

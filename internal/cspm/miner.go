@@ -8,6 +8,7 @@ import (
 
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
+	"cspm/internal/slim"
 )
 
 // Variant selects the search strategy. Both produce compressing a-star
@@ -55,16 +56,12 @@ type Options struct {
 	// Partial's per-merge refresh stay sequential. 0 (the default) uses all
 	// cores; 1 forces serial evaluation; negative values are rejected by
 	// Validate. Results are bit-identical regardless of the worker count.
-	// MineSharded treats Workers as the TOTAL budget and splits it across
-	// shards.
+	// The component pipeline (MineShardedCached, and MineDistributed
+	// without a transport) treats Workers as the TOTAL budget: at most
+	// Workers component groups mine at once, splitting it between them. A
+	// shard job sent over a transport carries Workers unsplit, since a
+	// remote worker's cores are its own.
 	Workers int
-	// Shards bounds sharded mining: MineSharded, MineShardedCached and
-	// MineDistributed mine one shard per attribute-closed group with at most
-	// Shards running at once. 0 (the default) resolves to GOMAXPROCS; in
-	// MineSharded a resolved count of 1 degenerates to the unsharded search;
-	// negative values are rejected by Validate. Mine, MineWithOptions and
-	// MineDB ignore it. Results are identical for every value.
-	Shards int
 }
 
 // Validate sanity-checks options.
@@ -74,9 +71,6 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("cspm: Workers must be >= 0, got %d", o.Workers)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("cspm: Shards must be >= 0, got %d", o.Shards)
 	}
 	return nil
 }
@@ -111,8 +105,8 @@ func MineWithOptions(g *graph.Graph, opts Options) *Model {
 //
 // The reported BaselineDL and FinalDL are computed through the canonical
 // summation order (invdb.CanonicalDL): bit-identical for any search that
-// reaches the same final database, which is what lets MineSharded promise
-// bit-identical models (see DESIGN.md "Sharded mining").
+// reaches the same final database, which is what lets the component
+// pipeline promise bit-identical models (see DESIGN.md "Sharded mining").
 func MineDB(db *invdb.DB, vocab *graph.Vocab, opts Options) *Model {
 	if err := opts.Validate(); err != nil {
 		panic(err)
@@ -137,6 +131,19 @@ func MineDB(db *invdb.DB, vocab *graph.Vocab, opts Options) *Model {
 		m.PerIter = st.perIter
 	}
 	return m
+}
+
+// MineMultiCore runs the §IV-F general mode: multi-value coresets are first
+// selected by SLIM on the vertex-attribute transaction database, then
+// a-stars are mined over them with CSPM-Partial. Still parameter-free.
+func MineMultiCore(g *graph.Graph) (*Model, error) {
+	res := slim.Mine(slim.VertexTransactions(g), slim.Options{})
+	coresets, positions := slim.ItemsetsAsCoresets(res)
+	db, err := invdb.FromGraphWithCoresets(g, coresets, positions)
+	if err != nil {
+		return nil, err
+	}
+	return MineDB(db, g.Vocab(), Options{CollectStats: true}), nil
 }
 
 // runStats accumulates the diagnostics surfaced on Model.

@@ -271,13 +271,10 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{Workers: -1}).Validate(); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
-	if err := (Options{Shards: -1}).Validate(); err == nil {
-		t.Fatal("negative Shards accepted")
-	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Options{Shards: 4}).Validate(); err != nil {
+	if err := (Options{Workers: 4}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,7 +12,6 @@ func TestNewStepperValidates(t *testing.T) {
 	for _, opts := range []Options{
 		{Workers: -1},
 		{MaxIterations: -1},
-		{Shards: -1},
 	} {
 		func() {
 			defer func() {

@@ -200,35 +200,6 @@ func loadCheckpointGraph(dir string, man *shardcache.Manifest) (*graph.Graph, er
 	return reintern(g, man.Vocab), nil
 }
 
-// writeFileAtomicSync writes data as dir/name via fsync'd temp file + rename
-// + directory fsync, so the rename is a durable commit point.
-func writeFileAtomicSync(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), filepath.Join(dir, name))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // recoverStartup is NewServer's durability pass, run before the initial
 // mine. On a durable server it loads and verifies any checkpoint, opens the
 // WAL and replays unfolded batches, and returns the graph the generation-0
@@ -416,7 +387,7 @@ func (s *Server) checkpoint(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomicSync(s.ckptDir, checkpointGraphName, gb); err != nil {
+	if err := shardcache.WriteFileAtomic(s.ckptDir, checkpointGraphName, gb, true); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -48,20 +48,20 @@ func mutationsFromEdits(t *testing.T, es []graph.Edit) []Mutation {
 // TestDynamicEvolutionEquivalence is the grow/shrink exactness pin: a seeded
 // evolving sequence (vertex adds and deletes included) is submitted batch by
 // batch, and after every flush the served model must be bit-identical to
-// Mine on that step's reference graph. The matrix crosses shard counts with
-// cache reuse — a purged cache forces every group to re-mine cold, so a
+// Mine on that step's reference graph. The matrix crosses worker budgets
+// (which bound how many groups re-mine at once) with cache reuse — a purged cache forces every group to re-mine cold, so a
 // divergence between the cached and uncached paths cannot hide.
 func TestDynamicEvolutionEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		for _, purge := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d,purge=%v", shards, purge), func(t *testing.T) {
+			t.Run(fmt.Sprintf("workers=%d,purge=%v", workers, purge), func(t *testing.T) {
 				ev, err := dynamic.RandomEvolution(7, dynamic.EvolutionOptions{
 					InitialVertices: 8, Steps: 6, OpsPerStep: 4,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := newTestServer(t, ev.Start, Options{Mining: icspm.Options{Shards: shards}})
+				s := newTestServer(t, ev.Start, Options{Mining: icspm.Options{Workers: workers}})
 				cache := s.Cache()
 				ctx := ctxShort(t)
 				for i, batch := range ev.Batches {

@@ -490,7 +490,7 @@ func (s *Server) fetchVerified(path, name, wantSHA string, manRaw []byte) ([]byt
 	// happened (or failed), so an observer that sees the count can already
 	// stat the quarantined bytes.
 	qname := name + shardcache.QuarantineSuffix
-	werr := writeFileAtomicSync(s.ckptDir, qname, data)
+	werr := shardcache.WriteFileAtomic(s.ckptDir, qname, data, true)
 	s.met.replicationVerifyFailures.Add(1)
 	if werr != nil {
 		return nil, fmt.Errorf("serve: shipped %s failed verification (got %s, manifest %s); quarantine also failed: %v",
@@ -520,14 +520,14 @@ func (s *Server) fetchAndInstall(manRaw []byte, man *shardcache.Manifest) error 
 	}
 	dir := s.ckptDir
 	for name, b := range blobs {
-		if err := writeFileAtomicSync(dir, name, b); err != nil {
+		if err := shardcache.WriteFileAtomic(dir, name, b, true); err != nil {
 			return err
 		}
 	}
-	if err := writeFileAtomicSync(dir, checkpointGraphName, gb); err != nil {
+	if err := shardcache.WriteFileAtomic(dir, checkpointGraphName, gb, true); err != nil {
 		return err
 	}
-	return writeFileAtomicSync(dir, shardcache.ManifestName, manRaw)
+	return shardcache.WriteFileAtomic(dir, shardcache.ManifestName, manRaw, true)
 }
 
 // followBootstrap runs before recoverStartup on a follower: it checks the

@@ -797,7 +797,7 @@ func (s *Server) mineProfiled(g *graph.Graph, rec *obs.Recorder) (model *icspm.M
 	if rec != nil {
 		observe = rec.Observe
 	}
-	return icspm.MineShardedCachedObserved(g, icspm.DistributedOptions{
+	return icspm.MineDistributed(g, icspm.DistributedOptions{
 		Options:    s.opts.Mining,
 		Transport:  s.opts.Transport,
 		Retries:    s.opts.RemoteRetries,

@@ -78,7 +78,7 @@ func (c *Cache) PersistManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("shardcache: encode manifest: %w", err)
 	}
-	if err := writeFileAtomic(dir, ManifestName, append(data, '\n'), true); err != nil {
+	if err := WriteFileAtomic(dir, ManifestName, append(data, '\n'), true); err != nil {
 		return fmt.Errorf("shardcache: commit manifest: %w", err)
 	}
 	return perr

@@ -1,7 +1,7 @@
 // Package shardcache stores per-shard mining results keyed by content
-// fingerprints, turning repeated MineSharded runs over mostly-unchanged
-// graphs into incremental jobs that only re-mine dirty component groups (see
-// DESIGN.md "Shard-result cache").
+// fingerprints, turning repeated component-pipeline runs over
+// mostly-unchanged graphs into incremental jobs that only re-mine dirty
+// component groups (see DESIGN.md "Shard-result cache").
 //
 // A cache entry holds exactly what the exact merge path consumes: the
 // shard's line stats before any merge (baseline terms) and after its search
@@ -332,7 +332,7 @@ func storeBlob(dir string, k Key, e *Entry) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := writeFileAtomic(dir, k.filename(), blob, false); err != nil {
+	if err := WriteFileAtomic(dir, k.filename(), blob, false); err != nil {
 		return "", err
 	}
 	return hashHex(blob), nil
@@ -348,10 +348,10 @@ func encodeEntry(e *Entry) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// writeFileAtomic writes data as dir/name via temp file + rename. With sync
+// WriteFileAtomic writes data as dir/name via temp file + rename. With sync
 // set it fsyncs the temp file before the rename and the directory after, so
 // the rename is a durable commit point and not just an atomic one.
-func writeFileAtomic(dir, name string, data []byte, sync bool) error {
+func WriteFileAtomic(dir, name string, data []byte, sync bool) error {
 	tmp, err := os.CreateTemp(dir, "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("shardcache: %w", err)

@@ -1,5 +1,5 @@
 // Package shardrpc ships shard mining jobs to workers and collects their
-// results, turning MineSharded's component-parallel search into a
+// results, turning the component pipeline's parallel search into a
 // multi-machine fan-out (see DESIGN.md "Distributed shard exchange").
 //
 // The package is transport and policy only: a Job carries everything a

@@ -1,9 +1,10 @@
-// Sharded-mining contract tests. MineSharded promises models bit-identical
-// to Mine(g) — same DLs to the last bit, same merge count, same pattern
-// list — for any shard count, because attribute-closed component groups
-// make per-shard gains exactly the global ones and the canonical DL order
-// makes reporting independent of merge interleaving (see DESIGN.md "Sharded
-// mining"). A graph with one group mines unsharded.
+// Sharded-mining contract tests. The component pipeline — entered through
+// MineShardedCached or MineDistributed — promises models bit-identical to
+// Mine(g) — same DLs to the last bit, same merge count, same pattern list —
+// for any worker budget and any executor, because attribute-closed
+// component groups make per-shard gains exactly the global ones and the
+// canonical DL order makes reporting independent of merge interleaving
+// (see DESIGN.md "Sharded mining").
 package cspm_test
 
 import (
@@ -12,8 +13,10 @@ import (
 	"testing"
 
 	"cspm"
+	icspm "cspm/internal/cspm"
 	"cspm/internal/dataset"
 	"cspm/internal/experiments"
+	"cspm/internal/shardrpc"
 )
 
 // assertShardedMatchesMine checks the bit-identical subset of the model that
@@ -41,80 +44,150 @@ func assertShardedMatchesMine(t *testing.T, name string, got, want *cspm.Model) 
 }
 
 // TestShardedEquivalence is the property test of the sharded contract: across
-// randomized multi-component graphs, MineSharded equals Mine bit-for-bit at
-// every shard count.
+// randomized multi-component graphs, the component pipeline equals Mine
+// bit-for-bit at every worker budget.
 func TestShardedEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		cfg := dataset.IslandsConfig{
-			Seed:     seed,
-			Islands:  3 + int(seed)%4,
-			MinNodes: 20, MaxNodes: 90,
-			AttrsPerIsland: 8 + int(seed),
-			ExtraEdges:     1.0,
-			AttrsPerNode:   3,
-		}
-		g := dataset.Islands(cfg)
+		g, _ := cachedTestGraph(seed)
 		want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-		for _, shards := range []int{1, 2, 8} {
-			got := cspm.MineSharded(g, cspm.Options{CollectStats: true, Shards: shards})
-			name := "seed" + string(rune('0'+seed)) + "/shards" + string(rune('0'+shards))
+		for _, workers := range []int{1, 2, 8} {
+			got := cspm.MineShardedCached(g, cspm.Options{CollectStats: true, Workers: workers}, nil)
+			name := fmt.Sprintf("seed%d/workers%d", seed, workers)
 			assertShardedMatchesMine(t, name, got, want)
-			if shards > 1 && got.ShardCount < 2 {
+			if got.ShardCount < 2 {
 				t.Fatalf("%s: expected a sharded run, got ShardCount=%d", name, got.ShardCount)
 			}
 		}
 		// The Basic variant shards through the same machinery.
 		wantBasic := cspm.MineWithOptions(g, cspm.Options{Variant: cspm.Basic, CollectStats: true})
-		gotBasic := cspm.MineSharded(g, cspm.Options{Variant: cspm.Basic, CollectStats: true, Shards: 4})
+		gotBasic := cspm.MineShardedCached(g, cspm.Options{Variant: cspm.Basic, CollectStats: true, Workers: 4}, nil)
 		assertShardedMatchesMine(t, "basic", gotBasic, wantBasic)
-		// An iteration cap applies per component group on every path, so a
-		// capped MineSharded run equals the capped component pipeline.
-		capped := cspm.Options{CollectStats: true, Shards: 4, MaxIterations: 2}
-		assertShardedMatchesMine(t, "capped", cspm.MineSharded(g, capped),
+		// An iteration cap applies per component group on every executor,
+		// so a capped in-process run equals a capped run over a transport.
+		capped := cspm.Options{CollectStats: true, Workers: 4, MaxIterations: 2}
+		assertShardedMatchesMine(t, "capped", mineLoopback(t, g, capped),
 			cspm.MineShardedCached(g, capped, nil))
 	}
 }
 
-// TestShardedEquivalenceOneComponent pins the one-group case: a graph
-// that does not decompose mines the exact model unsharded, whatever the
-// shard bound.
+// mineLoopback mines g through MineDistributed over an in-process loopback
+// worker pool, so every dirty group travels as an encoded shard job.
+func mineLoopback(t *testing.T, g *cspm.Graph, opts cspm.Options) *cspm.Model {
+	t.Helper()
+	lb := shardrpc.NewLoopback(icspm.ExecuteShardJob, 2)
+	defer lb.Close()
+	m, err := cspm.MineDistributed(g, cspm.DistributedOptions{Options: opts, Transport: lb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RemoteJobs != m.ShardCount || m.LocalFallbacks != 0 {
+		t.Fatalf("loopback run: %d jobs, %d fallbacks for %d groups", m.RemoteJobs, m.LocalFallbacks, m.ShardCount)
+	}
+	return m
+}
+
+// TestShardedEquivalenceOneComponent pins the one-group case: a graph that
+// does not decompose mines as a single shard run whose model — DLs,
+// patterns, gain evaluations and the full per-iteration trace — is the
+// whole-graph search's, through both entry points.
 func TestShardedEquivalenceOneComponent(t *testing.T) {
-	g := dataset.USFlight(1)
-	want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-	for _, shards := range []int{0, 4} {
-		got := cspm.MineSharded(g, cspm.Options{CollectStats: true, Shards: shards})
-		name := fmt.Sprintf("usflight/shards%d", shards)
-		assertShardedMatchesMine(t, name, got, want)
-		if got.ShardCount != 1 {
-			t.Fatalf("%s: ShardCount = %d, want 1", name, got.ShardCount)
+	assertOneGroupMatchesMine(t, "usflight", dataset.USFlight(1), cspm.Options{CollectStats: true})
+}
+
+// TestShardedSingleShardDegenerates pins the smallest pipeline run to the
+// whole-graph miner: the connected Mini graph at one worker is one group on
+// one goroutine, and both entry points return MineWithOptions' model.
+func TestShardedSingleShardDegenerates(t *testing.T) {
+	assertOneGroupMatchesMine(t, "mini/workers1", experiments.MiniGraph(1), cspm.Options{CollectStats: true, Workers: 1})
+}
+
+// assertOneGroupMatchesMine mines a graph that does not decompose through
+// MineShardedCached and MineDistributed and checks each against
+// MineWithOptions under assertIdenticalModels, with equal GainEvals and
+// ShardCount 1.
+func assertOneGroupMatchesMine(t *testing.T, graph string, g *cspm.Graph, opts cspm.Options) {
+	t.Helper()
+	want := cspm.MineWithOptions(g, opts)
+	cached := cspm.MineShardedCached(g, opts, nil)
+	dist, err := cspm.MineDistributed(g, cspm.DistributedOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		entry string
+		m     *cspm.Model
+	}{{"cached", cached}, {"distributed", dist}} {
+		name := graph + "/" + got.entry
+		assertIdenticalModels(t, name, got.m, want)
+		if got.m.GainEvals != want.GainEvals {
+			t.Fatalf("%s: %d gain evaluations, whole-graph search %d", name, got.m.GainEvals, want.GainEvals)
+		}
+		if got.m.ShardCount != 1 {
+			t.Fatalf("%s: ShardCount = %d, want 1", name, got.m.ShardCount)
 		}
 	}
 }
 
-// TestShardedSingleShardDegenerates pins the K=1 path to the unsharded
-// miner on a connected graph.
-func TestShardedSingleShardDegenerates(t *testing.T) {
-	g := experiments.MiniGraph(1)
-	want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-	got := cspm.MineSharded(g, cspm.Options{CollectStats: true, Shards: 1})
-	assertShardedMatchesMine(t, "mini/shards1", got, want)
-	if got.ShardCount != 1 {
-		t.Fatalf("ShardCount = %d, want 1", got.ShardCount)
+// TestShardedEquivalenceNilCache pins the two entry points' shared rule for
+// a missing cache and transport: MineShardedCached(g, o, nil) and
+// MineDistributed(g, {Options: o}) run the same in-process pipeline, return
+// identical models (per-iteration trace included) and report no cache
+// traffic and no remote jobs.
+func TestShardedEquivalenceNilCache(t *testing.T) {
+	g, _ := cachedTestGraph(4)
+	opts := cspm.Options{CollectStats: true}
+	cached := cspm.MineShardedCached(g, opts, nil)
+	dist, err := cspm.MineDistributed(g, cspm.DistributedOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalModels(t, "nil cache", dist, cached)
+	assertShardedMatchesMine(t, "nil cache vs Mine", cached, cspm.MineWithOptions(g, opts))
+	for _, m := range []*cspm.Model{cached, dist} {
+		if m.CacheHits != 0 || m.CacheMisses != 0 || m.RemoteJobs != 0 {
+			t.Fatalf("uncached in-process run reported %d hits, %d misses, %d remote jobs",
+				m.CacheHits, m.CacheMisses, m.RemoteJobs)
+		}
+		if len(m.PerIter) != m.Iterations {
+			t.Fatalf("in-process run kept %d of %d iteration stats", len(m.PerIter), m.Iterations)
+		}
 	}
 }
 
+// TestShardedEquivalenceLoopback pins the transport executor: shard jobs
+// over an explicit loopback pool give the in-process pipeline's DLs and
+// patterns, one job per component group.
+func TestShardedEquivalenceLoopback(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g, _ := cachedTestGraph(seed)
+		opts := cspm.Options{CollectStats: true}
+		got := mineLoopback(t, g, opts)
+		assertShardedMatchesMine(t, fmt.Sprintf("seed%d", seed), got, cspm.MineShardedCached(g, opts, nil))
+		if got.ShardCount < 2 {
+			t.Fatalf("seed%d: expected a sharded run, got ShardCount=%d", seed, got.ShardCount)
+		}
+	}
+}
+
+// TestMineShardedValidates pins both component-pipeline entry points'
+// option checks: MineShardedCached panics, MineDistributed returns the
+// error.
 func TestMineShardedValidates(t *testing.T) {
 	g := experiments.MiniGraph(1)
 	for _, opts := range []cspm.Options{
-		{Shards: -1},
+		{Workers: -1},
+		{MaxIterations: -1},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("MineSharded accepted invalid %+v", opts)
+					t.Errorf("MineShardedCached accepted invalid %+v", opts)
 				}
 			}()
-			cspm.MineSharded(g, opts)
+			cspm.MineShardedCached(g, opts, nil)
 		}()
+		if _, err := cspm.MineDistributed(g, cspm.DistributedOptions{Options: opts}); err == nil {
+			t.Errorf("MineDistributed accepted invalid %+v", opts)
+		}
 	}
 }
