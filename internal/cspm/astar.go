@@ -15,8 +15,6 @@ import (
 	"strings"
 
 	"cspm/internal/graph"
-	"cspm/internal/invdb"
-	"cspm/internal/mdl"
 )
 
 // AStar is a mined attribute-star S = (Sc, SL): if the core values appear on
@@ -140,25 +138,6 @@ func (m *Model) MultiLeaf() []AStar {
 	return out
 }
 
-// extractPatterns converts a database's live lines into unranked a-stars.
-func extractPatterns(db *invdb.DB) []AStar {
-	var out []AStar
-	for c := 0; c < db.NumCoresets(); c++ {
-		fc := db.CoreFreq(invdb.CoresetID(c))
-		for _, ln := range db.LinesOf(invdb.CoresetID(c)) {
-			leaf := db.Leafsets().Values(ln.Leaf)
-			out = append(out, AStar{
-				CoreValues: db.CoreValues(invdb.CoresetID(c)),
-				LeafValues: leaf,
-				FL:         ln.FL(),
-				FC:         fc,
-				CodeLen:    db.CoreCodeLen(invdb.CoresetID(c)) + mdl.CondCodeLen(ln.FL(), fc),
-			})
-		}
-	}
-	return out
-}
-
 // sortPatterns ranks patterns: ascending code length, then lexicographic
 // contents. The order is total over distinct (core, leafset) pairs, so runs
 // — sharded or not — are deterministic.
@@ -172,16 +151,4 @@ func sortPatterns(ps []AStar) {
 		}
 		return graph.CompareAttrs(a.LeafValues, b.LeafValues)
 	})
-}
-
-// extractModel converts the final inverted database into the ranked pattern
-// list, pricing FinalDL and CondEntropy through the canonical summation
-// order (a pure function of the line multiset — see invdb.CanonicalDL).
-func extractModel(db *invdb.DB, vocab *graph.Vocab) *Model {
-	m := &Model{Vocab: vocab, Patterns: extractPatterns(db)}
-	sortPatterns(m.Patterns)
-	fd, fm, cond, _ := invdb.CanonicalSummary(db.StandardTable(), db.CoreCodeLen, db.AppendLineStats(nil))
-	m.FinalDL = fd + fm
-	m.CondEntropy = cond
-	return m
 }

@@ -3,6 +3,8 @@ package cspm
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"sync"
 	"time"
 
 	"cspm/internal/graph"
@@ -63,17 +65,20 @@ func searchFingerprint(opts Options) graph.Fingerprint {
 // stores (see DESIGN.md "Shard-result cache"). A nil cache mines every
 // group and reports zero cache counters.
 //
-// Each dirty group is one shard run; Options.Workers is the total
-// evaluation budget and bounds how many groups mine at once (see
-// runShards). Options.MaxIterations caps each group's merges independently,
+// Each dirty group is one shard job, mined in-process; Options.Workers is
+// the total evaluation budget and bounds how many groups mine at once (see
+// mineLocal). Options.MaxIterations caps each group's merges independently,
 // unlike Mine's single global cap, so capped runs match only other
-// component-pipeline runs. It panics if opts fails Validate; MineDistributed
-// is the error-returning form.
+// component-pipeline runs. It panics if opts fails Validate or a group's
+// job fails to mine; MineDistributed is the error-returning form.
 func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *Model {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	m, _ := mineGroups(g, opts, cache, opts.mineLocal, nil)
+	m, err := mineGroups(g, opts, cache, opts.mineLocal, nil)
+	if err != nil {
+		panic(err)
+	}
 	return m
 }
 
@@ -144,66 +149,91 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 		m.Iterations += e.Iterations
 		m.GainEvals += e.GainEvals
 	}
-	mergeEntryStats(m, st, entries)
+	// Coreset c is the one value c. Its code length is SetLen's, as in a
+	// single-value DB: SetLen adds to 0.0, so a -0 length reads +0.
+	mergeEntryStats(m, st,
+		func(c invdb.CoresetID) []graph.AttrID { return []graph.AttrID{graph.AttrID(c)} },
+		func(c invdb.CoresetID) float64 { return st.SetLen([]graph.AttrID{graph.AttrID(c)}) },
+		entries)
 	observe.observe(obs.SpanMerge, t)
 	return m, nil
 }
 
-// mineLocal is the in-process group executor: one shard run per dirty
-// group, at most Options.Workers (0 = all cores) running at once. Runs always
-// collect stats — an entry must carry the iteration totals even when a warm
-// replay later reports them — while PerIter is surfaced only when the
-// caller asked, each merge tagged with its dirty-group index.
+// mineLocal is the in-process group executor: it builds each dirty group
+// into the shard job a worker would get and mines it with the worker's own
+// executor, so a local group differs from a remote one only in the
+// transport it skips. Options.Workers (0 = all cores) is the total budget:
+// at most that many groups mine at once, each job carrying an equal share
+// (at least one evaluator), so Workers=1 mines one group at a time instead
+// of oversubscribing. Each entry is a pure function of its job, and the
+// results are folded in dirty order after the barrier, so the run is
+// deterministic. PerIter is surfaced only when the caller asked, each
+// merge renumbered and tagged with its dirty-group index.
 func (o Options) mineLocal(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error {
-	runOpts := o
-	runOpts.CollectStats = true
-	shards := make([]*shardRun, len(dirty))
+	workers := o.workerCount()
+	concurrent := min(workers, len(dirty))
+	base, extra := workers/concurrent, workers%concurrent
+	stFreqs := st.Freqs()
+	perIter := make([][]IterationStat, len(dirty))
+	errs := make([]error, len(dirty))
+	sem := make(chan struct{}, concurrent)
+	var wg sync.WaitGroup
 	for i, gi := range dirty {
-		shards[i] = &shardRun{verts: members[gi]}
-	}
-	runShards(g, st, runOpts, shards)
-	for i, gi := range dirty {
-		sh := shards[i]
-		entries[gi] = &shardcache.Entry{
-			Init: sh.init, Final: sh.final,
-			Iterations: sh.stats.iterations, GainEvals: sh.stats.gainEvals,
+		jobOpts := o
+		jobOpts.Workers = base
+		if i < extra {
+			jobOpts.Workers++
 		}
-		if o.CollectStats {
-			appendPerIter(m, sh.stats.perIter, i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			job := buildShardJob(g, stFreqs, jobOpts, uint64(gi), members[gi])
+			entries[gi], perIter[i], errs[i] = executeShardJob(job)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil || !o.CollectStats {
+		return err
+	}
+	for i, trace := range perIter {
+		for _, it := range trace {
+			it.Iteration = len(m.PerIter) + 1
+			it.Shard = i
+			m.PerIter = append(m.PerIter, it)
 		}
 	}
 	return nil
 }
 
-// mergeEntryStats folds one entry per component group into m: canonical
-// baseline/final DLs, conditional entropy and the pattern list, all pure
-// functions of the per-group line multisets. It is mineGroups' exact-merge
-// tail — it cannot tell (and need not know) whether an entry came from a
-// fresh local run, a cache replay, or a remote worker's blob.
-func mergeEntryStats(m *Model, st *mdl.StandardTable, entries []*shardcache.Entry) {
+// mergeEntryStats, the one model assembler, folds entries into m:
+// canonical baseline/final DLs, conditional entropy and the pattern list,
+// all pure functions of the line multisets and the coresets' values and
+// code lengths. mineGroups passes one entry per group, whether fresh,
+// replayed or a remote worker's, and the single-value coresets; MineDB and
+// Stepper.Snapshot pass one entry and their database's coresets.
+func mergeEntryStats(m *Model, st *mdl.StandardTable, coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64, entries []*shardcache.Entry) {
 	var init, final []invdb.LineStat
 	for _, e := range entries {
 		init = append(init, e.Init...)
 		final = append(final, e.Final...)
 	}
-	coreCode := func(c invdb.CoresetID) float64 { return st.Len(graph.AttrID(c)) }
 	bd, bm := invdb.CanonicalDL(st, coreCode, init)
 	m.BaselineDL = bd + bm
 	fd, fm, cond, norm := invdb.CanonicalSummary(st, coreCode, final)
 	m.FinalDL = fd + fm
 	m.CondEntropy = cond
-	m.Patterns = patternsFromStats(st, norm)
+	m.Patterns = patternsFromStats(coreValues, coreCode, norm)
 	sortPatterns(m.Patterns)
 }
 
 // patternsFromStats derives the a-star pattern list from a final line
-// multiset already normalized by invdb.NormalizeLineStats — the cache-replay
-// twin of extractPatterns. Under single-value coresets every AStar field is
-// a pure function of the stats: FC is the sum of the core's line
-// frequencies, the core code length is the standard-table length of its one
-// value, and the conditional code length follows from (fL, fc) — so
-// replayed and freshly mined groups produce identical patterns, bit for bit.
-func patternsFromStats(st *mdl.StandardTable, norm []invdb.LineStat) []AStar {
+// multiset already normalized by invdb.NormalizeLineStats. FC is the sum of
+// the core's line frequencies (a database's f_c is that same sum), and the
+// code length is the core's plus CondCodeLen(fL, fc), so replayed and
+// freshly mined groups produce identical patterns, bit for bit.
+func patternsFromStats(coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64, norm []invdb.LineStat) []AStar {
 	out := make([]AStar, 0, len(norm))
 	for i := 0; i < len(norm); {
 		c := norm[i].Core
@@ -211,10 +241,10 @@ func patternsFromStats(st *mdl.StandardTable, norm []invdb.LineStat) []AStar {
 		for ; j < len(norm) && norm[j].Core == c; j++ {
 			fc += norm[j].FL
 		}
-		coreLen := st.SetLen([]graph.AttrID{graph.AttrID(c)})
+		coreLen := coreCode(c)
 		for k := i; k < j; k++ {
 			out = append(out, AStar{
-				CoreValues: []graph.AttrID{graph.AttrID(c)},
+				CoreValues: coreValues(c),
 				// Copied, not aliased: on a cache hit norm[k].Leaf points into
 				// the long-lived cached entry, and patterns carry no read-only
 				// contract — an aliasing caller would corrupt the cache.

@@ -1,6 +1,7 @@
 package cspm
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -165,5 +166,30 @@ func TestMineShardedCachedValidates(t *testing.T) {
 			}()
 			MineShardedCached(g, opts, shardcache.New(0))
 		}()
+	}
+}
+
+// TestOneValueCodeLenBits pins the pipeline's core code length to the
+// database's in the one case where Len and SetLen differ: in a graph with a
+// single attribute value its standard code is -log2(1) = -0, SetLen adds it
+// to 0.0 and gets +0, and a pattern priced with the bare -0 would carry a
+// -0 code length, printed as "-0.000".
+func TestOneValueCodeLenBits(t *testing.T) {
+	b := graph.NewBuilder(3)
+	for v := range 3 {
+		if err := b.AddAttr(graph.VertexID(v), "a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]graph.VertexID{{0, 1}, {1, 2}, {0, 2}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	for _, m := range []*Model{MineWithOptions(g, Options{}), MineShardedCached(g, Options{}, nil)} {
+		if len(m.Patterns) != 1 || math.Float64bits(m.Patterns[0].CodeLen) != 0 {
+			t.Fatalf("patterns %+v, want one of code length +0", m.Patterns)
+		}
 	}
 }

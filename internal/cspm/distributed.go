@@ -3,6 +3,7 @@ package cspm
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -91,13 +92,21 @@ func (e *DistributedError) Unwrap() []error {
 
 // ExecuteShardJob mines one shard job into a cache entry — the worker side
 // of distributed mining, wired as the shardrpc Handler by cmd/cspm-worker
-// and by the loopback pools of tests. The job is self-contained: the DB is
-// rebuilt from the shipped vertex slice against the shipped global standard
-// table, so the entry is bit-identical to the one a local shard run over the
-// same group would produce (see invdb.FromShardData).
+// and by the loopback pools of tests. It is executeShardJob without the
+// merge trace.
 func ExecuteShardJob(job shardrpc.Job) (*shardcache.Entry, error) {
+	e, _, err := executeShardJob(job)
+	return e, err
+}
+
+// executeShardJob is the one group executor: it mines one shard job into
+// its cache entry and merge trace, for a worker's shipped job and for
+// mineLocal's unshipped one alike. The job is self-contained: the DB is
+// rebuilt from the job's vertex rows against its global standard table
+// (see invdb.FromShardData), so the entry is a pure function of the job.
+func executeShardJob(job shardrpc.Job) (*shardcache.Entry, []IterationStat, error) {
 	if err := job.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts := Options{
 		Variant:          Variant(job.Variant),
@@ -108,37 +117,27 @@ func ExecuteShardJob(job shardrpc.Job) (*shardcache.Entry, error) {
 	if opts.Variant != Partial && opts.Variant != Basic {
 		// A job from a newer coordinator must fail loudly, not silently
 		// mine the default variant into a wrong-looking entry.
-		return nil, fmt.Errorf("cspm: shard job %d: unknown variant %d", job.ID, job.Variant)
+		return nil, nil, fmt.Errorf("cspm: shard job %d: unknown variant %d", job.ID, job.Variant)
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st := mdl.NewStandardTableFromFreqs(job.STFreqs)
 	db := invdb.FromShardData(st, job.NumAttrValues, job.Attrs, job.Adj)
 	stats := &runStats{}
 	init := db.AppendLineStats(nil)
-	switch opts.Variant {
-	case Basic:
-		mineBasic(db, opts, stats)
-	default:
-		minePartial(db, opts, stats)
-	}
+	search(db, opts, stats)
 	return &shardcache.Entry{
 		Init: init, Final: db.AppendLineStats(nil),
 		Iterations: stats.iterations, GainEvals: stats.gainEvals,
-	}, nil
+	}, stats.perIter, nil
 }
 
 // buildShardJob remaps one component group into a self-contained shard job:
 // per-local-vertex attribute lists (global ids) and local adjacency rows.
 // verts is sorted ascending, so the remap preserves neighbour order and the
-// worker-side DB construction walks vertices in the same order as a local
-// FromGraphShard would.
+// job's rows are the group's vertices in global id order, whoever mines it.
 func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts []graph.VertexID) shardrpc.Job {
-	local := make(map[graph.VertexID]graph.VertexID, len(verts))
-	for li, gv := range verts {
-		local[gv] = graph.VertexID(li)
-	}
 	attrs := make([][]graph.AttrID, len(verts))
 	adj := make([][]graph.VertexID, len(verts))
 	for li, gv := range verts {
@@ -147,9 +146,10 @@ func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts
 		row := make([]graph.VertexID, len(ns))
 		for i, u := range ns {
 			// Attribute-closed component groups are unions of connected
-			// components: every neighbour is in verts, so the lookup always
-			// hits.
-			row[i] = local[u]
+			// components: every neighbour is in verts, so the search always
+			// finds it.
+			local, _ := slices.BinarySearch(verts, u)
+			row[i] = graph.VertexID(local)
 		}
 		adj[li] = row
 	}
@@ -161,10 +161,10 @@ func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts
 		STFreqs:       stFreqs,
 		Variant:       int(opts.Variant),
 		MaxIterations: opts.MaxIterations,
-		// Workers is the PER-WORKER evaluator budget: remote machines do
-		// not share the coordinator's cores, so the budget is not split the
-		// way runShards splits it (results are identical either way by the
-		// determinism contract).
+		// Workers is the evaluator budget of whoever mines the job: a
+		// remote worker's cores are its own, so a shipped job carries it
+		// unsplit, while mineLocal passes each group its share (results are
+		// identical either way by the determinism contract).
 		Workers:          opts.Workers,
 		DisableModelCost: opts.DisableModelCost,
 	}

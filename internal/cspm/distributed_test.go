@@ -478,14 +478,16 @@ func TestDistributedStaleResultsAcrossRuns(t *testing.T) {
 
 // mutatingTransport corrupts each job BEFORE the worker mines it — the
 // fault the result checksum alone cannot see, because the worker
-// faithfully checksums its own wrong output.
+// faithfully checksums its own wrong output. The mutation (one more
+// occurrence of a carried value in the standard table) keeps the job
+// valid, so it reaches the search.
 type mutatingTransport struct {
 	out chan shardrpc.Result
 }
 
 func (mt *mutatingTransport) Submit(job shardrpc.Job) error {
-	job.Attrs[0] = append([]graph.AttrID(nil), job.Attrs[0]...)
-	job.Attrs[0][0] = (job.Attrs[0][0] + 1) % graph.AttrID(job.NumAttrValues)
+	job.STFreqs = append([]int(nil), job.STFreqs...)
+	job.STFreqs[job.Attrs[0][0]]++
 	mt.out <- execFakeResult(job)
 	return nil
 }

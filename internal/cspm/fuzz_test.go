@@ -17,8 +17,9 @@ import (
 // without the panic recovery a worker's execute wraps around it. A job
 // either fails with an error or yields an entry that survives the wire
 // codec unchanged; it never panics. Besides well-formed jobs, the seeds
-// carry shapes no coordinator builds but Job.Validate lets through:
-// unsorted attributes, a self-loop and a one-sided edge.
+// carry each shape no coordinator builds, which Job.Validate refuses:
+// unsorted or repeated attributes, unsorted neighbours, a self-loop, a
+// one-sided edge, a negative frequency and a carried value of frequency 0.
 func FuzzExecuteShardJob(f *testing.F) {
 	add := func(j shardrpc.Job) {
 		var buf bytes.Buffer
@@ -42,6 +43,27 @@ func FuzzExecuteShardJob(f *testing.F) {
 		slices.Reverse(j.Attrs[0])
 		j.Adj[0] = append(j.Adj[0], 0)
 		j.Adj[1] = nil
+		add(j)
+	}
+	g := dataset.Islands(dataset.IslandsConfig{
+		Seed: 1, Islands: 3, MinNodes: 3, MaxNodes: 6,
+		AttrsPerIsland: 4, ExtraEdges: 0.5, AttrsPerNode: 2,
+	})
+	verts := graph.AttrClosedComponents(g).Members()[0]
+	for i, malform := range []func(j *shardrpc.Job){
+		func(j *shardrpc.Job) { slices.Reverse(j.Attrs[0]) },
+		func(j *shardrpc.Job) { j.Attrs[0] = append(j.Attrs[0], j.Attrs[0][len(j.Attrs[0])-1]) },
+		func(j *shardrpc.Job) { slices.Reverse(j.Adj[0]) },
+		func(j *shardrpc.Job) { j.Adj[0] = append([]graph.VertexID{0}, j.Adj[0]...) },
+		func(j *shardrpc.Job) { j.Adj[1] = nil },
+		func(j *shardrpc.Job) { j.STFreqs[j.Attrs[0][0]] = -1 },
+		func(j *shardrpc.Job) { j.STFreqs[j.Attrs[0][0]] = 0 },
+	} {
+		j := buildShardJob(g, mineStandardFreqs(g), Options{}, 0, verts)
+		malform(&j)
+		if j.Validate() == nil {
+			f.Fatalf("malformed seed %d passes Validate", i)
+		}
 		add(j)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

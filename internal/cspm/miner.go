@@ -8,6 +8,7 @@ import (
 
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
+	"cspm/internal/shardcache"
 	"cspm/internal/slim"
 )
 
@@ -116,20 +117,33 @@ func MineDB(db *invdb.DB, vocab *graph.Vocab, opts Options) *Model {
 	if opts.CollectStats {
 		st = &runStats{}
 	}
+	search(db, opts, st)
+	m := dbModel(db, vocab, baseStats)
+	if st != nil {
+		m.Iterations = st.iterations
+		m.GainEvals = st.gainEvals
+		m.PerIter = st.perIter
+	}
+	return m
+}
+
+// search runs opts.Variant's merge search on db, recording into st when it
+// is non-nil: the one variant switch, behind MineDB and executeShardJob.
+func search(db *invdb.DB, opts Options, st *runStats) {
 	switch opts.Variant {
 	case Basic:
 		mineBasic(db, opts, st)
 	default:
 		minePartial(db, opts, st)
 	}
-	m := extractModel(db, vocab)
-	bd, bm := invdb.CanonicalDL(db.StandardTable(), db.CoreCodeLen, baseStats)
-	m.BaselineDL = bd + bm
-	if st != nil {
-		m.Iterations = st.iterations
-		m.GainEvals = st.gainEvals
-		m.PerIter = st.perIter
-	}
+}
+
+// dbModel assembles a searched database's model from its initial and live
+// lines through mergeEntryStats, with the database's own coresets.
+func dbModel(db *invdb.DB, vocab *graph.Vocab, init []invdb.LineStat) *Model {
+	m := &Model{Vocab: vocab}
+	mergeEntryStats(m, db.StandardTable(), db.CoreValues, db.CoreCodeLen,
+		[]*shardcache.Entry{{Init: init, Final: db.AppendLineStats(nil)}})
 	return m
 }
 
@@ -357,7 +371,7 @@ func (s *searchState) seed(db *invdb.DB, opts Options) {
 // refresh applies Algorithm 4's candidate updates after a committed merge,
 // pricing each changed leafset against all its partners in one sweep. A
 // sweep runs on the search's own goroutine: concurrency comes from mining
-// component groups side by side (runShards), not from splitting a sweep.
+// component groups side by side (mineLocal), not from splitting a sweep.
 func (s *searchState) refresh(db *invdb.DB, opts Options, res invdb.MergeResult) {
 	// (1) Remove totally merged leafsets and their candidates.
 	for _, t := range res.Total {

@@ -87,9 +87,7 @@ func (s *Stepper) BaselineDL() float64 { return s.db.BaselineDL() }
 // Like MineDB, it prices BaselineDL and FinalDL canonically, so a snapshot
 // taken after the search exhausts is bit-identical to MineWithOptions.
 func (s *Stepper) Snapshot() *Model {
-	m := extractModel(s.db, s.vocab)
-	bd, bm := invdb.CanonicalDL(s.db.StandardTable(), s.db.CoreCodeLen, s.baseStats)
-	m.BaselineDL = bd + bm
+	m := dbModel(s.db, s.vocab, s.baseStats)
 	m.Iterations = s.merges
 	return m
 }

@@ -44,7 +44,10 @@ func TestRefreshSweepMatchesEvalMerge(t *testing.T) {
 		}
 		builds := []build{{whole, func() *invdb.DB { return invdb.FromGraph(gr.g) }}}
 		for _, verts := range graph.AttrClosedComponents(gr.g).Members() {
-			builds = append(builds, build{"bitmap", func() *invdb.DB { return invdb.FromGraphShard(gr.g, st, verts) }})
+			job := buildShardJob(gr.g, st.Freqs(), Options{}, 0, verts)
+			builds = append(builds, build{"bitmap", func() *invdb.DB {
+				return invdb.FromShardData(st, job.NumAttrValues, job.Attrs, job.Adj)
+			}})
 		}
 		for _, workers := range []int{1, 4} {
 			for bi, b := range builds {

@@ -35,7 +35,7 @@ func shardDBs(g *graph.Graph) []*DB {
 	st := mdl.NewStandardTable(g)
 	dbs := make([]*DB, len(groups))
 	for i, verts := range groups {
-		dbs[i] = FromGraphShard(g, st, verts)
+		dbs[i] = shardDB(g, st, verts)
 	}
 	return dbs
 }

@@ -111,13 +111,6 @@ func (db *DB) CoreValues(c CoresetID) []graph.AttrID { return db.coreContent[c] 
 // CoreCodeLen returns L(Code_c) for coreset c.
 func (db *DB) CoreCodeLen(c CoresetID) float64 { return db.coreCode[c] }
 
-// CoreFreq returns f_c for coreset c.
-func (db *DB) CoreFreq(c CoresetID) int { return db.coreFreq[c] }
-
-// LinesOf returns the live lines of coreset c keyed by leafset. Callers must
-// not modify the map.
-func (db *DB) LinesOf(c CoresetID) map[LeafsetID]*Line { return db.byCore[c].m }
-
 // LeafsetIDsOf returns the leafsets owning lines under coreset c, sorted
 // ascending. The slice aliases the index: callers must not modify it and
 // must not hold it across a mutation.
@@ -146,7 +139,7 @@ func (db *DB) BaselineDL() float64 { return db.baseDL }
 func FromGraph(g *graph.Graph) *DB {
 	content, positions := singleValueCoresets(g.NumAttrValues(), g.NumVertices(),
 		func(v int) []graph.AttrID { return g.Attrs(graph.VertexID(v)) })
-	return build(g, mdl.NewStandardTable(g), content, positions, nil)
+	return build(g, mdl.NewStandardTable(g), content, positions)
 }
 
 // FromGraphWithCoresets builds the multi-value-coreset inverted database:
@@ -157,34 +150,28 @@ func FromGraphWithCoresets(g *graph.Graph, coresets [][]graph.AttrID, positions 
 		return nil, fmt.Errorf("invdb: %d coresets but %d position sets", len(coresets), len(positions))
 	}
 	st := mdl.NewStandardTable(g)
-	return build(g, st, coresets, positions, nil), nil
+	return build(g, st, coresets, positions), nil
 }
 
 // neighborhood is the slice of graph state DB construction reads: sorted
 // neighbour lists and sorted per-vertex attribute values. *graph.Graph
-// satisfies it; the shard-job constructor substitutes shipped slices, so a
-// worker that never saw the graph builds the same initial lines.
+// satisfies it; FromShardData substitutes a shard job's rows, so a group
+// builds its initial lines without the graph.
 type neighborhood interface {
 	Neighbors(v graph.VertexID) []graph.VertexID
 	Attrs(v graph.VertexID) []graph.AttrID
 }
 
-// build assembles a DB from coreset contents and their firing positions.
-// Positions are line-local vertex ids; globalOf maps them back to g's vertex
-// ids for adjacency lookups (nil = identity, the unsharded case). The shard
-// constructors pass a remapping so position sets stay dense per shard.
-func build(g neighborhood, st *mdl.StandardTable, content [][]graph.AttrID, positions []intset.Set, globalOf []graph.VertexID) *DB {
+// build assembles a DB from coreset contents and their firing positions,
+// which are vertex ids of g.
+func build(g neighborhood, st *mdl.StandardTable, content [][]graph.AttrID, positions []intset.Set) *DB {
 	db := newDB(st, content, positions)
 	// Initial lines: for every coreset position v and every attribute value l
 	// on a neighbour of v, v is a position of line (coreset, {l}).
 	lineBuf := make(map[uint64][]uint32)
 	for c := range content {
 		for _, vv := range db.corePos[c] {
-			v := graph.VertexID(vv)
-			if globalOf != nil {
-				v = globalOf[vv]
-			}
-			for _, u := range g.Neighbors(v) {
+			for _, u := range g.Neighbors(graph.VertexID(vv)) {
 				for _, l := range g.Attrs(u) {
 					key := uint64(c)<<32 | uint64(uint32(l))
 					buf := lineBuf[key]

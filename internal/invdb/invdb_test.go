@@ -119,8 +119,8 @@ func TestFig1InitialLines(t *testing.T) {
 	}
 	// f_c = Σ fL per coreset (Eq. 8 note): a:6, b:4, c:3.
 	for name, fc := range map[string]int{"a": 6, "b": 4, "c": 3} {
-		if got := db.CoreFreq(CoresetID(attr(t, g, name))); got != fc {
-			t.Errorf("CoreFreq(%s) = %d, want %d", name, got, fc)
+		if got := db.coreFreq[attr(t, g, name)]; got != fc {
+			t.Errorf("coreFreq[%s] = %d, want %d", name, got, fc)
 		}
 	}
 }
@@ -191,8 +191,8 @@ func TestFig4Merge(t *testing.T) {
 	}
 	// Frequencies after: a: 4, b: 3, c: 3 (untouched).
 	for name, fc := range map[string]int{"a": 4, "b": 3, "c": 3} {
-		if got := db.CoreFreq(CoresetID(attr(t, g, name))); got != fc {
-			t.Errorf("CoreFreq(%s) = %d, want %d", name, got, fc)
+		if got := db.coreFreq[attr(t, g, name)]; got != fc {
+			t.Errorf("coreFreq[%s] = %d, want %d", name, got, fc)
 		}
 	}
 	// Leafset {c} is gone everywhere; {b} survives; result reports that.
@@ -458,8 +458,8 @@ func TestFromGraphWithCoresets(t *testing.T) {
 		t.Fatalf("NumCoresets = %d, want 2", db.NumCoresets())
 	}
 	// Coreset {a,c} at v2: neighbour v1 carries a → one line with leaf {a}.
-	if fc := db.CoreFreq(0); fc != 1 {
-		t.Fatalf("CoreFreq({a,c}) = %d, want 1", fc)
+	if fc := db.coreFreq[0]; fc != 1 {
+		t.Fatalf("coreFreq[{a,c}] = %d, want 1", fc)
 	}
 	if db.CoreCodeLen(0) <= db.CoreCodeLen(1) {
 		t.Fatal("two-value coreset should cost more than one-value")

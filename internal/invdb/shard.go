@@ -24,25 +24,11 @@ import (
 	"cspm/internal/mdl"
 )
 
-// FromGraphShard builds the inverted database of the shard owning verts
-// (sorted ascending global vertex ids), using the provided standard table —
-// typically the GLOBAL table, which shard gains must price against. Line
-// positions are local indexes into verts; only shard vertices generate
-// lines, but leafsets are drawn from the GLOBAL adjacency. For the
-// attribute-closed component groups the miner shards by, no edge leaves
-// verts, so the shard's lines are exactly the global lines of its vertices.
-func FromGraphShard(g *graph.Graph, st *mdl.StandardTable, verts []graph.VertexID) *DB {
-	content, positions := singleValueCoresets(g.NumAttrValues(), len(verts),
-		func(li int) []graph.AttrID { return g.Attrs(verts[li]) })
-	return build(g, st, content, positions, verts)
-}
-
 // singleValueCoresets inverts per-vertex attribute lists into the
 // single-value coreset space: one coreset per GLOBAL attribute value, firing
 // at the (local) vertices carrying it (ascending li, so the position sets
-// are sorted). Shared by FromGraph, FromGraphShard and FromShardData — the
-// local/remote bit-identity contract depends on every constructor feeding
-// build the same inversion, so there is exactly one copy of it.
+// are sorted). Shared by FromGraph and FromShardData, the whole-graph and
+// the component-group constructors, so there is exactly one copy of it.
 func singleValueCoresets(nA, n int, attrsOf func(li int) []graph.AttrID) (content [][]graph.AttrID, positions []intset.Set) {
 	posBuf := make([][]uint32, nA)
 	for li := 0; li < n; li++ {
@@ -69,18 +55,20 @@ type shardData struct {
 func (d shardData) Neighbors(v graph.VertexID) []graph.VertexID { return d.adj[v] }
 func (d shardData) Attrs(v graph.VertexID) []graph.AttrID       { return d.attrs[v] }
 
-// FromShardData builds the inverted database of a shard shipped without its
-// graph: local vertex li carries attrs[li] (sorted GLOBAL attribute ids) and
-// neighbours adj[li] (sorted local ids); nA is the size of the global
-// attribute-id space and st the GLOBAL standard table. When attrs and adj
-// are the rows of a sorted vertex slice verts remapped to local ids — and no
-// edge leaves the slice, as with attribute-closed component groups — the
-// result is identical to FromGraphShard(g, st, verts): both feed build the
-// same positions, neighbour order and attribute values, in the same order.
+// FromShardData builds the inverted database of a component group from its
+// shard-job rows, without the graph: local vertex li carries attrs[li]
+// (sorted GLOBAL attribute ids) and neighbours adj[li] (sorted local ids);
+// nA is the size of the global attribute-id space and st the GLOBAL
+// standard table. It is the one group constructor, for a job mined
+// in-process and for one shipped to a worker alike. When attrs and adj are
+// the rows of a sorted vertex slice remapped to local ids, and no edge
+// leaves the slice (as with attribute-closed component groups), the
+// group's lines are exactly the global lines of its vertices; over the
+// whole graph's rows the result is FromGraph's.
 func FromShardData(st *mdl.StandardTable, nA int, attrs [][]graph.AttrID, adj [][]graph.VertexID) *DB {
 	content, positions := singleValueCoresets(nA, len(attrs),
 		func(li int) []graph.AttrID { return attrs[li] })
-	return build(shardData{attrs: attrs, adj: adj}, st, content, positions, nil)
+	return build(shardData{attrs: attrs, adj: adj}, st, content, positions)
 }
 
 // LineStat is the DL-relevant skeleton of one line: its coreset, leafset

@@ -3,6 +3,7 @@ package invdb
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cspm/internal/graph"
@@ -29,33 +30,12 @@ func islands(t *testing.T) *graph.Graph {
 	return b.Build()
 }
 
-func TestFromGraphShardIdentityMatchesFromGraph(t *testing.T) {
-	g := islands(t)
-	whole := FromGraph(g)
-	verts := make([]graph.VertexID, g.NumVertices())
-	for v := range verts {
-		verts[v] = graph.VertexID(v)
-	}
-	shard := FromGraphShard(g, mdl.NewStandardTable(g), verts)
-	if got, want := shard.BaselineDL(), whole.BaselineDL(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("identity shard baseline %v != whole-graph baseline %v", got, want)
-	}
-	if shard.numLines != whole.numLines {
-		t.Fatalf("line counts differ: %d vs %d", shard.numLines, whole.numLines)
-	}
-	sd, sm := canonicalDLOf(shard)
-	wd, wm := canonicalDLOf(whole)
-	if math.Float64bits(sd) != math.Float64bits(wd) || math.Float64bits(sm) != math.Float64bits(wm) {
-		t.Fatalf("canonical DLs differ: (%v,%v) vs (%v,%v)", sd, sm, wd, wm)
-	}
-}
-
 func TestShardStatsUnionMatchesGlobal(t *testing.T) {
 	g := islands(t)
 	st := mdl.NewStandardTable(g)
 	whole := FromGraph(g)
-	a := FromGraphShard(g, st, []graph.VertexID{0, 1, 2})
-	b := FromGraphShard(g, st, []graph.VertexID{3, 4})
+	a := shardDB(g, st, []graph.VertexID{0, 1, 2})
+	b := shardDB(g, st, []graph.VertexID{3, 4})
 	union := a.AppendLineStats(nil)
 	union = b.AppendLineStats(union)
 	ud, um := CanonicalDL(st, whole.CoreCodeLen, union)
@@ -126,43 +106,6 @@ func TestNormalizeLineStatsFoldsDuplicates(t *testing.T) {
 	}
 }
 
-func TestFromGraphShardPartialCut(t *testing.T) {
-	g := islands(t)
-	st := mdl.NewStandardTable(g)
-	// Shard owning only {0,1} of the triangle {0,1,2}: just shard vertices
-	// generate line positions, but vertex 2's values still appear as leaf
-	// values of its neighbours' lines because leafsets are drawn from the
-	// global adjacency — no boundary replication needed.
-	shard := FromGraphShard(g, st, []graph.VertexID{0, 1})
-	whole := FromGraph(g)
-	stats := NormalizeLineStats(shard.AppendLineStats(nil))
-	global := NormalizeLineStats(whole.AppendLineStats(nil))
-	if len(stats) == 0 {
-		t.Fatal("masked shard produced no lines")
-	}
-	index := make(map[string]int)
-	for _, s := range global {
-		index[statKey(s)] = s.FL
-	}
-	for _, s := range stats {
-		want, ok := index[statKey(s)]
-		if !ok {
-			t.Fatalf("shard line %+v not in global DB", s)
-		}
-		if s.FL > want {
-			t.Fatalf("shard line %+v exceeds global frequency %d", s, want)
-		}
-	}
-}
-
-func statKey(s LineStat) string {
-	key := string(rune(s.Core)) + ":"
-	for _, a := range s.Leaf {
-		key += string(rune('A' + int(a)))
-	}
-	return key
-}
-
 // remapShard extracts the shard-job view of verts: per-local-vertex attrs
 // (global ids) and local adjacency — exactly what the distributed miner
 // ships to a worker.
@@ -182,27 +125,82 @@ func remapShard(g *graph.Graph, verts []graph.VertexID) (attrs [][]graph.AttrID,
 	return attrs, adj
 }
 
+// shardDB builds the group DB of verts from its shard-job rows, priced
+// against st, as the component miner does.
+func shardDB(g *graph.Graph, st *mdl.StandardTable, verts []graph.VertexID) *DB {
+	attrs, adj := remapShard(g, verts)
+	return FromShardData(st, g.NumAttrValues(), attrs, adj)
+}
+
+// TestFromGraphShardIdentityMatchesFromGraph pins the group constructor
+// to the whole-graph one on the identity shard: over every vertex's rows,
+// against a standard table rebuilt from the shipped frequencies,
+// FromShardData builds FromGraph's lines and prices them to the same bits.
+func TestFromGraphShardIdentityMatchesFromGraph(t *testing.T) {
+	g := islands(t)
+	whole := FromGraph(g)
+	verts := make([]graph.VertexID, g.NumVertices())
+	for v := range verts {
+		verts[v] = graph.VertexID(v)
+	}
+	got := shardDB(g, mdl.NewStandardTableFromFreqs(mdl.NewStandardTable(g).Freqs()), verts)
+	if got.numLines != whole.numLines {
+		t.Fatalf("line counts differ: %d vs %d", got.numLines, whole.numLines)
+	}
+	if math.Float64bits(got.BaselineDL()) != math.Float64bits(whole.BaselineDL()) {
+		t.Fatalf("baseline %v != whole-graph baseline %v", got.BaselineDL(), whole.BaselineDL())
+	}
+	if !reflect.DeepEqual(got.AppendLineStats(nil), whole.AppendLineStats(nil)) {
+		t.Fatal("line stats differ")
+	}
+	gi, gm := canonicalDLOf(got)
+	wi, wm := canonicalDLOf(whole)
+	if math.Float64bits(gi) != math.Float64bits(wi) || math.Float64bits(gm) != math.Float64bits(wm) {
+		t.Fatalf("canonical DLs differ: (%v,%v) vs (%v,%v)", gi, gm, wi, wm)
+	}
+}
+
+// TestFromShardDataMatchesFromGraphShard checks each attribute-closed
+// component group on its own: the group built from its shipped rows holds
+// exactly the whole graph's lines whose coreset value occurs in the group,
+// and prices its baseline to the same bits whether the standard table is
+// the global one or rebuilt from the shipped frequencies.
 func TestFromShardDataMatchesFromGraphShard(t *testing.T) {
 	g := islands(t)
 	st := mdl.NewStandardTable(g)
+	whole := FromGraph(g).AppendLineStats(nil)
 	for _, verts := range [][]graph.VertexID{
 		{0, 1, 2},       // triangle component
 		{3, 4},          // edge component
 		{0, 1, 2, 3, 4}, // whole graph
 	} {
-		want := FromGraphShard(g, st, verts)
-		attrs, adj := remapShard(g, verts)
-		got := FromShardData(mdl.NewStandardTableFromFreqs(st.Freqs()), g.NumAttrValues(), attrs, adj)
-		if got.numLines != want.numLines {
-			t.Fatalf("verts %v: line counts differ: %d vs %d", verts, got.numLines, want.numLines)
+		inShard := make(map[CoresetID]bool)
+		for _, v := range verts {
+			for _, a := range g.Attrs(v) {
+				inShard[CoresetID(a)] = true
+			}
 		}
-		if math.Float64bits(got.BaselineDL()) != math.Float64bits(want.BaselineDL()) {
-			t.Fatalf("verts %v: baseline %v != %v", verts, got.BaselineDL(), want.BaselineDL())
+		var want []LineStat
+		for _, s := range whole {
+			if inShard[s.Core] {
+				want = append(want, s)
+			}
+		}
+		got := shardDB(g, st, verts)
+		shipped := shardDB(g, mdl.NewStandardTableFromFreqs(st.Freqs()), verts)
+		if !reflect.DeepEqual(NormalizeLineStats(got.AppendLineStats(nil)), NormalizeLineStats(want)) {
+			t.Fatalf("verts %v: lines differ from the whole graph's lines of the shard", verts)
+		}
+		if got.numLines != len(want) {
+			t.Fatalf("verts %v: line counts differ: %d vs %d", verts, got.numLines, len(want))
+		}
+		if math.Float64bits(got.BaselineDL()) != math.Float64bits(shipped.BaselineDL()) {
+			t.Fatalf("verts %v: baseline %v != shipped-table baseline %v", verts, got.BaselineDL(), shipped.BaselineDL())
 		}
 		gi, gm := canonicalDLOf(got)
-		wi, wm := canonicalDLOf(want)
-		if math.Float64bits(gi) != math.Float64bits(wi) || math.Float64bits(gm) != math.Float64bits(wm) {
-			t.Fatalf("verts %v: canonical DLs differ: (%v,%v) vs (%v,%v)", verts, gi, gm, wi, wm)
+		si, sm := canonicalDLOf(shipped)
+		if math.Float64bits(gi) != math.Float64bits(si) || math.Float64bits(gm) != math.Float64bits(sm) {
+			t.Fatalf("verts %v: canonical DLs differ: (%v,%v) vs (%v,%v)", verts, gi, gm, si, sm)
 		}
 	}
 }

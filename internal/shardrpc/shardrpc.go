@@ -61,8 +61,14 @@ type Job struct {
 	Workers          int
 }
 
-// Validate sanity-checks the job's shape so a malformed or truncated job
-// fails cleanly on the worker instead of panicking mid-mine.
+// Validate checks that the job has the shape a coordinator builds, so a
+// malformed, truncated or hand-built job fails cleanly on the worker
+// instead of panicking mid-mine or mining into an entry that describes a
+// different graph: ids in range, attribute and neighbour rows strictly
+// ascending, a simple undirected adjacency (no self-loop, every edge listed
+// on both sides), and a standard table with no negative frequency and a
+// positive one for every value a vertex carries. It runs in time linear in
+// the job's size.
 func (j Job) Validate() error {
 	if j.NumAttrValues < 0 {
 		return fmt.Errorf("shardrpc: job %d: negative attribute space %d", j.ID, j.NumAttrValues)
@@ -70,22 +76,52 @@ func (j Job) Validate() error {
 	if len(j.STFreqs) != j.NumAttrValues {
 		return fmt.Errorf("shardrpc: job %d: %d ST frequencies for %d attribute values", j.ID, len(j.STFreqs), j.NumAttrValues)
 	}
+	for a, f := range j.STFreqs {
+		if f < 0 {
+			return fmt.Errorf("shardrpc: job %d: attribute %d has negative frequency %d", j.ID, a, f)
+		}
+	}
 	if len(j.Adj) != len(j.Attrs) {
 		return fmt.Errorf("shardrpc: job %d: %d adjacency rows for %d vertices", j.ID, len(j.Adj), len(j.Attrs))
 	}
 	n := len(j.Attrs)
 	for li, as := range j.Attrs {
-		for _, a := range as {
+		for i, a := range as {
 			if a < 0 || int(a) >= j.NumAttrValues {
 				return fmt.Errorf("shardrpc: job %d: vertex %d carries attribute %d outside [0,%d)", j.ID, li, a, j.NumAttrValues)
 			}
+			if i > 0 && as[i-1] >= a {
+				return fmt.Errorf("shardrpc: job %d: vertex %d: attributes not strictly ascending", j.ID, li)
+			}
+			if j.STFreqs[a] == 0 {
+				return fmt.Errorf("shardrpc: job %d: vertex %d carries attribute %d of frequency 0", j.ID, li, a)
+			}
 		}
 	}
-	for li, row := range j.Adj {
-		for _, u := range row {
-			if int(u) >= n {
-				return fmt.Errorf("shardrpc: job %d: vertex %d links to %d outside [0,%d)", j.ID, li, u, n)
+	// Sorted rows put u's lower neighbours in a prefix of Adj[u], and the
+	// scan meets the edges {v, u}, v < u, in that prefix's order: matched[u]
+	// counts the prefix entries seen from the other side.
+	matched := make([]int, n)
+	for v, row := range j.Adj {
+		for i, u := range row {
+			switch {
+			case int(u) >= n:
+				return fmt.Errorf("shardrpc: job %d: vertex %d links to %d outside [0,%d)", j.ID, v, u, n)
+			case i > 0 && row[i-1] >= u:
+				return fmt.Errorf("shardrpc: job %d: vertex %d: neighbours not strictly ascending", j.ID, v)
+			case int(u) == v:
+				return fmt.Errorf("shardrpc: job %d: vertex %d links to itself", j.ID, v)
+			case int(u) > v:
+				if k := matched[u]; k >= len(j.Adj[u]) || int(j.Adj[u][k]) != v {
+					return fmt.Errorf("shardrpc: job %d: edge {%d,%d} listed by vertex %d only", j.ID, v, u, v)
+				}
+				matched[u]++
 			}
+		}
+	}
+	for u, row := range j.Adj {
+		if k := matched[u]; k < len(row) && int(row[k]) < u {
+			return fmt.Errorf("shardrpc: job %d: edge {%d,%d} listed by vertex %d only", j.ID, row[k], u, u)
 		}
 	}
 	return nil

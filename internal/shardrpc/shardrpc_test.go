@@ -72,6 +72,17 @@ func TestJobValidate(t *testing.T) {
 		"attr out of range":   func(j *Job) { j.Attrs[0][0] = 99 },
 		"attr negative":       func(j *Job) { j.Attrs[0][0] = -4 },
 		"neighbour of range":  func(j *Job) { j.Adj[1][0] = 17 },
+		"attrs descending":    func(j *Job) { j.Attrs[0] = []graph.AttrID{1, 0} },
+		"attr repeated":       func(j *Job) { j.Attrs[0] = []graph.AttrID{1, 1} },
+		"neighbours descending": func(j *Job) {
+			j.Attrs = append(j.Attrs, []graph.AttrID{0})
+			j.Adj = [][]graph.VertexID{{2, 1}, {0}, {0}}
+		},
+		"self-loop":       func(j *Job) { j.Adj[0] = []graph.VertexID{0, 1} },
+		"one-sided edge":  func(j *Job) { j.Adj[1] = nil },
+		"one-sided lower": func(j *Job) { j.Adj[0] = nil },
+		"negative freq":   func(j *Job) { j.STFreqs[2] = -1 },
+		"zero-freq value": func(j *Job) { j.STFreqs[2] = 0 },
 	} {
 		j := testJob(1)
 		mut(&j)

@@ -8,14 +8,21 @@
 package cspm_test
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"cspm"
 	icspm "cspm/internal/cspm"
 	"cspm/internal/dataset"
 	"cspm/internal/experiments"
+	"cspm/internal/graph"
+	"cspm/internal/shardcache"
 	"cspm/internal/shardrpc"
 )
 
@@ -156,7 +163,8 @@ func TestShardedEquivalenceNilCache(t *testing.T) {
 
 // TestShardedEquivalenceLoopback pins the transport executor: shard jobs
 // over an explicit loopback pool give the in-process pipeline's DLs and
-// patterns, one job per component group.
+// patterns, one job per component group, and on the mid archipelago the
+// very same cache entries, byte for byte.
 func TestShardedEquivalenceLoopback(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g, _ := cachedTestGraph(seed)
@@ -167,6 +175,81 @@ func TestShardedEquivalenceLoopback(t *testing.T) {
 			t.Fatalf("seed%d: expected a sharded run, got ShardCount=%d", seed, got.ShardCount)
 		}
 	}
+
+	g := midIslands(0)
+	dirA, dirB := t.TempDir(), t.TempDir()
+	cacheA, err := cspm.OpenShardCache(0, dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheB, err := cspm.OpenShardCache(0, dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cspm.MineShardedCached(g, cspm.Options{}, cacheA)
+	lb := shardrpc.NewLoopback(icspm.ExecuteShardJob, 4)
+	defer lb.Close()
+	if _, err := cspm.MineDistributed(g, cspm.DistributedOptions{Transport: lb, Cache: cacheB}); err != nil {
+		t.Fatal(err)
+	}
+	// Each cache holds its keys as blob names; both must list the same.
+	keysA, keysB := blobNames(t, dirA), blobNames(t, dirB)
+	if len(keysA) != 12 || !slices.Equal(keysA, keysB) {
+		t.Fatalf("local cache holds %d keys, remote cache %d, or they differ", len(keysA), len(keysB))
+	}
+	for _, name := range keysA {
+		k := blobKey(t, name)
+		ea, okA := cacheA.Get(k)
+		eb, okB := cacheB.Get(k)
+		if !okA || !okB {
+			t.Fatalf("key %s: present locally %v, remotely %v", name, okA, okB)
+		}
+		ba, _, err := shardrpc.EncodeEntry(ea)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, _, err := shardrpc.EncodeEntry(eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ba, bb) {
+			t.Fatalf("key %s: local and remote entries encode differently", name)
+		}
+	}
+}
+
+// blobNames lists the shard-cache blob names under dir, sorted.
+func blobNames(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range names {
+		names[i] = filepath.Base(n)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// blobKey parses a blob name, <component>-<global>-<search>.gob in hex,
+// back into its cache key.
+func blobKey(t *testing.T, name string) shardcache.Key {
+	t.Helper()
+	parts := strings.Split(strings.TrimSuffix(name, ".gob"), "-")
+	var fps [3]graph.Fingerprint
+	if len(parts) != len(fps) {
+		t.Fatalf("blob %s: want 3 fingerprints", name)
+	}
+	for i, p := range parts {
+		if len(p) != hex.EncodedLen(len(fps[i])) {
+			t.Fatalf("blob %s: bad fingerprint %q", name, p)
+		}
+		if _, err := hex.Decode(fps[i][:], []byte(p)); err != nil {
+			t.Fatalf("blob %s: %v", name, err)
+		}
+	}
+	return shardcache.Key{Component: fps[0], Global: fps[1], Search: fps[2]}
 }
 
 // TestMineShardedValidates pins both component-pipeline entry points'
