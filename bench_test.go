@@ -365,7 +365,7 @@ func BenchmarkCache_ColdSharded_S4W8(b *testing.B) {
 }
 
 func BenchmarkCache_WarmIncremental_S4W8(b *testing.B) {
-	cache := cspm.NewShardCache(64)
+	cache := cspm.NewShardCache()
 	base := dataset.IslandsWithEdgeSeeds(dataset.BenchIslands(), nil)
 	cspm.MineShardedCached(base, cacheBenchOpts(), cache)
 	b.ResetTimer()
@@ -381,7 +381,7 @@ func BenchmarkCache_WarmIncremental_S4W8(b *testing.B) {
 }
 
 func BenchmarkCache_WarmFull_S4W8(b *testing.B) {
-	cache := cspm.NewShardCache(64)
+	cache := cspm.NewShardCache()
 	g := dataset.IslandsWithEdgeSeeds(dataset.BenchIslands(), nil)
 	cspm.MineShardedCached(g, cacheBenchOpts(), cache)
 	b.ResetTimer()
@@ -515,7 +515,7 @@ func BenchmarkMicro_ColdMine_Mid(b *testing.B) {
 // so 11 of 12 groups replay and one is searched.
 func BenchmarkMicro_WarmRemine_Mid(b *testing.B) {
 	opts := cspm.Options{CollectStats: true}
-	cache := cspm.NewShardCache(64)
+	cache := cspm.NewShardCache()
 	cspm.MineShardedCached(midIslands(0), opts, cache)
 	b.ReportAllocs()
 	b.ResetTimer()

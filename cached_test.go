@@ -37,7 +37,7 @@ func TestCachedEquivalence(t *testing.T) {
 		want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
 		for _, workers := range []int{1, 2, 8} {
 			opts := cspm.Options{CollectStats: true, Workers: workers}
-			cache := cspm.NewShardCache(0)
+			cache := cspm.NewShardCache()
 			name := "seed" + string(rune('0'+seed)) + "/workers" + string(rune('0'+workers))
 
 			cold := cspm.MineShardedCached(g, opts, cache)
@@ -63,7 +63,7 @@ func TestCachedEquivalence(t *testing.T) {
 			// A cache holding only another graph's entries ("poisoned") must
 			// be inert: no key can match, so every group re-mines. Built
 			// fresh per subtest — using it on g fills it with g's entries.
-			foreign := cspm.NewShardCache(0)
+			foreign := cspm.NewShardCache()
 			cspm.MineShardedCached(fg, cspm.Options{}, foreign)
 			poisoned := cspm.MineShardedCached(g, opts, foreign)
 			assertShardedMatchesMine(t, name+"/poisoned", poisoned, want)
@@ -86,7 +86,7 @@ func TestCachedIncrementalMutation(t *testing.T) {
 	base := dataset.IslandsWithEdgeSeeds(cfg, nil)
 	mutated := dataset.IslandsWithEdgeSeeds(cfg, []int64{0, 0, 4242}) // rewire island 2 only
 
-	cache := cspm.NewShardCache(0)
+	cache := cspm.NewShardCache()
 	opts := cspm.Options{CollectStats: true}
 	cspm.MineShardedCached(base, opts, cache)
 
@@ -114,13 +114,13 @@ func TestCachedDiskRoundTrip(t *testing.T) {
 	g, islands := cachedTestGraph(2)
 	want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
 
-	c1, err := cspm.OpenShardCache(0, dir)
+	c1, err := cspm.OpenShardCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, c1)
 
-	c2, err := cspm.OpenShardCache(0, dir)
+	c2, err := cspm.OpenShardCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCachedDiskRoundTrip(t *testing.T) {
 func TestCachedSingleComponent(t *testing.T) {
 	g := dataset.USFlight(1)
 	want := cspm.MineWithOptions(g, cspm.Options{CollectStats: true})
-	cache := cspm.NewShardCache(0)
+	cache := cspm.NewShardCache()
 	cold := cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, cache)
 	assertShardedMatchesMine(t, "usflight/cold", cold, want)
 	warm := cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, cache)

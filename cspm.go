@@ -101,7 +101,8 @@ func MineWithOptions(g *Graph, opts Options) *Model {
 // mining of evolving graphs into jobs that re-mine only changed components.
 type (
 	// ShardCache caches per-shard mining results keyed by component
-	// fingerprints — in-memory LRU with an optional on-disk layer.
+	// fingerprints, in memory while one of the last two runs used them,
+	// with an optional on-disk layer.
 	ShardCache = shardcache.Cache
 	// ShardCacheStats snapshots a cache's hit/miss/eviction counters.
 	ShardCacheStats = shardcache.Stats
@@ -110,16 +111,14 @@ type (
 	ComponentFingerprint = graph.Fingerprint
 )
 
-// NewShardCache returns a memory-only shard-result cache holding at most
-// capacity entries (≤0 = unbounded).
-func NewShardCache(capacity int) *ShardCache { return shardcache.New(capacity) }
+// NewShardCache returns a memory-only shard-result cache, holding each
+// entry while one of the last two runs used it.
+func NewShardCache() *ShardCache { return shardcache.New() }
 
 // OpenShardCache returns a shard-result cache persisted under dir (one blob
-// per fingerprint, surviving process restarts and LRU evictions), creating
-// the directory if needed.
-func OpenShardCache(capacity int, dir string) (*ShardCache, error) {
-	return shardcache.Open(capacity, dir)
-}
+// per fingerprint, surviving process restarts and evictions from memory),
+// creating the directory if needed.
+func OpenShardCache(dir string) (*ShardCache, error) { return shardcache.Open(dir) }
 
 // MineShardedCached mines g in-process by attribute-closed component groups,
 // mines the groups concurrently and merges the per-group models with exact

@@ -130,31 +130,29 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 		return fmt.Errorf("-remote-timeout, -remote-retries and -remote-no-fallback require -remote")
 	}
 	distOpts := cspm.DistributedOptions{
+		Options: cspm.Options{Variant: variant, CollectStats: true},
 		Retries: cfg.RemoteRetries, Timeout: cfg.RemoteTimeout, NoFallback: cfg.RemoteNoFallback,
 	}
 	if err := distOpts.Validate(); err != nil {
 		return err
 	}
-	shardOpts := cspm.Options{Variant: variant, CollectStats: true}
-	var cache *shardcache.Cache
 	if cached {
 		if cfg.CacheDir != "" {
-			cache, err = shardcache.Open(0, cfg.CacheDir)
+			distOpts.Cache, err = shardcache.Open(cfg.CacheDir)
 			if err != nil {
 				return err
 			}
 		} else {
-			cache = shardcache.New(0)
+			distOpts.Cache = shardcache.New()
 		}
 	}
 	// Dial the workers before the (possibly huge) graph load, so an
 	// unreachable fleet fails as fast as a typo'd flag.
-	var transport shardrpc.Transport
 	if remote {
-		if transport, err = shardrpc.Dial(workerAddrs); err != nil {
+		if distOpts.Transport, err = shardrpc.Dial(workerAddrs); err != nil {
 			return err
 		}
-		defer transport.Close()
+		defer distOpts.Transport.Close()
 	}
 	g, err := graph.Load(r)
 	if err != nil {
@@ -164,16 +162,11 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 	mineStart := time.Now()
 	var model *cspm.Model
 	switch {
-	case remote:
-		distOpts.Options = shardOpts
-		distOpts.Transport = transport
-		distOpts.Cache = cache
-		model, err = cspm.MineDistributed(g, distOpts, nil)
-		if err != nil {
+	case remote || cached:
+		// A nil Transport mines the groups in-process.
+		if model, err = cspm.MineDistributed(g, distOpts, nil); err != nil {
 			return err
 		}
-	case cached:
-		model = cspm.MineShardedCached(g, shardOpts, cache)
 	case cfg.MultiCore:
 		if model, err = cspm.MineMultiCore(g); err != nil {
 			return err

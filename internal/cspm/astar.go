@@ -90,8 +90,9 @@ type Model struct {
 
 	// CacheHits/CacheMisses count the component groups a component-pipeline
 	// run replayed from, respectively re-mined into, its shard cache (both 0
-	// in uncached runs). CacheEvictions counts cache entries the run's
-	// stores pushed out of memory.
+	// in uncached runs). CacheEvictions counts the cache entries the run
+	// dropped from memory because neither it nor the run before it used
+	// them.
 	CacheHits      int
 	CacheMisses    int
 	CacheEvictions int

@@ -89,16 +89,16 @@ type groupExecutor func(g *graph.Graph, st *mdl.StandardTable, members [][]graph
 
 // mineGroups is the one component-mining pipeline behind MineShardedCached
 // and MineDistributed: partition g into attribute-closed groups and
-// fingerprint them, diff them against cache, hand the dirty groups to exec
-// and store their entries, then fold the diagnostics and merge every
-// group's entry with the canonical DL accounting. A nil cache mines
-// through an ephemeral one and leaves the cache counters at 0, as in any
-// uncached run. Each phase is reported to observe (see StageObserver). The
-// caller validates opts.
+// fingerprint them, diff them against cache, hand the dirty groups to exec,
+// store their entries and end the cache's run (see shardcache.Cache.EndRun),
+// then fold the diagnostics and merge every group's entry with the
+// canonical DL accounting. A nil cache mines through an ephemeral one and
+// leaves the cache counters at 0, as in any uncached run. Each phase is
+// reported to observe (see StageObserver). The caller validates opts.
 func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec groupExecutor, observe StageObserver) (*Model, error) {
 	counted := cache != nil
 	if !counted {
-		cache = shardcache.New(0)
+		cache = shardcache.New()
 	}
 	t := time.Now()
 	groups := graph.AttrClosedComponents(g)
@@ -124,7 +124,6 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	}
 	observe.observe(obs.SpanDiff, t)
 
-	evBefore := cache.Stats().Evictions
 	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
 	t = time.Now()
 	if len(dirty) > 0 {
@@ -137,13 +136,14 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 			_ = cache.Put(key(gi), entries[gi])
 		}
 	}
+	evicted := cache.EndRun()
 	observe.observe(obs.SpanShardMine, t)
 
 	t = time.Now()
 	if counted {
 		m.CacheHits = groups.Count - len(dirty)
 		m.CacheMisses = len(dirty)
-		m.CacheEvictions = int(cache.Stats().Evictions - evBefore)
+		m.CacheEvictions = evicted
 	}
 	for _, e := range entries {
 		m.Iterations += e.Iterations

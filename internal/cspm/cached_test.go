@@ -23,7 +23,7 @@ func TestCachedPoisonThenInvalidate(t *testing.T) {
 	opts := Options{CollectStats: true}
 	want := MineWithOptions(g, opts)
 
-	cache := shardcache.New(0)
+	cache := shardcache.New()
 	MineShardedCached(g, opts, cache)
 
 	groups := graph.AttrClosedComponents(g)
@@ -63,20 +63,30 @@ func TestCachedPoisonThenInvalidate(t *testing.T) {
 	}
 }
 
-// TestCachedEvictionCounter pins Model.CacheEvictions: a capacity-bounded
-// cache smaller than the group count must evict during the run's stores.
+// TestCachedEvictionCounter pins Model.CacheEvictions: mining three graphs
+// that share no group in turn, the third run drops the first graph's
+// entries (used by neither it nor the run before it) and reports them.
 func TestCachedEvictionCounter(t *testing.T) {
-	g := dataset.Islands(dataset.IslandsConfig{
-		Seed: 5, Islands: 5, MinNodes: 10, MaxNodes: 20,
-		AttrsPerIsland: 6, ExtraEdges: 1.0, AttrsPerNode: 2,
-	})
-	cache := shardcache.New(2)
-	m := MineShardedCached(g, Options{}, cache)
-	if m.CacheEvictions == 0 {
-		t.Fatalf("5 groups through a 2-entry cache evicted nothing: %+v", cache.Stats())
+	var gs []*graph.Graph
+	for seed := int64(5); seed < 8; seed++ {
+		gs = append(gs, dataset.Islands(dataset.IslandsConfig{
+			Seed: seed, Islands: 5, MinNodes: 10, MaxNodes: 20,
+			AttrsPerIsland: 6, ExtraEdges: 1.0, AttrsPerNode: 2,
+		}))
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d entries, capacity 2", cache.Len())
+	count := func(g *graph.Graph) int { return graph.AttrClosedComponents(g).Count }
+	cache := shardcache.New()
+	for i, g := range gs[:2] {
+		if m := MineShardedCached(g, Options{}, cache); m.CacheEvictions != 0 {
+			t.Fatalf("run %d evicted %d entries a run before it used", i, m.CacheEvictions)
+		}
+	}
+	m := MineShardedCached(gs[2], Options{}, cache)
+	if m.CacheEvictions != count(gs[0]) {
+		t.Fatalf("third run evicted %d entries, want the first graph's %d groups", m.CacheEvictions, count(gs[0]))
+	}
+	if got, want := cache.Stats().Entries, count(gs[1])+count(gs[2]); got != want {
+		t.Fatalf("cache holds %d entries, want the last two graphs' %d groups", got, want)
 	}
 }
 
@@ -90,7 +100,7 @@ func TestCachedStatsPropagation(t *testing.T) {
 	})
 	want := MineWithOptions(g, Options{CollectStats: true})
 
-	cache := shardcache.New(0)
+	cache := shardcache.New()
 	cold := MineShardedCached(g, Options{CollectStats: true}, cache)
 	if len(cold.PerIter) == 0 || cold.Iterations != want.Iterations {
 		t.Fatalf("cold run stats: %d periter, %d iterations (want %d)",
@@ -106,7 +116,7 @@ func TestCachedStatsPropagation(t *testing.T) {
 	}
 
 	// Stats off: no PerIter even for fresh runs, but counts still recorded.
-	quiet := MineShardedCached(g, Options{}, shardcache.New(0))
+	quiet := MineShardedCached(g, Options{}, shardcache.New())
 	if len(quiet.PerIter) != 0 {
 		t.Fatalf("CollectStats=false produced %d per-iteration stats", len(quiet.PerIter))
 	}
@@ -131,7 +141,7 @@ func TestCachedOptionsKeying(t *testing.T) {
 		{{DisableModelCost: true}, {}},
 	}
 	for _, p := range pairs {
-		cache := shardcache.New(0)
+		cache := shardcache.New()
 		MineShardedCached(g, p[0], cache)
 		m := MineShardedCached(g, p[1], cache)
 		if m.CacheHits != 0 {
@@ -164,7 +174,7 @@ func TestMineShardedCachedValidates(t *testing.T) {
 					t.Errorf("MineShardedCached accepted invalid %+v", opts)
 				}
 			}()
-			MineShardedCached(g, opts, shardcache.New(0))
+			MineShardedCached(g, opts, shardcache.New())
 		}()
 	}
 }

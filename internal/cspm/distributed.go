@@ -138,20 +138,25 @@ func executeShardJob(job shardrpc.Job) (*shardcache.Entry, []IterationStat, erro
 // verts is sorted ascending, so the remap preserves neighbour order and the
 // job's rows are the group's vertices in global id order, whoever mines it.
 func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts []graph.VertexID) shardrpc.Job {
-	attrs := make([][]graph.AttrID, len(verts))
-	adj := make([][]graph.VertexID, len(verts))
+	// Rows are cut from one attribute slab and one neighbour slab, capped
+	// so an append to one row can never spill into the next.
+	var nAttrs, nAdj int
+	for _, gv := range verts {
+		nAttrs, nAdj = nAttrs+len(g.Attrs(gv)), nAdj+len(g.Neighbors(gv))
+	}
+	attrSlab, adjSlab := make([]graph.AttrID, 0, nAttrs), make([]graph.VertexID, 0, nAdj)
+	attrs, adj := make([][]graph.AttrID, len(verts)), make([][]graph.VertexID, len(verts))
 	for li, gv := range verts {
-		attrs[li] = append([]graph.AttrID(nil), g.Attrs(gv)...)
-		ns := g.Neighbors(gv)
-		row := make([]graph.VertexID, len(ns))
-		for i, u := range ns {
+		a, n := len(attrSlab), len(adjSlab)
+		attrSlab = append(attrSlab, g.Attrs(gv)...)
+		for _, u := range g.Neighbors(gv) {
 			// Attribute-closed component groups are unions of connected
 			// components: every neighbour is in verts, so the search always
 			// finds it.
 			local, _ := slices.BinarySearch(verts, u)
-			row[i] = graph.VertexID(local)
+			adjSlab = append(adjSlab, graph.VertexID(local))
 		}
-		adj[li] = row
+		attrs[li], adj[li] = attrSlab[a:len(attrSlab):len(attrSlab)], adjSlab[n:len(adjSlab):len(adjSlab)]
 	}
 	return shardrpc.Job{
 		ID:            id,

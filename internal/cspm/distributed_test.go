@@ -312,7 +312,7 @@ func TestDistributedCacheComposition(t *testing.T) {
 	g := distTestGraph(17)
 	want := MineWithOptions(g, Options{CollectStats: true})
 	groups := graph.AttrClosedComponents(g)
-	cache := shardcache.New(0)
+	cache := shardcache.New()
 
 	lb := shardrpc.NewLoopback(ExecuteShardJob, 2)
 	defer lb.Close()
@@ -340,16 +340,17 @@ func TestDistributedCacheComposition(t *testing.T) {
 		t.Fatalf("warm run diagnostics: %+v", warm)
 	}
 
-	// Eviction accounting mirrors the cached miner: a capacity-1 cache
-	// evicts on every fill past the first, and the run must report the
-	// delta.
-	small, err := MineDistributed(g, DistributedOptions{Cache: shardcache.New(1)}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Eviction accounting mirrors the cached miner: after two runs over
+	// other graphs, a run drops g's entries and must report them.
+	runs := shardcache.New()
+	var last *Model
+	for _, h := range []*graph.Graph{g, distTestGraph(18), distTestGraph(19)} {
+		if last, err = MineDistributed(h, DistributedOptions{Cache: runs}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	assertSameModel(t, "tiny cache", small, want)
-	if small.CacheEvictions != groups.Count-1 {
-		t.Fatalf("CacheEvictions = %d, want %d", small.CacheEvictions, groups.Count-1)
+	if last.CacheEvictions != groups.Count {
+		t.Fatalf("CacheEvictions = %d, want %d", last.CacheEvictions, groups.Count)
 	}
 
 	// The distributed cache fill must interoperate with the cached miner:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -533,6 +534,51 @@ func TestCheckpointCompactsWAL(t *testing.T) {
 	// And the durable ack sequence resumes where the dead server left off.
 	if err := s2.SubmitMutations(batches[0]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableCacheRunBound pins the shard cache's memory bound on a durable
+// tenant: every re-mine adds a new attribute value, so the global context
+// shifts and each re-mine stores a fresh entry for every group, yet after
+// each checkpoint the cache and the MANIFEST hold at most the groups of the
+// last two mined states, and from the third mine on each re-mine reports
+// the entries it dropped.
+func TestDurableCacheRunBound(t *testing.T) {
+	dir := t.TempDir()
+	ckptDir, _ := wal.TenantDirs(dir)
+	s := newTestServer(t, testGraph(t), Options{Dir: dir})
+	for i := range 20 {
+		before := checkpointAttempts(s)
+		if err := s.SubmitMutations([]Mutation{{Op: OpAddAttr, U: graph.VertexID(i % 8), Value: fmt.Sprintf("edit%d", i)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(ctxShort(t)); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(30 * time.Second); checkpointAttempts(s) == before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("re-mine %d: no checkpoint attempt", i)
+			}
+			runtime.Gosched()
+		}
+		snap := s.Snapshot()
+		groups := graph.AttrClosedComponents(snap.Graph).Count
+		if snap.Model.CacheMisses != groups {
+			t.Fatalf("re-mine %d: %d misses, want all %d groups re-mined", i, snap.Model.CacheMisses, groups)
+		}
+		if i >= 1 && snap.Model.CacheEvictions != groups {
+			t.Fatalf("re-mine %d: %d evictions, want the %d groups of the state two mines back", i, snap.Model.CacheEvictions, groups)
+		}
+		if n := s.Cache().Stats().Entries; n > 2*groups {
+			t.Fatalf("re-mine %d: cache holds %d entries, want at most %d", i, n, 2*groups)
+		}
+		man, err := shardcache.LoadManifest(ckptDir)
+		if err != nil || man == nil {
+			t.Fatalf("re-mine %d: manifest %v, %v", i, man, err)
+		}
+		if len(man.Blobs) > 2*groups {
+			t.Fatalf("re-mine %d: MANIFEST lists %d blobs, want at most %d", i, len(man.Blobs), 2*groups)
+		}
 	}
 }
 

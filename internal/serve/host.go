@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,9 +168,11 @@ type Host struct {
 	creating map[string]bool
 	closed   bool
 
-	// Replica-host sync loop (Follow set): quit stops it, syncDone confirms.
-	quit     chan struct{}
-	syncDone chan struct{}
+	// Replica-host sync loop (Follow set): cancelling followCtx stops it and
+	// aborts its in-flight leader request, syncDone confirms.
+	followCtx    context.Context
+	followCancel context.CancelFunc
+	syncDone     chan struct{}
 
 	closeOnce sync.Once
 	closeErr  error
@@ -237,11 +240,12 @@ func NewHost(opts HostOptions) (*Host, error) {
 		// reach its leader at start has nothing trustworthy to serve beyond
 		// what it restored, and failing loudly beats silently serving an
 		// empty fleet. Later sync failures just skip a cycle.
+		h.followCtx, h.followCancel = context.WithCancel(context.Background())
 		if err := h.syncFollowers(); err != nil {
+			h.followCancel()
 			h.closeTenantsLocked()
 			return nil, fmt.Errorf("serve: replica host initial sync: %w", err)
 		}
-		h.quit = make(chan struct{})
 		h.syncDone = make(chan struct{})
 		go h.followSyncLoop()
 	}
@@ -484,8 +488,8 @@ func (h *Host) Drain() {
 // error.
 func (h *Host) Close() error {
 	h.closeOnce.Do(func() {
-		if h.quit != nil {
-			close(h.quit)
+		if h.followCancel != nil {
+			h.followCancel()
 			<-h.syncDone
 		}
 		h.mu.Lock()
@@ -711,7 +715,7 @@ func (h *Host) followSyncLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-h.quit:
+		case <-h.followCtx.Done():
 			return
 		case <-t.C:
 		}
@@ -720,19 +724,12 @@ func (h *Host) followSyncLoop() {
 }
 
 // syncFollowers runs one membership sync against the leader's namespace
-// list.
+// list, fetched like a tenant's pulls (see leaderGet) under the host's
+// follow context, so a stalled leader can hang neither NewHost nor Close.
 func (h *Host) syncFollowers() error {
-	resp, err := h.followClient().Get(h.opts.Follow + "/v2/graphs")
+	body, err := leaderGet(h.followCtx, h.opts.FollowClient, h.followPoll(), h.opts.Follow+"/v2/graphs", "")
 	if err != nil {
 		return err
-	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody))
-	resp.Body.Close()
-	if rerr != nil {
-		return rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: leader namespace list: status %d", resp.StatusCode)
 	}
 	var list NamespacesResponse
 	if err := json.Unmarshal(body, &list); err != nil {

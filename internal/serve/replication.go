@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"cspm/internal/graph"
 	"cspm/internal/obs"
 	"cspm/internal/shardcache"
 	"cspm/internal/wal"
@@ -395,20 +394,26 @@ func (s *Server) pruneTail(folded uint64) {
 var errStaleSync = errors.New("serve: replication fetch raced a leader checkpoint")
 
 // replGet fetches path (relative to the leader mount) with the follower's
-// client, bounded by one poll interval plus slack so a dead leader never
-// wedges the loop.
+// client (see leaderGet).
 func (s *Server) replGet(path string) ([]byte, error) {
 	f := s.opts.Follow
-	ctx, cancel := context.WithTimeout(s.followCtx, f.poll()+10*time.Second)
+	return leaderGet(s.followCtx, f.Client, f.poll(), f.Leader+path, s.followerID)
+}
+
+// leaderGet GETs url with hc (nil = http.DefaultClient) and returns the body
+// of a 200 answer. The request dies with ctx and after one poll interval
+// plus slack, so a dead or stalled leader never wedges a follower's loop.
+// A non-empty followerID identifies the caller to the leader.
+func leaderGet(ctx context.Context, hc *http.Client, poll time.Duration, url, followerID string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, poll+10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.Leader+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	if s.followerID != "" {
-		req.Header.Set(followerIDHeader, s.followerID)
+	if followerID != "" {
+		req.Header.Set(followerIDHeader, followerID)
 	}
-	hc := f.Client
 	if hc == nil {
 		hc = http.DefaultClient
 	}
@@ -424,9 +429,9 @@ func (s *Server) replGet(path string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		var env ErrorJSON
 		if json.Unmarshal(body, &env) == nil && env.Code != "" {
-			return nil, fmt.Errorf("serve: leader %s: %d %s: %s", path, resp.StatusCode, env.Code, env.Error)
+			return nil, fmt.Errorf("serve: leader %s: %d %s: %s", url, resp.StatusCode, env.Code, env.Error)
 		}
-		return nil, fmt.Errorf("serve: leader %s: status %d", path, resp.StatusCode)
+		return nil, fmt.Errorf("serve: leader %s: status %d", url, resp.StatusCode)
 	}
 	return body, nil
 }
@@ -707,15 +712,10 @@ func (s *Server) syncGeneration() error {
 	if err := s.fetchAndInstall(manRaw, man); err != nil {
 		return err
 	}
-	gb, err := os.ReadFile(filepath.Join(s.ckptDir, checkpointGraphName))
+	g, err := loadCheckpointGraph(s.ckptDir, man)
 	if err != nil {
 		return err
 	}
-	g, err := graph.Load(bytes.NewReader(gb))
-	if err != nil {
-		return fmt.Errorf("serve: shipped graph: %w", err)
-	}
-	g = reintern(g, man.Vocab)
 	// Drop resident entries so the mine reads the freshly installed blobs:
 	// fingerprints of unchanged components still hit, now from verified disk.
 	s.cache.Purge()

@@ -234,6 +234,51 @@ func TestReplicaMirrorsNamespaceSet(t *testing.T) {
 	})
 }
 
+// TestReplicaHostCloseAbortsStalledLeaderPoll: a leader that answers the
+// first namespace list and then accepts the next request without ever
+// answering must not wedge the replica host. Close cancels the in-flight
+// membership poll and returns promptly.
+func TestReplicaHostCloseAbortsStalledLeaderPoll(t *testing.T) {
+	var lists atomic.Int32
+	stalled := make(chan struct{})
+	release := make(chan struct{})
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch lists.Add(1) {
+		case 1:
+			writeJSON(w, http.StatusOK, NamespacesResponse{})
+			return
+		case 2:
+			close(stalled)
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(leader.Close)
+	t.Cleanup(func() { close(release) }) // runs first: unblocks the handler
+	h, err := NewHost(HostOptions{RootDir: t.TempDir(), Follow: leader.URL, FollowPoll: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		h.Close()
+		t.Fatal("the replica host never polled the leader again")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- h.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is stuck behind a stalled leader poll")
+	}
+}
+
 // TestFollowerWritePathRejectAndProxy pins the replica write contract: 409
 // not_leader naming the leader by default, transparent forwarding with
 // ProxyWrites.

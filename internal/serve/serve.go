@@ -338,13 +338,13 @@ func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 	}
 	if s.durable() {
 		s.ckptDir, s.logDir = wal.TenantDirs(opts.Dir)
-		cache, err := shardcache.Open(0, s.ckptDir)
+		cache, err := shardcache.Open(s.ckptDir)
 		if err != nil {
 			return nil, err
 		}
 		s.cache = cache
 	} else {
-		s.cache = shardcache.New(0)
+		s.cache = shardcache.New()
 	}
 	if opts.Follow != nil {
 		// The follower's stable identity on every replication pull: lets the

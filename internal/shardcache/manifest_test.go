@@ -9,7 +9,7 @@ import (
 
 func TestManifestRoundtripAndVerify(t *testing.T) {
 	dir := t.TempDir()
-	c := New(0)
+	c := New()
 	for i := byte(1); i <= 3; i++ {
 		if err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestLoadManifestMissingAndInvalid(t *testing.T) {
 
 func TestQuarantineDir(t *testing.T) {
 	dir := t.TempDir()
-	c := New(0)
+	c := New()
 	for i := byte(1); i <= 2; i++ {
 		if err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestQuarantineDir(t *testing.T) {
 // healthy blobs.
 func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 	dir := t.TempDir()
-	c := New(0)
+	c := New()
 	for i := byte(1); i <= 3; i++ {
 		if err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
@@ -180,7 +180,7 @@ func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 // file; os.SameFile tells the two apart.
 func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(0, dir)
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
 
 	// An entry loaded back from disk was not written by this cache: the
 	// next flush writes it once and records its checksum.
-	other, err := Open(0, dir)
+	other, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

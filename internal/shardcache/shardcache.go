@@ -9,16 +9,16 @@
 // canonical description lengths are pure functions of those line multisets,
 // so replaying an entry is bit-identical to re-mining the group.
 //
-// The cache is an in-memory LRU with an optional on-disk layer: one gob blob
-// per key under a directory, written atomically, loaded back on memory
-// misses. Disk entries survive process restarts and LRU evictions, and the
-// blob format doubles as the shard-result serialization format for
-// distributed fan-out (ROADMAP "Distributed shards").
+// Memory holds an entry while the current run or the run before it used it
+// (see EndRun), so an undo of the latest edit still replays from memory and
+// older states stop costing memory. An optional on-disk layer keeps one gob
+// blob per key under a directory, written atomically, loaded back on memory
+// misses, surviving evictions and restarts; the blob format doubles as the
+// shard-result wire format for distributed fan-out.
 package shardcache
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -77,20 +77,20 @@ func cloneStats(stats []invdb.LineStat) []invdb.LineStat {
 type Stats struct {
 	Hits          uint64 // lookups served from memory or disk
 	Misses        uint64 // lookups that found nothing
-	Evictions     uint64 // entries dropped from memory by the LRU bound
+	Evictions     uint64 // entries dropped from memory by EndRun
 	PersistErrors uint64 // entries a Persist/PersistManifest failed to write
 	Entries       int    // entries currently resident in memory
 }
 
-// Cache is a fingerprint-keyed shard-result cache: an LRU-bounded in-memory
-// map with an optional on-disk layer. All methods are safe for concurrent
-// use; blob encode/decode and file I/O run outside the mutex, so lookups of
-// resident entries never stall behind another goroutine's disk traffic.
+// Cache is a fingerprint-keyed shard-result cache: an in-memory map bounded
+// by run (see EndRun) with an optional on-disk layer. All methods are safe
+// for concurrent use; blob encode/decode and file I/O run outside the
+// mutex, so lookups of resident entries never stall behind another
+// goroutine's disk traffic.
 type Cache struct {
 	mu        sync.Mutex
-	capacity  int        // ≤0 = unbounded memory
-	ll        *list.List // front = most recently used
-	byKey     map[Key]*list.Element
+	byKey     map[Key]*resident
+	run       uint64 // number of the current run; EndRun advances it
 	dir       string // "" = memory only; immutable after Open
 	hits      uint64
 	misses    uint64
@@ -98,33 +98,33 @@ type Cache struct {
 	perErrs   uint64 // Persist/PersistManifest entry-write failures
 }
 
-// lruEntry is the list payload: the key rides along so eviction can index
-// back into byKey. sum is the SHA-256 (hex) of the entry's blob in the
-// cache's own directory, recorded when the cache wrote that blob; "" when
-// the cache has not written it there.
-type lruEntry struct {
+// resident is one entry held in memory, with its key. used is the number of
+// the last run that got or put it. sum is the SHA-256 (hex) of the entry's
+// blob in the cache's own directory, recorded when the cache wrote that
+// blob; "" when the cache has not written it there.
+type resident struct {
 	key   Key
 	entry *Entry
 	sum   string
+	used  uint64
 }
 
-// New returns a memory-only cache holding at most capacity entries
-// (capacity ≤ 0 = unbounded).
-func New(capacity int) *Cache {
-	return &Cache{capacity: capacity, ll: list.New(), byKey: make(map[Key]*list.Element)}
+// New returns a memory-only cache.
+func New() *Cache {
+	return &Cache{byKey: make(map[Key]*resident)}
 }
 
 // Open returns a cache backed by one gob blob per key under dir, creating
-// the directory if needed. Memory still holds at most capacity entries; disk
-// blobs survive evictions and process restarts.
-func Open(capacity int, dir string) (*Cache, error) {
+// the directory if needed. Disk blobs survive evictions from memory and
+// process restarts.
+func Open(dir string) (*Cache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("shardcache: empty cache directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shardcache: %w", err)
 	}
-	c := New(capacity)
+	c := New()
 	c.dir = dir
 	return c, nil
 }
@@ -132,45 +132,33 @@ func Open(capacity int, dir string) (*Cache, error) {
 // Dir reports the on-disk directory ("" for a memory-only cache).
 func (c *Cache) Dir() string { return c.dir }
 
-// Len reports the number of entries resident in memory.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns a snapshot of the lifetime counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		PersistErrors: c.perErrs, Entries: c.ll.Len()}
+		PersistErrors: c.perErrs, Entries: len(c.byKey)}
 }
 
 // Get returns the entry stored under k, consulting memory first and then the
-// disk layer. A disk hit is re-admitted to memory. The returned entry is
-// shared: callers must not mutate it.
+// disk layer, and marks it used in the current run. A disk hit is
+// re-admitted to memory. The returned entry is shared: callers must not
+// mutate it.
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
-	if el, ok := c.byKey[k]; ok {
-		c.ll.MoveToFront(el)
+	if r, ok := c.byKey[k]; ok {
+		r.used = c.run
 		c.hits++
-		e := el.Value.(*lruEntry).entry
 		c.mu.Unlock()
-		return e, true
+		return r.entry, true
 	}
 	c.mu.Unlock()
 	if c.dir != "" {
 		if e, ok := c.loadDisk(k); ok {
 			c.mu.Lock()
-			if el, raced := c.byKey[k]; raced {
-				// Another goroutine admitted the key while we read disk;
-				// prefer the resident entry so all holders share one copy.
-				c.ll.MoveToFront(el)
-				e = el.Value.(*lruEntry).entry
-			} else {
-				c.admit(k, e)
-			}
+			// If another goroutine admitted the key while we read disk, the
+			// resident entry wins so all holders share one copy.
+			e = c.admit(k, e).entry
 			c.hits++
 			c.mu.Unlock()
 			return e, true
@@ -182,19 +170,13 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	return nil, false
 }
 
-// Put stores a deep copy of e under k in memory (evicting LRU entries past
-// the capacity bound) and, when a directory is configured, as a gob blob on
-// disk.
+// Put stores a deep copy of e under k in memory, marked used in the current
+// run, and, when a directory is configured, as a gob blob on disk.
 func (c *Cache) Put(k Key, e *Entry) error {
 	cp := e.clone()
 	c.mu.Lock()
-	if el, ok := c.byKey[k]; ok {
-		le := el.Value.(*lruEntry)
-		le.entry, le.sum = cp, ""
-		c.ll.MoveToFront(el)
-	} else {
-		c.admit(k, cp)
-	}
+	r := c.admit(k, cp)
+	r.entry, r.sum = cp, ""
 	c.mu.Unlock()
 	if c.dir != "" {
 		// cp is shared read-only once admitted, so encoding it unlocked is
@@ -213,11 +195,32 @@ func (c *Cache) Put(k Key, e *Entry) error {
 func (c *Cache) noteSum(k Key, e *Entry, sum string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		if le := el.Value.(*lruEntry); le.entry == e {
-			le.sum = sum
+	if r, ok := c.byKey[k]; ok && r.entry == e {
+		r.sum = sum
+	}
+}
+
+// EndRun closes the current run: it drops from memory every entry that
+// neither this run nor the one before it got or put, counts them in the
+// Evictions stat, starts the next run and returns how many it dropped. The
+// component pipeline calls it once per run, after storing the run's fresh
+// entries, so memory (and with it every checkpoint manifest) holds at most
+// the groups of the last two mined states: the current one, and the one an
+// undo of the latest edit returns to. Disk blobs are untouched, so a
+// dir-backed cache still serves an evicted entry from disk.
+func (c *Cache) EndRun() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for k, r := range c.byKey {
+		if r.used+1 < c.run {
+			delete(c.byKey, k)
+			n++
 		}
 	}
+	c.evictions += uint64(n)
+	c.run++
+	return n
 }
 
 // persistEntries makes every entry currently resident in memory a blob
@@ -235,26 +238,26 @@ func (c *Cache) persistEntries(dir string) (map[string]string, error) {
 	// are shared read-only once admitted, so encoding unlocked is safe and
 	// concurrent lookups never stall behind the flush.
 	c.mu.Lock()
-	snapshot := make([]lruEntry, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		snapshot = append(snapshot, *el.Value.(*lruEntry))
+	snapshot := make([]resident, 0, len(c.byKey))
+	for _, r := range c.byKey {
+		snapshot = append(snapshot, *r)
 	}
 	c.mu.Unlock()
 	sums := make(map[string]string, len(snapshot))
 	var errs []error
-	for _, le := range snapshot {
-		if own && le.sum != "" {
-			sums[le.key.filename()] = le.sum
+	for _, r := range snapshot {
+		if own && r.sum != "" {
+			sums[r.key.filename()] = r.sum
 			continue
 		}
-		sum, err := storeBlob(dir, le.key, le.entry)
+		sum, err := storeBlob(dir, r.key, r.entry)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		sums[le.key.filename()] = sum
+		sums[r.key.filename()] = sum
 		if own {
-			c.noteSum(le.key, le.entry, sum)
+			c.noteSum(r.key, r.entry, sum)
 		}
 	}
 	if len(errs) > 0 {
@@ -274,19 +277,14 @@ func (c *Cache) persistEntries(dir string) (map[string]string, error) {
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.byKey = make(map[Key]*list.Element)
+	clear(c.byKey)
 }
 
 // Remove invalidates k in both layers, reporting whether anything existed.
 func (c *Cache) Remove(k Key) bool {
 	c.mu.Lock()
-	removed := false
-	if el, ok := c.byKey[k]; ok {
-		c.ll.Remove(el)
-		delete(c.byKey, k)
-		removed = true
-	}
+	_, removed := c.byKey[k]
+	delete(c.byKey, k)
 	c.mu.Unlock()
 	if c.dir != "" {
 		if err := os.Remove(filepath.Join(c.dir, k.filename())); err == nil {
@@ -296,16 +294,16 @@ func (c *Cache) Remove(k Key) bool {
 	return removed
 }
 
-// admit inserts a fresh entry at the LRU front and enforces the capacity
-// bound. Caller holds c.mu.
-func (c *Cache) admit(k Key, e *Entry) {
-	c.byKey[k] = c.ll.PushFront(&lruEntry{key: k, entry: e})
-	for c.capacity > 0 && c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.byKey, back.Value.(*lruEntry).key)
-		c.evictions++
+// admit returns the resident of k, inserting e if k has none, and marks it
+// used in the current run. Caller holds c.mu.
+func (c *Cache) admit(k Key, e *Entry) *resident {
+	r, ok := c.byKey[k]
+	if !ok {
+		r = &resident{key: k, entry: e}
+		c.byKey[k] = r
 	}
+	r.used = c.run
+	return r
 }
 
 // loadDisk decodes the blob of k, treating any read or decode failure as a

@@ -3,6 +3,7 @@ package shardcache
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"cspm/internal/graph"
@@ -27,35 +28,60 @@ func entry(n int) *Entry {
 	return e
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(2)
-	c.Put(key(1), entry(1))
+// TestRunBoundEviction pins the memory bound: an entry used in run r
+// survives EndRun at r and r+1, is evicted at r+2 and counted, and a
+// dir-backed cache still serves it from disk afterwards. A Get in a later
+// run renews the entry like a Put.
+func TestRunBoundEviction(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(key(1), entry(1)) // run r
 	c.Put(key(2), entry(2))
-	if _, ok := c.Get(key(1)); !ok { // 1 now most recent
-		t.Fatal("missing entry 1")
+	c.EndRun()
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("after EndRun at r: %+v, want both entries resident", st)
 	}
-	c.Put(key(3), entry(3)) // evicts 2, the least recent
-	if _, ok := c.Get(key(2)); ok {
-		t.Fatal("entry 2 survived eviction")
+	if _, ok := c.Get(key(2)); !ok { // run r+1 uses entry 2 only
+		t.Fatal("missing entry 2")
 	}
-	if _, ok := c.Get(key(1)); !ok {
-		t.Fatal("entry 1 evicted out of LRU order")
+	c.EndRun()
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("after EndRun at r+1: %+v, want both entries resident", st)
 	}
-	if _, ok := c.Get(key(3)); !ok {
-		t.Fatal("entry 3 missing after insert")
+	c.EndRun() // run r+2 uses nothing
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("after EndRun at r+2: %+v, want entry 1 evicted, entry 2 resident", st)
 	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats %+v, want 1 eviction over 2 entries", st)
+	c.EndRun()
+	if st := c.Stats(); st.Entries != 0 || st.Evictions != 2 {
+		t.Fatalf("after EndRun at r+3: %+v, want entry 2 evicted too", st)
 	}
-	// hits: 1(get1) + 1(get1) + 1(get3) = 3; misses: get2 = 1.
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("stats %+v, want 3 hits / 1 miss", st)
+	got, ok := c.Get(key(1))
+	if !ok || got.Iterations != 1 {
+		t.Fatalf("evicted entry not served from disk: %+v, %v", got, ok)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("disk hit stats %+v, want the entry re-admitted", st)
+	}
+
+	// A memory-only cache has nothing to fall back on.
+	mem := New()
+	mem.Put(key(3), entry(3))
+	for range 3 {
+		mem.EndRun()
+	}
+	if _, ok := mem.Get(key(3)); ok {
+		t.Fatal("memory-only cache served an evicted entry")
+	}
+	if st := mem.Stats(); st.Evictions != 1 || st.Misses != 1 {
+		t.Fatalf("memory-only stats %+v, want one eviction and one miss", st)
 	}
 }
 
 func TestPutCopiesAndGetShares(t *testing.T) {
-	c := New(0)
+	c := New()
 	e := entry(2)
 	c.Put(key(9), e)
 	e.Final[0].FL = 999
@@ -70,9 +96,12 @@ func TestPutCopiesAndGetShares(t *testing.T) {
 }
 
 func TestOverwriteSameKey(t *testing.T) {
-	c := New(1)
+	c := New()
 	c.Put(key(1), entry(1))
-	c.Put(key(1), entry(5))
+	c.EndRun()
+	c.EndRun()
+	c.Put(key(1), entry(5)) // an overwrite is a use: the entry lives on
+	c.EndRun()
 	got, _ := c.Get(key(1))
 	if got == nil || got.Iterations != 5 {
 		t.Fatalf("overwrite not visible: %+v", got)
@@ -84,7 +113,7 @@ func TestOverwriteSameKey(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(0, dir)
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +134,16 @@ func TestRemove(t *testing.T) {
 
 func TestDiskRoundTripAndEvictionSurvival(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(1, dir) // memory holds one entry
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := entry(3)
 	c.Put(key(1), want)
-	c.Put(key(2), entry(4)) // evicts 1 from memory; disk blob remains
+	c.EndRun()
+	c.Put(key(2), entry(4))
+	c.EndRun()
+	c.EndRun() // evicts 1 from memory; disk blob remains
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("stats %+v, want one eviction", st)
 	}
@@ -125,7 +157,7 @@ func TestDiskRoundTripAndEvictionSurvival(t *testing.T) {
 	}
 
 	// A second cache over the same directory sees the blobs (restart).
-	c2, err := Open(0, dir)
+	c2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +171,7 @@ func TestDiskRoundTripAndEvictionSurvival(t *testing.T) {
 
 func TestCorruptBlobIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(0, dir)
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +183,7 @@ func TestCorruptBlobIsAMiss(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("not a gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2, _ := Open(0, dir)
+	c2, _ := Open(dir)
 	if _, ok := c2.Get(key(7)); ok {
 		t.Fatal("corrupt blob served as a hit")
 	}
@@ -161,11 +193,11 @@ func TestCorruptBlobIsAMiss(t *testing.T) {
 }
 
 func TestOpenRejectsEmptyDirAndCreatesMissing(t *testing.T) {
-	if _, err := Open(0, ""); err == nil {
+	if _, err := Open(""); err == nil {
 		t.Fatal("Open accepted an empty directory")
 	}
 	nested := filepath.Join(t.TempDir(), "a", "b")
-	if _, err := Open(0, nested); err != nil {
+	if _, err := Open(nested); err != nil {
 		t.Fatalf("Open did not create %s: %v", nested, err)
 	}
 	if fi, err := os.Stat(nested); err != nil || !fi.IsDir() {
@@ -173,18 +205,67 @@ func TestOpenRejectsEmptyDirAndCreatesMissing(t *testing.T) {
 	}
 }
 
-func TestUnboundedCapacity(t *testing.T) {
-	c := New(0)
+// TestRunBoundKeepsWholeRun pins that the bound is by run, not by count:
+// every entry a run used stays resident however many there are.
+func TestRunBoundKeepsWholeRun(t *testing.T) {
+	c := New()
 	for i := 0; i < 100; i++ {
 		c.Put(key(byte(i)), entry(1))
 	}
+	c.EndRun()
+	c.EndRun()
 	if st := c.Stats(); st.Entries != 100 || st.Evictions != 0 {
-		t.Fatalf("unbounded cache evicted: %+v", st)
+		t.Fatalf("run-bound cache evicted entries of the previous run: %+v", st)
+	}
+}
+
+// TestRunBoundConcurrentUse drives lookups, stores, EndRun and a manifest
+// flush from several goroutines at once (run it under -race); afterwards
+// every stored key is still served, from disk once evicted.
+func TestRunBoundConcurrentUse(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				k := key(byte(w*50 + i))
+				if err := c.Put(k, entry(1)); err != nil {
+					t.Error(err)
+				}
+				if _, ok := c.Get(k); !ok {
+					t.Errorf("key %d missing right after Put", w*50+i)
+				}
+				if i%10 == 0 {
+					c.EndRun()
+					if err := c.PersistManifest(dir, &Manifest{}); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for range 3 {
+		c.EndRun()
+	}
+	if st := c.Stats(); st.Hits != 200 || st.Misses != 0 || st.Entries != 0 || st.Evictions < 200 {
+		t.Fatalf("stats %+v, want 200 hits and every entry evicted", st)
+	}
+	for i := range 200 {
+		if _, ok := c.Get(key(byte(i))); !ok {
+			t.Fatalf("key %d not served from disk", i)
+		}
 	}
 }
 
 func TestPersistFlushesMemoryToDisk(t *testing.T) {
-	mem := New(0)
+	mem := New()
 	for i := byte(1); i <= 3; i++ {
 		if err := mem.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
@@ -205,7 +286,7 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 		t.Fatalf("persisted %d blobs, want 3", len(blobs))
 	}
 	// A dir-backed cache over the flushed directory serves every entry.
-	warm, err := Open(0, dir)
+	warm, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

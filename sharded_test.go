@@ -178,11 +178,11 @@ func TestShardedEquivalenceLoopback(t *testing.T) {
 
 	g := midIslands(0)
 	dirA, dirB := t.TempDir(), t.TempDir()
-	cacheA, err := cspm.OpenShardCache(0, dirA)
+	cacheA, err := cspm.OpenShardCache(dirA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheB, err := cspm.OpenShardCache(0, dirB)
+	cacheB, err := cspm.OpenShardCache(dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
