@@ -10,7 +10,9 @@
 package cspm_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
@@ -507,6 +509,46 @@ func BenchmarkMicro_ColdMine_Mid(b *testing.B) {
 	}
 	b.ReportMetric(float64(m.GainEvals), "gain-evals")
 	b.ReportMetric(m.FinalDL, "final-bits")
+}
+
+// BenchmarkMicro_ManyGroups measures per-group overhead: one op is a cold
+// MineShardedCached of an archipelago of 400 islands of 8–20 vertices, so
+// building, keying and setting up 400 small group jobs weighs as much as
+// searching them. job-bytes is the gob size of the run's jobs, counted
+// once, off the clock, through a loopback transport.
+func BenchmarkMicro_ManyGroups(b *testing.B) {
+	cfg := dataset.DefaultIslands()
+	cfg.Islands, cfg.MinNodes, cfg.MaxNodes = 400, 8, 20
+	g := dataset.IslandsWithEdgeSeeds(cfg, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *cspm.Model
+	for i := 0; i < b.N; i++ {
+		m = cspm.MineShardedCached(g, cspm.Options{}, nil)
+	}
+	b.StopTimer()
+	tr := &countingTransport{Transport: shardrpc.NewLoopback(icspm.ExecuteShardJob, 1)}
+	defer tr.Close()
+	if _, err := cspm.MineDistributed(g, cspm.DistributedOptions{Transport: tr}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(m.FinalDL, "final-bits")
+	b.ReportMetric(float64(tr.bytes.Load()), "job-bytes")
+}
+
+// countingTransport adds the gob size of every job it forwards to bytes.
+type countingTransport struct {
+	shardrpc.Transport
+	bytes atomic.Int64
+}
+
+func (c *countingTransport) Submit(job shardrpc.Job) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(job); err != nil {
+		return err
+	}
+	c.bytes.Add(int64(buf.Len()))
+	return c.Transport.Submit(job)
 }
 
 // BenchmarkMicro_WarmRemine_Mid measures an incremental re-mine: the cache

@@ -97,18 +97,20 @@ func MineWithOptions(g *Graph, opts Options) *Model {
 	return icspm.MineWithOptions(g, opts)
 }
 
-// Incremental mining: a fingerprint-keyed shard-result cache turns repeated
-// mining of evolving graphs into jobs that re-mine only changed components.
+// Incremental mining: a shard-result cache keyed by each component group's
+// shard job turns repeated mining of evolving graphs into jobs that re-mine
+// only changed components.
 type (
-	// ShardCache caches per-shard mining results keyed by component
-	// fingerprints, in memory while one of the last two runs used them,
-	// with an optional on-disk layer.
+	// ShardCache caches per-group mining results keyed by the digest of the
+	// group's shard job — its rows, its values' global ids, the graph's
+	// occurrence count N and the result-shaping options — and of the
+	// graph's per-value occurrence counts, so an edit that changes any
+	// value's count re-mines every group. It holds results in memory while
+	// one of the last two runs used them, with an optional on-disk layer
+	// whose PersistManifest checkpoints it in its own directory.
 	ShardCache = shardcache.Cache
 	// ShardCacheStats snapshots a cache's hit/miss/eviction counters.
 	ShardCacheStats = shardcache.Stats
-	// ComponentFingerprint is the canonical content hash of one component
-	// group (or of the graph-global attribute context).
-	ComponentFingerprint = graph.Fingerprint
 )
 
 // NewShardCache returns a memory-only shard-result cache, holding each
@@ -116,13 +118,13 @@ type (
 func NewShardCache() *ShardCache { return shardcache.New() }
 
 // OpenShardCache returns a shard-result cache persisted under dir (one blob
-// per fingerprint, surviving process restarts and evictions from memory),
+// per key, surviving process restarts and evictions from memory),
 // creating the directory if needed.
 func OpenShardCache(dir string) (*ShardCache, error) { return shardcache.Open(dir) }
 
 // MineShardedCached mines g in-process by attribute-closed component groups,
 // mines the groups concurrently and merges the per-group models with exact
-// description-length accounting, replaying groups whose fingerprints hit
+// description-length accounting, replaying groups whose shard jobs hit
 // in cache and re-mining only dirty ones. The result is bit-identical to
 // Mine(g) for every cache state, except that Options.MaxIterations caps
 // each group independently rather than globally; Model.CacheHits and

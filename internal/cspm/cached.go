@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,15 +13,17 @@ import (
 	"cspm/internal/mdl"
 	"cspm/internal/obs"
 	"cspm/internal/shardcache"
+	"cspm/internal/shardrpc"
 )
 
 // StageObserver receives the wall-clock duration of each phase of a
 // component-pipeline run, named by the obs span constants: SpanFingerprint
-// (component fingerprinting), SpanDiff (cache lookup splitting clean from
-// dirty groups), SpanShardMine (mining the dirty groups, in-process or over
-// a transport) and SpanMerge (exact model merge). The serving layer's
-// re-mine profiler plugs in here; a plain function type (not an Options
-// field) keeps Options gob-encodable for the shardrpc wire.
+// (building every group's shard job and cache key), SpanDiff (cache lookup
+// splitting clean from dirty groups), SpanShardMine (mining the dirty
+// groups, in-process or over a transport) and SpanMerge (exact model
+// merge). The serving layer's re-mine profiler plugs in here; a plain
+// function type (not an Options field) keeps Options gob-encodable for the
+// shardrpc wire.
 type StageObserver func(stage string, d time.Duration)
 
 func (f StageObserver) observe(stage string, since time.Time) {
@@ -29,36 +32,52 @@ func (f StageObserver) observe(stage string, since time.Time) {
 	}
 }
 
-// cachedSearchVersion stamps the search fingerprint with the mining
+// cachedSearchVersion salts every group's cache key with the mining
 // algorithm's result format. Bump it whenever a change makes the search
-// produce different results for the same (graph, options) — a gain-formula
-// fix, a tie-break change, a new Options field that shapes results — so
-// persistent caches written by older binaries invalidate instead of
-// replaying stale models.
-const cachedSearchVersion = 1
+// produce different results for the same shard job — a gain-formula fix, a
+// tie-break change, a new job field that shapes results — or changes how
+// the key is derived, so persistent caches written by older binaries miss
+// instead of replaying stale models.
+const cachedSearchVersion = 2
 
-// searchFingerprint digests the options that change what a shard search
-// produces — the variant, the per-shard iteration cap, and the model-cost
-// ablation — so results mined under one configuration are never replayed
-// into another. Workers only changes scheduling (results are bit-identical
-// by the determinism contract) and CollectStats only controls diagnostics,
-// so they deliberately stay out of the key.
-func searchFingerprint(opts Options) graph.Fingerprint {
-	var buf [18]byte
-	buf[0] = cachedSearchVersion
-	binary.LittleEndian.PutUint64(buf[1:], uint64(opts.Variant))
-	binary.LittleEndian.PutUint64(buf[9:], uint64(opts.MaxIterations))
-	if opts.DisableModelCost {
-		buf[17] = 1
+// groupKey is a group's cache key: SHA-256 of cachedSearchVersion, the
+// graph's counts digest (countsDigest) and the checksum of the group's
+// shard job with ID and Workers zeroed. A job determines its entry — ID
+// only names the job and Workers only schedules its search (the
+// determinism contract) — so equal keys mean equal entries. The job names
+// values by global id, so an entry, which stores global ids, never replays
+// under another interning.
+//
+// The job alone would be a sound key; the counts digest makes it stricter,
+// so that an edit that changes any value's count misses every group, even
+// when the edits of one run leave N where it was. The write_global
+// benchmark's degenerate-run check relies on that (ROADMAP item 2a).
+func groupKey(counts [sha256.Size]byte, job shardrpc.Job) shardcache.Key {
+	job.ID, job.Workers = 0, 0
+	sum := shardrpc.JobChecksum(job)
+	return sha256.Sum256(slices.Concat([]byte{cachedSearchVersion}, counts[:], sum[:]))
+}
+
+// countsDigest hashes the graph's occurrence count of every value, in id
+// order.
+func countsDigest(g *graph.Graph) [sha256.Size]byte {
+	freq := make([]uint64, g.NumAttrValues())
+	for v := range graph.VertexID(g.NumVertices()) {
+		for _, a := range g.Attrs(v) {
+			freq[a]++
+		}
 	}
-	return sha256.Sum256(buf[:])
+	b := binary.AppendUvarint(nil, uint64(len(freq)))
+	for _, f := range freq {
+		b = binary.AppendUvarint(b, f)
+	}
+	return sha256.Sum256(b)
 }
 
 // MineShardedCached mines g in-process by attribute-closed component
 // groups through the component pipeline (see mineGroups), consulting cache
-// before mining: groups whose fingerprint (together with the graph's global
-// attribute context) has a cached shard result are replayed from the
-// cache, and only dirty groups are re-mined. The merged model is
+// before mining: groups whose shard job has a cached result are replayed
+// from the cache, and only dirty groups are re-mined. The merged model is
 // bit-identical to Mine(g) whether every group, no group, or any subset
 // came from the cache, because patterns and all reported description
 // lengths are pure functions of the per-group line multisets the cache
@@ -82,44 +101,42 @@ func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *M
 	return m
 }
 
-// groupExecutor mines the dirty component groups — indices into members —
-// into their entries slots, recording its run diagnostics (PerIter, remote
-// counters) on m. A non-nil error aborts the run.
-type groupExecutor func(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error
+// groupExecutor mines the dirty component groups' shard jobs, each into
+// its group's slot entries[job.ID], recording its run diagnostics (PerIter,
+// remote counters) on m. A non-nil error aborts the run.
+type groupExecutor func(jobs []shardrpc.Job, entries []*shardcache.Entry, m *Model) error
 
 // mineGroups is the one component-mining pipeline behind MineShardedCached
-// and MineDistributed: partition g into attribute-closed groups and
-// fingerprint them, diff them against cache, hand the dirty groups to exec,
-// store their entries and end the cache's run (see shardcache.Cache.EndRun),
-// then fold the diagnostics and merge every group's entry with the
-// canonical DL accounting. A nil cache mines through an ephemeral one and
-// leaves the cache counters at 0, as in any uncached run. Each phase is
-// reported to observe (see StageObserver). The caller validates opts.
+// and MineDistributed: partition g into attribute-closed groups, build each
+// group's shard job and key it, diff the keys against cache, hand the dirty
+// jobs to exec, store their entries and end the cache's run (see
+// shardcache.Cache.EndRun), then fold the diagnostics and merge every
+// group's entry with the canonical DL accounting. A nil cache mines through
+// an ephemeral one and leaves the cache counters at 0, as in any uncached
+// run. Each phase is reported to observe (see StageObserver). The caller
+// validates opts.
 func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec groupExecutor, observe StageObserver) (*Model, error) {
 	counted := cache != nil
 	if !counted {
 		cache = shardcache.New()
 	}
 	t := time.Now()
-	groups := graph.AttrClosedComponents(g)
-	fps := groups.Fingerprints(g)
-	global := graph.GlobalFingerprint(g)
-	search := searchFingerprint(opts)
-	observe.observe(obs.SpanFingerprint, t)
-	st := mdl.NewStandardTable(g)
-	members := groups.Members()
-	key := func(gi int) shardcache.Key {
-		return shardcache.Key{Component: fps[gi], Global: global, Search: search}
+	jobs := buildShardJobs(g, opts)
+	counts := countsDigest(g)
+	keys := make([]shardcache.Key, len(jobs))
+	for gi, job := range jobs {
+		keys[gi] = groupKey(counts, job)
 	}
+	observe.observe(obs.SpanFingerprint, t)
 
 	t = time.Now()
-	entries := make([]*shardcache.Entry, groups.Count)
-	var dirty []int
-	for gi := range entries {
-		if e, ok := cache.Get(key(gi)); ok {
+	entries := make([]*shardcache.Entry, len(jobs))
+	var dirty []shardrpc.Job
+	for gi, k := range keys {
+		if e, ok := cache.Get(k); ok {
 			entries[gi] = e
 		} else {
-			dirty = append(dirty, gi)
+			dirty = append(dirty, jobs[gi])
 		}
 	}
 	observe.observe(obs.SpanDiff, t)
@@ -127,13 +144,13 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
 	t = time.Now()
 	if len(dirty) > 0 {
-		if err := exec(g, st, members, dirty, entries, m); err != nil {
+		if err := exec(dirty, entries, m); err != nil {
 			return nil, err
 		}
-		for _, gi := range dirty {
+		for _, job := range dirty {
 			// A failed disk write only loses persistence (the in-memory copy
 			// is already stored); mining correctness is unaffected.
-			_ = cache.Put(key(gi), entries[gi])
+			_ = cache.Put(keys[job.ID], entries[job.ID])
 		}
 	}
 	evicted := cache.EndRun()
@@ -141,7 +158,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 
 	t = time.Now()
 	if counted {
-		m.CacheHits = groups.Count - len(dirty)
+		m.CacheHits = len(jobs) - len(dirty)
 		m.CacheMisses = len(dirty)
 		m.CacheEvictions = evicted
 	}
@@ -151,6 +168,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	}
 	// Coreset c is the one value c. Its code length is SetLen's, as in a
 	// single-value DB: SetLen adds to 0.0, so a -0 length reads +0.
+	st := mdl.NewStandardTable(g)
 	mergeEntryStats(m, st,
 		func(c invdb.CoresetID) []graph.AttrID { return []graph.AttrID{graph.AttrID(c)} },
 		func(c invdb.CoresetID) float64 { return st.SetLen([]graph.AttrID{graph.AttrID(c)}) },
@@ -159,38 +177,35 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	return m, nil
 }
 
-// mineLocal is the in-process group executor: it builds each dirty group
-// into the shard job a worker would get and mines it with the worker's own
-// executor, so a local group differs from a remote one only in the
-// transport it skips. Options.Workers (0 = all cores) is the total budget:
-// at most that many groups mine at once, each job carrying an equal share
-// (at least one evaluator), so Workers=1 mines one group at a time instead
-// of oversubscribing. Each entry is a pure function of its job, and the
-// results are folded in dirty order after the barrier, so the run is
-// deterministic. PerIter is surfaced only when the caller asked, each
-// merge renumbered and tagged with its dirty-group index.
-func (o Options) mineLocal(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error {
+// mineLocal is the in-process group executor: it mines each dirty group's
+// shard job with the worker's own executor, so a local group differs from
+// a remote one only in the transport it skips. Options.Workers (0 = all
+// cores) is the total budget: at most that many groups mine at once, each
+// job carrying an equal share (at least one evaluator), so Workers=1 mines
+// one group at a time instead of oversubscribing. Each entry is a pure
+// function of its job, and the results are folded in dirty order after the
+// barrier, so the run is deterministic. PerIter is surfaced only when the
+// caller asked, each merge renumbered and tagged with its dirty-group
+// index.
+func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, m *Model) error {
 	workers := o.workerCount()
-	concurrent := min(workers, len(dirty))
+	concurrent := min(workers, len(jobs))
 	base, extra := workers/concurrent, workers%concurrent
-	stFreqs := st.Freqs()
-	perIter := make([][]IterationStat, len(dirty))
-	errs := make([]error, len(dirty))
+	perIter := make([][]IterationStat, len(jobs))
+	errs := make([]error, len(jobs))
 	sem := make(chan struct{}, concurrent)
 	var wg sync.WaitGroup
-	for i, gi := range dirty {
-		jobOpts := o
-		jobOpts.Workers = base
+	for i, job := range jobs {
+		job.Workers = base
 		if i < extra {
-			jobOpts.Workers++
+			job.Workers++
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			job := buildShardJob(g, stFreqs, jobOpts, uint64(gi), members[gi])
-			entries[gi], perIter[i], errs[i] = executeShardJob(job)
+			entries[job.ID], perIter[i], errs[i] = executeShardJob(job)
 		}()
 	}
 	wg.Wait()

@@ -26,12 +26,8 @@ func TestCachedPoisonThenInvalidate(t *testing.T) {
 	cache := shardcache.New()
 	MineShardedCached(g, opts, cache)
 
-	groups := graph.AttrClosedComponents(g)
-	fps := groups.Fingerprints(g)
-	global := graph.GlobalFingerprint(g)
-	search := searchFingerprint(opts)
-	k0 := shardcache.Key{Component: fps[0], Global: global, Search: search}
-	k1 := shardcache.Key{Component: fps[1], Global: global, Search: search}
+	keys := groupKeys(g, opts)
+	k0, k1 := keys[0], keys[1]
 	e1, ok := cache.Get(k1)
 	if !ok {
 		t.Fatal("warm cache missing group 1")

@@ -102,8 +102,9 @@ func ExecuteShardJob(job shardrpc.Job) (*shardcache.Entry, error) {
 // executeShardJob is the one group executor: it mines one shard job into
 // its cache entry and merge trace, for a worker's shipped job and for
 // mineLocal's unshipped one alike. The job is self-contained: the DB is
-// rebuilt from the job's vertex rows against its global standard table
-// (see invdb.FromShardData), so the entry is a pure function of the job.
+// built from the job's rows in local value ids (see jobDB), and its line
+// stats are mapped back to global ids through Values, so the entry is a
+// pure function of the job.
 func executeShardJob(job shardrpc.Job) (*shardcache.Entry, []IterationStat, error) {
 	if err := job.Validate(); err != nil {
 		return nil, nil, err
@@ -122,57 +123,111 @@ func executeShardJob(job shardrpc.Job) (*shardcache.Entry, []IterationStat, erro
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
-	st := mdl.NewStandardTableFromFreqs(job.STFreqs)
-	db := invdb.FromShardData(st, job.NumAttrValues, job.Attrs, job.Adj)
+	db := jobDB(job)
 	stats := &runStats{}
-	init := db.AppendLineStats(nil)
+	init := globalStats(db.AppendLineStats(nil), job.Values)
 	search(db, opts, stats)
 	return &shardcache.Entry{
-		Init: init, Final: db.AppendLineStats(nil),
+		Init: init, Final: globalStats(db.AppendLineStats(nil), job.Values),
 		Iterations: stats.iterations, GainEvals: stats.gainEvals,
 	}, stats.perIter, nil
 }
 
-// buildShardJob remaps one component group into a self-contained shard job:
-// per-local-vertex attribute lists (global ids) and local adjacency rows.
-// verts is sorted ascending, so the remap preserves neighbour order and the
-// job's rows are the group's vertices in global id order, whoever mines it.
-func buildShardJob(g *graph.Graph, stFreqs []int, opts Options, id uint64, verts []graph.VertexID) shardrpc.Job {
-	// Rows are cut from one attribute slab and one neighbour slab, capped
-	// so an append to one row can never spill into the next.
-	var nAttrs, nAdj int
-	for _, gv := range verts {
-		nAttrs, nAdj = nAttrs+len(g.Attrs(gv)), nAdj+len(g.Neighbors(gv))
-	}
-	attrSlab, adjSlab := make([]graph.AttrID, 0, nAttrs), make([]graph.VertexID, 0, nAdj)
-	attrs, adj := make([][]graph.AttrID, len(verts)), make([][]graph.VertexID, len(verts))
-	for li, gv := range verts {
-		a, n := len(attrSlab), len(adjSlab)
-		attrSlab = append(attrSlab, g.Attrs(gv)...)
-		for _, u := range g.Neighbors(gv) {
-			// Attribute-closed component groups are unions of connected
-			// components: every neighbour is in verts, so the search always
-			// finds it.
-			local, _ := slices.BinarySearch(verts, u)
-			adjSlab = append(adjSlab, graph.VertexID(local))
+// jobDB builds the group database of a valid job in its local value ids,
+// priced by the group's standard table: f counted from the rows, N the
+// job's Total.
+func jobDB(job shardrpc.Job) *invdb.DB {
+	freq := make([]int, len(job.Values))
+	for _, row := range job.Attrs {
+		for _, a := range row {
+			freq[a]++
 		}
-		attrs[li], adj[li] = attrSlab[a:len(attrSlab):len(attrSlab)], adjSlab[n:len(adjSlab):len(adjSlab)]
 	}
-	return shardrpc.Job{
-		ID:            id,
-		NumAttrValues: len(stFreqs),
-		Attrs:         attrs,
-		Adj:           adj,
-		STFreqs:       stFreqs,
-		Variant:       int(opts.Variant),
-		MaxIterations: opts.MaxIterations,
-		// Workers is the evaluator budget of whoever mines the job: a
-		// remote worker's cores are its own, so a shipped job carries it
-		// unsplit, while mineLocal passes each group its share (results are
-		// identical either way by the determinism contract).
-		Workers:          opts.Workers,
-		DisableModelCost: opts.DisableModelCost,
+	st := mdl.NewGroupStandardTable(freq, job.Total)
+	return invdb.FromShardData(st, len(job.Values), job.Attrs, job.Adj)
+}
+
+// globalStats rewrites stats from a job's local value ids to the global ids
+// values lists, in place, cutting the leaves from one slab. The map is
+// monotone, so every leaf stays sorted and the stats keep their order.
+func globalStats(stats []invdb.LineStat, values []graph.AttrID) []invdb.LineStat {
+	n := 0
+	for _, s := range stats {
+		n += len(s.Leaf)
 	}
+	slab := make([]graph.AttrID, 0, n)
+	for i, s := range stats {
+		start := len(slab)
+		for _, a := range s.Leaf {
+			slab = append(slab, values[a])
+		}
+		stats[i] = invdb.LineStat{Core: invdb.CoresetID(values[s.Core]), Leaf: slab[start:len(slab):len(slab)], FL: s.FL}
+	}
+	return stats
+}
+
+// buildShardJobs partitions g into attribute-closed component groups and
+// remaps each into a self-contained shard job, with ID the group index and
+// Workers the whole budget: its values' global ids, N, and per-local-vertex
+// rows of local value ids and local neighbour ids. A group's vertices are
+// sorted ascending and so are its Values, so both remaps keep the order of
+// global ids: the rows stay sorted and are the group's vertices in global
+// id order, whoever mines them.
+func buildShardJobs(g *graph.Graph, opts Options) []shardrpc.Job {
+	members := graph.AttrClosedComponents(g).Members()
+	total := g.AttrOccurrences()
+	// A group is a union of connected components holding every occurrence
+	// of its values, so one vertex remap and one value remap serve all
+	// groups: each entry is written by its own group before that group
+	// reads it.
+	localV := make([]graph.VertexID, g.NumVertices())
+	localA := make([]graph.AttrID, g.NumAttrValues())
+	jobs := make([]shardrpc.Job, len(members))
+	for gi, verts := range members {
+		// Rows are cut from one attribute slab and one neighbour slab,
+		// capped so an append to one row can never spill into the next.
+		var nAttrs, nAdj int
+		for li, gv := range verts {
+			localV[gv] = graph.VertexID(li)
+			nAttrs, nAdj = nAttrs+len(g.Attrs(gv)), nAdj+len(g.Neighbors(gv))
+		}
+		attrSlab, adjSlab := make([]graph.AttrID, 0, nAttrs), make([]graph.VertexID, 0, nAdj)
+		attrs, adj := make([][]graph.AttrID, len(verts)), make([][]graph.VertexID, len(verts))
+		for li, gv := range verts {
+			a, n := len(attrSlab), len(adjSlab)
+			attrSlab = append(attrSlab, g.Attrs(gv)...)
+			for _, u := range g.Neighbors(gv) {
+				adjSlab = append(adjSlab, localV[u])
+			}
+			attrs[li], adj[li] = attrSlab[a:len(attrSlab):len(attrSlab)], adjSlab[n:len(adjSlab):len(adjSlab)]
+		}
+		values := slices.Clone(attrSlab)
+		slices.Sort(values)
+		values = slices.Clip(slices.Compact(values))
+		for i, a := range values {
+			localA[a] = graph.AttrID(i)
+		}
+		for i, a := range attrSlab {
+			attrSlab[i] = localA[a]
+		}
+		jobs[gi] = shardrpc.Job{
+			ID:            uint64(gi),
+			Values:        values,
+			Total:         total,
+			Attrs:         attrs,
+			Adj:           adj,
+			Variant:       int(opts.Variant),
+			MaxIterations: opts.MaxIterations,
+			// Workers is the evaluator budget of whoever mines the job: a
+			// remote worker's cores are its own, so a shipped job carries
+			// it unsplit, while mineLocal passes each group its share
+			// (results are identical either way by the determinism
+			// contract).
+			Workers:          opts.Workers,
+			DisableModelCost: opts.DisableModelCost,
+		}
+	}
+	return jobs
 }
 
 // MineDistributed is the general entry point of the component pipeline:
@@ -204,16 +259,16 @@ func MineDistributed(g *graph.Graph, opts DistributedOptions, observe StageObser
 	return mineGroups(g, opts.Options, opts.Cache, exec, observe)
 }
 
-// mineRemote is the transport group executor: one shard job per dirty group
-// over o.Transport, retried and deduplicated by collectRemote. Jobs that
-// exhaust their attempts are mined in-process by mineLocal, or fail the run
-// with a *DistributedError under NoFallback. No PerIter trace is collected,
-// fallback runs included.
-func (o DistributedOptions) mineRemote(g *graph.Graph, st *mdl.StandardTable, members [][]graph.VertexID, dirty []int, entries []*shardcache.Entry, m *Model) error {
+// mineRemote is the transport group executor: the dirty groups' jobs go
+// over o.Transport as they are, retried and deduplicated by collectRemote.
+// Jobs that exhaust their attempts are mined in-process by mineLocal, or
+// fail the run with a *DistributedError under NoFallback. No PerIter trace
+// is collected, fallback runs included.
+func (o DistributedOptions) mineRemote(jobs []shardrpc.Job, entries []*shardcache.Entry, m *Model) error {
 	local := o.Options
 	local.CollectStats = false
-	m.RemoteJobs = len(dirty)
-	failed := collectRemote(g, st.Freqs(), o, dirty, members, entries, m)
+	m.RemoteJobs = len(jobs)
+	failed := collectRemote(jobs, o, entries, m)
 	if len(failed) == 0 {
 		return nil
 	}
@@ -221,11 +276,11 @@ func (o DistributedOptions) mineRemote(g *graph.Graph, st *mdl.StandardTable, me
 		return &DistributedError{Jobs: failed}
 	}
 	m.LocalFallbacks = len(failed)
-	groups := make([]int, len(failed))
-	for i, f := range failed {
-		groups[i] = f.Group
+	isFailed := make(map[int]bool, len(failed))
+	for _, f := range failed {
+		isFailed[f.Group] = true
 	}
-	return local.mineLocal(g, st, members, groups, entries, m)
+	return local.mineLocal(slices.DeleteFunc(slices.Clone(jobs), func(j shardrpc.Job) bool { return !isFailed[int(j.ID)] }), entries, m)
 }
 
 // pendingJob tracks one dispatched shard job through its attempts.
@@ -244,20 +299,20 @@ type pendingJob struct {
 // stale id misses the outstanding map and is counted as a duplicate.
 var distRunSeq atomic.Uint64
 
-// collectRemote dispatches one job per group in jobGroups over
-// opts.Transport and collects entries, retrying failed attempts up to
-// opts.Retries times. It returns the jobs that exhausted their attempts;
+// collectRemote dispatches jobs over opts.Transport and collects entries,
+// each into its group's slot entries[job.ID], retrying failed attempts up
+// to opts.Retries times. It returns the jobs that exhausted their attempts;
 // everything else has its entry slot filled. Responses whose job is already
 // satisfied are counted on m.RemoteDuplicates and dropped — the dedupe that
 // keeps a duplicating transport from double-counting a group.
-func collectRemote(g *graph.Graph, stFreqs []int, opts DistributedOptions, jobGroups []int, members [][]graph.VertexID, entries []*shardcache.Entry, m *Model) []FailedJob {
+func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shardcache.Entry, m *Model) []FailedJob {
 	t := opts.Transport
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = DefaultRemoteTimeout
 	}
 	maxAttempts := opts.Retries + 1
-	outstanding := make(map[uint64]*pendingJob, len(jobGroups))
+	outstanding := make(map[uint64]*pendingJob, len(jobs))
 	var failed []FailedJob
 
 	// dispatch submits p's next attempt; when the budget is spent, the job
@@ -317,15 +372,10 @@ func collectRemote(g *graph.Graph, stFreqs []int, opts DistributedOptions, jobGr
 	}
 
 	runTag := distRunSeq.Add(1) << 32
-	for _, gi := range jobGroups {
-		p := &pendingJob{group: gi, job: buildShardJob(g, stFreqs, opts.Options, runTag|uint64(gi), members[gi])}
-		var err error
-		if p.jobSum, err = shardrpc.JobChecksum(p.job); err != nil {
-			// Unencodable jobs cannot travel at all; fail the job into the
-			// fallback path instead of submitting garbage.
-			failed = append(failed, FailedJob{Group: gi, Err: err})
-			continue
-		}
+	for _, job := range jobs {
+		p := &pendingJob{group: int(job.ID), job: job}
+		p.job.ID |= runTag
+		p.jobSum = shardrpc.JobChecksum(p.job)
 		outstanding[p.job.ID] = p
 		dispatch(p)
 		// Drain whatever is already ready between dispatches: transports

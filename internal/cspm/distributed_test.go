@@ -378,36 +378,21 @@ func TestDistributedOptionsValidate(t *testing.T) {
 
 func TestExecuteShardJobRejectsMalformedJobs(t *testing.T) {
 	g := distTestGraph(1)
-	groups := graph.AttrClosedComponents(g)
-	members := groups.Members()
-	st := mineStandardFreqs(g)
-	good := buildShardJob(g, st, Options{}, 0, members[0])
+	good := buildShardJobs(g, Options{})[0]
 	if _, err := ExecuteShardJob(good); err != nil {
 		t.Fatalf("well-formed job rejected: %v", err)
 	}
 	for name, mut := range map[string]func(*shardrpc.Job){
-		"freqs mismatch":  func(j *shardrpc.Job) { j.STFreqs = j.STFreqs[:1] },
+		"total too small": func(j *shardrpc.Job) { j.Total = 1 },
 		"unknown variant": func(j *shardrpc.Job) { j.Variant = 42 },
 		"bad workers":     func(j *shardrpc.Job) { j.Workers = -1 },
 	} {
-		j := buildShardJob(g, st, Options{}, 0, members[0])
+		j := buildShardJobs(g, Options{})[0]
 		mut(&j)
 		if _, err := ExecuteShardJob(j); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-}
-
-// mineStandardFreqs mirrors MineDistributed's global-context extraction for
-// job-construction tests.
-func mineStandardFreqs(g *graph.Graph) []int {
-	freqs := make([]int, g.NumAttrValues())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, a := range g.Attrs(graph.VertexID(v)) {
-			freqs[a]++
-		}
-	}
-	return freqs
 }
 
 // replayableTransport executes jobs synchronously and can replay every
@@ -431,10 +416,7 @@ func (r *replayableTransport) Close() error                    { return nil }
 // execFakeResult runs the real handler and wraps the entry the way a
 // worker would.
 func execFakeResult(job shardrpc.Job) shardrpc.Result {
-	jobSum, err := shardrpc.JobChecksum(job)
-	if err != nil {
-		return shardrpc.Result{JobID: job.ID, Err: err.Error()}
-	}
+	jobSum := shardrpc.JobChecksum(job)
 	e, err := ExecuteShardJob(job)
 	if err != nil {
 		return shardrpc.Result{JobID: job.ID, JobSum: jobSum, Err: err.Error()}
@@ -480,15 +462,14 @@ func TestDistributedStaleResultsAcrossRuns(t *testing.T) {
 // mutatingTransport corrupts each job BEFORE the worker mines it — the
 // fault the result checksum alone cannot see, because the worker
 // faithfully checksums its own wrong output. The mutation (one more
-// occurrence of a carried value in the standard table) keeps the job
-// valid, so it reaches the search.
+// occurrence in the graph's total N) keeps the job valid, so it reaches the
+// search.
 type mutatingTransport struct {
 	out chan shardrpc.Result
 }
 
 func (mt *mutatingTransport) Submit(job shardrpc.Job) error {
-	job.STFreqs = append([]int(nil), job.STFreqs...)
-	job.STFreqs[job.Attrs[0][0]]++
+	job.Total++
 	mt.out <- execFakeResult(job)
 	return nil
 }

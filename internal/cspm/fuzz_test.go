@@ -16,10 +16,12 @@ import (
 // gob-decoded into a shardrpc.Job and mined by ExecuteShardJob directly,
 // without the panic recovery a worker's execute wraps around it. A job
 // either fails with an error or yields an entry that survives the wire
-// codec unchanged; it never panics. Besides well-formed jobs, the seeds
-// carry each shape no coordinator builds, which Job.Validate refuses:
-// unsorted or repeated attributes, unsorted neighbours, a self-loop, a
-// one-sided edge, a negative frequency and a carried value of frequency 0.
+// codec unchanged; it never panics. Besides well-formed jobs, and jobs
+// moved to another N or to other global ids, the seeds carry each shape no
+// coordinator builds, which Job.Validate refuses: unsorted or repeated
+// attributes, unsorted neighbours, a self-loop, a one-sided edge, Values
+// out of order, a local id past Values, a listed value no row carries, and
+// a Total that is negative or below the rows' occurrences.
 func FuzzExecuteShardJob(f *testing.F) {
 	add := func(j shardrpc.Job) {
 		var buf bytes.Buffer
@@ -33,13 +35,12 @@ func FuzzExecuteShardJob(f *testing.F) {
 			Seed: seed, Islands: 3, MinNodes: 3, MaxNodes: 6,
 			AttrsPerIsland: 4, ExtraEdges: 0.5, AttrsPerNode: 2,
 		})
-		freqs := mineStandardFreqs(g)
-		for gi, verts := range graph.AttrClosedComponents(g).Members() {
-			for _, opts := range []Options{{}, {Variant: Basic, MaxIterations: 2}} {
-				add(buildShardJob(g, freqs, opts, uint64(gi), verts))
-			}
+		jobs, capped := buildShardJobs(g, Options{}), buildShardJobs(g, Options{Variant: Basic, MaxIterations: 2})
+		for gi, job := range jobs {
+			add(job)
+			add(capped[gi])
 		}
-		j := buildShardJob(g, freqs, Options{}, 0, graph.AttrClosedComponents(g).Members()[0])
+		j := jobs[0]
 		slices.Reverse(j.Attrs[0])
 		j.Adj[0] = append(j.Adj[0], 0)
 		j.Adj[1] = nil
@@ -49,20 +50,37 @@ func FuzzExecuteShardJob(f *testing.F) {
 		Seed: 1, Islands: 3, MinNodes: 3, MaxNodes: 6,
 		AttrsPerIsland: 4, ExtraEdges: 0.5, AttrsPerNode: 2,
 	})
-	verts := graph.AttrClosedComponents(g).Members()[0]
 	for i, malform := range []func(j *shardrpc.Job){
 		func(j *shardrpc.Job) { slices.Reverse(j.Attrs[0]) },
 		func(j *shardrpc.Job) { j.Attrs[0] = append(j.Attrs[0], j.Attrs[0][len(j.Attrs[0])-1]) },
 		func(j *shardrpc.Job) { slices.Reverse(j.Adj[0]) },
 		func(j *shardrpc.Job) { j.Adj[0] = append([]graph.VertexID{0}, j.Adj[0]...) },
 		func(j *shardrpc.Job) { j.Adj[1] = nil },
-		func(j *shardrpc.Job) { j.STFreqs[j.Attrs[0][0]] = -1 },
-		func(j *shardrpc.Job) { j.STFreqs[j.Attrs[0][0]] = 0 },
+		func(j *shardrpc.Job) { slices.Reverse(j.Values) },
+		func(j *shardrpc.Job) { j.Attrs[0][len(j.Attrs[0])-1] = graph.AttrID(len(j.Values)) },
+		func(j *shardrpc.Job) { j.Values = append(j.Values, j.Values[len(j.Values)-1]+1) },
+		func(j *shardrpc.Job) { j.Total = len(j.Attrs[0]) },
+		func(j *shardrpc.Job) { j.Total = -1 },
 	} {
-		j := buildShardJob(g, mineStandardFreqs(g), Options{}, 0, verts)
+		j := buildShardJobs(g, Options{})[0]
 		malform(&j)
 		if j.Validate() == nil {
 			f.Fatalf("malformed seed %d passes Validate", i)
+		}
+		add(j)
+	}
+	for _, move := range []func(j *shardrpc.Job){
+		func(j *shardrpc.Job) { j.Total *= 3 },
+		func(j *shardrpc.Job) {
+			for i := range j.Values {
+				j.Values[i] += 1000
+			}
+		},
+	} {
+		j := buildShardJobs(g, Options{})[0]
+		move(&j)
+		if err := j.Validate(); err != nil {
+			f.Fatalf("moved seed: %v", err)
 		}
 		add(j)
 	}

@@ -6,7 +6,6 @@ import (
 	"cspm/internal/dataset"
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
-	"cspm/internal/mdl"
 )
 
 // TestRefreshSweepMatchesEvalMerge is the differential proof of the
@@ -37,16 +36,14 @@ func TestRefreshSweepMatchesEvalMerge(t *testing.T) {
 	}
 	checked := map[string]int{} // sweep results per DB kind
 	for _, gr := range graphs {
-		st := mdl.NewStandardTable(gr.g)
 		whole := "bitmap"
 		if gr.name == "mid" {
 			whole = "slice"
 		}
 		builds := []build{{whole, func() *invdb.DB { return invdb.FromGraph(gr.g) }}}
-		for _, verts := range graph.AttrClosedComponents(gr.g).Members() {
-			job := buildShardJob(gr.g, st.Freqs(), Options{}, 0, verts)
+		for _, job := range buildShardJobs(gr.g, Options{}) {
 			builds = append(builds, build{"bitmap", func() *invdb.DB {
-				return invdb.FromShardData(st, job.NumAttrValues, job.Attrs, job.Adj)
+				return jobDB(job)
 			}})
 		}
 		for _, workers := range []int{1, 4} {

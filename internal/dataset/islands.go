@@ -54,7 +54,7 @@ func BenchIslands() IslandsConfig {
 // attribute assignment of every island (hence the vocabulary, the occurrence
 // counts and the global standard table), stays byte-identical. This is the
 // mutation model of the incremental-mining benchmarks and tests: rewiring
-// inside k of n components dirties exactly k component fingerprints.
+// inside k of n components dirties exactly k component groups.
 func IslandsWithEdgeSeeds(cfg IslandsConfig, edgeSeeds []int64) *graph.Graph {
 	cfg = clampIslands(cfg)
 	sizeRNG := rand.New(rand.NewSource(cfg.Seed))

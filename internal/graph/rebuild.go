@@ -79,7 +79,7 @@ type editVtx struct {
 //
 //   - Vertex deletion shifts ids monotonically: the survivors keep their
 //     relative order, so a connected component that lost no vertex maps to
-//     the same canonical local form and its content fingerprint stays warm.
+//     the same local rows and its cache key stays warm.
 func Rebuild(g *Graph, edits []Edit) (*Graph, error) {
 	n := g.NumVertices()
 	verts := make([]*editVtx, n)

@@ -149,58 +149,6 @@ func TestRebuildErrors(t *testing.T) {
 	}
 }
 
-// TestRebuildFingerprintWarmness pins the cache-friendliness contract: edits
-// confined to one island — including vertex adds and deletes that shift every
-// global id behind them — leave the other island's component fingerprint and
-// the global attribute fingerprint unchanged, as long as no attribute
-// occurrence count moves.
-func TestRebuildFingerprintWarmness(t *testing.T) {
-	// Island 1 = {0,1,2} with vertex 2 attributeless, island 2 = {3,4,5}.
-	b := NewBuilder(6)
-	for _, e := range [][2]VertexID{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
-		_ = b.AddEdge(e[0], e[1])
-	}
-	_ = b.AddAttr(0, "a")
-	_ = b.AddAttr(1, "a")
-	_ = b.AddAttr(3, "x")
-	_ = b.AddAttr(4, "x")
-	_ = b.AddAttr(5, "y")
-	g := b.Build()
-	fpOf := func(g *Graph, member VertexID) Fingerprint {
-		p := AttrClosedComponents(g)
-		return p.Fingerprints(g)[p.Group[member]]
-	}
-	island2 := fpOf(g, 3)
-	global := GlobalFingerprint(g)
-
-	// Grow island 1 by an attributeless vertex wired in, then delete another
-	// island-1 vertex: island 2's ids shift from {3,4,5} to {2,3,4} and back.
-	g2, err := Rebuild(g, []Edit{
-		{Op: EditAddVertex},
-		{Op: EditAddEdge, U: 6, V: 0},
-		{Op: EditDelVertex, U: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fpOf(g2, 2); got != island2 {
-		t.Fatalf("island 2 fingerprint changed under island-1-only edits:\n got %s\nwant %s", got, island2)
-	}
-	if got := GlobalFingerprint(g2); got != global {
-		t.Fatalf("global fingerprint changed without attribute changes:\n got %s\nwant %s", got, global)
-	}
-
-	// Control: deleting an attribute-carrying vertex must change the global
-	// fingerprint (its occurrence counts fund the standard table).
-	g3, err := Rebuild(g, []Edit{{Op: EditDelVertex, U: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := GlobalFingerprint(g3); got == global {
-		t.Fatal("global fingerprint unchanged after deleting an attributed vertex")
-	}
-}
-
 // TestWriteLoadIsolatedVertices pins the io fix Rebuild depends on: isolated
 // attributeless vertices (routinely produced by add_vertex) survive a
 // Write/Load roundtrip instead of silently shrinking |V|.

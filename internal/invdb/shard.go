@@ -1,9 +1,11 @@
 // Sharded construction and canonical description-length accounting (see
-// DESIGN.md "Sharded mining"). A shard database is a slice of the global
-// inverted database: it keeps the GLOBAL attribute-id coreset space and the
-// GLOBAL standard table — both are part of the gain function, so sharing
-// them is what makes per-shard gains bit-identical to the global ones — but
-// remaps its vertices to a dense local id space so position sets stay small.
+// DESIGN.md "Sharded mining"). A shard database is one attribute-closed
+// component group, built from its shard job alone: its values and vertices
+// are renumbered densely in the order of their global ids, so its arrays
+// are sized by the group, and it prices against the group's standard table,
+// whose lengths −log2(f/N) need the graph only for N. Such a group holds
+// every occurrence of its values, so its gains are the global ones, bit for
+// bit.
 //
 // Canonical DL functions compute description lengths as pure functions of
 // the line multiset, summing in a fixed (coreset id, leafset content) order.
@@ -25,10 +27,10 @@ import (
 )
 
 // singleValueCoresets inverts per-vertex attribute lists into the
-// single-value coreset space: one coreset per GLOBAL attribute value, firing
-// at the (local) vertices carrying it (ascending li, so the position sets
-// are sorted). Shared by FromGraph and FromShardData, the whole-graph and
-// the component-group constructors, so there is exactly one copy of it.
+// single-value coreset space: one coreset per attribute value in [0, nA),
+// firing at the (local) vertices carrying it (ascending li, so the position
+// sets are sorted). Shared by FromGraph and FromShardData, the whole-graph
+// and the component-group constructors, so there is exactly one copy of it.
 func singleValueCoresets(nA, n int, attrsOf func(li int) []graph.AttrID) (content [][]graph.AttrID, positions []intset.Set) {
 	posBuf := make([][]uint32, nA)
 	for li := 0; li < n; li++ {
@@ -57,14 +59,14 @@ func (d shardData) Attrs(v graph.VertexID) []graph.AttrID       { return d.attrs
 
 // FromShardData builds the inverted database of a component group from its
 // shard-job rows, without the graph: local vertex li carries attrs[li]
-// (sorted GLOBAL attribute ids) and neighbours adj[li] (sorted local ids);
-// nA is the size of the global attribute-id space and st the GLOBAL
-// standard table. It is the one group constructor, for a job mined
-// in-process and for one shipped to a worker alike. When attrs and adj are
-// the rows of a sorted vertex slice remapped to local ids, and no edge
-// leaves the slice (as with attribute-closed component groups), the
-// group's lines are exactly the global lines of its vertices; over the
-// whole graph's rows the result is FromGraph's.
+// (sorted value ids in [0, nA)) and neighbours adj[li] (sorted local ids),
+// and st prices the values. It is the one group constructor, for a job
+// mined in-process and for one shipped to a worker alike. When attrs and
+// adj are the rows of a sorted vertex slice remapped to local ids, and no
+// edge leaves the slice (as with attribute-closed component groups), the
+// group's lines are the global lines of its vertices, renumbered
+// monotonically; over the whole graph's rows in global ids the result is
+// FromGraph's.
 func FromShardData(st *mdl.StandardTable, nA int, attrs [][]graph.AttrID, adj [][]graph.VertexID) *DB {
 	content, positions := singleValueCoresets(nA, len(attrs),
 		func(li int) []graph.AttrID { return attrs[li] })

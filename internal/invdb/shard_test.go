@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cspm/internal/graph"
@@ -132,9 +133,31 @@ func shardDB(g *graph.Graph, st *mdl.StandardTable, verts []graph.VertexID) *DB 
 	return FromShardData(st, g.NumAttrValues(), attrs, adj)
 }
 
+// groupDB builds the group DB of verts as its shard job ships it: values
+// renumbered in the order of their global ids and priced by the group's
+// own standard table, its value counts over the graph's N.
+func groupDB(g *graph.Graph, verts []graph.VertexID) *DB {
+	attrs, adj := remapShard(g, verts)
+	var values []graph.AttrID
+	for _, row := range attrs {
+		values = append(values, row...)
+	}
+	slices.Sort(values)
+	values = slices.Compact(values)
+	freq := make([]int, len(values))
+	for _, row := range attrs {
+		for i, a := range row {
+			local, _ := slices.BinarySearch(values, a)
+			row[i] = graph.AttrID(local)
+			freq[local]++
+		}
+	}
+	return FromShardData(mdl.NewGroupStandardTable(freq, g.AttrOccurrences()), len(values), attrs, adj)
+}
+
 // TestFromGraphShardIdentityMatchesFromGraph pins the group constructor
 // to the whole-graph one on the identity shard: over every vertex's rows,
-// against a standard table rebuilt from the shipped frequencies,
+// against the group table rebuilt from the rows' value counts and N,
 // FromShardData builds FromGraph's lines and prices them to the same bits.
 func TestFromGraphShardIdentityMatchesFromGraph(t *testing.T) {
 	g := islands(t)
@@ -143,7 +166,7 @@ func TestFromGraphShardIdentityMatchesFromGraph(t *testing.T) {
 	for v := range verts {
 		verts[v] = graph.VertexID(v)
 	}
-	got := shardDB(g, mdl.NewStandardTableFromFreqs(mdl.NewStandardTable(g).Freqs()), verts)
+	got := groupDB(g, verts)
 	if got.numLines != whole.numLines {
 		t.Fatalf("line counts differ: %d vs %d", got.numLines, whole.numLines)
 	}
@@ -163,8 +186,9 @@ func TestFromGraphShardIdentityMatchesFromGraph(t *testing.T) {
 // TestFromShardDataMatchesFromGraphShard checks each attribute-closed
 // component group on its own: the group built from its shipped rows holds
 // exactly the whole graph's lines whose coreset value occurs in the group,
-// and prices its baseline to the same bits whether the standard table is
-// the global one or rebuilt from the shipped frequencies.
+// and prices its baseline to the same bits whether it is built in global
+// ids against the global table or as the shard job ships it, in local ids
+// against the group's own table.
 func TestFromShardDataMatchesFromGraphShard(t *testing.T) {
 	g := islands(t)
 	st := mdl.NewStandardTable(g)
@@ -187,7 +211,7 @@ func TestFromShardDataMatchesFromGraphShard(t *testing.T) {
 			}
 		}
 		got := shardDB(g, st, verts)
-		shipped := shardDB(g, mdl.NewStandardTableFromFreqs(st.Freqs()), verts)
+		shipped := groupDB(g, verts)
 		if !reflect.DeepEqual(NormalizeLineStats(got.AppendLineStats(nil)), NormalizeLineStats(want)) {
 			t.Fatalf("verts %v: lines differ from the whole graph's lines of the shard", verts)
 		}

@@ -48,10 +48,21 @@ func NewStandardTable(g *graph.Graph) *StandardTable {
 // NewStandardTableFromFreqs builds an ST from precomputed frequencies,
 // indexed by AttrID. Used by the transaction-database miners (Krimp/SLIM).
 func NewStandardTableFromFreqs(freq []int) *StandardTable {
-	st := &StandardTable{freq: append([]int(nil), freq...)}
+	total := 0
 	for _, f := range freq {
-		st.total += f
+		total += f
 	}
+	return NewGroupStandardTable(append([]int(nil), freq...), total)
+}
+
+// NewGroupStandardTable builds the ST of a component group: freq counts
+// the group's own values, indexed by its local ids, and the lengths are
+// taken relative to total, the whole graph's occurrence count N, rather
+// than to freq's sum. An attribute-closed group holds every occurrence of
+// its values, so each length is the whole graph's table's, bit for bit.
+// The table keeps freq.
+func NewGroupStandardTable(freq []int, total int) *StandardTable {
+	st := &StandardTable{freq: freq, total: total}
 	st.fillLens()
 	return st
 }
@@ -67,14 +78,6 @@ func (st *StandardTable) fillLens() {
 			st.lens[a] = -math.Log2(float64(f) / float64(st.total))
 		}
 	}
-}
-
-// Freqs returns a copy of the per-value occurrence counts, indexed by
-// AttrID — the table's complete state, so NewStandardTableFromFreqs(Freqs())
-// reconstructs an identical table (the global attribute context shipped to
-// remote shard workers).
-func (st *StandardTable) Freqs() []int {
-	return append([]int(nil), st.freq...)
 }
 
 // Len returns L_ST(a) = −log2(freq(a)/total) in bits (Eq. 5 applied to the

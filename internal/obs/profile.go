@@ -11,7 +11,7 @@ import (
 // in-process or over a shard-job transport.
 const (
 	SpanRebuild     = "rebuild"     // fold pending batches into a new graph
-	SpanFingerprint = "fingerprint" // canonical component fingerprints
+	SpanFingerprint = "fingerprint" // build each group's shard job and cache key
 	SpanDiff        = "diff"        // cache lookup: split clean vs dirty groups
 	SpanShardMine   = "shard_mine"  // mine the dirty groups
 	SpanMerge       = "merge"       // merge shard models + DL accounting

@@ -155,9 +155,10 @@ func sha256Hex(data []byte) string {
 
 // reintern rebuilds g so its vocabulary is interned in exactly the given
 // name order (then any value of g missing from order, which a consistent
-// checkpoint never has). Cache keys are content fingerprints over interned
-// ids, so recovering the checkpoint graph in its original interning order is
-// what makes the persisted blobs hit instead of silently going cold.
+// checkpoint never has). Cache keys digest each group's shard job, which
+// names values by interned id, so recovering the checkpoint graph in its
+// original interning order is what makes the persisted blobs hit instead of
+// silently going cold.
 func reintern(g *graph.Graph, order []string) *graph.Graph {
 	b := graph.NewBuilder(g.NumVertices())
 	vocab := b.Vocab()
@@ -183,7 +184,7 @@ func reintern(g *graph.Graph, order []string) *graph.Graph {
 // loadCheckpointGraph reads and VERIFIES the checkpointed graph: its bytes
 // must hash to the manifest's commitment before they are parsed or trusted,
 // and the parsed graph is re-interned in the manifest's recorded vocabulary
-// order so cache fingerprints line up.
+// order so cache keys line up.
 func loadCheckpointGraph(dir string, man *shardcache.Manifest) (*graph.Graph, error) {
 	data, err := os.ReadFile(filepath.Join(dir, checkpointGraphName))
 	if err != nil {
@@ -352,7 +353,7 @@ func (s *Server) recoverStartup(g0 *graph.Graph) (*graph.Graph, uint64, error) {
 // when there is nothing to verify against). Only meaningful when the mined
 // graph IS the checkpoint graph (no WAL replay on top): mining is
 // deterministic, so any difference means the recovered cache replayed stale
-// or tampered entries that still fingerprint-matched. The degrade path
+// or tampered entries whose keys still matched. The degrade path
 // quarantines every blob, purges memory, and re-mines cold — correctness
 // over warmth.
 func (s *Server) verifyRecoveredModel(base *graph.Graph, model *icspm.Model) (*icspm.Model, error) {
@@ -401,7 +402,7 @@ func (s *Server) checkpoint(snap *Snapshot) error {
 		GraphSHA256:     sha256Hex(gb),
 		Vocab:           snap.Graph.Vocab().Names(),
 	}
-	if err := s.cache.PersistManifest(s.ckptDir, man); err != nil {
+	if err := s.cache.PersistManifest(man); err != nil {
 		return err
 	}
 	// The manifest above is durable: every batch ≤ folded is recoverable

@@ -150,9 +150,9 @@ func TestDynamicSnapshotReplayMatchesMaterialized(t *testing.T) {
 
 // TestDynamicWarmCacheOnlyDirtyIslands pins incrementality under vertex
 // churn: a frequency-neutral batch (an attributeless vertex wired into
-// island 1 by an edge) leaves island 2's component fingerprint AND the
-// global attribute-frequency fingerprint unchanged, so the re-mine must
-// replay island 2 from cache and miss only the dirty island.
+// island 1 by an edge) leaves island 2's shard job, and so its cache key,
+// unchanged, so the re-mine must replay island 2 from cache and miss only
+// the dirty island.
 func TestDynamicWarmCacheOnlyDirtyIslands(t *testing.T) {
 	s := newTestServer(t, testGraph(t), Options{})
 	ctx := ctxShort(t)
@@ -180,8 +180,8 @@ func TestDynamicWarmCacheOnlyDirtyIslands(t *testing.T) {
 			grown.CacheHits, grown.CacheMisses)
 	}
 
-	// Shrink back to the original graph. Both original island fingerprints
-	// are still cached from generation 1, so nothing should re-mine at all.
+	// Shrink back to the original graph. Both original island keys are
+	// still cached from generation 1, so nothing should re-mine at all.
 	if err := s.SubmitMutations([]Mutation{
 		{Op: OpDelEdge, U: 8, V: 0},
 		{Op: OpDelVertex, U: 8},

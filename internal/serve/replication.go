@@ -717,13 +717,13 @@ func (s *Server) syncGeneration() error {
 		return err
 	}
 	// Drop resident entries so the mine reads the freshly installed blobs:
-	// fingerprints of unchanged components still hit, now from verified disk.
+	// the keys of unchanged components still hit, now from verified disk.
 	s.cache.Purge()
 	s.opts.Budget.acquire()
 	model, err := s.mine(g)
 	if err == nil && modelChecksum(model) != man.ModelSHA256 {
 		// The verified graph + shipped blobs mined to something else: a blob
-		// replayed stale state that still fingerprint-matched. Same degrade
+		// replayed stale state whose key still matched. Same degrade
 		// path as local recovery — quarantine every blob, re-mine cold.
 		n, qerr := shardcache.QuarantineDir(s.ckptDir)
 		s.met.quarantinedBlobs.Add(uint64(n))

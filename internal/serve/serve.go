@@ -6,7 +6,7 @@
 // mutations (vertex add/remove, attribute and edge edits) appended to a
 // mutation log; a background re-mine loop coalesces pending batches,
 // rebuilds the graph, re-mines it through the incremental cached miner
-// (only component groups whose fingerprint changed are re-mined) or the
+// (only component groups whose shard job changed are re-mined) or the
 // distributed miner when a transport is configured, and publishes the next
 // snapshot. A failed or poisoned re-mine keeps the last good snapshot
 // serving and re-queues the batch, so the service degrades to staleness,

@@ -41,9 +41,9 @@ type Manifest struct {
 	// GraphSHA256 commits to the checkpointed graph file's exact bytes.
 	GraphSHA256 string `json:"graph_sha256"`
 	// Vocab is the attribute vocabulary in interning-id order. Recovery
-	// re-interns the checkpoint graph in this order so content fingerprints —
-	// and therefore every cache key — match the ones the blobs were written
-	// under.
+	// re-interns the checkpoint graph in this order so every group's shard
+	// job names its values by the same global ids — and so has the same
+	// cache key — as when its blob was written.
 	Vocab []string `json:"vocab"`
 	// Blobs maps cache blob file names to the SHA-256 (hex) of their bytes.
 	Blobs map[string]string `json:"blobs"`
@@ -52,33 +52,29 @@ type Manifest struct {
 // ManifestVersion is the current manifest schema version.
 const ManifestVersion = 1
 
-// PersistManifest flushes every entry resident in memory to dir as a blob
-// (creating dir if needed) and then commits m — with m.Blobs listing every
-// resident entry's blob and checksum — as dir/MANIFEST via fsync'd temp file
-// + rename, making the manifest a durable commit point. A memory-only cache
-// can be flushed this way and re-opened later with Open for a warm start; a
-// dir-backed cache flushing to its own directory writes only the blobs it
-// has not written there yet, and lists the others with the checksums it
-// recorded when it wrote them. Entry failures are non-fatal: the rest still
-// persist, the PersistErrors stat counts them, they are absent from m.Blobs,
-// and their aggregated error is returned after the manifest commits. A
-// manifest write failure is fatal, since without the commitment the
-// checkpoint must not be trusted.
-func (c *Cache) PersistManifest(dir string, m *Manifest) error {
-	if dir == "" {
-		return fmt.Errorf("shardcache: empty persist directory")
+// PersistManifest flushes every entry resident in memory to the cache's
+// own directory as a blob and then commits m — with m.Blobs listing every
+// resident entry's blob and checksum — as MANIFEST there via fsync'd temp
+// file + rename, making the manifest a durable commit point. Only blobs the
+// cache has not written there yet are written; the others are listed with
+// the checksums recorded when they were written. A memory-only cache has
+// no directory and returns an error. Entry failures are non-fatal: the rest
+// still persist, the PersistErrors stat counts them, they are absent from
+// m.Blobs, and their aggregated error is returned after the manifest
+// commits. A manifest write failure is fatal, since without the commitment
+// the checkpoint must not be trusted.
+func (c *Cache) PersistManifest(m *Manifest) error {
+	if c.dir == "" {
+		return fmt.Errorf("shardcache: a memory-only cache has no directory to persist to")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shardcache: %w", err)
-	}
-	sums, perr := c.persistEntries(dir)
+	sums, perr := c.persistEntries()
 	m.Version = ManifestVersion
 	m.Blobs = sums
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shardcache: encode manifest: %w", err)
 	}
-	if err := WriteFileAtomic(dir, ManifestName, append(data, '\n'), true); err != nil {
+	if err := WriteFileAtomic(c.dir, ManifestName, append(data, '\n'), true); err != nil {
 		return fmt.Errorf("shardcache: commit manifest: %w", err)
 	}
 	return perr

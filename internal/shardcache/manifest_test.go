@@ -9,7 +9,7 @@ import (
 
 func TestManifestRoundtripAndVerify(t *testing.T) {
 	dir := t.TempDir()
-	c := New()
+	c := openCache(t, dir)
 	for i := byte(1); i <= 3; i++ {
 		if err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
@@ -23,7 +23,7 @@ func TestManifestRoundtripAndVerify(t *testing.T) {
 		GraphSHA256:     strings.Repeat("b", 64),
 		Vocab:           []string{"smoker", "cancer"},
 	}
-	if err := c.PersistManifest(dir, man); err != nil {
+	if err := c.PersistManifest(man); err != nil {
 		t.Fatal(err)
 	}
 	if len(man.Blobs) != 3 {
@@ -99,13 +99,13 @@ func TestLoadManifestMissingAndInvalid(t *testing.T) {
 
 func TestQuarantineDir(t *testing.T) {
 	dir := t.TempDir()
-	c := New()
+	c := openCache(t, dir)
 	for i := byte(1); i <= 2; i++ {
 		if err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.PersistManifest(dir, &Manifest{}); err != nil {
+	if err := c.PersistManifest(&Manifest{}); err != nil {
 		t.Fatal(err)
 	}
 	// Non-blob files are untouched by the sweep.
@@ -135,20 +135,20 @@ func TestQuarantineDir(t *testing.T) {
 // healthy blobs.
 func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 	dir := t.TempDir()
-	c := New()
-	for i := byte(1); i <= 3; i++ {
-		if err := c.Put(key(i), entry(int(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := openCache(t, dir)
 	// Occupy one entry's blob name with a directory: the atomic rename onto
-	// it fails for that entry alone.
+	// it fails for that entry alone, in Put and again in the flush.
 	blocked := key(2).filename()
 	if err := os.MkdirAll(filepath.Join(dir, blocked), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	for i := byte(1); i <= 3; i++ {
+		if err := c.Put(key(i), entry(int(i))); (err != nil) != (i == 2) {
+			t.Fatalf("Put %d = %v", i, err)
+		}
+	}
 	man := &Manifest{}
-	err := c.PersistManifest(dir, man)
+	err := c.PersistManifest(man)
 	if err == nil || !strings.Contains(err.Error(), "1 of 3 entries failed to persist") {
 		t.Fatalf("PersistManifest over a blocked entry = %v, want the aggregated count", err)
 	}
@@ -174,16 +174,13 @@ func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 }
 
 // TestPersistManifestWritesOnlyNewBlobs pins the checkpoint cost of a
-// dir-backed cache flushing to its own directory: a blob the cache already
-// wrote there is listed with its recorded checksum, not written again. Each
-// write is a temp file renamed into place, so a rewritten blob is a new
-// file; os.SameFile tells the two apart.
+// cache's flush: a blob the cache already wrote is listed with its recorded
+// checksum, not written again. Each write is a temp file renamed into
+// place, so a rewritten blob is a new file; os.SameFile tells the two
+// apart.
 func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openCache(t, dir)
 	for i := byte(1); i <= 3; i++ {
 		if err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
@@ -202,7 +199,7 @@ func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
 	persist := func() *Manifest {
 		t.Helper()
 		man := &Manifest{Generation: 1}
-		if err := c.PersistManifest(dir, man); err != nil {
+		if err := c.PersistManifest(man); err != nil {
 			t.Fatal(err)
 		}
 		if q, err := VerifyBlobs(dir, man); err != nil || len(q) != 0 {
@@ -223,10 +220,7 @@ func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
 
 	// An entry loaded back from disk was not written by this cache: the
 	// next flush writes it once and records its checksum.
-	other, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := openCache(t, dir)
 	if _, ok := other.Get(key(1)); !ok {
 		t.Fatal("blob 1 did not load")
 	}
@@ -242,17 +236,14 @@ func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
 	if !os.SameFile(written[key(1).filename()], stat()[key(1).filename()]) {
 		t.Error("the second flush rewrote the blob the first one wrote")
 	}
+}
 
-	// A flush to another directory writes every resident entry there.
-	elsewhere := t.TempDir()
-	man := &Manifest{}
-	if err := c.PersistManifest(elsewhere, man); err != nil {
+// openCache opens a dir-backed cache on dir.
+func openCache(t *testing.T, dir string) *Cache {
+	t.Helper()
+	c, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if q, err := VerifyBlobs(elsewhere, man); err != nil || len(q) != 0 || len(man.Blobs) != 1 {
-		t.Fatalf("flush elsewhere: %d blobs, VerifyBlobs = %v, %v", len(man.Blobs), q, err)
-	}
-	if _, err := os.Stat(filepath.Join(elsewhere, key(1).filename())); err != nil {
-		t.Fatal(err)
-	}
+	return c
 }

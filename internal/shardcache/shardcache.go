@@ -1,5 +1,5 @@
-// Package shardcache stores per-shard mining results keyed by content
-// fingerprints, turning repeated component-pipeline runs over
+// Package shardcache stores per-shard mining results keyed by the digest of
+// their input, turning repeated component-pipeline runs over
 // mostly-unchanged graphs into incremental jobs that only re-mine dirty
 // component groups (see DESIGN.md "Shard-result cache").
 //
@@ -19,7 +19,9 @@ package shardcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -30,22 +32,14 @@ import (
 	"cspm/internal/invdb"
 )
 
-// Key identifies one cached shard result: the component group's canonical
-// fingerprint, the global attribute-context fingerprint it was priced
-// under, and a digest of the search options that shape the result (variant,
-// iteration cap, ablations). Line stats store interned AttrIDs, are costed
-// against the global standard table, and depend on how the search was run,
-// so a result is reusable exactly when all three parts match.
-type Key struct {
-	Component graph.Fingerprint
-	Global    graph.Fingerprint
-	Search    graph.Fingerprint
-}
+// Key identifies one cached shard result: a 256-bit digest covering
+// everything the result is a function of. The component pipeline derives
+// it from the group's shard job and the graph's value counts (see
+// DESIGN.md "Cache key derivation").
+type Key [sha256.Size]byte
 
-// filename is the on-disk blob name of the key (192 hex chars + extension).
-func (k Key) filename() string {
-	return k.Component.String() + "-" + k.Global.String() + "-" + k.Search.String() + ".gob"
-}
+// filename is the on-disk blob name of the key (64 hex chars + extension).
+func (k Key) filename() string { return hex.EncodeToString(k[:]) + ".gob" }
 
 // Entry is one cached shard result. Callers must treat a returned entry and
 // everything it references as read-only: entries are shared across lookups.
@@ -82,7 +76,7 @@ type Stats struct {
 	Entries       int    // entries currently resident in memory
 }
 
-// Cache is a fingerprint-keyed shard-result cache: an in-memory map bounded
+// Cache is a digest-keyed shard-result cache: an in-memory map bounded
 // by run (see EndRun) with an optional on-disk layer. All methods are safe
 // for concurrent use; blob encode/decode and file I/O run outside the
 // mutex, so lookups of resident entries never stall behind another
@@ -128,9 +122,6 @@ func Open(dir string) (*Cache, error) {
 	c.dir = dir
 	return c, nil
 }
-
-// Dir reports the on-disk directory ("" for a memory-only cache).
-func (c *Cache) Dir() string { return c.dir }
 
 // Stats returns a snapshot of the lifetime counters.
 func (c *Cache) Stats() Stats {
@@ -223,17 +214,15 @@ func (c *Cache) EndRun() int {
 	return n
 }
 
-// persistEntries makes every entry currently resident in memory a blob
-// under the existing directory dir, in the atomic one-gob-blob-per-key
-// format of the disk layer (temp file + rename, so a crash mid-write leaves
-// either the old blob or none), and returns each blob's SHA-256 (hex) keyed
-// by file name. When dir is the cache's own directory, an entry whose blob
-// the cache already wrote there is not written again: its recorded sum is
-// returned. A failed entry is non-fatal: the rest still persist, the
-// failure is counted in the PersistErrors stat, skipped in the sums, and
-// aggregated into the returned error.
-func (c *Cache) persistEntries(dir string) (map[string]string, error) {
-	own := c.dir != "" && filepath.Clean(dir) == filepath.Clean(c.dir)
+// persistEntries makes every entry currently resident in memory a blob in
+// the cache's directory, in the atomic one-gob-blob-per-key format of the
+// disk layer (temp file + rename, so a crash mid-write leaves either the
+// old blob or none), and returns each blob's SHA-256 (hex) keyed by file
+// name. An entry whose blob the cache already wrote is not written again:
+// its recorded sum is returned. A failed entry is non-fatal: the rest still
+// persist, the failure is counted in the PersistErrors stat, skipped in the
+// sums, and aggregated into the returned error.
+func (c *Cache) persistEntries() (map[string]string, error) {
 	// Snapshot the resident set under the mutex, write outside it: entries
 	// are shared read-only once admitted, so encoding unlocked is safe and
 	// concurrent lookups never stall behind the flush.
@@ -246,19 +235,17 @@ func (c *Cache) persistEntries(dir string) (map[string]string, error) {
 	sums := make(map[string]string, len(snapshot))
 	var errs []error
 	for _, r := range snapshot {
-		if own && r.sum != "" {
+		if r.sum != "" {
 			sums[r.key.filename()] = r.sum
 			continue
 		}
-		sum, err := storeBlob(dir, r.key, r.entry)
+		sum, err := storeBlob(c.dir, r.key, r.entry)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
 		sums[r.key.filename()] = sum
-		if own {
-			c.noteSum(r.key, r.entry, sum)
-		}
+		c.noteSum(r.key, r.entry, sum)
 	}
 	if len(errs) > 0 {
 		c.mu.Lock()

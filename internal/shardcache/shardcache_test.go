@@ -12,8 +12,8 @@ import (
 
 func key(b byte) Key {
 	var k Key
-	k.Component[0] = b
-	k.Global[31] = 0xee
+	k[0] = b
+	k[31] = 0xee
 	return k
 }
 
@@ -243,7 +243,7 @@ func TestRunBoundConcurrentUse(t *testing.T) {
 				}
 				if i%10 == 0 {
 					c.EndRun()
-					if err := c.PersistManifest(dir, &Manifest{}); err != nil {
+					if err := c.PersistManifest(&Manifest{}); err != nil {
 						t.Error(err)
 					}
 				}
@@ -264,28 +264,35 @@ func TestRunBoundConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestPersistFlushesMemoryToDisk pins where PersistManifest writes: a
+// memory-only cache has no directory and refuses, a dir-backed one lists
+// every resident entry's blob in its own directory, where a fresh cache
+// serves them.
 func TestPersistFlushesMemoryToDisk(t *testing.T) {
 	mem := New()
-	for i := byte(1); i <= 3; i++ {
-		if err := mem.Put(key(i), entry(int(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mem.PersistManifest("", &Manifest{}); err == nil {
-		t.Fatal("PersistManifest accepted an empty directory")
-	}
-	dir := filepath.Join(t.TempDir(), "nested", "cache") // PersistManifest must mkdir
-	if err := mem.PersistManifest(dir, &Manifest{}); err != nil {
+	if err := mem.Put(key(1), entry(1)); err != nil {
 		t.Fatal(err)
 	}
-	blobs, err := filepath.Glob(filepath.Join(dir, "*.gob"))
+	if err := mem.PersistManifest(&Manifest{}); err == nil {
+		t.Fatal("a memory-only cache persisted")
+	}
+	dir := t.TempDir()
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blobs) != 3 {
-		t.Fatalf("persisted %d blobs, want 3", len(blobs))
+	for i := byte(1); i <= 3; i++ {
+		if err := c.Put(key(i), entry(int(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A dir-backed cache over the flushed directory serves every entry.
+	man := &Manifest{}
+	if err := c.PersistManifest(man); err != nil {
+		t.Fatal(err)
+	}
+	if q, err := VerifyBlobs(dir, man); err != nil || len(q) != 0 || len(man.Blobs) != 3 {
+		t.Fatalf("%d blobs listed, VerifyBlobs = %v, %v", len(man.Blobs), q, err)
+	}
 	warm, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -298,21 +305,5 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 		if got.Iterations != int(i) || len(got.Final) != int(i) {
 			t.Fatalf("entry %d round-tripped wrong: %+v", i, got)
 		}
-	}
-	// Persisting a dir-backed cache to its own directory is an idempotent
-	// rewrite of identical bytes.
-	before, err := os.ReadFile(blobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warm.PersistManifest(dir, &Manifest{}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(blobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Fatal("self-persist rewrote a blob with different bytes")
 	}
 }

@@ -4,13 +4,12 @@
 //
 // The package is transport and policy only: a Job carries everything a
 // worker needs to mine one attribute-closed component group without ever
-// seeing the graph — the remapped vertex slice (per-local-vertex attribute
-// lists and local adjacency), the global attribute context (standard-table
-// frequencies), and the search options — and a Result carries back a
-// checksummed gob blob of the shardcache.Entry the group mined to. What to
-// do with entries (merge, cache, fall back) is the coordinator's business
-// (cspm.MineDistributed); how to mine a job is the injected Handler's
-// (cspm.ExecuteShardJob).
+// seeing the graph — the group's rows in local vertex and value ids, the
+// global ids of its values, the graph's occurrence count N and the search
+// options — and a Result carries back a checksummed gob blob of the
+// shardcache.Entry the group mined to. What to do with entries (merge,
+// cache, fall back) is the coordinator's business (cspm.MineDistributed);
+// how to mine a job is the injected Handler's (cspm.ExecuteShardJob).
 //
 // Three Transport implementations cover the deployment spectrum: Loopback
 // runs jobs on an in-process worker pool (the zero-config default and the
@@ -23,35 +22,39 @@ package shardrpc
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cspm/internal/graph"
 	"cspm/internal/shardcache"
 )
 
 // Job is one shard mining job: a self-contained description of an
-// attribute-closed component group plus the global context its gains must be
-// priced against. Local vertex ids are 0..len(Attrs)-1; attribute ids are
-// GLOBAL (the coordinator's interning), which is what keeps a remote
-// worker's entry bit-identical to a local shard run.
+// attribute-closed component group. Such a group holds every occurrence of
+// its values, so its whole input is its own rows plus one global number,
+// the graph's occurrence count N. Local vertex ids are 0..len(Attrs)-1 and
+// local value ids 0..len(Values)-1; local value i is global value
+// Values[i], and the order of local ids is the order of global ids, which
+// keeps a worker's entry bit-identical to any other run of the group.
 type Job struct {
 	// ID identifies the job within one mining run; workers echo it in the
 	// Result so the coordinator can match (and deduplicate) responses.
 	ID uint64
-	// NumAttrValues is the size of the global attribute-id space (coreset
-	// arrays are indexed by attribute id, so the shard DB must span all of
-	// it even when the group uses a few values).
-	NumAttrValues int
-	// Attrs[li] lists the sorted global attribute ids of local vertex li.
+	// Values lists the group's global attribute ids, strictly ascending:
+	// every value some row carries, and no other.
+	Values []graph.AttrID
+	// Total is N, the graph's total attribute-value occurrence count. The
+	// group's standard-table lengths are −log2(f/N), with f counted from
+	// the rows.
+	Total int
+	// Attrs[li] lists the sorted local value ids of local vertex li.
 	Attrs [][]graph.AttrID
 	// Adj[li] lists the sorted local ids of li's neighbours. Component
 	// groups are edge-closed, so the rows describe the complete stars.
 	Adj [][]graph.VertexID
-	// STFreqs are the GLOBAL standard-table frequencies indexed by
-	// attribute id (mdl.NewStandardTableFromFreqs reconstructs the table).
-	STFreqs []int
 	// Variant, MaxIterations, DisableModelCost mirror the cspm.Options
 	// fields that shape the search result; Workers is the worker's local
 	// evaluator budget (0 = all of its cores) and never changes the result.
@@ -64,43 +67,48 @@ type Job struct {
 // Validate checks that the job has the shape a coordinator builds, so a
 // malformed, truncated or hand-built job fails cleanly on the worker
 // instead of panicking mid-mine or mining into an entry that describes a
-// different graph: ids in range, attribute and neighbour rows strictly
-// ascending, a simple undirected adjacency (no self-loop, every edge listed
-// on both sides), and a standard table with no negative frequency and a
-// positive one for every value a vertex carries. It runs in time linear in
-// the job's size.
+// different graph: Values non-negative and strictly ascending, every
+// listed value carried by some row, ids in range, attribute and neighbour
+// rows strictly ascending, a simple undirected adjacency (no self-loop,
+// every edge listed on both sides), and a Total no smaller than the rows'
+// occurrence count. It runs in time linear in the job's size.
 func (j Job) Validate() error {
-	if j.NumAttrValues < 0 {
-		return fmt.Errorf("shardrpc: job %d: negative attribute space %d", j.ID, j.NumAttrValues)
-	}
-	if len(j.STFreqs) != j.NumAttrValues {
-		return fmt.Errorf("shardrpc: job %d: %d ST frequencies for %d attribute values", j.ID, len(j.STFreqs), j.NumAttrValues)
-	}
-	for a, f := range j.STFreqs {
-		if f < 0 {
-			return fmt.Errorf("shardrpc: job %d: attribute %d has negative frequency %d", j.ID, a, f)
+	for i, v := range j.Values {
+		if v < 0 || (i > 0 && j.Values[i-1] >= v) {
+			return fmt.Errorf("shardrpc: job %d: values not non-negative and strictly ascending at %d", j.ID, i)
 		}
+	}
+	if j.Total < 0 {
+		return fmt.Errorf("shardrpc: job %d: negative total %d", j.ID, j.Total)
 	}
 	if len(j.Adj) != len(j.Attrs) {
 		return fmt.Errorf("shardrpc: job %d: %d adjacency rows for %d vertices", j.ID, len(j.Adj), len(j.Attrs))
 	}
-	n := len(j.Attrs)
+	nV := len(j.Values)
+	carried := make([]bool, nV)
+	occurrences := 0
 	for li, as := range j.Attrs {
 		for i, a := range as {
-			if a < 0 || int(a) >= j.NumAttrValues {
-				return fmt.Errorf("shardrpc: job %d: vertex %d carries attribute %d outside [0,%d)", j.ID, li, a, j.NumAttrValues)
+			if a < 0 || int(a) >= nV {
+				return fmt.Errorf("shardrpc: job %d: vertex %d carries value %d outside [0,%d)", j.ID, li, a, nV)
 			}
 			if i > 0 && as[i-1] >= a {
 				return fmt.Errorf("shardrpc: job %d: vertex %d: attributes not strictly ascending", j.ID, li)
 			}
-			if j.STFreqs[a] == 0 {
-				return fmt.Errorf("shardrpc: job %d: vertex %d carries attribute %d of frequency 0", j.ID, li, a)
-			}
+			carried[a] = true
 		}
+		occurrences += len(as)
+	}
+	if i := slices.Index(carried, false); i >= 0 {
+		return fmt.Errorf("shardrpc: job %d: value %d is carried by no vertex", j.ID, j.Values[i])
+	}
+	if j.Total < occurrences {
+		return fmt.Errorf("shardrpc: job %d: total %d below the rows' %d occurrences", j.ID, j.Total, occurrences)
 	}
 	// Sorted rows put u's lower neighbours in a prefix of Adj[u], and the
 	// scan meets the edges {v, u}, v < u, in that prefix's order: matched[u]
 	// counts the prefix entries seen from the other side.
+	n := len(j.Attrs)
 	matched := make([]int, n)
 	for v, row := range j.Adj {
 		for i, u := range row {
@@ -149,15 +157,42 @@ type Result struct {
 	Err string
 }
 
-// JobChecksum digests a job's full content (gob encoding is deterministic
-// for equal values, and a decoded job re-encodes to the sender's bytes).
-// Sender and worker compute it independently on their own copy.
-func JobChecksum(j Job) ([sha256.Size]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(j); err != nil {
-		return [sha256.Size]byte{}, fmt.Errorf("shardrpc: encode job: %w", err)
+// JobChecksum digests a job's full content from a canonical byte stream:
+// every field in declaration order, every integer a varint, every list
+// prefixed by its length, so the stream is prefix-free and a function of
+// the job alone (a gob stream would also depend on the type ids the
+// process assigned before). Sender and worker compute it independently on
+// their own copy, and persistent cache keys are derived from it.
+func JobChecksum(j Job) [sha256.Size]byte {
+	b := binary.AppendUvarint(nil, j.ID)
+	b = appendInts(b, j.Values)
+	b = binary.AppendVarint(b, int64(j.Total))
+	b = binary.AppendUvarint(b, uint64(len(j.Attrs)))
+	for _, row := range j.Attrs {
+		b = appendInts(b, row)
 	}
-	return sha256.Sum256(buf.Bytes()), nil
+	b = binary.AppendUvarint(b, uint64(len(j.Adj)))
+	for _, row := range j.Adj {
+		b = appendInts(b, row)
+	}
+	b = binary.AppendVarint(b, int64(j.Variant))
+	b = binary.AppendVarint(b, int64(j.MaxIterations))
+	if j.DisableModelCost {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendVarint(b, int64(j.Workers))
+	return sha256.Sum256(b)
+}
+
+// appendInts appends xs to b, length first.
+func appendInts[T graph.AttrID | graph.VertexID](b []byte, xs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = binary.AppendVarint(b, int64(x))
+	}
+	return b
 }
 
 // ErrCorruptResult tags results whose blob failed its checksum or did not
@@ -227,10 +262,7 @@ type Transport interface {
 // must not take down a worker serving other shards), and wraps the outcome
 // in a Result stamped with the received job's checksum.
 func execute(h Handler, job Job) Result {
-	jobSum, sumErr := JobChecksum(job)
-	if sumErr != nil {
-		return Result{JobID: job.ID, Err: sumErr.Error()}
-	}
+	jobSum := JobChecksum(job)
 	e, err := func() (e *shardcache.Entry, err error) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -34,11 +34,11 @@ func fakeHandler(job Job) (*shardcache.Entry, error) {
 
 func testJob(id uint64) Job {
 	return Job{
-		ID:            id,
-		NumAttrValues: 3,
-		Attrs:         [][]graph.AttrID{{0, 1}, {2}},
-		Adj:           [][]graph.VertexID{{1}, {0}},
-		STFreqs:       []int{1, 1, 1},
+		ID:     id,
+		Values: []graph.AttrID{4, 7, 9},
+		Total:  10,
+		Attrs:  [][]graph.AttrID{{0, 1}, {2}},
+		Adj:    [][]graph.VertexID{{1}, {0}},
 	}
 }
 
@@ -66,14 +66,19 @@ func TestJobValidate(t *testing.T) {
 		t.Fatalf("valid job rejected: %v", err)
 	}
 	for name, mut := range map[string]func(*Job){
-		"negative attr space": func(j *Job) { j.NumAttrValues = -1 },
-		"freqs length":        func(j *Job) { j.STFreqs = []int{1} },
-		"adj rows":            func(j *Job) { j.Adj = j.Adj[:1] },
-		"attr out of range":   func(j *Job) { j.Attrs[0][0] = 99 },
-		"attr negative":       func(j *Job) { j.Attrs[0][0] = -4 },
-		"neighbour of range":  func(j *Job) { j.Adj[1][0] = 17 },
-		"attrs descending":    func(j *Job) { j.Attrs[0] = []graph.AttrID{1, 0} },
-		"attr repeated":       func(j *Job) { j.Attrs[0] = []graph.AttrID{1, 1} },
+		"values descending":     func(j *Job) { j.Values = []graph.AttrID{4, 9, 7} },
+		"value repeated":        func(j *Job) { j.Values = []graph.AttrID{4, 4, 9} },
+		"value negative":        func(j *Job) { j.Values[0] = -1 },
+		"local id past values":  func(j *Job) { j.Attrs[1][0] = 3 },
+		"value carried by none": func(j *Job) { j.Values = append(j.Values, 12) },
+		"total below rows":      func(j *Job) { j.Total = 2 },
+		"negative total":        func(j *Job) { j.Total = -1 },
+		"adj rows":              func(j *Job) { j.Adj = j.Adj[:1] },
+		"attr out of range":     func(j *Job) { j.Attrs[0][0] = 99 },
+		"attr negative":         func(j *Job) { j.Attrs[0][0] = -4 },
+		"neighbour of range":    func(j *Job) { j.Adj[1][0] = 17 },
+		"attrs descending":      func(j *Job) { j.Attrs[0] = []graph.AttrID{1, 0} },
+		"attr repeated":         func(j *Job) { j.Attrs[0] = []graph.AttrID{1, 1} },
 		"neighbours descending": func(j *Job) {
 			j.Attrs = append(j.Attrs, []graph.AttrID{0})
 			j.Adj = [][]graph.VertexID{{2, 1}, {0}, {0}}
@@ -81,8 +86,6 @@ func TestJobValidate(t *testing.T) {
 		"self-loop":       func(j *Job) { j.Adj[0] = []graph.VertexID{0, 1} },
 		"one-sided edge":  func(j *Job) { j.Adj[1] = nil },
 		"one-sided lower": func(j *Job) { j.Adj[0] = nil },
-		"negative freq":   func(j *Job) { j.STFreqs[2] = -1 },
-		"zero-freq value": func(j *Job) { j.STFreqs[2] = 0 },
 	} {
 		j := testJob(1)
 		mut(&j)

@@ -21,7 +21,6 @@ import (
 	icspm "cspm/internal/cspm"
 	"cspm/internal/dataset"
 	"cspm/internal/experiments"
-	"cspm/internal/graph"
 	"cspm/internal/shardcache"
 	"cspm/internal/shardrpc"
 )
@@ -232,24 +231,18 @@ func blobNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// blobKey parses a blob name, <component>-<global>-<search>.gob in hex,
-// back into its cache key.
+// blobKey parses a blob name, <key>.gob in hex, back into its cache key.
 func blobKey(t *testing.T, name string) shardcache.Key {
 	t.Helper()
-	parts := strings.Split(strings.TrimSuffix(name, ".gob"), "-")
-	var fps [3]graph.Fingerprint
-	if len(parts) != len(fps) {
-		t.Fatalf("blob %s: want 3 fingerprints", name)
+	var k shardcache.Key
+	h := strings.TrimSuffix(name, ".gob")
+	if len(h) != hex.EncodedLen(len(k)) {
+		t.Fatalf("blob %s: want %d hex digits", name, hex.EncodedLen(len(k)))
 	}
-	for i, p := range parts {
-		if len(p) != hex.EncodedLen(len(fps[i])) {
-			t.Fatalf("blob %s: bad fingerprint %q", name, p)
-		}
-		if _, err := hex.Decode(fps[i][:], []byte(p)); err != nil {
-			t.Fatalf("blob %s: %v", name, err)
-		}
+	if _, err := hex.Decode(k[:], []byte(h)); err != nil {
+		t.Fatalf("blob %s: %v", name, err)
 	}
-	return shardcache.Key{Component: fps[0], Global: fps[1], Search: fps[2]}
+	return k
 }
 
 // TestMineShardedValidates pins both component-pipeline entry points'
