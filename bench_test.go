@@ -27,6 +27,7 @@ import (
 	"cspm/internal/dataset"
 	"cspm/internal/experiments"
 	"cspm/internal/gnn"
+	"cspm/internal/graph"
 	"cspm/internal/intset"
 	"cspm/internal/invdb"
 	"cspm/internal/serve"
@@ -570,6 +571,34 @@ func BenchmarkMicro_WarmRemine_Mid(b *testing.B) {
 	}
 	b.ReportMetric(float64(m.CacheHits), "hits")
 	b.ReportMetric(float64(m.CacheMisses), "misses")
+}
+
+// BenchmarkMicro_Rebuild_Mid measures the rebuild span (obs.SpanRebuild)
+// of a re-mine on the mid archipelago: one op is graph.Rebuild of an
+// 8-edit batch, each edit adding or deleting one edge inside island 0, as
+// the benchmark's island-local bursts do.
+func BenchmarkMicro_Rebuild_Mid(b *testing.B) {
+	g := midIslands(0)
+	rng := rand.New(rand.NewSource(1))
+	edits := make([]graph.Edit, 0, 8)
+	for len(edits) < cap(edits) {
+		u, v := graph.VertexID(rng.Intn(200)), graph.VertexID(rng.Intn(200))
+		if u == v {
+			continue
+		}
+		op := graph.EditAddEdge
+		if g.HasEdge(u, v) {
+			op = graph.EditDelEdge
+		}
+		edits = append(edits, graph.Edit{Op: op, U: u, V: v})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.Rebuild(g, edits); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkMicro_ScoreNode_Mid measures the Algorithm 5 scorer as the

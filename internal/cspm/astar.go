@@ -130,7 +130,13 @@ func (m *Model) TopK(k int) []AStar {
 // the patterns produced by at least one merge, which are the interesting
 // ones for reporting (initial lines are trivially single-leaf).
 func (m *Model) MultiLeaf() []AStar {
-	out := make([]AStar, 0, len(m.Patterns))
+	n := 0
+	for _, p := range m.Patterns {
+		if len(p.LeafValues) >= 2 {
+			n++
+		}
+	}
+	out := make([]AStar, 0, n)
 	for _, p := range m.Patterns {
 		if len(p.LeafValues) >= 2 {
 			out = append(out, p)
@@ -139,17 +145,23 @@ func (m *Model) MultiLeaf() []AStar {
 	return out
 }
 
-// sortPatterns ranks patterns: ascending code length, then lexicographic
-// contents. The order is total over distinct (core, leafset) pairs, so runs
-// — sharded or not — are deterministic.
+// sortPatterns ranks patterns by comparePatterns.
 func sortPatterns(ps []AStar) {
 	slices.SortFunc(ps, func(a, b AStar) int {
-		if c := cmp.Compare(a.CodeLen, b.CodeLen); c != 0 {
-			return c
-		}
-		if c := graph.CompareAttrs(a.CoreValues, b.CoreValues); c != 0 {
-			return c
-		}
-		return graph.CompareAttrs(a.LeafValues, b.LeafValues)
+		return comparePatterns(a.CodeLen, a.CoreValues, a.LeafValues, b.CodeLen, b.CoreValues, b.LeafValues)
 	})
+}
+
+// comparePatterns is the pattern ranking, taking each pattern as its code
+// length, core and leaf values: ascending code length, then lexicographic
+// contents. The order is total over distinct (core, leafset) pairs, so runs
+// — sharded or not — are deterministic.
+func comparePatterns(lenA float64, coreA, leafA []graph.AttrID, lenB float64, coreB, leafB []graph.AttrID) int {
+	if c := cmp.Compare(lenA, lenB); c != 0 {
+		return c
+	}
+	if c := graph.CompareAttrs(coreA, coreB); c != 0 {
+		return c
+	}
+	return graph.CompareAttrs(leafA, leafB)
 }

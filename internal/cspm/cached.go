@@ -1,6 +1,7 @@
 package cspm
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -10,6 +11,7 @@ import (
 
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
+	"cspm/internal/kmerge"
 	"cspm/internal/mdl"
 	"cspm/internal/obs"
 	"cspm/internal/shardcache"
@@ -141,6 +143,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	}
 	observe.observe(obs.SpanDiff, t)
 
+	st, coreValues, coreCode := singleValueCoresets(g)
 	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
 	t = time.Now()
 	if len(dirty) > 0 {
@@ -148,9 +151,14 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 			return nil, err
 		}
 		for _, job := range dirty {
-			// A failed disk write only loses persistence (the in-memory copy
-			// is already stored); mining correctness is unaffected.
-			_ = cache.Put(keys[job.ID], entries[job.ID])
+			// The merge order is built before the copy Put stores, which
+			// shares it, so a group's order is built once, not again on its
+			// first replay. A failed disk write only loses persistence (the
+			// in-memory copy is already stored); mining correctness is
+			// unaffected.
+			e := entries[job.ID]
+			orderOf(e, coreValues, coreCode)
+			_ = cache.Put(keys[job.ID], e)
 		}
 	}
 	evicted := cache.EndRun()
@@ -166,15 +174,24 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 		m.Iterations += e.Iterations
 		m.GainEvals += e.GainEvals
 	}
-	// Coreset c is the one value c. Its code length is SetLen's, as in a
-	// single-value DB: SetLen adds to 0.0, so a -0 length reads +0.
-	st := mdl.NewStandardTable(g)
-	mergeEntryStats(m, st,
-		func(c invdb.CoresetID) []graph.AttrID { return []graph.AttrID{graph.AttrID(c)} },
-		func(c invdb.CoresetID) float64 { return st.SetLen([]graph.AttrID{graph.AttrID(c)}) },
-		entries)
+	mergeEntryStats(m, st, coreValues, coreCode, entries)
 	observe.observe(obs.SpanMerge, t)
 	return m, nil
+}
+
+// singleValueCoresets returns g's standard table and the values and code
+// lengths of its single-value coresets, the ones every component group is
+// mined with: coreset c is the one value c, and its code length is
+// SetLen's, as in a single-value DB (SetLen adds to 0.0, so a -0 length
+// reads +0).
+func singleValueCoresets(g *graph.Graph) (*mdl.StandardTable, func(invdb.CoresetID) []graph.AttrID, func(invdb.CoresetID) float64) {
+	st := mdl.NewStandardTable(g)
+	values := make([]graph.AttrID, g.NumAttrValues())
+	for a := range values {
+		values[a] = graph.AttrID(a)
+	}
+	coreValues := func(c invdb.CoresetID) []graph.AttrID { return values[c : c+1 : c+1] }
+	return st, coreValues, func(c invdb.CoresetID) float64 { return st.SetLen(coreValues(c)) }
 }
 
 // mineLocal is the in-process group executor: it mines each dirty group's
@@ -227,49 +244,180 @@ func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, m *
 // all pure functions of the line multisets and the coresets' values and
 // code lengths. mineGroups passes one entry per group, whether fresh,
 // replayed or a remote worker's, and the single-value coresets; MineDB and
-// Stepper.Snapshot pass one entry and their database's coresets.
+// Stepper.Snapshot pass one entry and their database's coresets. Every
+// entry's lines must be normalized (invdb.Normalized).
+//
+// Nothing is re-sorted: each entry carries its merge order (entryOrder,
+// built once per entry and kept with it), and the entries' runs are k-way
+// merged in the canonical orders (invdb.MergeRuns, mergePatterns), so a
+// replayed group costs a merge step per line, not a sort. The groups of
+// mineGroups own disjoint coresets, so an entry's pattern order is its
+// slice of the model's; entries that share a coreset, whose f_c then spans
+// them, fall back to ranking the merged lines whole.
 func mergeEntryStats(m *Model, st *mdl.StandardTable, coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64, entries []*shardcache.Entry) {
-	var init, final []invdb.LineStat
-	for _, e := range entries {
-		init = append(init, e.Init...)
-		final = append(final, e.Final...)
+	initRuns := make([]invdb.Run, len(entries))
+	finalRuns := make([]invdb.Run, len(entries))
+	orders := make([]*shardcache.Order, len(entries))
+	nFinal := 0
+	for i, e := range entries {
+		o := orderOf(e, coreValues, coreCode)
+		initRuns[i] = invdb.Run{Lines: e.Init, Leaves: o.InitLeaves}
+		finalRuns[i] = invdb.Run{Lines: e.Final, Leaves: o.FinalLeaves}
+		orders[i] = o
+		nFinal += len(e.Final)
 	}
-	bd, bm := invdb.CanonicalDL(st, coreCode, init)
-	m.BaselineDL = bd + bm
-	fd, fm, cond, norm := invdb.CanonicalSummary(st, coreCode, final)
+	// The baseline, the entropy and the patterns are independent pure
+	// functions of the runs, so they are computed side by side; each sums
+	// in its own fixed order, so the result does not depend on scheduling.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		bd, bm, _, _ := invdb.MergeRuns(st, coreCode, initRuns)
+		m.BaselineDL = bd + bm
+	}()
+	fd, fm, norm, shared := invdb.MergeRuns(st, coreCode, finalRuns)
 	m.FinalDL = fd + fm
-	m.CondEntropy = cond
-	m.Patterns = patternsFromStats(coreValues, coreCode, norm)
-	sortPatterns(m.Patterns)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		m.CondEntropy = invdb.CanonicalCondEntropy(norm)
+	}()
+	if shared {
+		m.Patterns = patternsFromStats(coreValues, coreCode, norm)
+		sortPatterns(m.Patterns)
+	} else {
+		m.Patterns = mergePatterns(coreValues, finalRuns, orders, nFinal)
+	}
+	wg.Wait()
 }
 
-// patternsFromStats derives the a-star pattern list from a final line
-// multiset already normalized by invdb.NormalizeLineStats. FC is the sum of
-// the core's line frequencies (a database's f_c is that same sum), and the
-// code length is the core's plus CondCodeLen(fL, fc), so replayed and
-// freshly mined groups produce identical patterns, bit for bit.
-func patternsFromStats(coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64, norm []invdb.LineStat) []AStar {
-	out := make([]AStar, 0, len(norm))
-	for i := 0; i < len(norm); {
-		c := norm[i].Core
+// orderOf returns e's merge order, building it on first use.
+func orderOf(e *shardcache.Entry, coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64) *shardcache.Order {
+	return e.Order(func() *shardcache.Order { return entryOrder(e, coreValues, coreCode) })
+}
+
+// entryOrder derives an entry's merge order: the leafset orders of its
+// initial and final lines, and its final lines ranked as patterns. It
+// panics on lines that are not normalized, which the cache, the executor
+// and the remote collector all rule out.
+func entryOrder(e *shardcache.Entry, coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64) *shardcache.Order {
+	if !invdb.IsNormalized(e.Init) || !invdb.IsNormalized(e.Final) {
+		panic("cspm: merge order of an entry whose lines are not normalized")
+	}
+	codes := appendLineCodes(nil, e.Final, coreCode)
+	pats := make([]int32, len(e.Final))
+	for i := range pats {
+		pats[i] = int32(i)
+	}
+	slices.SortFunc(pats, func(a, b int32) int {
+		if c := cmp.Compare(codes[a].codeLen, codes[b].codeLen); c != 0 {
+			return c // most pairs differ in code length: skip the value lookups
+		}
+		la, lb := e.Final[a], e.Final[b]
+		return comparePatterns(codes[a].codeLen, coreValues(la.Core), la.Leaf, codes[b].codeLen, coreValues(lb.Core), lb.Leaf)
+	})
+	lens := make([]float64, len(pats))
+	for i, k := range pats {
+		lens[i] = codes[k].codeLen
+	}
+	return &shardcache.Order{
+		InitLeaves:  invdb.LeafOrder(e.Init),
+		FinalLeaves: invdb.LeafOrder(e.Final),
+		Patterns:    pats,
+		CodeLens:    lens,
+	}
+}
+
+// lineCode holds the pattern terms of one final line: its coreset's
+// frequency f_c (the sum of the core's line frequencies, as a database's
+// f_c is) and its code length, the core's plus CondCodeLen(fL, fc).
+type lineCode struct {
+	fc      int
+	codeLen float64
+}
+
+// appendLineCodes appends the lineCode of every line of normalized lines
+// to dst, so replayed and freshly mined groups produce identical patterns,
+// bit for bit.
+func appendLineCodes(dst []lineCode, lines []invdb.LineStat, coreCode func(invdb.CoresetID) float64) []lineCode {
+	for i := 0; i < len(lines); {
+		c := lines[i].Core
 		j, fc := i, 0
-		for ; j < len(norm) && norm[j].Core == c; j++ {
-			fc += norm[j].FL
+		for ; j < len(lines) && lines[j].Core == c; j++ {
+			fc += lines[j].FL
 		}
 		coreLen := coreCode(c)
 		for k := i; k < j; k++ {
-			out = append(out, AStar{
-				CoreValues: coreValues(c),
-				// Copied, not aliased: on a cache hit norm[k].Leaf points into
-				// the long-lived cached entry, and patterns carry no read-only
-				// contract — an aliasing caller would corrupt the cache.
-				LeafValues: append([]graph.AttrID(nil), norm[k].Leaf...),
-				FL:         norm[k].FL,
-				FC:         fc,
-				CodeLen:    coreLen + mdl.CondCodeLen(norm[k].FL, fc),
-			})
+			dst = append(dst, lineCode{fc: fc, codeLen: coreLen + mdl.CondCodeLen(lines[k].FL, fc)})
 		}
 		i = j
+	}
+	return dst
+}
+
+// mergePatterns builds the pattern list of runs whose coresets are
+// disjoint by k-way merging their pattern orders; n is the number of their
+// lines. Every pattern's values are copied, not aliased (on a cache hit a
+// line's leaf points into the long-lived cached entry, and patterns carry
+// no read-only contract), into one slab the model owns.
+func mergePatterns(coreValues func(invdb.CoresetID) []graph.AttrID, runs []invdb.Run, orders []*shardcache.Order, n int) []AStar {
+	// fcs[r][k] is f_c of line k of run r's coreset.
+	fcs := make([][]int, len(runs))
+	slab := make([]int, 0, n)
+	sizes := make([]int, len(runs))
+	nVals := 0
+	for r, run := range runs {
+		start := len(slab)
+		for i := 0; i < len(run.Lines); {
+			j, fc := i, 0
+			for ; j < len(run.Lines) && run.Lines[j].Core == run.Lines[i].Core; j++ {
+				fc += run.Lines[j].FL
+			}
+			for ; i < j; i++ {
+				slab = append(slab, fc)
+				nVals += len(coreValues(run.Lines[i].Core)) + len(run.Lines[i].Leaf)
+			}
+		}
+		fcs[r] = slab[start:]
+		sizes[r] = len(run.Lines)
+	}
+	vals := make([]graph.AttrID, 0, nVals)
+	carve := func(v []graph.AttrID) []graph.AttrID {
+		start := len(vals)
+		vals = append(vals, v...)
+		return vals[start:len(vals):len(vals)]
+	}
+	out := make([]AStar, 0, n)
+	kmerge.Merge(sizes, func(r1, i1, r2, i2 int) int {
+		o1, o2 := orders[r1], orders[r2]
+		if c := cmp.Compare(o1.CodeLens[i1], o2.CodeLens[i2]); c != 0 {
+			return c // most pairs differ in code length: skip the value lookups
+		}
+		la, lb := runs[r1].Lines[o1.Patterns[i1]], runs[r2].Lines[o2.Patterns[i2]]
+		return comparePatterns(o1.CodeLens[i1], coreValues(la.Core), la.Leaf, o2.CodeLens[i2], coreValues(lb.Core), lb.Leaf)
+	}, func(r, i int) {
+		k := orders[r].Patterns[i]
+		s := runs[r].Lines[k]
+		out = append(out, AStar{CoreValues: carve(coreValues(s.Core)), LeafValues: carve(s.Leaf), FL: s.FL, FC: fcs[r][k], CodeLen: orders[r].CodeLens[i]})
+	})
+	return out
+}
+
+// patternsFromStats derives the a-star pattern list from a final line
+// multiset already normalized by invdb.NormalizeLineStats, unranked: the
+// assembler's path for entries that share a coreset.
+func patternsFromStats(coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64, norm []invdb.LineStat) []AStar {
+	codes := appendLineCodes(nil, norm, coreCode)
+	out := make([]AStar, len(norm))
+	for k, s := range norm {
+		out[k] = AStar{
+			CoreValues: append([]graph.AttrID(nil), coreValues(s.Core)...),
+			LeafValues: append([]graph.AttrID(nil), s.Leaf...),
+			FL:         s.FL,
+			FC:         codes[k].fc,
+			CodeLen:    codes[k].codeLen,
+		}
 	}
 	return out
 }

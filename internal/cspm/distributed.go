@@ -127,10 +127,12 @@ func executeShardJob(job shardrpc.Job) (*shardcache.Entry, []IterationStat, erro
 	stats := &runStats{}
 	init := globalStats(db.AppendLineStats(nil), job.Values)
 	search(db, opts, stats)
-	return &shardcache.Entry{
+	e := &shardcache.Entry{
 		Init: init, Final: globalStats(db.AppendLineStats(nil), job.Values),
 		Iterations: stats.iterations, GainEvals: stats.gainEvals,
-	}, stats.perIter, nil
+	}
+	e.Normalize()
+	return e, stats.perIter, nil
 }
 
 // jobDB builds the group database of a valid job in its local value ids,

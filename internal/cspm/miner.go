@@ -142,8 +142,9 @@ func search(db *invdb.DB, opts Options, st *runStats) {
 // lines through mergeEntryStats, with the database's own coresets.
 func dbModel(db *invdb.DB, vocab *graph.Vocab, init []invdb.LineStat) *Model {
 	m := &Model{Vocab: vocab}
-	mergeEntryStats(m, db.StandardTable(), db.CoreValues, db.CoreCodeLen,
-		[]*shardcache.Entry{{Init: init, Final: db.AppendLineStats(nil)}})
+	e := &shardcache.Entry{Init: init, Final: db.AppendLineStats(nil)}
+	e.Normalize()
+	mergeEntryStats(m, db.StandardTable(), db.CoreValues, db.CoreCodeLen, []*shardcache.Entry{e})
 	return m
 }
 

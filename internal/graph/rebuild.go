@@ -1,6 +1,11 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // EditOp enumerates the graph edit operations understood by Rebuild.
 type EditOp uint8
@@ -53,15 +58,6 @@ type Edit struct {
 	Value string
 }
 
-// editVtx is Rebuild's working representation of one vertex. Identity is the
-// pointer, not the id: deleting a vertex splices it out of the slice without
-// renumbering anything, and the final dense ids are simply the surviving
-// slice positions.
-type editVtx struct {
-	attrs map[AttrID]struct{}
-	adj   map[*editVtx]struct{}
-}
-
 // Rebuild applies edits to g in order — each edit sees the state produced by
 // the ones before it, including mid-batch vertex-count changes — and freezes
 // the result into a new immutable Graph. It fails on the first inapplicable
@@ -80,113 +76,168 @@ type editVtx struct {
 //   - Vertex deletion shifts ids monotonically: the survivors keep their
 //     relative order, so a connected component that lost no vertex maps to
 //     the same local rows and its cache key stays warm.
+//
+// The rebuild is copy-on-write (DESIGN.md "Copy-on-write rebuild"): both
+// graphs are immutable, so the new graph shares every adjacency and
+// attribute row the edits leave alone, and g's vocabulary unless an edit
+// interns a value. A rebuild costs O(|V|) for the row tables plus the rows
+// it touches; after a vertex deletion, the rows that name a shifted vertex
+// are remapped too.
 func Rebuild(g *Graph, edits []Edit) (*Graph, error) {
+	// Rows are indexed by slot while edits apply: g's vertices are slots
+	// 0..n-1 and each added vertex takes the next slot, so neighbour rows
+	// hold slots and a deletion renumbers nothing. live lists the live
+	// slots in ascending order; a vertex's current id is its slot's index
+	// in live.
 	n := g.NumVertices()
-	verts := make([]*editVtx, n)
-	for v := 0; v < n; v++ {
-		verts[v] = &editVtx{}
+	adj := slices.Clone(g.adj)
+	attrs := slices.Clone(g.attrs)
+	live := make([]VertexID, n)
+	for v := range live {
+		live[v] = VertexID(v)
 	}
-	for v := 0; v < n; v++ {
-		if lst := g.Attrs(VertexID(v)); len(lst) > 0 {
-			set := make(map[AttrID]struct{}, len(lst))
-			for _, a := range lst {
-				set[a] = struct{}{}
-			}
-			verts[v].attrs = set
+	var owned []uint8 // per slot: ownAdj | ownAttrs once the row is private
+	own := func(s VertexID, bit uint8) {
+		if int(s) >= len(owned) {
+			owned = append(owned, make([]uint8, len(adj)-len(owned))...)
 		}
-		if lst := g.Neighbors(VertexID(v)); len(lst) > 0 {
-			adj := make(map[*editVtx]struct{}, len(lst))
-			for _, u := range lst {
-				adj[verts[u]] = struct{}{}
-			}
-			verts[v].adj = adj
+		if owned[s]&bit != 0 {
+			return
+		}
+		owned[s] |= bit
+		if bit == ownAdj {
+			adj[s] = append(make([]VertexID, 0, len(adj[s])+1), adj[s]...)
+		} else {
+			attrs[s] = append(make([]AttrID, 0, len(attrs[s])+1), attrs[s]...)
 		}
 	}
-
-	// The working vocabulary is seeded exactly like the final one below, so
-	// ids assigned while applying edits are already the final ids.
-	vocab := NewVocab()
-	for _, name := range g.Vocab().Names() {
-		vocab.ID(name)
-	}
+	edges := g.edges
+	vocab := g.Vocab()
+	firstDeleted := VertexID(math.MaxUint32) // smallest deleted slot
 
 	for i, e := range edits {
 		switch e.Op {
 		case EditAddAttr:
-			if int(e.U) >= len(verts) {
-				return nil, rebuildErr(i, e, "vertex %d outside range [0,%d)", e.U, len(verts))
+			if int(e.U) >= len(live) {
+				return nil, rebuildErr(i, e, "vertex %d outside range [0,%d)", e.U, len(live))
 			}
-			p := verts[e.U]
-			if p.attrs == nil {
-				p.attrs = make(map[AttrID]struct{})
+			id, ok := vocab.Lookup(e.Value)
+			if !ok {
+				if vocab == g.Vocab() {
+					vocab = vocab.clone()
+				}
+				id = vocab.ID(e.Value)
 			}
-			p.attrs[vocab.ID(e.Value)] = struct{}{}
+			if s := live[e.U]; !hasSorted(attrs[s], id) {
+				own(s, ownAttrs)
+				attrs[s] = insertSorted(attrs[s], id)
+			}
 		case EditDelAttr:
-			if int(e.U) >= len(verts) {
-				return nil, rebuildErr(i, e, "vertex %d outside range [0,%d)", e.U, len(verts))
+			if int(e.U) >= len(live) {
+				return nil, rebuildErr(i, e, "vertex %d outside range [0,%d)", e.U, len(live))
 			}
 			// Lookup, not ID: deleting a never-seen value must not intern it.
-			if id, ok := vocab.Lookup(e.Value); ok && verts[e.U].attrs != nil {
-				delete(verts[e.U].attrs, id)
+			if id, ok := vocab.Lookup(e.Value); ok {
+				if s := live[e.U]; hasSorted(attrs[s], id) {
+					own(s, ownAttrs)
+					attrs[s] = deleteSorted(attrs[s], id)
+				}
 			}
 		case EditAddEdge, EditDelEdge:
-			if int(e.U) >= len(verts) || int(e.V) >= len(verts) {
-				return nil, rebuildErr(i, e, "edge {%d,%d} outside vertex range [0,%d)", e.U, e.V, len(verts))
+			if int(e.U) >= len(live) || int(e.V) >= len(live) {
+				return nil, rebuildErr(i, e, "edge {%d,%d} outside vertex range [0,%d)", e.U, e.V, len(live))
 			}
 			if e.U == e.V {
 				return nil, rebuildErr(i, e, "self-loop {%d,%d} is not allowed", e.U, e.V)
 			}
-			p, q := verts[e.U], verts[e.V]
-			if e.Op == EditAddEdge {
-				if p.adj == nil {
-					p.adj = make(map[*editVtx]struct{})
-				}
-				if q.adj == nil {
-					q.adj = make(map[*editVtx]struct{})
-				}
-				p.adj[q] = struct{}{}
-				q.adj[p] = struct{}{}
-			} else {
-				delete(p.adj, q)
-				delete(q.adj, p)
+			p, q := live[e.U], live[e.V]
+			if has := hasSorted(adj[p], q); e.Op == EditAddEdge && !has {
+				own(p, ownAdj)
+				own(q, ownAdj)
+				adj[p], adj[q] = insertSorted(adj[p], q), insertSorted(adj[q], p)
+				edges++
+			} else if e.Op == EditDelEdge && has {
+				own(p, ownAdj)
+				own(q, ownAdj)
+				adj[p], adj[q] = deleteSorted(adj[p], q), deleteSorted(adj[q], p)
+				edges--
 			}
 		case EditAddVertex:
-			verts = append(verts, &editVtx{})
+			live = append(live, VertexID(len(adj)))
+			adj = append(adj, nil)
+			attrs = append(attrs, nil)
 		case EditDelVertex:
-			if int(e.U) >= len(verts) {
-				return nil, rebuildErr(i, e, "vertex %d outside range [0,%d)", e.U, len(verts))
+			if int(e.U) >= len(live) {
+				return nil, rebuildErr(i, e, "vertex %d outside range [0,%d)", e.U, len(live))
 			}
-			victim := verts[e.U]
-			for nb := range victim.adj {
-				delete(nb.adj, victim)
+			victim := live[e.U]
+			for _, nb := range adj[victim] {
+				own(nb, ownAdj)
+				adj[nb] = deleteSorted(adj[nb], victim)
 			}
-			verts = append(verts[:e.U], verts[e.U+1:]...)
+			edges -= len(adj[victim])
+			adj[victim], attrs[victim] = nil, nil
+			live = slices.Delete(live, int(e.U), int(e.U)+1)
+			firstDeleted = min(firstDeleted, victim)
 		default:
 			return nil, rebuildErr(i, e, "unknown op")
 		}
 	}
 
-	b := NewBuilder(len(verts))
-	bv := b.Vocab()
-	for _, name := range vocab.Names() {
-		bv.ID(name)
+	out := &Graph{adj: adj, attrs: attrs, vocab: vocab, edges: edges}
+	if len(live) == len(adj) {
+		return out, nil // no deletion: every slot is its own id
 	}
-	index := make(map[*editVtx]VertexID, len(verts))
-	for i, p := range verts {
-		index[p] = VertexID(i)
+	// Survivors' ids are their indices in live: a monotone renumbering, so
+	// a remapped row stays sorted, and a row naming no slot above the first
+	// deleted one keeps its ids and is shared as is.
+	idOf := make([]VertexID, len(adj))
+	for id, s := range live {
+		idOf[s] = VertexID(id)
 	}
-	for i, p := range verts {
-		for a := range p.attrs {
-			// Ids and vertices are in range by construction; Builder cannot fail.
-			_ = b.AddAttrID(VertexID(i), a)
-		}
-		for nb := range p.adj {
-			if j := index[nb]; VertexID(i) < j {
-				_ = b.AddEdge(VertexID(i), j)
+	out.adj = make([][]VertexID, len(live))
+	out.attrs = make([][]AttrID, len(live))
+	for id, s := range live {
+		out.attrs[id] = attrs[s]
+		row := adj[s]
+		if len(row) > 0 && row[len(row)-1] > firstDeleted {
+			remapped := make([]VertexID, len(row))
+			for j, nb := range row {
+				remapped[j] = idOf[nb]
 			}
+			row = remapped
 		}
+		out.adj[id] = row
 	}
-	return b.Build(), nil
+	return out, nil
+}
+
+// Row ownership bits of Rebuild's copy-on-write rows.
+const (
+	ownAdj uint8 = 1 << iota
+	ownAttrs
+)
+
+// hasSorted reports whether the ascending row holds x.
+func hasSorted[T cmp.Ordered](row []T, x T) bool {
+	_, ok := slices.BinarySearch(row, x)
+	return ok
+}
+
+// insertSorted inserts x, absent, into the ascending row.
+func insertSorted[T cmp.Ordered](row []T, x T) []T {
+	i, _ := slices.BinarySearch(row, x)
+	return slices.Insert(row, i, x)
+}
+
+// deleteSorted removes x, present, from the ascending row; an emptied row
+// becomes nil, as Builder leaves an empty one.
+func deleteSorted[T cmp.Ordered](row []T, x T) []T {
+	i, _ := slices.BinarySearch(row, x)
+	if row = slices.Delete(row, i, i+1); len(row) == 0 {
+		return nil
+	}
+	return row
 }
 
 func rebuildErr(i int, e Edit, format string, args ...any) error {

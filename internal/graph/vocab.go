@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // CompareAttrs orders attribute-id slices lexicographically (shorter prefix
 // first). It is the single ordering shared by pattern ranking tie-breaks and
@@ -50,6 +54,11 @@ func (v *Vocab) ID(name string) AttrID {
 	v.byName[name] = id
 	v.names = append(v.names, name)
 	return id
+}
+
+// clone returns a copy of v that interns independently of it.
+func (v *Vocab) clone() *Vocab {
+	return &Vocab{byName: maps.Clone(v.byName), names: slices.Clone(v.names)}
 }
 
 // Lookup returns the id of name without interning it.

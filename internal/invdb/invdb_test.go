@@ -29,7 +29,7 @@ func canonicalDLOf(db *DB) (data, model float64) {
 // condEntropyOf computes H(Y|X) (Eq. 7) over a line multiset in the
 // canonical order.
 func condEntropyOf(stats []LineStat) float64 {
-	return canonicalCondEntropy(NormalizeLineStats(stats))
+	return CanonicalCondEntropy(NormalizeLineStats(stats))
 }
 
 // fig1 builds the paper's running example. Vertex ids: v1..v5 → 0..4.

@@ -23,6 +23,7 @@ import (
 
 	"cspm/internal/graph"
 	"cspm/internal/intset"
+	"cspm/internal/kmerge"
 	"cspm/internal/mdl"
 )
 
@@ -95,6 +96,15 @@ func (db *DB) AppendLineStats(dst []LineStat) []LineStat {
 	return dst
 }
 
+// compareLines is the canonical line order: coreset id, then leafset
+// content.
+func compareLines(a, b LineStat) int {
+	if c := cmp.Compare(a.Core, b.Core); c != 0 {
+		return c
+	}
+	return graph.CompareAttrs(a.Leaf, b.Leaf)
+}
+
 // NormalizeLineStats returns a copy of stats sorted into the canonical
 // (coreset id, leafset content) order with duplicate (core, leaf) entries
 // folded by summing their frequencies, so a multiset that lists one line
@@ -103,15 +113,10 @@ func (db *DB) AppendLineStats(dst []LineStat) []LineStat {
 // computations is safe. The result is a pure function of the input multiset.
 func NormalizeLineStats(stats []LineStat) []LineStat {
 	stats = append([]LineStat(nil), stats...)
-	slices.SortFunc(stats, func(a, b LineStat) int {
-		if c := cmp.Compare(a.Core, b.Core); c != 0 {
-			return c
-		}
-		return graph.CompareAttrs(a.Leaf, b.Leaf)
-	})
+	slices.SortFunc(stats, compareLines)
 	out := stats[:0]
 	for _, s := range stats {
-		if n := len(out); n > 0 && out[n-1].Core == s.Core && graph.CompareAttrs(out[n-1].Leaf, s.Leaf) == 0 {
+		if n := len(out); n > 0 && out[n-1].Core == s.Core && slices.Equal(out[n-1].Leaf, s.Leaf) {
 			out[n-1].FL += s.FL
 			continue
 		}
@@ -120,32 +125,116 @@ func NormalizeLineStats(stats []LineStat) []LineStat {
 	return out
 }
 
+// IsNormalized reports whether stats is strictly ascending in the canonical
+// order, that is, whether NormalizeLineStats would return it unchanged.
+func IsNormalized(stats []LineStat) bool {
+	for i := 1; i < len(stats); i++ {
+		if compareLines(stats[i-1], stats[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Normalized returns stats in the canonical order: stats itself when an
+// O(n) scan finds it normalized already, else NormalizeLineStats(stats).
+func Normalized(stats []LineStat) []LineStat {
+	if IsNormalized(stats) {
+		return stats
+	}
+	return NormalizeLineStats(stats)
+}
+
+// LeafOrder returns, for normalized stats, the index of the first line of
+// every distinct leafset, in ascending leafset content order: the order in
+// which the canonical spell-out prices a multiset's leafsets.
+func LeafOrder(stats []LineStat) []int32 {
+	idx := make([]int32, len(stats))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := graph.CompareAttrs(stats[a].Leaf, stats[b].Leaf); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	out := idx[:0]
+	for _, i := range idx {
+		if n := len(out); n > 0 && slices.Equal(stats[out[n-1]].Leaf, stats[i].Leaf) {
+			continue
+		}
+		out = append(out, i)
+	}
+	return slices.Clip(out)
+}
+
+// Run is one normalized line multiset together with its LeafOrder: the
+// unit MergeRuns folds.
+type Run struct {
+	Lines  []LineStat
+	Leaves []int32
+}
+
+// MergeRuns prices the union of runs' multisets without sorting it. It
+// k-way merges the runs' lines into norm, summing the frequencies of equal
+// (core, leaf) lines, so norm equals NormalizeLineStats of the runs'
+// concatenation, and merges their leafset orders into the spell-out order.
+// data and model are CanonicalDL of the union, bit for bit: every term is
+// added in the same order. shared reports whether some coreset has lines
+// in more than one run.
+func MergeRuns(st *mdl.StandardTable, coreCode func(CoresetID) float64, runs []Run) (data, model float64, norm []LineStat, shared bool) {
+	lens := make([]int, len(runs))
+	total := 0
+	for r, run := range runs {
+		lens[r] = len(run.Lines)
+		total += lens[r]
+	}
+	norm = make([]LineStat, 0, total)
+	last := -1 // run of the line norm ends with
+	kmerge.Merge(lens, func(r1, i1, r2, i2 int) int {
+		return compareLines(runs[r1].Lines[i1], runs[r2].Lines[i2])
+	}, func(r, i int) {
+		s := runs[r].Lines[i]
+		if n := len(norm); n > 0 && norm[n-1].Core == s.Core {
+			shared = shared || r != last
+			if slices.Equal(norm[n-1].Leaf, s.Leaf) {
+				norm[n-1].FL += s.FL
+				return
+			}
+		}
+		last = r
+		norm = append(norm, s)
+	})
+	data, model = lineDL(coreCode, norm)
+	for r, run := range runs {
+		lens[r] = len(run.Leaves)
+	}
+	var prev []graph.AttrID
+	first := true
+	kmerge.Merge(lens, func(r1, i1, r2, i2 int) int {
+		return graph.CompareAttrs(runs[r1].Lines[runs[r1].Leaves[i1]].Leaf, runs[r2].Lines[runs[r2].Leaves[i2]].Leaf)
+	}, func(r, i int) {
+		lf := runs[r].Lines[runs[r].Leaves[i]].Leaf
+		if !first && slices.Equal(prev, lf) {
+			return
+		}
+		model += st.SetLen(lf)
+		prev, first = lf, false
+	})
+	return data, model, norm, shared
+}
+
 // CanonicalDL computes the data and model description lengths of a line
 // multiset in the canonical order. coreCode prices a line's coreset pointer
 // (L(Code_c), Eq. 5); st prices leafset spell-outs. The integer frequencies
 // f_c are derived from the stats themselves, so the result is a pure
 // function of (st, coreCode, multiset) — independent of how many shards the
-// lines came from or in which order their merges were applied.
+// lines came from or in which order their merges were applied. MergeRuns
+// computes the same sums from pre-sorted runs.
 func CanonicalDL(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats []LineStat) (data, model float64) {
-	return canonicalDL(st, coreCode, NormalizeLineStats(stats))
-}
-
-// canonicalDL is CanonicalDL over already-normalized stats.
-func canonicalDL(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats []LineStat) (data, model float64) {
-	for i := 0; i < len(stats); {
-		c := stats[i].Core
-		j := i
-		fc := 0
-		for ; j < len(stats) && stats[j].Core == c; j++ {
-			fc += stats[j].FL
-		}
-		data += mdl.XLogX(float64(fc))
-		for k := i; k < j; k++ {
-			data -= mdl.XLogX(float64(stats[k].FL))
-			model += coreCode(c)
-		}
-		i = j
-	}
+	stats = NormalizeLineStats(stats)
+	data, model = lineDL(coreCode, stats)
 	// Spell-out: every distinct leafset once, in ascending content order.
 	leafs := make([][]graph.AttrID, 0, len(stats))
 	for _, s := range stats {
@@ -161,9 +250,30 @@ func canonicalDL(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats 
 	return data, model
 }
 
-// canonicalCondEntropy computes H(Y|X) (Eq. 7) over already-normalized
+// lineDL sums the per-line terms of already-normalized stats in the
+// canonical order: the data length, and the coreset pointers that open the
+// model length (the leafset spell-out follows them).
+func lineDL(coreCode func(CoresetID) float64, stats []LineStat) (data, model float64) {
+	for i := 0; i < len(stats); {
+		c := stats[i].Core
+		j := i
+		fc := 0
+		for ; j < len(stats) && stats[j].Core == c; j++ {
+			fc += stats[j].FL
+		}
+		data += mdl.XLogXInt(fc)
+		for k := i; k < j; k++ {
+			data -= mdl.XLogXInt(stats[k].FL)
+			model += coreCode(c)
+		}
+		i = j
+	}
+	return data, model
+}
+
+// CanonicalCondEntropy computes H(Y|X) (Eq. 7) over already-normalized
 // line stats, in the canonical order.
-func canonicalCondEntropy(stats []LineStat) float64 {
+func CanonicalCondEntropy(stats []LineStat) float64 {
 	pairs := make([][2]int, 0, len(stats))
 	for i := 0; i < len(stats); {
 		c := stats[i].Core
@@ -178,14 +288,4 @@ func canonicalCondEntropy(stats []LineStat) float64 {
 		i = j
 	}
 	return mdl.CondEntropy(pairs)
-}
-
-// CanonicalSummary normalizes a line multiset once and returns its canonical
-// data/model description lengths together with its conditional entropy — the
-// bundle model extraction reports — and the normalized multiset itself, for
-// callers that derive more from it.
-func CanonicalSummary(st *mdl.StandardTable, coreCode func(CoresetID) float64, stats []LineStat) (data, model, condEntropy float64, norm []LineStat) {
-	norm = NormalizeLineStats(stats)
-	data, model = canonicalDL(st, coreCode, norm)
-	return data, model, canonicalCondEntropy(norm), norm
 }

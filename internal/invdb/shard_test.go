@@ -92,7 +92,7 @@ func TestNormalizeLineStatsFoldsDuplicates(t *testing.T) {
 		t.Fatalf("len = %d, want 3", len(out))
 	}
 	// The input must survive untouched: canonical computations are chained
-	// over the same slice (CanonicalDL then canonicalCondEntropy).
+	// over the same slice (CanonicalDL then CanonicalCondEntropy).
 	if len(stats) != 4 || stats[0].Core != 2 || stats[0].FL != 3 || stats[2].FL != 4 {
 		t.Fatalf("input slice mutated: %+v", stats)
 	}
@@ -226,5 +226,75 @@ func TestFromShardDataMatchesFromGraphShard(t *testing.T) {
 		if math.Float64bits(gi) != math.Float64bits(si) || math.Float64bits(gm) != math.Float64bits(sm) {
 			t.Fatalf("verts %v: canonical DLs differ: (%v,%v) vs (%v,%v)", verts, gi, gm, si, sm)
 		}
+	}
+}
+
+// TestMergeRunsMatchesCanonicalDL splits random line multisets into
+// normalized runs — with coresets spread over several runs, equal lines in
+// different runs and empty runs — and checks MergeRuns against
+// NormalizeLineStats and CanonicalDL of the concatenation, bit for bit,
+// and its shared flag against the runs' coresets.
+func TestMergeRunsMatchesCanonicalDL(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := graph.NewBuilder(1)
+	for a := range 8 {
+		_ = b.AddAttr(0, string(rune('a'+a)))
+	}
+	st := mdl.NewStandardTable(b.Build())
+	coreCode := func(c CoresetID) float64 { return 1 + float64(c)/3 }
+	for trial := range 500 {
+		k := 1 + rng.Intn(4)
+		runs := make([]Run, k)
+		var all []LineStat
+		owner := map[CoresetID]int{}
+		shared := false
+		for r := range runs {
+			var lines []LineStat
+			for range rng.Intn(9) {
+				leaf := []graph.AttrID{graph.AttrID(rng.Intn(4))}
+				if rng.Intn(2) == 0 {
+					leaf = append(leaf, leaf[0]+1+graph.AttrID(rng.Intn(3)))
+				}
+				lines = append(lines, LineStat{Core: CoresetID(rng.Intn(5)), Leaf: leaf, FL: 1 + rng.Intn(6)})
+			}
+			all = append(all, lines...)
+			lines = Normalized(lines)
+			if !IsNormalized(lines) {
+				t.Fatal("Normalized returned unnormalized lines")
+			}
+			for _, s := range lines {
+				if o, ok := owner[s.Core]; ok && o != r {
+					shared = true
+				}
+				owner[s.Core] = r
+			}
+			runs[r] = Run{Lines: lines, Leaves: LeafOrder(lines)}
+		}
+		data, model, norm, gotShared := MergeRuns(st, coreCode, runs)
+		wd, wm := CanonicalDL(st, coreCode, all)
+		if math.Float64bits(data) != math.Float64bits(wd) || math.Float64bits(model) != math.Float64bits(wm) {
+			t.Fatalf("trial %d: MergeRuns DL (%v, %v), CanonicalDL (%v, %v)", trial, data, model, wd, wm)
+		}
+		if want := NormalizeLineStats(all); !reflect.DeepEqual(norm, want) && len(want) > 0 {
+			t.Fatalf("trial %d: merged lines %v, want %v", trial, norm, want)
+		}
+		if gotShared != shared {
+			t.Fatalf("trial %d: shared = %v, want %v", trial, gotShared, shared)
+		}
+	}
+}
+
+// TestLeafOrder pins LeafOrder: the first line of each distinct leafset,
+// in ascending content order.
+func TestLeafOrder(t *testing.T) {
+	lines := []LineStat{
+		{Core: 0, Leaf: []graph.AttrID{2}, FL: 1},
+		{Core: 0, Leaf: []graph.AttrID{0, 1}, FL: 1},
+		{Core: 1, Leaf: []graph.AttrID{0}, FL: 1},
+		{Core: 1, Leaf: []graph.AttrID{2}, FL: 1},
+		{Core: 2, Leaf: []graph.AttrID{0, 1}, FL: 1},
+	}
+	if got, want := LeafOrder(lines), []int32{2, 1, 0}; !slices.Equal(got, want) {
+		t.Fatalf("LeafOrder = %v, want %v", got, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -112,31 +111,45 @@ func decodeBatch(payload []byte) ([]Mutation, error) {
 // modelChecksum commits to a mined model: summary statistics plus every
 // pattern, with attribute ids spelled by NAME so the digest is invariant
 // under re-interning (the same logical model hashes identically no matter
-// what order a recovered graph assigned its ids in).
+// what order a recovered graph assigned its ids in). The commitment is
+// laid out in one buffer and hashed once: floats and counts as 8
+// little-endian bytes, a value list as its length then each name and a
+// zero byte.
 func modelChecksum(m *icspm.Model) string {
-	h := sha256.New()
-	var b [8]byte
-	writeF := func(x float64) { binary.LittleEndian.PutUint64(b[:], math.Float64bits(x)); h.Write(b[:]) }
-	writeU := func(x uint64) { binary.LittleEndian.PutUint64(b[:], x); h.Write(b[:]) }
-	writeAttrs := func(ids []graph.AttrID) {
-		writeU(uint64(len(ids)))
-		for _, a := range ids {
-			io.WriteString(h, m.Vocab.Name(a))
-			h.Write([]byte{0})
+	names := m.Vocab.Names()
+	size := 32
+	for _, p := range m.Patterns {
+		size += 40 + len(p.CoreValues) + len(p.LeafValues)
+		for _, a := range p.CoreValues {
+			size += len(names[a])
+		}
+		for _, a := range p.LeafValues {
+			size += len(names[a])
 		}
 	}
-	writeF(m.BaselineDL)
-	writeF(m.FinalDL)
-	writeF(m.CondEntropy)
-	writeU(uint64(len(m.Patterns)))
-	for _, p := range m.Patterns {
-		writeAttrs(p.CoreValues)
-		writeAttrs(p.LeafValues)
-		writeU(uint64(p.FL))
-		writeU(uint64(p.FC))
-		writeF(p.CodeLen)
+	b := make([]byte, 0, size)
+	appendF := func(x float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x)) }
+	appendU := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
+	appendAttrs := func(ids []graph.AttrID) {
+		appendU(uint64(len(ids)))
+		for _, a := range ids {
+			b = append(b, names[a]...)
+			b = append(b, 0)
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	appendF(m.BaselineDL)
+	appendF(m.FinalDL)
+	appendF(m.CondEntropy)
+	appendU(uint64(len(m.Patterns)))
+	for _, p := range m.Patterns {
+		appendAttrs(p.CoreValues)
+		appendAttrs(p.LeafValues)
+		appendU(uint64(p.FL))
+		appendU(uint64(p.FC))
+		appendF(p.CodeLen)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // graphBytes serialises g in the graph text format (deterministic output).
@@ -398,7 +411,7 @@ func (s *Server) checkpoint(snap *Snapshot) error {
 		Generation:      snap.Generation,
 		FoldedBatches:   folded,
 		FoldedMutations: foldedMuts,
-		ModelSHA256:     modelChecksum(snap.Model),
+		ModelSHA256:     snap.ModelSHA256,
 		GraphSHA256:     sha256Hex(gb),
 		Vocab:           snap.Graph.Vocab().Names(),
 	}

@@ -750,7 +750,8 @@ func (s *Server) syncGeneration() error {
 	// verified against the leader's commitments; the swap below starts
 	// serving it.
 	s.traces.RecordRange(prevFolded, man.FoldedBatches, obs.StageVerified, man.Generation, "")
-	snap := newSnapshot(man.Generation, g, model)
+	// The model was verified against the manifest's digest above.
+	snap := newSnapshot(man.Generation, g, model, man.ModelSHA256)
 	s.snap.Store(snap)
 	s.met.replicationSyncs.Add(1)
 	s.mu.Lock()

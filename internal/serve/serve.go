@@ -228,14 +228,16 @@ type Snapshot struct {
 	ModelSHA256 string
 }
 
-// newSnapshot assembles one immutable serving state.
-func newSnapshot(gen uint64, g *graph.Graph, model *icspm.Model) *Snapshot {
+// newSnapshot assembles one immutable serving state. sum is
+// modelChecksum(model): a caller that has just verified the model against
+// that digest passes it rather than hashing the model again.
+func newSnapshot(gen uint64, g *graph.Graph, model *icspm.Model, sum string) *Snapshot {
 	return &Snapshot{
 		Generation: gen, Graph: g, Model: model,
 		Scorer:      completion.NewScorer(model, g),
 		MultiLeaf:   model.MultiLeaf(),
 		PublishedAt: time.Now(),
-		ModelSHA256: modelChecksum(model),
+		ModelSHA256: sum,
 	}
 }
 
@@ -383,7 +385,7 @@ func NewServer(g *graph.Graph, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := newSnapshot(gen, base, model)
+	snap := newSnapshot(gen, base, model, modelChecksum(model))
 	s.snap.Store(snap)
 	if s.Role() == RoleLeader {
 		// Commit the recovered state immediately: replayed batches fold into
@@ -722,7 +724,7 @@ func (s *Server) remine() bool {
 	s.traces.RecordRange(prevBatch, coveredBatch, obs.StageFolded, cur.Generation+1, "")
 	var snap *Snapshot
 	rec.Time(obs.SpanPublish, func() {
-		snap = newSnapshot(cur.Generation+1, next, model)
+		snap = newSnapshot(cur.Generation+1, next, model, modelChecksum(model))
 		s.snap.Store(snap)
 	})
 	s.met.remines.Add(1)

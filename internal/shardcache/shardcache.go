@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
@@ -43,26 +44,78 @@ func (k Key) filename() string { return hex.EncodeToString(k[:]) + ".gob" }
 
 // Entry is one cached shard result. Callers must treat a returned entry and
 // everything it references as read-only: entries are shared across lookups.
+// An entry the cache holds has its Init and Final lines in the canonical
+// order (invdb.Normalized): Put and the disk layer normalize what they
+// admit, once.
 type Entry struct {
 	Init       []invdb.LineStat // lines before any merge
 	Final      []invdb.LineStat // lines after the shard's search
 	Iterations int              // merges the shard's search applied
 	GainEvals  int              // gain evaluations the search performed
+
+	// order memoizes the merge order derived from the lines (see Order).
+	// It is unexported, so it never reaches a blob or the wire.
+	order atomic.Pointer[Order]
 }
 
-// clone deep-copies e so cached state never aliases caller-owned slices
-// (AppendLineStats leaf slices alias a DB's leafset table).
+// Order is the merge order the model assembler derives from an entry's
+// normalized lines: the index of the first line of each distinct leafset,
+// in ascending content order, of Init and of Final (invdb.LeafOrder), and
+// the indices of Final's lines in the model's pattern order with their
+// code lengths. Code lengths, and with them the pattern order, depend on
+// the coresets' code lengths, which the entry's key pins (N and every
+// value's count), so one entry has one Order. It lives and dies with the
+// entry.
+type Order struct {
+	InitLeaves  []int32
+	FinalLeaves []int32
+	Patterns    []int32   // indices into Final, in pattern order
+	CodeLens    []float64 // CodeLens[i] is the code length of pattern i
+}
+
+// Order returns e's merge order, building it with build on first use. e's
+// lines must be normalized. Concurrent first uses may each build; one
+// result wins, and all are equal.
+func (e *Entry) Order(build func() *Order) *Order {
+	if o := e.order.Load(); o != nil {
+		return o
+	}
+	e.order.CompareAndSwap(nil, build())
+	return e.order.Load()
+}
+
+// Normalize puts e's lines in the canonical order, sorting only lines that
+// an O(n) scan finds out of order (blobs written by older binaries, entries
+// from older workers). It must run before e is shared.
+func (e *Entry) Normalize() {
+	e.Init, e.Final = invdb.Normalized(e.Init), invdb.Normalized(e.Final)
+}
+
+// clone deep-copies e, normalized, so cached state never aliases
+// caller-owned slices (AppendLineStats leaf slices alias a DB's leafset
+// table). It shares e's merge order: an order is only ever built for
+// normalized lines, which the copy keeps in place.
 func (e *Entry) clone() *Entry {
 	cp := &Entry{Iterations: e.Iterations, GainEvals: e.GainEvals}
-	cp.Init = cloneStats(e.Init)
-	cp.Final = cloneStats(e.Final)
+	cp.Init = cloneStats(invdb.Normalized(e.Init))
+	cp.Final = cloneStats(invdb.Normalized(e.Final))
+	cp.order.Store(e.order.Load())
 	return cp
 }
 
+// cloneStats copies stats with every leafset in one slab, one allocation
+// for the lines and one for their values.
 func cloneStats(stats []invdb.LineStat) []invdb.LineStat {
+	n := 0
+	for _, s := range stats {
+		n += len(s.Leaf)
+	}
+	slab := make([]graph.AttrID, 0, n)
 	out := make([]invdb.LineStat, len(stats))
 	for i, s := range stats {
-		out[i] = invdb.LineStat{Core: s.Core, Leaf: append([]graph.AttrID(nil), s.Leaf...), FL: s.FL}
+		start := len(slab)
+		slab = append(slab, s.Leaf...)
+		out[i] = invdb.LineStat{Core: s.Core, Leaf: slab[start:len(slab):len(slab)], FL: s.FL}
 	}
 	return out
 }
@@ -161,8 +214,9 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	return nil, false
 }
 
-// Put stores a deep copy of e under k in memory, marked used in the current
-// run, and, when a directory is configured, as a gob blob on disk.
+// Put stores a normalized deep copy of e under k in memory, marked used in
+// the current run, and, when a directory is configured, as a gob blob on
+// disk.
 func (c *Cache) Put(k Key, e *Entry) error {
 	cp := e.clone()
 	c.mu.Lock()
@@ -306,6 +360,7 @@ func (c *Cache) loadDisk(k Key) (*Entry, bool) {
 	if err := gob.NewDecoder(f).Decode(e); err != nil {
 		return nil, false
 	}
+	e.Normalize()
 	return e, true
 }
 

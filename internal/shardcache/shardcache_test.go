@@ -3,6 +3,8 @@ package shardcache
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -304,6 +306,100 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 		}
 		if got.Iterations != int(i) || len(got.Final) != int(i) {
 			t.Fatalf("entry %d round-tripped wrong: %+v", i, got)
+		}
+	}
+}
+
+// rawEntry returns an entry whose lines are out of the canonical order:
+// reversed, as an older binary could have stored them.
+func rawEntry() *Entry {
+	e := entry(4)
+	slices.Reverse(e.Init)
+	slices.Reverse(e.Final)
+	return e
+}
+
+// TestAdmittedEntriesAreNormalized pins that every way into the cache
+// leaves an entry's lines in the canonical order: Put normalizes its copy,
+// and the disk layer normalizes a blob written in raw line order.
+func TestAdmittedEntriesAreNormalized(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key(1), rawEntry()); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := c.Get(key(1))
+	if !invdb.IsNormalized(got.Init) || !invdb.IsNormalized(got.Final) {
+		t.Fatal("Put stored lines out of the canonical order")
+	}
+	if !reflect.DeepEqual(got.Final, entry(4).Final) {
+		t.Fatalf("normalized lines %v, want %v", got.Final, entry(4).Final)
+	}
+
+	blob, err := encodeEntry(rawEntry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key(2).filename()), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, ok := c.Get(key(2))
+	if !ok {
+		t.Fatal("raw blob did not load")
+	}
+	if !reflect.DeepEqual(loaded.Init, entry(4).Init) || !reflect.DeepEqual(loaded.Final, entry(4).Final) {
+		t.Fatal("a blob in raw line order loaded unnormalized")
+	}
+}
+
+// TestPutSharesOrderAndSlabsLeaves pins Put's copy: it shares the merge
+// order the caller built (the lines keep their order), and it cuts every
+// leafset from one slab with its capacity capped, so appending to one
+// leafset cannot clobber the next.
+func TestPutSharesOrderAndSlabsLeaves(t *testing.T) {
+	c := New()
+	e := entry(3)
+	want := e.Order(func() *Order { return &Order{Patterns: []int32{2, 0, 1}} })
+	if err := c.Put(key(1), e); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := c.Get(key(1))
+	if got == e {
+		t.Fatal("Put stored the caller's entry, not a copy")
+	}
+	if o := got.Order(func() *Order { t.Fatal("copy rebuilt its order"); return nil }); o != want {
+		t.Fatal("copy does not share the caller's order")
+	}
+	for i, s := range got.Final {
+		if cap(s.Leaf) != len(s.Leaf) {
+			t.Fatalf("line %d leaf has spare capacity %d", i, cap(s.Leaf)-len(s.Leaf))
+		}
+	}
+	if &got.Final[0].Leaf[0] == &e.Final[0].Leaf[0] {
+		t.Fatal("copy aliases the caller's leafsets")
+	}
+}
+
+// TestOrderConcurrentFirstUse races first uses of one entry's merge order:
+// every caller must get the one order that won.
+func TestOrderConcurrentFirstUse(t *testing.T) {
+	e := entry(3)
+	got := make([]*Order, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = e.Order(func() *Order { return &Order{Patterns: []int32{int32(i)}} })
+		}()
+	}
+	wg.Wait()
+	for i, o := range got {
+		if o != got[0] {
+			t.Fatalf("caller %d got order %v, caller 0 got %v", i, o, got[0])
 		}
 	}
 }

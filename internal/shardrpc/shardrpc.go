@@ -222,9 +222,10 @@ func EncodeEntry(e *shardcache.Entry) ([]byte, [sha256.Size]byte, error) {
 	return buf.Bytes(), sha256.Sum256(buf.Bytes()), nil
 }
 
-// DecodeEntry verifies blob against sum and decodes it. Any mismatch or
-// decode failure reports ErrCorruptResult: a flipped or missing byte must
-// surface as a retryable transport fault, never as a silently wrong model.
+// DecodeEntry verifies blob against sum and decodes it into a normalized
+// entry (see shardcache.Entry.Normalize). Any mismatch or decode failure
+// reports ErrCorruptResult: a flipped or missing byte must surface as a
+// retryable transport fault, never as a silently wrong model.
 func DecodeEntry(blob []byte, sum [sha256.Size]byte) (*shardcache.Entry, error) {
 	if sha256.Sum256(blob) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch over %d bytes", ErrCorruptResult, len(blob))
@@ -233,6 +234,8 @@ func DecodeEntry(blob []byte, sum [sha256.Size]byte) (*shardcache.Entry, error) 
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(e); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptResult, err)
 	}
+	// Workers of older binaries send lines in search order.
+	e.Normalize()
 	return e, nil
 }
 
