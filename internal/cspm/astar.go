@@ -10,7 +10,6 @@ package cspm
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -143,13 +142,6 @@ func (m *Model) MultiLeaf() []AStar {
 		}
 	}
 	return out
-}
-
-// sortPatterns ranks patterns by comparePatterns.
-func sortPatterns(ps []AStar) {
-	slices.SortFunc(ps, func(a, b AStar) int {
-		return comparePatterns(a.CodeLen, a.CoreValues, a.LeafValues, b.CodeLen, b.CoreValues, b.LeafValues)
-	})
 }
 
 // comparePatterns is the pattern ranking, taking each pattern as its code

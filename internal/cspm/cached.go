@@ -151,14 +151,11 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 			return nil, err
 		}
 		for _, job := range dirty {
-			// The merge order is built before the copy Put stores, which
-			// shares it, so a group's order is built once, not again on its
-			// first replay. A failed disk write only loses persistence (the
-			// in-memory copy is already stored); mining correctness is
-			// unaffected.
-			e := entries[job.ID]
-			orderOf(e, coreValues, coreCode)
-			_ = cache.Put(keys[job.ID], e)
+			// The stored copy replaces the fresh entry, so the merge order
+			// the merge builds for it is the one its replays reuse. A
+			// failed disk write only loses persistence (the in-memory copy
+			// is already stored); mining correctness is unaffected.
+			entries[job.ID], _ = cache.Put(keys[job.ID], entries[job.ID])
 		}
 	}
 	evicted := cache.EndRun()
@@ -250,51 +247,28 @@ func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, m *
 // Nothing is re-sorted: each entry carries its merge order (entryOrder,
 // built once per entry and kept with it), and the entries' runs are k-way
 // merged in the canonical orders (invdb.MergeRuns, mergePatterns), so a
-// replayed group costs a merge step per line, not a sort. The groups of
-// mineGroups own disjoint coresets, so an entry's pattern order is its
-// slice of the model's; entries that share a coreset, whose f_c then spans
-// them, fall back to ranking the merged lines whole.
+// replayed group costs a merge step per line, not a sort. The entries must
+// own disjoint coresets, as attribute-closed groups and a lone entry do:
+// then a line's f_c is its own entry's, and an entry's pattern order is
+// its slice of the model's.
 func mergeEntryStats(m *Model, st *mdl.StandardTable, coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64, entries []*shardcache.Entry) {
 	initRuns := make([]invdb.Run, len(entries))
 	finalRuns := make([]invdb.Run, len(entries))
 	orders := make([]*shardcache.Order, len(entries))
 	nFinal := 0
 	for i, e := range entries {
-		o := orderOf(e, coreValues, coreCode)
+		o := e.Order(func() *shardcache.Order { return entryOrder(e, coreValues, coreCode) })
 		initRuns[i] = invdb.Run{Lines: e.Init, Leaves: o.InitLeaves}
 		finalRuns[i] = invdb.Run{Lines: e.Final, Leaves: o.FinalLeaves}
 		orders[i] = o
 		nFinal += len(e.Final)
 	}
-	// The baseline, the entropy and the patterns are independent pure
-	// functions of the runs, so they are computed side by side; each sums
-	// in its own fixed order, so the result does not depend on scheduling.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		bd, bm, _, _ := invdb.MergeRuns(st, coreCode, initRuns)
-		m.BaselineDL = bd + bm
-	}()
-	fd, fm, norm, shared := invdb.MergeRuns(st, coreCode, finalRuns)
+	bd, bm, _ := invdb.MergeRuns(st, coreCode, initRuns)
+	m.BaselineDL = bd + bm
+	fd, fm, norm := invdb.MergeRuns(st, coreCode, finalRuns)
 	m.FinalDL = fd + fm
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m.CondEntropy = invdb.CanonicalCondEntropy(norm)
-	}()
-	if shared {
-		m.Patterns = patternsFromStats(coreValues, coreCode, norm)
-		sortPatterns(m.Patterns)
-	} else {
-		m.Patterns = mergePatterns(coreValues, finalRuns, orders, nFinal)
-	}
-	wg.Wait()
-}
-
-// orderOf returns e's merge order, building it on first use.
-func orderOf(e *shardcache.Entry, coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64) *shardcache.Order {
-	return e.Order(func() *shardcache.Order { return entryOrder(e, coreValues, coreCode) })
+	m.CondEntropy = invdb.CanonicalCondEntropy(norm)
+	m.Patterns = mergePatterns(coreValues, finalRuns, orders, nFinal)
 }
 
 // entryOrder derives an entry's merge order: the leafset orders of its
@@ -305,21 +279,21 @@ func entryOrder(e *shardcache.Entry, coreValues func(invdb.CoresetID) []graph.At
 	if !invdb.IsNormalized(e.Init) || !invdb.IsNormalized(e.Final) {
 		panic("cspm: merge order of an entry whose lines are not normalized")
 	}
-	codes := appendLineCodes(nil, e.Final, coreCode)
+	codes := lineCodeLens(e.Final, coreCode)
 	pats := make([]int32, len(e.Final))
 	for i := range pats {
 		pats[i] = int32(i)
 	}
 	slices.SortFunc(pats, func(a, b int32) int {
-		if c := cmp.Compare(codes[a].codeLen, codes[b].codeLen); c != 0 {
+		if c := cmp.Compare(codes[a], codes[b]); c != 0 {
 			return c // most pairs differ in code length: skip the value lookups
 		}
 		la, lb := e.Final[a], e.Final[b]
-		return comparePatterns(codes[a].codeLen, coreValues(la.Core), la.Leaf, codes[b].codeLen, coreValues(lb.Core), lb.Leaf)
+		return comparePatterns(codes[a], coreValues(la.Core), la.Leaf, codes[b], coreValues(lb.Core), lb.Leaf)
 	})
 	lens := make([]float64, len(pats))
 	for i, k := range pats {
-		lens[i] = codes[k].codeLen
+		lens[i] = codes[k]
 	}
 	return &shardcache.Order{
 		InitLeaves:  invdb.LeafOrder(e.Init),
@@ -329,18 +303,12 @@ func entryOrder(e *shardcache.Entry, coreValues func(invdb.CoresetID) []graph.At
 	}
 }
 
-// lineCode holds the pattern terms of one final line: its coreset's
-// frequency f_c (the sum of the core's line frequencies, as a database's
-// f_c is) and its code length, the core's plus CondCodeLen(fL, fc).
-type lineCode struct {
-	fc      int
-	codeLen float64
-}
-
-// appendLineCodes appends the lineCode of every line of normalized lines
-// to dst, so replayed and freshly mined groups produce identical patterns,
-// bit for bit.
-func appendLineCodes(dst []lineCode, lines []invdb.LineStat, coreCode func(invdb.CoresetID) float64) []lineCode {
+// lineCodeLens returns the pattern code length of every line of normalized
+// lines: its core's plus CondCodeLen(fL, fc), where f_c sums the core's
+// line frequencies, as a database's f_c does. Replayed and freshly mined
+// groups thus produce identical patterns, bit for bit.
+func lineCodeLens(lines []invdb.LineStat, coreCode func(invdb.CoresetID) float64) []float64 {
+	out := make([]float64, 0, len(lines))
 	for i := 0; i < len(lines); {
 		c := lines[i].Core
 		j, fc := i, 0
@@ -349,11 +317,11 @@ func appendLineCodes(dst []lineCode, lines []invdb.LineStat, coreCode func(invdb
 		}
 		coreLen := coreCode(c)
 		for k := i; k < j; k++ {
-			dst = append(dst, lineCode{fc: fc, codeLen: coreLen + mdl.CondCodeLen(lines[k].FL, fc)})
+			out = append(out, coreLen+mdl.CondCodeLen(lines[k].FL, fc))
 		}
 		i = j
 	}
-	return dst
+	return out
 }
 
 // mergePatterns builds the pattern list of runs whose coresets are
@@ -401,23 +369,5 @@ func mergePatterns(coreValues func(invdb.CoresetID) []graph.AttrID, runs []invdb
 		s := runs[r].Lines[k]
 		out = append(out, AStar{CoreValues: carve(coreValues(s.Core)), LeafValues: carve(s.Leaf), FL: s.FL, FC: fcs[r][k], CodeLen: orders[r].CodeLens[i]})
 	})
-	return out
-}
-
-// patternsFromStats derives the a-star pattern list from a final line
-// multiset already normalized by invdb.NormalizeLineStats, unranked: the
-// assembler's path for entries that share a coreset.
-func patternsFromStats(coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64, norm []invdb.LineStat) []AStar {
-	codes := appendLineCodes(nil, norm, coreCode)
-	out := make([]AStar, len(norm))
-	for k, s := range norm {
-		out[k] = AStar{
-			CoreValues: append([]graph.AttrID(nil), coreValues(s.Core)...),
-			LeafValues: append([]graph.AttrID(nil), s.Leaf...),
-			FL:         s.FL,
-			FC:         codes[k].fc,
-			CodeLen:    codes[k].codeLen,
-		}
-	}
 	return out
 }

@@ -52,7 +52,9 @@ func referenceMergeEntryStats(m *Model, st *mdl.StandardTable, coreValues func(i
 		}
 		i = j
 	}
-	sortPatterns(m.Patterns)
+	slices.SortFunc(m.Patterns, func(a, b AStar) int {
+		return comparePatterns(a.CodeLen, a.CoreValues, a.LeafValues, b.CodeLen, b.CoreValues, b.LeafValues)
+	})
 }
 
 // sameModelBits fails unless got and want agree on the patterns and on
@@ -159,46 +161,5 @@ func TestMergeMatchesReference(t *testing.T) {
 			}
 			sameModelBits(t, "raw disk blobs", m, want)
 		})
-	}
-}
-
-// TestMergeSharedCoresets covers the assembler's other path: entries that
-// share a coreset (here one group's lines split across two entries, and a
-// group replayed twice, so equal lines fold) rank the merged lines whole,
-// and must still match the reference bit for bit.
-func TestMergeSharedCoresets(t *testing.T) {
-	g := dataset.Islands(dataset.IslandsConfig{
-		Seed: 7, Islands: 4, MinNodes: 20, MaxNodes: 50,
-		AttrsPerIsland: 8, ExtraEdges: 1.0, AttrsPerNode: 3,
-	})
-	cache := shardcache.New()
-	MineShardedCached(g, Options{}, cache)
-	var entries []*shardcache.Entry
-	for _, k := range groupKeys(g, Options{}) {
-		e, _ := cache.Get(k)
-		entries = append(entries, e)
-	}
-	split := func(lines []invdb.LineStat, parity int) []invdb.LineStat {
-		var out []invdb.LineStat
-		for i, s := range lines {
-			if i%2 == parity {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	halves := []*shardcache.Entry{
-		{Init: split(entries[0].Init, 0), Final: split(entries[0].Final, 0)},
-		{Init: split(entries[0].Init, 1), Final: split(entries[0].Final, 1)},
-	}
-	st, coreValues, coreCode := singleValueCoresets(g)
-	for name, es := range map[string][]*shardcache.Entry{
-		"split":  append(halves, entries[1:]...),
-		"repeat": append([]*shardcache.Entry{entries[1]}, entries...),
-	} {
-		got, want := &Model{}, &Model{}
-		mergeEntryStats(got, st, coreValues, coreCode, es)
-		referenceMergeEntryStats(want, st, coreValues, coreCode, es)
-		sameModelBits(t, name, got, want)
 	}
 }

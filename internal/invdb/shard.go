@@ -181,9 +181,8 @@ type Run struct {
 // (core, leaf) lines, so norm equals NormalizeLineStats of the runs'
 // concatenation, and merges their leafset orders into the spell-out order.
 // data and model are CanonicalDL of the union, bit for bit: every term is
-// added in the same order. shared reports whether some coreset has lines
-// in more than one run.
-func MergeRuns(st *mdl.StandardTable, coreCode func(CoresetID) float64, runs []Run) (data, model float64, norm []LineStat, shared bool) {
+// added in the same order.
+func MergeRuns(st *mdl.StandardTable, coreCode func(CoresetID) float64, runs []Run) (data, model float64, norm []LineStat) {
 	lens := make([]int, len(runs))
 	total := 0
 	for r, run := range runs {
@@ -191,19 +190,14 @@ func MergeRuns(st *mdl.StandardTable, coreCode func(CoresetID) float64, runs []R
 		total += lens[r]
 	}
 	norm = make([]LineStat, 0, total)
-	last := -1 // run of the line norm ends with
 	kmerge.Merge(lens, func(r1, i1, r2, i2 int) int {
 		return compareLines(runs[r1].Lines[i1], runs[r2].Lines[i2])
 	}, func(r, i int) {
 		s := runs[r].Lines[i]
-		if n := len(norm); n > 0 && norm[n-1].Core == s.Core {
-			shared = shared || r != last
-			if slices.Equal(norm[n-1].Leaf, s.Leaf) {
-				norm[n-1].FL += s.FL
-				return
-			}
+		if n := len(norm); n > 0 && norm[n-1].Core == s.Core && slices.Equal(norm[n-1].Leaf, s.Leaf) {
+			norm[n-1].FL += s.FL
+			return
 		}
-		last = r
 		norm = append(norm, s)
 	})
 	data, model = lineDL(coreCode, norm)
@@ -222,7 +216,7 @@ func MergeRuns(st *mdl.StandardTable, coreCode func(CoresetID) float64, runs []R
 		model += st.SetLen(lf)
 		prev, first = lf, false
 	})
-	return data, model, norm, shared
+	return data, model, norm
 }
 
 // CanonicalDL computes the data and model description lengths of a line
@@ -261,9 +255,9 @@ func lineDL(coreCode func(CoresetID) float64, stats []LineStat) (data, model flo
 		for ; j < len(stats) && stats[j].Core == c; j++ {
 			fc += stats[j].FL
 		}
-		data += mdl.XLogXInt(fc)
+		data += mdl.XLogX(float64(fc))
 		for k := i; k < j; k++ {
-			data -= mdl.XLogXInt(stats[k].FL)
+			data -= mdl.XLogX(float64(stats[k].FL))
 			model += coreCode(c)
 		}
 		i = j

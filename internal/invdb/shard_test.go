@@ -232,8 +232,7 @@ func TestFromShardDataMatchesFromGraphShard(t *testing.T) {
 // TestMergeRunsMatchesCanonicalDL splits random line multisets into
 // normalized runs — with coresets spread over several runs, equal lines in
 // different runs and empty runs — and checks MergeRuns against
-// NormalizeLineStats and CanonicalDL of the concatenation, bit for bit,
-// and its shared flag against the runs' coresets.
+// NormalizeLineStats and CanonicalDL of the concatenation, bit for bit.
 func TestMergeRunsMatchesCanonicalDL(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := graph.NewBuilder(1)
@@ -246,8 +245,6 @@ func TestMergeRunsMatchesCanonicalDL(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		runs := make([]Run, k)
 		var all []LineStat
-		owner := map[CoresetID]int{}
-		shared := false
 		for r := range runs {
 			var lines []LineStat
 			for range rng.Intn(9) {
@@ -262,24 +259,15 @@ func TestMergeRunsMatchesCanonicalDL(t *testing.T) {
 			if !IsNormalized(lines) {
 				t.Fatal("Normalized returned unnormalized lines")
 			}
-			for _, s := range lines {
-				if o, ok := owner[s.Core]; ok && o != r {
-					shared = true
-				}
-				owner[s.Core] = r
-			}
 			runs[r] = Run{Lines: lines, Leaves: LeafOrder(lines)}
 		}
-		data, model, norm, gotShared := MergeRuns(st, coreCode, runs)
+		data, model, norm := MergeRuns(st, coreCode, runs)
 		wd, wm := CanonicalDL(st, coreCode, all)
 		if math.Float64bits(data) != math.Float64bits(wd) || math.Float64bits(model) != math.Float64bits(wm) {
 			t.Fatalf("trial %d: MergeRuns DL (%v, %v), CanonicalDL (%v, %v)", trial, data, model, wd, wm)
 		}
 		if want := NormalizeLineStats(all); !reflect.DeepEqual(norm, want) && len(want) > 0 {
 			t.Fatalf("trial %d: merged lines %v, want %v", trial, norm, want)
-		}
-		if gotShared != shared {
-			t.Fatalf("trial %d: shared = %v, want %v", trial, gotShared, shared)
 		}
 	}
 }

@@ -53,26 +53,13 @@ func Merge(lens []int, cmp func(r1, i1, r2, i2 int) int, visit func(r, i int)) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	// second is the smaller child of the root: the runner-up while the
-	// root's run keeps winning. Runs of blocks (groups owning disjoint
-	// coresets) then cost one comparison per element, not a sift.
-	second := func() int {
-		if len(h) > 2 && less(h[2], h[1]) {
-			return 2
-		}
-		return 1
-	}
-	next := second()
 	for len(h) > 0 {
 		top := &h[0]
 		visit(top.run, top.pos)
 		if top.pos++; top.pos == lens[top.run] {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
-		} else if len(h) == 1 || !less(h[next], h[0]) {
-			continue
 		}
 		down(0)
-		next = second()
 	}
 }

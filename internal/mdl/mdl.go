@@ -23,25 +23,6 @@ func XLogX(x float64) float64 {
 	return x * math.Log2(x)
 }
 
-// xlogxInts tabulates XLogX over the integers below its length, the line
-// and coreset frequencies that canonical DL sums price most often. It is
-// an array, so it sits in the binary's data, not on the heap.
-var xlogxInts [1 << 10]float64
-
-func init() {
-	for n := range xlogxInts {
-		xlogxInts[n] = XLogX(float64(n))
-	}
-}
-
-// XLogXInt returns XLogX(float64(n)), from a table when n is small.
-func XLogXInt(n int) float64 {
-	if uint(n) < uint(len(xlogxInts)) {
-		return xlogxInts[n]
-	}
-	return XLogX(float64(n))
-}
-
 // StandardTable is the standard code table ST (paper §III): the optimal
 // per-value encoding of attribute values from their global frequencies in
 // the vertex→attribute mapping, ignoring labels and structure.

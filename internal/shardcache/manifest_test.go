@@ -11,7 +11,7 @@ func TestManifestRoundtripAndVerify(t *testing.T) {
 	dir := t.TempDir()
 	c := openCache(t, dir)
 	for i := byte(1); i <= 3; i++ {
-		if err := c.Put(key(i), entry(int(i))); err != nil {
+		if _, err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestQuarantineDir(t *testing.T) {
 	dir := t.TempDir()
 	c := openCache(t, dir)
 	for i := byte(1); i <= 2; i++ {
-		if err := c.Put(key(i), entry(int(i))); err != nil {
+		if _, err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestPersistAggregatesPerEntryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := byte(1); i <= 3; i++ {
-		if err := c.Put(key(i), entry(int(i))); (err != nil) != (i == 2) {
+		if _, err := c.Put(key(i), entry(int(i))); (err != nil) != (i == 2) {
 			t.Fatalf("Put %d = %v", i, err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestPersistManifestWritesOnlyNewBlobs(t *testing.T) {
 	dir := t.TempDir()
 	c := openCache(t, dir)
 	for i := byte(1); i <= 3; i++ {
-		if err := c.Put(key(i), entry(int(i))); err != nil {
+		if _, err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -93,13 +93,11 @@ func (e *Entry) Normalize() {
 
 // clone deep-copies e, normalized, so cached state never aliases
 // caller-owned slices (AppendLineStats leaf slices alias a DB's leafset
-// table). It shares e's merge order: an order is only ever built for
-// normalized lines, which the copy keeps in place.
+// table).
 func (e *Entry) clone() *Entry {
 	cp := &Entry{Iterations: e.Iterations, GainEvals: e.GainEvals}
 	cp.Init = cloneStats(invdb.Normalized(e.Init))
 	cp.Final = cloneStats(invdb.Normalized(e.Final))
-	cp.order.Store(e.order.Load())
 	return cp
 }
 
@@ -216,8 +214,10 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 
 // Put stores a normalized deep copy of e under k in memory, marked used in
 // the current run, and, when a directory is configured, as a gob blob on
-// disk.
-func (c *Cache) Put(k Key, e *Entry) error {
+// disk. It returns the stored copy, which is shared like a Get result, so
+// a merge order built on it serves every later hit; the copy is stored in
+// memory even when the disk write fails.
+func (c *Cache) Put(k Key, e *Entry) (*Entry, error) {
 	cp := e.clone()
 	c.mu.Lock()
 	r := c.admit(k, cp)
@@ -228,11 +228,11 @@ func (c *Cache) Put(k Key, e *Entry) error {
 		// safe.
 		sum, err := storeBlob(c.dir, k, cp)
 		if err != nil {
-			return err
+			return cp, err
 		}
 		c.noteSum(k, cp, sum)
 	}
-	return nil
+	return cp, nil
 }
 
 // noteSum records sum as the checksum of e's blob in the cache's own

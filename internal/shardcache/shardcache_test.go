@@ -237,7 +237,7 @@ func TestRunBoundConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := range 50 {
 				k := key(byte(w*50 + i))
-				if err := c.Put(k, entry(1)); err != nil {
+				if _, err := c.Put(k, entry(1)); err != nil {
 					t.Error(err)
 				}
 				if _, ok := c.Get(k); !ok {
@@ -272,7 +272,7 @@ func TestRunBoundConcurrentUse(t *testing.T) {
 // serves them.
 func TestPersistFlushesMemoryToDisk(t *testing.T) {
 	mem := New()
-	if err := mem.Put(key(1), entry(1)); err != nil {
+	if _, err := mem.Put(key(1), entry(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.PersistManifest(&Manifest{}); err == nil {
@@ -284,7 +284,7 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := byte(1); i <= 3; i++ {
-		if err := c.Put(key(i), entry(int(i))); err != nil {
+		if _, err := c.Put(key(i), entry(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestAdmittedEntriesAreNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(key(1), rawEntry()); err != nil {
+	if _, err := c.Put(key(1), rawEntry()); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Get(key(1))
@@ -355,23 +355,23 @@ func TestAdmittedEntriesAreNormalized(t *testing.T) {
 	}
 }
 
-// TestPutSharesOrderAndSlabsLeaves pins Put's copy: it shares the merge
-// order the caller built (the lines keep their order), and it cuts every
-// leafset from one slab with its capacity capped, so appending to one
-// leafset cannot clobber the next.
-func TestPutSharesOrderAndSlabsLeaves(t *testing.T) {
+// TestPutReturnsStoredCopyAndSlabsLeaves pins Put's copy: Put returns the
+// entry it stored, the one later hits get (so an order built on it is
+// reused), and it cuts every leafset from one slab with its capacity
+// capped, so appending to one leafset cannot clobber the next.
+func TestPutReturnsStoredCopyAndSlabsLeaves(t *testing.T) {
 	c := New()
 	e := entry(3)
-	want := e.Order(func() *Order { return &Order{Patterns: []int32{2, 0, 1}} })
-	if err := c.Put(key(1), e); err != nil {
+	stored, err := c.Put(key(1), e)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Get(key(1))
+	if got != stored {
+		t.Fatal("Put returned an entry other than the one a hit gets")
+	}
 	if got == e {
 		t.Fatal("Put stored the caller's entry, not a copy")
-	}
-	if o := got.Order(func() *Order { t.Fatal("copy rebuilt its order"); return nil }); o != want {
-		t.Fatal("copy does not share the caller's order")
 	}
 	for i, s := range got.Final {
 		if cap(s.Leaf) != len(s.Leaf) {
