@@ -7,6 +7,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cspm/internal/graph"
@@ -17,22 +18,6 @@ import (
 	"cspm/internal/shardcache"
 	"cspm/internal/shardrpc"
 )
-
-// StageObserver receives the wall-clock duration of each phase of a
-// component-pipeline run, named by the obs span constants: SpanFingerprint
-// (building every group's shard job and cache key), SpanDiff (cache lookup
-// splitting clean from dirty groups), SpanShardMine (mining the dirty
-// groups, in-process or over a transport) and SpanMerge (exact model
-// merge). The serving layer's re-mine profiler plugs in here; a plain
-// function type (not an Options field) keeps Options gob-encodable for the
-// shardrpc wire.
-type StageObserver func(stage string, d time.Duration)
-
-func (f StageObserver) observe(stage string, since time.Time) {
-	if f != nil {
-		f(stage, time.Since(since))
-	}
-}
 
 // cachedSearchVersion salts every group's cache key with the mining
 // algorithm's result format. Bump it whenever a change makes the search
@@ -104,9 +89,12 @@ func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *M
 }
 
 // groupExecutor mines the dirty component groups' shard jobs, each into
-// its group's slot entries[job.ID], recording its run diagnostics (PerIter,
+// its group's slot entries[job.ID], stamping when the group's mine started
+// and ended in times[job.ID] and recording its run diagnostics (PerIter,
 // remote counters) on m. A non-nil error aborts the run.
-type groupExecutor func(jobs []shardrpc.Job, entries []*shardcache.Entry, m *Model) error
+type groupExecutor func(jobs []shardrpc.Job, entries []*shardcache.Entry, times []mineTime, m *Model) error
+
+type mineTime struct{ start, end time.Time } // one group's mine
 
 // mineGroups is the one component-mining pipeline behind MineShardedCached
 // and MineDistributed: partition g into attribute-closed groups, build each
@@ -115,9 +103,12 @@ type groupExecutor func(jobs []shardrpc.Job, entries []*shardcache.Entry, m *Mod
 // shardcache.Cache.EndRun), then fold the diagnostics and merge every
 // group's entry with the canonical DL accounting. A nil cache mines through
 // an ephemeral one and leaves the cache counters at 0, as in any uncached
-// run. Each phase is reported to observe (see StageObserver). The caller
-// validates opts.
-func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec groupExecutor, observe StageObserver) (*Model, error) {
+// run. Each phase is reported to rec (nil = none) as an obs span
+// (fingerprint: jobs and keys; diff: cache lookup; shard_mine: the dirty
+// groups; merge: the model), and once every dirty group has finished, each
+// group as an obs.GroupRun: mined (offset into shard_mine, mine time, gain
+// evaluations) or a cache hit. The caller validates opts.
+func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec groupExecutor, rec *obs.Recorder) (*Model, error) {
 	counted := cache != nil
 	if !counted {
 		cache = shardcache.New()
@@ -129,7 +120,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	for gi, job := range jobs {
 		keys[gi] = groupKey(counts, job)
 	}
-	observe.observe(obs.SpanFingerprint, t)
+	rec.Observe(obs.SpanFingerprint, time.Since(t))
 
 	t = time.Now()
 	entries := make([]*shardcache.Entry, len(jobs))
@@ -141,13 +132,14 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 			dirty = append(dirty, jobs[gi])
 		}
 	}
-	observe.observe(obs.SpanDiff, t)
+	rec.Observe(obs.SpanDiff, time.Since(t))
 
 	st, coreValues, coreCode := singleValueCoresets(g)
 	m := &Model{Vocab: g.Vocab(), ShardCount: len(dirty)}
 	t = time.Now()
+	times := make([]mineTime, len(jobs))
 	if len(dirty) > 0 {
-		if err := exec(dirty, entries, m); err != nil {
+		if err := exec(dirty, entries, times, m); err != nil {
 			return nil, err
 		}
 		for _, job := range dirty {
@@ -159,7 +151,14 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 		}
 	}
 	evicted := cache.EndRun()
-	observe.observe(obs.SpanShardMine, t)
+	rec.Observe(obs.SpanShardMine, time.Since(t))
+	for gi, mt := range times {
+		run := obs.GroupRun{Group: gi, Outcome: obs.GroupHit}
+		if !mt.start.IsZero() {
+			run = obs.GroupRun{Group: gi, Outcome: obs.GroupMined, Start: mt.start.Sub(t), Mine: mt.end.Sub(mt.start), GainEvals: entries[gi].GainEvals}
+		}
+		rec.ObserveGroup(run)
+	}
 
 	t = time.Now()
 	if counted {
@@ -172,7 +171,7 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 		m.GainEvals += e.GainEvals
 	}
 	mergeEntryStats(m, st, coreValues, coreCode, entries)
-	observe.observe(obs.SpanMerge, t)
+	rec.Observe(obs.SpanMerge, time.Since(t))
 	return m, nil
 }
 
@@ -196,38 +195,45 @@ func singleValueCoresets(g *graph.Graph) (*mdl.StandardTable, func(invdb.Coreset
 // a remote one only in the transport it skips. Options.Workers (0 = all
 // cores) is the total budget: at most that many groups mine at once, each
 // job carrying an equal share (at least one evaluator), so Workers=1 mines
-// one group at a time instead of oversubscribing. Each entry is a pure
+// one group at a time instead of oversubscribing. Jobs start longest
+// first (by row count), which shortens the makespan. Each entry is a pure
 // function of its job, and the results are folded in dirty order after the
-// barrier, so the run is deterministic. PerIter is surfaced only when the
-// caller asked, each merge renumbered and tagged with its dirty-group
-// index.
-func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, m *Model) error {
+// barrier, so the run is deterministic whatever the schedule. PerIter is
+// surfaced only when the caller asked, each merge renumbered and tagged
+// with its dirty-group index.
+func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, times []mineTime, m *Model) error {
 	workers := o.workerCount()
 	concurrent := min(workers, len(jobs))
 	base, extra := workers/concurrent, workers%concurrent
-	perIter := make([][]IterationStat, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, concurrent)
+	queue := slices.Clone(jobs)
+	slices.SortStableFunc(queue, func(a, b shardrpc.Job) int { return cmp.Compare(len(b.Attrs), len(a.Attrs)) })
+	perIter := make([][]IterationStat, len(entries)) // by job.ID, like errs
+	errs := make([]error, len(entries))
+	var next atomic.Int32
 	var wg sync.WaitGroup
-	for i, job := range jobs {
-		job.Workers = base
-		if i < extra {
-			job.Workers++
+	for w := range concurrent {
+		share := base
+		if w < extra {
+			share++
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			entries[job.ID], perIter[i], errs[i] = executeShardJob(job)
+			for k := int(next.Add(1)) - 1; k < len(queue); k = int(next.Add(1)) - 1 {
+				job := queue[k]
+				job.Workers = share
+				start := time.Now()
+				entries[job.ID], perIter[job.ID], errs[job.ID] = executeShardJob(job)
+				times[job.ID] = mineTime{start, time.Now()}
+			}
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil || !o.CollectStats {
 		return err
 	}
-	for i, trace := range perIter {
-		for _, it := range trace {
+	for i, job := range jobs {
+		for _, it := range perIter[job.ID] {
 			it.Iteration = len(m.PerIter) + 1
 			it.Shard = i
 			m.PerIter = append(m.PerIter, it)

@@ -10,6 +10,7 @@ import (
 	"cspm/internal/graph"
 	"cspm/internal/invdb"
 	"cspm/internal/mdl"
+	"cspm/internal/obs"
 	"cspm/internal/shardcache"
 	"cspm/internal/shardrpc"
 )
@@ -236,7 +237,7 @@ func buildShardJobs(g *graph.Graph, opts Options) []shardrpc.Job {
 // it mines g like MineShardedCached — one shard run per dirty
 // attribute-closed component group, merged exactly, consulting opts.Cache
 // (nil = uncached) — but returns invalid options as an error and reports
-// each pipeline phase to observe (nil = none; see StageObserver). With a
+// each pipeline phase and group to rec (nil = none; see mineGroups). With a
 // nil opts.Transport the dirty groups mine in-process and Model.PerIter is
 // collected when asked for. With a transport they travel as shard jobs:
 // failed attempts (drop, timeout, corrupt or truncated blob, worker error)
@@ -250,7 +251,7 @@ func buildShardJobs(g *graph.Graph, opts Options) []shardrpc.Job {
 //
 // Options.MaxIterations caps each group's merges independently (the
 // MineShardedCached semantics, not Mine's global cap).
-func MineDistributed(g *graph.Graph, opts DistributedOptions, observe StageObserver) (*Model, error) {
+func MineDistributed(g *graph.Graph, opts DistributedOptions, rec *obs.Recorder) (*Model, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -258,7 +259,7 @@ func MineDistributed(g *graph.Graph, opts DistributedOptions, observe StageObser
 	if opts.Transport != nil {
 		exec = opts.mineRemote
 	}
-	return mineGroups(g, opts.Options, opts.Cache, exec, observe)
+	return mineGroups(g, opts.Options, opts.Cache, exec, rec)
 }
 
 // mineRemote is the transport group executor: the dirty groups' jobs go
@@ -266,11 +267,11 @@ func MineDistributed(g *graph.Graph, opts DistributedOptions, observe StageObser
 // Jobs that exhaust their attempts are mined in-process by mineLocal, or
 // fail the run with a *DistributedError under NoFallback. No PerIter trace
 // is collected, fallback runs included.
-func (o DistributedOptions) mineRemote(jobs []shardrpc.Job, entries []*shardcache.Entry, m *Model) error {
+func (o DistributedOptions) mineRemote(jobs []shardrpc.Job, entries []*shardcache.Entry, times []mineTime, m *Model) error {
 	local := o.Options
 	local.CollectStats = false
 	m.RemoteJobs = len(jobs)
-	failed := collectRemote(jobs, o, entries, m)
+	failed := collectRemote(jobs, o, entries, times, m)
 	if len(failed) == 0 {
 		return nil
 	}
@@ -282,7 +283,7 @@ func (o DistributedOptions) mineRemote(jobs []shardrpc.Job, entries []*shardcach
 	for _, f := range failed {
 		isFailed[f.Group] = true
 	}
-	return local.mineLocal(slices.DeleteFunc(slices.Clone(jobs), func(j shardrpc.Job) bool { return !isFailed[int(j.ID)] }), entries, m)
+	return local.mineLocal(slices.DeleteFunc(slices.Clone(jobs), func(j shardrpc.Job) bool { return !isFailed[int(j.ID)] }), entries, times, m)
 }
 
 // pendingJob tracks one dispatched shard job through its attempts.
@@ -302,12 +303,13 @@ type pendingJob struct {
 var distRunSeq atomic.Uint64
 
 // collectRemote dispatches jobs over opts.Transport and collects entries,
-// each into its group's slot entries[job.ID], retrying failed attempts up
-// to opts.Retries times. It returns the jobs that exhausted their attempts;
-// everything else has its entry slot filled. Responses whose job is already
-// satisfied are counted on m.RemoteDuplicates and dropped — the dedupe that
-// keeps a duplicating transport from double-counting a group.
-func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shardcache.Entry, m *Model) []FailedJob {
+// each into its group's slot entries[job.ID] (times[job.ID] spans first
+// submission to acceptance), retrying failed attempts up to opts.Retries
+// times. It returns the jobs that exhausted their attempts; everything else
+// has its entry slot filled. Responses whose job is already satisfied are
+// counted on m.RemoteDuplicates and dropped — the dedupe that keeps a
+// duplicating transport from double-counting a group.
+func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shardcache.Entry, times []mineTime, m *Model) []FailedJob {
 	t := opts.Transport
 	timeout := opts.Timeout
 	if timeout == 0 {
@@ -370,6 +372,7 @@ func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shar
 			return
 		}
 		entries[p.group] = e
+		times[p.group].end = time.Now()
 		delete(outstanding, res.JobID)
 	}
 
@@ -379,6 +382,7 @@ func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shar
 		p.job.ID |= runTag
 		p.jobSum = shardrpc.JobChecksum(p.job)
 		outstanding[p.job.ID] = p
+		times[p.group].start = time.Now()
 		dispatch(p)
 		// Drain whatever is already ready between dispatches: transports
 		// buffer a bounded number of results (and may drop past the bound),

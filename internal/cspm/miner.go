@@ -188,12 +188,7 @@ func (st *runStats) record(db *invdb.DB, updates, possible int, gain float64) {
 	})
 }
 
-// evalGain evaluates a pair's gain honouring the ablation switch, using the
-// DB-owned scratch (serial paths only).
-func evalGain(db *invdb.DB, opts Options, x, y invdb.LeafsetID) float64 {
-	return gainOf(db.EvalMerge(x, y), opts)
-}
-
+// gainOf is a pair's gain honouring the ablation switch.
 func gainOf(ev invdb.MergeEval, opts Options) float64 {
 	if ev.CoOccurs == 0 {
 		return 0
@@ -229,9 +224,9 @@ func (es *evalState) scratch(w int) *invdb.EvalScratch {
 // once, by sweeping each active leafset p against its partners q > p. The
 // leafsets are dealt round-robin to up to opts.workerCount() goroutines,
 // each with its own scratch and result slice, and the slices are
-// concatenated. The order of the results is unspecified, but every
-// MergeEval is a pure function of (db, pair), so callers that choose by
-// (gain desc, packed key asc) reach the same decisions for any worker count.
+// concatenated, each in its leafsets' ascending id order. Every MergeEval
+// is a pure function of (db, pair), so callers that choose by (gain desc,
+// packed key asc) reach the same decisions for any worker count.
 func (es *evalState) sweepAll(db *invdb.DB, opts Options) []invdb.MergeEval {
 	active := db.AppendActiveLeafsets(es.active)
 	es.active = active
@@ -332,17 +327,6 @@ func (r rdict) removeLeafset(x invdb.LeafsetID, cs *candidateSet) {
 	delete(r, x)
 }
 
-// related returns a sorted snapshot of rdict[x].
-func (r rdict) related(x invdb.LeafsetID) []invdb.LeafsetID {
-	m := r[x]
-	out := make([]invdb.LeafsetID, 0, len(m))
-	for rel := range m {
-		out = append(out, rel)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // searchState bundles the candidate heap, related-leafset dictionary and
 // reusable evaluation buffers shared by minePartial and the Stepper.
 type searchState struct {
@@ -432,7 +416,7 @@ func (s *searchState) step(db *invdb.DB, opts Options) (invdb.MergeResult, bool)
 		if k := pairKey(x, y); !slices.Contains(s.popped, k) {
 			s.popped = append(s.popped, k)
 		}
-		g := evalGain(db, opts, x, y)
+		g := gainOf(db.EvalMerge(x, y), opts)
 		if g <= 0 {
 			s.rd.removePair(x, y)
 			continue

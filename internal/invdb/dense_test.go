@@ -152,7 +152,7 @@ func TestFootprintPrefilterExact(t *testing.T) {
 					if len(sc.unionBuf) == 0 {
 						skipped++
 					}
-					if want := db.evalLines(p[0], p[1], db.byLeaf[p[0]], db.byLeaf[p[1]], sc); got != want {
+					if want := db.evalLines(p[0], p[1], db.leafIndex(p[0]), db.leafIndex(p[1]), sc); got != want {
 						t.Fatalf("%s shard %d step %d: prefiltered %+v != unfiltered %+v", name, i, step, got, want)
 					}
 					evals++

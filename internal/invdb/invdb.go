@@ -20,7 +20,7 @@ package invdb
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cspm/internal/graph"
 	"cspm/internal/intset"
@@ -57,8 +57,9 @@ type DB struct {
 	coreFreq    []int            // f_c: Σ fL over the coreset's lines (Eq. 8 note)
 
 	leafsets *LeafsetTable
-	byCore   []lineIndex[LeafsetID]              // coreset → leafset → line
-	byLeaf   map[LeafsetID]*lineIndex[CoresetID] // leafset → coreset → line
+	byCore   []lineIndex[LeafsetID]  // coreset → leafset → line
+	byLeaf   []*lineIndex[CoresetID] // leafset → coreset → line; nil = no lines (read via leafIndex)
+	active   int                     // leafsets that own lines: the non-nil byLeaf slots
 	numLines int
 
 	dataDL  float64 // Eq. 8 over current lines
@@ -66,13 +67,14 @@ type DB struct {
 	baseDL  float64 // dataDL + modelDL right after construction
 
 	scratch *EvalScratch // serial-eval arena, backs EvalMerge
-	// ApplyMerge scratch: snapshot of the merged pair's shared lines, taken
-	// before the indexes are mutated, plus the per-coreset intersection
-	// buffer (cloned only when the intersection becomes a stored line).
-	applyShared []CoresetID
-	applyX      []*Line
-	applyY      []*Line
+	// ApplyMerge scratch: the lines a merge empties, and the per-coreset
+	// intersection, a sorted slice or, on DBs with bitmaps, a bitmap.
+	applyDead   []*Line
 	applyInter  intset.Set
+	applyBits   intset.Bitmap
+	applyShared []CoresetID  // MergeResult.Shared
+	applyLeafs  [4]LeafsetID // MergeResult.Total, then Part
+	lineSlab    []Line       // unused tail of the slab new z-lines come from
 
 	// Dense evaluation state: per-line position bitmaps, per-leafset
 	// footprints and the XLogX table. All are owned by the DB and die with
@@ -103,7 +105,16 @@ func (db *DB) Leafsets() *LeafsetTable { return db.leafsets }
 func (db *DB) NumCoresets() int { return len(db.coreContent) }
 
 // NumActiveLeafsets reports leafsets that still own at least one line.
-func (db *DB) NumActiveLeafsets() int { return len(db.byLeaf) }
+func (db *DB) NumActiveLeafsets() int { return db.active }
+
+// leafIndex returns leafset ls's line index, or nil if it owns no lines.
+// Union interns ids past the end of byLeaf, so every read goes through here.
+func (db *DB) leafIndex(ls LeafsetID) *lineIndex[CoresetID] {
+	if int(ls) < len(db.byLeaf) {
+		return db.byLeaf[ls]
+	}
+	return nil
+}
 
 // CoreValues returns the attribute values of coreset c.
 func (db *DB) CoreValues(c CoresetID) []graph.AttrID { return db.coreContent[c] }
@@ -117,11 +128,13 @@ func (db *DB) CoreCodeLen(c CoresetID) float64 { return db.coreCode[c] }
 func (db *DB) LeafsetIDsOf(c CoresetID) []LeafsetID { return db.byCore[c].ids }
 
 // AppendActiveLeafsets appends the active leafset ids to dst[:0] and
-// returns it, reusing dst's capacity. Order is unspecified (map order).
+// returns it, reusing dst's capacity. The ids are in ascending order.
 func (db *DB) AppendActiveLeafsets(dst []LeafsetID) []LeafsetID {
 	dst = dst[:0]
-	for ls := range db.byLeaf {
-		dst = append(dst, ls)
+	for ls, ix := range db.byLeaf {
+		if ix != nil {
+			dst = append(dst, LeafsetID(ls))
+		}
 	}
 	return dst
 }
@@ -139,7 +152,7 @@ func (db *DB) BaselineDL() float64 { return db.baseDL }
 func FromGraph(g *graph.Graph) *DB {
 	content, positions := singleValueCoresets(g.NumAttrValues(), g.NumVertices(),
 		func(v int) []graph.AttrID { return g.Attrs(graph.VertexID(v)) })
-	return build(g, mdl.NewStandardTable(g), content, positions)
+	return build(g, g.NumAttrValues(), mdl.NewStandardTable(g), content, positions)
 }
 
 // FromGraphWithCoresets builds the multi-value-coreset inverted database:
@@ -150,7 +163,7 @@ func FromGraphWithCoresets(g *graph.Graph, coresets [][]graph.AttrID, positions 
 		return nil, fmt.Errorf("invdb: %d coresets but %d position sets", len(coresets), len(positions))
 	}
 	st := mdl.NewStandardTable(g)
-	return build(g, st, coresets, positions), nil
+	return build(g, g.NumAttrValues(), st, coresets, positions), nil
 }
 
 // neighborhood is the slice of graph state DB construction reads: sorted
@@ -163,44 +176,54 @@ type neighborhood interface {
 }
 
 // build assembles a DB from coreset contents and their firing positions,
-// which are vertex ids of g.
-func build(g neighborhood, st *mdl.StandardTable, content [][]graph.AttrID, positions []intset.Set) *DB {
+// which are vertex ids of g, whose attribute values lie in [0, nA). For
+// every coreset position v and every value l on a neighbour of v, v is a
+// position of line (coreset, {l}). Coresets and their positions are taken
+// in ascending order, so each value's buffer fills sorted; last[l] (the
+// position last appended, +1) drops the repeats of several neighbours
+// carrying l. Each coreset then emits its values in ascending order into
+// one position slab, interning the leafsets as it goes: leafset ids are
+// tie-breakers throughout the miner, so this (coreset, value) order makes
+// them a pure function of the graph.
+func build(g neighborhood, nA int, st *mdl.StandardTable, content [][]graph.AttrID, positions []intset.Set) *DB {
 	db := newDB(st, content, positions)
-	// Initial lines: for every coreset position v and every attribute value l
-	// on a neighbour of v, v is a position of line (coreset, {l}).
-	lineBuf := make(map[uint64][]uint32)
+	bufs, last := make([][]uint32, nA), make([]uint32, nA)
+	var touched []graph.AttrID
+	var slab []uint32
+	var lines []Line
+	var ends []int // lines[i]'s positions end at slab[ends[i]]
 	for c := range content {
 		for _, vv := range db.corePos[c] {
 			for _, u := range g.Neighbors(graph.VertexID(vv)) {
 				for _, l := range g.Attrs(u) {
-					key := uint64(c)<<32 | uint64(uint32(l))
-					buf := lineBuf[key]
-					// Positions arrive in ascending v per key; collapse the
-					// duplicates produced by multiple neighbours carrying l.
-					if len(buf) == 0 || buf[len(buf)-1] != vv {
-						lineBuf[key] = append(buf, vv)
+					if last[l] == vv+1 {
+						continue
 					}
+					if last[l] == 0 {
+						touched = append(touched, l)
+					}
+					last[l] = vv + 1
+					bufs[l] = append(bufs[l], vv)
 				}
 			}
 		}
+		slices.Sort(touched)
+		for _, l := range touched {
+			slab = append(slab, bufs[l]...)
+			lines = append(lines, Line{Core: CoresetID(c), Leaf: db.leafsets.Single(l)})
+			ends = append(ends, len(slab))
+			bufs[l], last[l] = bufs[l][:0], 0
+		}
+		touched = touched[:0]
 	}
-	// Intern leafsets and insert lines in sorted key order: leafset ids are
-	// tie-breakers throughout the miner, so their assignment must be a pure
-	// function of the graph, not of map iteration order.
-	keys := make([]uint64, 0, len(lineBuf))
-	for key := range lineBuf {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	// Intern the leafsets before inserting any line, so one slab can hold
+	// Every leafset is interned before the first insert, so one slab holds
 	// every line bitmap and every leafset footprint.
-	leafs := make([]LeafsetID, len(keys))
-	for i, key := range keys {
-		leafs[i] = db.leafsets.Single(graph.AttrID(uint32(key)))
-	}
-	db.reserveBitmaps(len(keys) + db.leafsets.Size())
-	for i, key := range keys {
-		db.insertLine(&Line{Core: CoresetID(key >> 32), Leaf: leafs[i], Pos: intset.FromSorted(lineBuf[key])})
+	db.reserveBitmaps(len(lines) + db.leafsets.Size())
+	start := 0
+	for i, end := range ends {
+		lines[i].Pos = intset.FromSorted(slab[start:end:end])
+		db.insertLine(&lines[i])
+		start = end
 	}
 	db.finish()
 	return db
@@ -210,6 +233,7 @@ func build(g neighborhood, st *mdl.StandardTable, content [][]graph.AttrID, posi
 // are a subset of its coreset's, so corePos bounds the position universe,
 // and newDB is where the bitmap width is decided for every constructor.
 func newDB(st *mdl.StandardTable, content [][]graph.AttrID, corePos []intset.Set) *DB {
+	w := bitmapWords(corePos)
 	db := &DB{
 		st:          st,
 		coreContent: content,
@@ -218,9 +242,9 @@ func newDB(st *mdl.StandardTable, content [][]graph.AttrID, corePos []intset.Set
 		coreFreq:    make([]int, len(content)),
 		leafsets:    NewLeafsetTable(),
 		byCore:      make([]lineIndex[LeafsetID], len(content)),
-		byLeaf:      make(map[LeafsetID]*lineIndex[CoresetID]),
 		scratch:     NewEvalScratch(),
-		bmWords:     bitmapWords(corePos),
+		bmWords:     w,
+		applyBits:   make(intset.Bitmap, w),
 	}
 	for c := range content {
 		db.coreCode[c] = st.SetLen(content[c])
@@ -303,14 +327,6 @@ func (db *DB) newBitmap() intset.Bitmap {
 	return b
 }
 
-// setPos replaces ln's positions, keeping its bitmap in step.
-func (db *DB) setPos(ln *Line, pos intset.Set) {
-	ln.Pos = pos
-	if ln.bits != nil {
-		ln.bits.Load(pos)
-	}
-}
-
 // insertLine registers a line in both indexes, its leafset's footprint and
 // the frequency tally. It does not touch the DL accumulators.
 func (db *DB) insertLine(ln *Line) {
@@ -319,14 +335,18 @@ func (db *DB) insertLine(ln *Line) {
 		ln.bits.Load(ln.Pos)
 	}
 	db.byCore[ln.Core].insert(ln.Leaf, ln)
-	ix := db.byLeaf[ln.Leaf]
+	ix := db.leafIndex(ln.Leaf)
 	if ix == nil {
 		ix = &lineIndex[CoresetID]{}
 		if db.bmWords > 0 {
 			ix.fp = db.newBitmap()
 			clear(ix.fp)
 		}
+		if int(ln.Leaf) >= len(db.byLeaf) {
+			db.byLeaf = append(db.byLeaf, make([]*lineIndex[CoresetID], db.leafsets.Size()-len(db.byLeaf))...)
+		}
 		db.byLeaf[ln.Leaf] = ix
+		db.active++
 	}
 	ix.insert(ln.Core, ln)
 	if ix.fp != nil {
@@ -352,7 +372,8 @@ func (db *DB) removeLine(ln *Line) {
 		if ix.fp != nil {
 			db.bmFree = append(db.bmFree, ix.fp)
 		}
-		delete(db.byLeaf, ln.Leaf)
+		db.byLeaf[ln.Leaf] = nil
+		db.active--
 	}
 	db.numLines--
 }
@@ -360,7 +381,7 @@ func (db *DB) removeLine(ln *Line) {
 // refreshFootprint recomputes the footprint of leafset ls from its lines'
 // bitmaps. A leafset without lines, or a DB without bitmaps, has none.
 func (db *DB) refreshFootprint(ls LeafsetID) {
-	ix := db.byLeaf[ls]
+	ix := db.leafIndex(ls)
 	if ix == nil || ix.fp == nil {
 		return
 	}
@@ -374,10 +395,8 @@ func (db *DB) refreshFootprint(ls LeafsetID) {
 // scratch. Used at construction and by tests to validate the incremental
 // bookkeeping.
 func (db *DB) recomputeDL() (data, model float64) {
-	// Accumulate in sorted order: float sums must be a pure function of the
-	// database content, not of map layout, so baselines are bit-identical
-	// across DB instances built from the same graph. The index's sorted id
-	// slices provide that order directly.
+	// Accumulate in ascending id order, which the indexes give directly:
+	// the float sums must be a pure function of the database content.
 	for c := range db.byCore {
 		ix := &db.byCore[c]
 		data += db.xlogx(db.coreFreq[c])
@@ -386,13 +405,10 @@ func (db *DB) recomputeDL() (data, model float64) {
 			data -= db.xlogx(ln.FL())
 		}
 	}
-	leafIDs := make([]LeafsetID, 0, len(db.byLeaf))
-	for ls := range db.byLeaf {
-		leafIDs = append(leafIDs, ls)
-	}
-	sort.Slice(leafIDs, func(i, j int) bool { return leafIDs[i] < leafIDs[j] })
-	for _, ls := range leafIDs {
-		model += db.st.SetLen(db.leafsets.Values(ls))
+	for ls, ix := range db.byLeaf {
+		if ix != nil {
+			model += db.st.SetLen(db.leafsets.Values(LeafsetID(ls)))
+		}
 	}
 	return data, model
 }
@@ -432,8 +448,7 @@ func (db *DB) evalMergeScratch(x, y LeafsetID, sc *EvalScratch) MergeEval {
 	if x == y {
 		return MergeEval{X: x, Y: y}
 	}
-	ixx := db.byLeaf[x]
-	ixy := db.byLeaf[y]
+	ixx, ixy := db.leafIndex(x), db.leafIndex(y)
 	if ixx.size() == 0 || ixy.size() == 0 {
 		return MergeEval{X: x, Y: y}
 	}
@@ -457,29 +472,22 @@ func (db *DB) evalLines(x, y LeafsetID, ixx, ixy *lineIndex[CoresetID], sc *Eval
 	// slice instead, preserving the old small-side asymptotics.
 	xids, yids := ixx.ids, ixy.ids
 	if len(yids) > indexGallopRatio*len(xids) || len(xids) > indexGallopRatio*len(yids) {
-		small, big := ixx, ixy
-		swapped := false
-		if len(yids) < len(xids) {
+		small, big, swapped := ixx, ixy, len(yids) < len(xids)
+		if swapped {
 			small, big = ixy, ixx
-			swapped = true
 		}
 		lo := 0
 		for si, e := range small.ids {
-			lo = intset.Seek(big.ids, e, lo)
-			if lo >= len(big.ids) {
+			if lo = intset.Seek(big.ids, e, lo); lo >= len(big.ids) {
 				break
 			}
-			if big.ids[lo] != e {
-				continue
-			}
-			if swapped {
-				db.addShared(&a, e, big.lines[lo], small.lines[si])
-			} else {
-				db.addShared(&a, e, small.lines[si], big.lines[lo])
-			}
-			lo++
-			if lo >= len(big.ids) {
-				break
+			if big.ids[lo] == e {
+				lnx, lny := small.lines[si], big.lines[lo]
+				if swapped {
+					lnx, lny = lny, lnx
+				}
+				db.addShared(&a, e, lnx, lny)
+				lo++
 			}
 		}
 	} else {
@@ -545,7 +553,7 @@ func (db *DB) newMergeAcc(x, y LeafsetID, sc *EvalScratch) mergeAcc {
 func (db *DB) addShared(a *mergeAcc, e CoresetID, lnx, lny *Line) {
 	var lnz *Line
 	if a.zKind == zOther {
-		lnz = db.byCore[e].m[a.z]
+		lnz = db.byCore[e].get(a.z)
 	}
 	// Fused kernels: |x∩y|, plus |(x∩y)\z| when a z-line exists, in one
 	// unmaterialised pass over the bitmaps or the sorted slices.
@@ -632,7 +640,7 @@ func (db *DB) finishEval(x, y LeafsetID, nx, ny int, a *mergeAcc, sc *EvalScratc
 	if int(a.removedY) == ny && a.zKind != zIsY {
 		modelGain += db.st.SetLen(db.leafsets.Values(y))
 	}
-	if a.zLinesAdded > 0 && (a.zKind == zNew || (a.zKind == zOther && db.byLeaf[a.z].size() == 0)) {
+	if a.zLinesAdded > 0 && (a.zKind == zNew || (a.zKind == zOther && db.leafIndex(a.z).size() == 0)) {
 		modelGain -= db.unionSpellLen(x, y, sc)
 	}
 	ev.DataGain = a.dataGain
@@ -647,28 +655,8 @@ func (db *DB) finishEval(x, y LeafsetID, nx, ny int, a *mergeAcc, sc *EvalScratc
 // lookupUnion finds the interned id of content(x) ∪ content(y) without
 // interning it, using sc's union and key buffers to stay allocation-free.
 func (db *DB) lookupUnion(x, y LeafsetID, sc *EvalScratch) (LeafsetID, bool) {
-	vx, vy := db.leafsets.Values(x), db.leafsets.Values(y)
-	out := sc.unionBuf[:0]
-	i, j := 0, 0
-	for i < len(vx) && j < len(vy) {
-		switch {
-		case vx[i] < vy[j]:
-			out = append(out, vx[i])
-			i++
-		case vx[i] > vy[j]:
-			out = append(out, vy[j])
-			j++
-		default:
-			out = append(out, vx[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, vx[i:]...)
-	out = append(out, vy[j:]...)
-	sc.unionBuf = out
-	id, ok := db.leafsets.lookup(out, &sc.keyBuf)
-	return id, ok
+	sc.unionBuf = appendUnion(sc.unionBuf[:0], db.leafsets.Values(x), db.leafsets.Values(y))
+	return db.leafsets.lookup(sc.unionBuf, &sc.keyBuf)
 }
 
 // unionSpellLen sums the ST lengths of the distinct values of x ∪ y, using
@@ -690,7 +678,8 @@ func (db *DB) unionSpellLen(x, y LeafsetID, sc *EvalScratch) float64 {
 }
 
 // MergeResult reports what a committed merge did, feeding CSPM-Partial's
-// rdict update (Algorithm 4).
+// rdict update (Algorithm 4). Its slices are DB-owned scratch, valid until
+// the next ApplyMerge.
 type MergeResult struct {
 	X, Y   LeafsetID
 	New    LeafsetID   // the union leafset
@@ -705,51 +694,34 @@ type MergeResult struct {
 // the pair no longer overlaps anywhere, it is a no-op with Gain 0.
 func (db *DB) ApplyMerge(x, y LeafsetID) MergeResult {
 	res := MergeResult{X: x, Y: y}
-	if x == y {
+	ixx, ixy := db.leafIndex(x), db.leafIndex(y)
+	if x == y || ixx.size() == 0 || ixy.size() == 0 {
 		return res
 	}
-	ixx := db.byLeaf[x]
-	ixy := db.byLeaf[y]
-	if ixx.size() == 0 || ixy.size() == 0 {
-		return res
-	}
-	// Snapshot the shared coresets and their line pointers first: the merge
-	// mutates the indexes while it walks them. The snapshot buffers are
-	// DB-owned scratch (ApplyMerge is sequential by contract).
-	shared := db.applyShared[:0]
-	linesX := db.applyX[:0]
-	linesY := db.applyY[:0]
+	dlBeforeData, dlBeforeModel := db.dataDL, db.modelDL
+	// The walk reads x's and y's indexes in place, so the lines the merge
+	// empties are removed after it. The union z is interned at the first
+	// shared coreset: a pair that shares none leaves the table alone.
+	dead := db.applyDead[:0]
+	res.Shared, res.Total, res.Part = db.applyShared[:0], db.applyLeafs[:0:2], db.applyLeafs[2:2:4]
+	z, zHadLines := LeafsetID(-1), false
 	xids, yids := ixx.ids, ixy.ids
 	for i, j := 0, 0; i < len(xids) && j < len(yids); {
-		switch {
-		case xids[i] < yids[j]:
-			i++
-		case xids[i] > yids[j]:
-			j++
-		default:
-			shared = append(shared, xids[i])
-			linesX = append(linesX, ixx.lines[i])
-			linesY = append(linesY, ixy.lines[j])
-			i++
-			j++
+		if xids[i] != yids[j] {
+			if xids[i] < yids[j] {
+				i++
+			} else {
+				j++
+			}
+			continue
 		}
-	}
-	db.applyShared, db.applyX, db.applyY = shared, linesX, linesY
-	if len(shared) == 0 {
-		return res
-	}
-
-	dlBeforeData, dlBeforeModel := db.dataDL, db.modelDL
-	z := db.leafsets.Union(x, y)
-	res.New = z
-	zHadLines := db.byLeaf[z].size() > 0
-
-	for si, e := range shared {
-		lnx := linesX[si]
-		lny := linesY[si]
-		inter := lnx.Pos.IntersectInto(lny.Pos, db.applyInter)
-		db.applyInter = inter
-		xye := inter.Len()
+		e, lnx, lny := xids[i], ixx.lines[i], ixy.lines[j]
+		i, j = i+1, j+1
+		if z < 0 {
+			z = db.leafsets.Union(x, y)
+			res.New, zHadLines = z, db.leafIndex(z).size() > 0
+		}
+		xye := db.intersect(lnx, lny)
 		if xye == 0 {
 			continue
 		}
@@ -757,61 +729,102 @@ func (db *DB) ApplyMerge(x, y LeafsetID) MergeResult {
 		dataDelta := -db.xlogx(db.coreFreq[e])
 		modelDelta := 0.0
 
-		update := func(ln *Line, newPos intset.Set) {
-			db.coreFreq[e] += newPos.Len() - ln.FL()
-			dataDelta += db.xlogx(ln.FL()) - db.xlogx(newPos.Len())
-			db.setPos(ln, newPos)
+		account := func(before, after int) {
+			db.coreFreq[e] += after - before
+			dataDelta += db.xlogx(before) - db.xlogx(after)
+		}
+		shed := func(ln *Line) {
+			account(db.movePos(ln, false))
 			if ln.FL() == 0 {
-				db.removeLine(ln)
+				dead = append(dead, ln)
 				modelDelta += db.coreCode[e]
 			}
 		}
 
 		switch z {
 		case y: // x ⊂ y: only the x-line sheds the overlap
-			update(lnx, lnx.Pos.Diff(inter))
+			shed(lnx)
 		case x: // y ⊂ x
-			update(lny, lny.Pos.Diff(inter))
+			shed(lny)
 		default:
-			update(lnx, lnx.Pos.Diff(inter))
-			update(lny, lny.Pos.Diff(inter))
-			if lnz := db.byCore[e].get(z); lnz != nil {
-				newPos := lnz.Pos.Union(inter)
-				db.coreFreq[e] += newPos.Len() - lnz.FL()
-				dataDelta += db.xlogx(lnz.FL()) - db.xlogx(newPos.Len())
-				db.setPos(lnz, newPos)
-			} else {
-				db.insertLine(&Line{Core: e, Leaf: z, Pos: inter.Clone()})
-				dataDelta -= db.xlogx(xye)
+			shed(lnx)
+			shed(lny)
+			lnz := db.byCore[e].get(z)
+			if lnz == nil {
+				// A new z-line starts empty and absorbs the intersection;
+				// refreshFootprint(z) below covers its bits.
+				if len(db.lineSlab) == 0 {
+					db.lineSlab = make([]Line, max(bitmapSlabLines, db.numLines/8))
+				}
+				lnz, db.lineSlab = &db.lineSlab[0], db.lineSlab[1:]
+				*lnz = Line{Core: e, Leaf: z}
+				db.insertLine(lnz)
 				modelDelta -= db.coreCode[e]
 			}
+			account(db.movePos(lnz, true))
 		}
 		dataDelta += db.xlogx(db.coreFreq[e])
 		db.dataDL += dataDelta
 		db.modelDL -= modelDelta // modelDelta accumulated as gain; DL moves opposite
 	}
+	for _, ln := range dead {
+		db.removeLine(ln)
+	}
+	db.applyDead, db.applyShared = dead, res.Shared
 	if len(res.Shared) == 0 {
 		return res
 	}
 	// Leafset spell-out adjustments.
-	if db.byLeaf[x].size() == 0 && z != x {
-		db.modelDL -= db.st.SetLen(db.leafsets.Values(x))
-		res.Total = append(res.Total, x)
-	} else {
-		res.Part = append(res.Part, x)
+	for _, p := range [2]LeafsetID{x, y} {
+		if db.leafIndex(p).size() == 0 && z != p {
+			db.modelDL -= db.st.SetLen(db.leafsets.Values(p))
+			res.Total = append(res.Total, p)
+		} else {
+			res.Part = append(res.Part, p)
+		}
 	}
-	if db.byLeaf[y].size() == 0 && z != y {
-		db.modelDL -= db.st.SetLen(db.leafsets.Values(y))
-		res.Total = append(res.Total, y)
-	} else {
-		res.Part = append(res.Part, y)
-	}
-	if !zHadLines && db.byLeaf[z].size() > 0 && z != x && z != y {
+	if !zHadLines && db.leafIndex(z).size() > 0 && z != x && z != y {
 		db.modelDL += db.st.SetLen(db.leafsets.Values(z))
 	}
-	db.refreshFootprint(x)
-	db.refreshFootprint(y)
-	db.refreshFootprint(z)
+	for _, p := range [3]LeafsetID{x, y, z} {
+		db.refreshFootprint(p)
+	}
 	res.Gain = (dlBeforeData + dlBeforeModel) - (db.dataDL + db.modelDL)
 	return res
+}
+
+// intersect computes the positions lnx and lny share into ApplyMerge's
+// scratch, a bitmap on DBs with bitmaps and a sorted slice otherwise, and
+// returns their number.
+func (db *DB) intersect(lnx, lny *Line) int {
+	if db.bmWords == 0 {
+		db.applyInter = lnx.Pos.IntersectInto(lny.Pos, db.applyInter)
+		return len(db.applyInter)
+	}
+	copy(db.applyBits, lnx.bits)
+	db.applyBits.And(lny.bits)
+	return db.applyBits.Count()
+}
+
+// movePos adds the intersection to ln's positions (a z-line absorbing
+// it) or removes it (an x- or y-line shedding it) and returns ln's
+// frequency before and after. On the bitmap path the bits change in place
+// and Pos is rewritten from them, once, into its own array: no other line
+// shares it.
+func (db *DB) movePos(ln *Line, add bool) (before, after int) {
+	before = ln.FL()
+	switch {
+	case ln.bits == nil && add:
+		ln.Pos = ln.Pos.Union(db.applyInter)
+	case ln.bits == nil:
+		ln.Pos = ln.Pos.Diff(db.applyInter)
+	default:
+		if add {
+			ln.bits.Or(db.applyBits)
+		} else {
+			ln.bits.AndNot(db.applyBits)
+		}
+		ln.Pos = ln.bits.AppendTo(slices.Grow(ln.Pos[:0], ln.bits.Count()))
+	}
+	return before, ln.FL()
 }

@@ -15,7 +15,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // coresetIDsOf returns the coresets under which leafset ls owns lines,
 // sorted ascending.
 func coresetIDsOf(db *DB, ls LeafsetID) []CoresetID {
-	if ix := db.byLeaf[ls]; ix != nil {
+	if ix := db.leafIndex(ls); ix != nil {
 		return ix.ids
 	}
 	return nil
@@ -207,8 +207,9 @@ func TestFig4Merge(t *testing.T) {
 }
 
 // checkConsistency verifies the structural invariants of the DB, including
-// the compact-index ones: sorted id slices parallel to the line slices and
-// in lockstep with the maps.
+// the compact-index ones: sorted id slices parallel to the line slices, each
+// line reachable from both of its indexes, and the dense leafset index in
+// step with the active-leafset counter and AppendActiveLeafsets.
 func checkConsistency(t *testing.T, db *DB) {
 	t.Helper()
 	data, model := db.recomputeDL()
@@ -223,15 +224,15 @@ func checkConsistency(t *testing.T, db *DB) {
 		ix := &db.byCore[c]
 		checkIndex(t, db, ix)
 		sum := 0
-		for ls, ln := range ix.m {
+		for i, ln := range ix.lines {
 			if ln.FL() == 0 {
 				t.Errorf("empty line survived at coreset %d", c)
 			}
-			if ln.Core != CoresetID(c) || ln.Leaf != ls {
+			if ln.Core != CoresetID(c) || ln.Leaf != ix.ids[i] {
 				t.Errorf("index mismatch on line %+v", ln)
 			}
-			if db.byLeaf[ls].get(CoresetID(c)) != ln {
-				t.Errorf("byLeaf missing line (%d,%d)", c, ls)
+			if db.leafIndex(ln.Leaf).get(CoresetID(c)) != ln {
+				t.Errorf("byLeaf missing line (%d,%d)", c, ln.Leaf)
 			}
 			sum += ln.FL()
 			lines++
@@ -243,28 +244,43 @@ func checkConsistency(t *testing.T, db *DB) {
 	if lines != db.numLines {
 		t.Errorf("numLines = %d, want %d", db.numLines, lines)
 	}
+	var want []LeafsetID
 	for ls, ix := range db.byLeaf {
+		if ix == nil {
+			continue
+		}
+		want = append(want, LeafsetID(ls))
 		if ix.size() == 0 {
 			t.Errorf("leafset %d has empty coreset index", ls)
 		}
 		checkIndex(t, db, ix)
-		for c, ln := range ix.m {
-			if db.byCore[c].get(ls) != ln {
-				t.Errorf("byCore missing line (%d,%d)", c, ls)
+		for i, ln := range ix.lines {
+			if ln.Leaf != LeafsetID(ls) || ln.Core != ix.ids[i] || db.byCore[ln.Core].get(LeafsetID(ls)) != ln {
+				t.Errorf("byCore missing line (%d,%d)", ix.ids[i], ls)
 			}
 		}
+	}
+	if db.active != len(want) || db.NumActiveLeafsets() != len(want) {
+		t.Errorf("active leafsets = %d, want %d non-nil byLeaf slots", db.active, len(want))
+	}
+	if got := db.AppendActiveLeafsets(nil); !slices.Equal(got, want) {
+		t.Errorf("AppendActiveLeafsets = %v, want the ascending non-nil slots %v", got, want)
+	}
+	if ix := db.leafIndex(LeafsetID(db.leafsets.Size())); ix != nil {
+		t.Errorf("leafIndex past the interned ids = %v, want nil", ix)
 	}
 }
 
 // checkIndex asserts the lineIndex invariants: ids strictly ascending,
-// slices parallel, and id→line agreement between map and slices. On a DB
-// with bitmaps it also asserts every indexed line's bitmap is exactly the
-// bitmap of its Pos, and every leafset index's footprint is exactly the OR
-// of its lines' bitmaps; other indexes carry no footprint.
+// slices parallel, get(id) == lines[i] for every id and nil for ids that
+// are absent (each gap between neighbours, and both ends). On a DB with
+// bitmaps it also asserts every indexed line's bitmap is exactly the bitmap
+// of its Pos, and every leafset index's footprint is exactly the OR of its
+// lines' bitmaps; other indexes carry no footprint.
 func checkIndex[K ~int32](t *testing.T, db *DB, ix *lineIndex[K]) {
 	t.Helper()
-	if len(ix.ids) != len(ix.lines) || len(ix.ids) != len(ix.m) {
-		t.Errorf("index size mismatch: ids=%d lines=%d map=%d", len(ix.ids), len(ix.lines), len(ix.m))
+	if len(ix.ids) != len(ix.lines) {
+		t.Errorf("index size mismatch: ids=%d lines=%d", len(ix.ids), len(ix.lines))
 		return
 	}
 	_, leafIndex := any(ix).(*lineIndex[CoresetID])
@@ -281,12 +297,18 @@ func checkIndex[K ~int32](t *testing.T, db *DB, ix *lineIndex[K]) {
 			t.Errorf("leafset footprint %#x, want OR of its lines %#x", ix.fp, want)
 		}
 	}
+	if ix.get(-1) != nil {
+		t.Errorf("get(-1) found a line")
+	}
 	for i, id := range ix.ids {
 		if i > 0 && ix.ids[i-1] >= id {
 			t.Errorf("index ids not strictly ascending at %d: %v", i, ix.ids)
 		}
-		if ix.m[id] != ix.lines[i] {
-			t.Errorf("index slice/map disagree at id %d", id)
+		if ix.get(id) != ix.lines[i] {
+			t.Errorf("get(%d) disagrees with lines[%d]", id, i)
+		}
+		if (i == len(ix.ids)-1 || ix.ids[i+1] > id+1) && ix.get(id+1) != nil {
+			t.Errorf("get(%d) found a line for an absent id", id+1)
 		}
 		if db.bmWords == 0 {
 			continue
@@ -394,7 +416,7 @@ func TestSubsetUnionCollision(t *testing.T) {
 					}
 					if ev := db.EvalMerge(x, y); ev.Gain > 0 {
 						res := db.ApplyMerge(x, y)
-						if len(db.leafsets.Values(res.New)) >= 2 && db.byLeaf[res.New].size() > 0 {
+						if len(db.leafsets.Values(res.New)) >= 2 && db.leafIndex(res.New).size() > 0 {
 							multi = res.New
 						}
 						break
@@ -409,7 +431,7 @@ func TestSubsetUnionCollision(t *testing.T) {
 			continue
 		}
 		sub := db.leafsets.Single(db.leafsets.Values(multi)[0])
-		if db.byLeaf[sub].size() == 0 {
+		if db.leafIndex(sub).size() == 0 {
 			continue
 		}
 		ev := db.EvalMerge(sub, multi)

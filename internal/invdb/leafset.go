@@ -78,23 +78,27 @@ func (t *LeafsetTable) Size() int { return len(t.content) }
 // Union interns the union of two leafsets and returns its id.
 func (t *LeafsetTable) Union(a, b LeafsetID) LeafsetID {
 	va, vb := t.content[a], t.content[b]
-	out := make([]graph.AttrID, 0, len(va)+len(vb))
+	return t.Intern(appendUnion(make([]graph.AttrID, 0, len(va)+len(vb)), va, vb))
+}
+
+// appendUnion appends the sorted union of the sorted value sets va and vb
+// to dst and returns it.
+func appendUnion(dst, va, vb []graph.AttrID) []graph.AttrID {
 	i, j := 0, 0
 	for i < len(va) && j < len(vb) {
 		switch {
 		case va[i] < vb[j]:
-			out = append(out, va[i])
+			dst = append(dst, va[i])
 			i++
 		case va[i] > vb[j]:
-			out = append(out, vb[j])
+			dst = append(dst, vb[j])
 			j++
 		default:
-			out = append(out, va[i])
+			dst = append(dst, va[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, va[i:]...)
-	out = append(out, vb[j:]...)
-	return t.Intern(out)
+	dst = append(dst, va[i:]...)
+	return append(dst, vb[j:]...)
 }

@@ -71,7 +71,7 @@ func (d shardData) Attrs(v graph.VertexID) []graph.AttrID       { return d.attrs
 func FromShardData(st *mdl.StandardTable, nA int, attrs [][]graph.AttrID, adj [][]graph.VertexID) *DB {
 	content, positions := singleValueCoresets(nA, len(attrs),
 		func(li int) []graph.AttrID { return attrs[li] })
-	return build(shardData{attrs: attrs, adj: adj}, st, content, positions)
+	return build(shardData{attrs: attrs, adj: adj}, nA, st, content, positions)
 }
 
 // LineStat is the DL-relevant skeleton of one line: its coreset, leafset

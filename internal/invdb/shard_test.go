@@ -137,22 +137,8 @@ func shardDB(g *graph.Graph, st *mdl.StandardTable, verts []graph.VertexID) *DB 
 // renumbered in the order of their global ids and priced by the group's
 // own standard table, its value counts over the graph's N.
 func groupDB(g *graph.Graph, verts []graph.VertexID) *DB {
-	attrs, adj := remapShard(g, verts)
-	var values []graph.AttrID
-	for _, row := range attrs {
-		values = append(values, row...)
-	}
-	slices.Sort(values)
-	values = slices.Compact(values)
-	freq := make([]int, len(values))
-	for _, row := range attrs {
-		for i, a := range row {
-			local, _ := slices.BinarySearch(values, a)
-			row[i] = graph.AttrID(local)
-			freq[local]++
-		}
-	}
-	return FromShardData(mdl.NewGroupStandardTable(freq, g.AttrOccurrences()), len(values), attrs, adj)
+	st, nA, attrs, adj := groupRows(g, verts)
+	return FromShardData(st, nA, attrs, adj)
 }
 
 // TestFromGraphShardIdentityMatchesFromGraph pins the group constructor

@@ -18,7 +18,7 @@ import "slices"
 // left out. SweepMerges only reads the DB, so sweeps with distinct scratches
 // may run concurrently.
 func (db *DB) SweepMerges(dst []MergeEval, p, lo, skip LeafsetID, sc *EvalScratch) []MergeEval {
-	ixp := db.byLeaf[p]
+	ixp := db.leafIndex(p)
 	if ixp.size() == 0 {
 		return dst
 	}
@@ -44,7 +44,7 @@ func (db *DB) SweepMerges(dst []MergeEval, p, lo, skip LeafsetID, sc *EvalScratc
 			a := &sc.acc[q]
 			if sc.seenLeaf.Mark(int(q)) {
 				ixq := db.byLeaf[q]
-				*a = sweepAcc{lines: int32(len(ixq.ids))}
+				*a = sweepAcc{lines: int32(ixq.size())}
 				order = append(order, q)
 				// Disjoint footprints mean CoOccurs == 0 (see
 				// evalMergeScratch).

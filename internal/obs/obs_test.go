@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,34 @@ func TestRecorder(t *testing.T) {
 	}
 	if p.Total <= 0 || p.StartedAt.IsZero() {
 		t.Fatalf("totals not stamped: %+v", p)
+	}
+}
+
+// TestRecorderGroups checks that group records land in the profile in the
+// order observed, that Recent hands out copies of them, and that a nil
+// recorder records nothing without panicking.
+func TestRecorderGroups(t *testing.T) {
+	var none *Recorder
+	none.Observe(SpanDiff, time.Second)
+	none.ObserveGroup(GroupRun{Group: 1})
+
+	rec := NewRecorder()
+	runs := []GroupRun{
+		{Group: 0, Outcome: GroupMined, Start: time.Millisecond, Mine: 3 * time.Millisecond, GainEvals: 7},
+		{Group: 1, Outcome: GroupHit},
+	}
+	for _, g := range runs {
+		rec.ObserveGroup(g)
+	}
+	r := NewProfileRing(2)
+	r.Add(rec.Finish(1, 1, nil))
+	got := r.Recent()[0].Groups
+	if !slices.Equal(got, runs) {
+		t.Fatalf("groups = %+v, want %+v", got, runs)
+	}
+	got[0].GainEvals = 0
+	if r.Recent()[0].Groups[0].GainEvals != 7 {
+		t.Fatal("Recent shares its group records with the ring")
 	}
 }
 

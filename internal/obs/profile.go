@@ -25,6 +25,25 @@ type Span struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
+// Group outcomes recorded in profiles.
+const (
+	GroupHit   = "hit"   // the group's result replayed from the shard cache
+	GroupMined = "mined" // the group was mined in the pass
+)
+
+// GroupRun is one component group's part in a re-mine pass. A hit did no
+// mining work in the pass, so its times and gain evaluations are zero.
+type GroupRun struct {
+	Group   int    `json:"group"` // the group's index in the partition
+	Outcome string `json:"outcome"`
+	// Start is when the group's mine began, as an offset from the start of
+	// the shard_mine stage; Mine is how long it took, wire time included
+	// for a shard job sent over a transport.
+	Start     time.Duration `json:"start_ns"`
+	Mine      time.Duration `json:"mine_ns"`
+	GainEvals int           `json:"gain_evals"`
+}
+
 // Profile is the stage breakdown of one background re-mine pass.
 type Profile struct {
 	// Generation is the model generation the pass published (0 if the
@@ -36,6 +55,9 @@ type Profile struct {
 	Total   time.Duration `json:"total_ns"`
 	Batches int           `json:"batches"`
 	Spans   []Span        `json:"spans"`
+	// Groups holds one record per component group of the pass, in group
+	// order, each stamped after every dirty group had finished.
+	Groups []GroupRun `json:"groups,omitempty"`
 	// Err is the failure that aborted the pass, if any.
 	Err string `json:"error,omitempty"`
 }
@@ -81,6 +103,7 @@ func (r *ProfileRing) Recent() []Profile {
 		i := (r.next - k + len(r.ring)) % len(r.ring)
 		p := r.ring[i]
 		p.Spans = append([]Span(nil), p.Spans...)
+		p.Groups = append([]GroupRun(nil), p.Groups...)
 		out = append(out, p)
 	}
 	return out
@@ -95,7 +118,8 @@ type Recorder struct {
 	t0    time.Time
 }
 
-// NewRecorder starts timing a pass.
+// NewRecorder starts timing a pass. A nil *Recorder records nothing, so
+// code that reports into an optional recorder need not check for one.
 func NewRecorder() *Recorder {
 	now := time.Now()
 	return &Recorder{prof: Profile{StartedAt: now.UTC()}, t0: now}
@@ -103,7 +127,16 @@ func NewRecorder() *Recorder {
 
 // Observe records a span measured externally.
 func (rec *Recorder) Observe(stage string, d time.Duration) {
-	rec.prof.Spans = append(rec.prof.Spans, Span{Stage: stage, Duration: d})
+	if rec != nil {
+		rec.prof.Spans = append(rec.prof.Spans, Span{Stage: stage, Duration: d})
+	}
+}
+
+// ObserveGroup records one component group's part in the pass.
+func (rec *Recorder) ObserveGroup(g GroupRun) {
+	if rec != nil {
+		rec.prof.Groups = append(rec.prof.Groups, g)
+	}
 }
 
 // Time runs fn and records its duration under stage.

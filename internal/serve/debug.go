@@ -38,14 +38,27 @@ type RemineSpanJSON struct {
 	Seconds float64 `json:"seconds"`
 }
 
+// RemineGroupJSON is one component group's part in a re-mine pass: its
+// index, its outcome (obs.GroupHit or obs.GroupMined) and, for a mined
+// group, when its mine started (seconds into the shard_mine span), how
+// long it took and how many gains it evaluated.
+type RemineGroupJSON struct {
+	Group        int     `json:"group"`
+	Outcome      string  `json:"outcome"`
+	StartSeconds float64 `json:"start_seconds"`
+	MineSeconds  float64 `json:"mine_seconds"`
+	GainEvals    int     `json:"gain_evals"`
+}
+
 // RemineProfileJSON is one background pass's stage breakdown.
 type RemineProfileJSON struct {
-	Generation   uint64           `json:"generation"`
-	StartedAt    time.Time        `json:"started_at"`
-	TotalSeconds float64          `json:"total_seconds"`
-	Batches      int              `json:"batches"`
-	Error        string           `json:"error,omitempty"`
-	Spans        []RemineSpanJSON `json:"spans"`
+	Generation   uint64            `json:"generation"`
+	StartedAt    time.Time         `json:"started_at"`
+	TotalSeconds float64           `json:"total_seconds"`
+	Batches      int               `json:"batches"`
+	Error        string            `json:"error,omitempty"`
+	Spans        []RemineSpanJSON  `json:"spans"`
+	Groups       []RemineGroupJSON `json:"groups,omitempty"`
 }
 
 // ReminesResponse is the GET /debug/remines payload: recent re-mine passes,
@@ -99,6 +112,10 @@ func (s *Server) handleDebugRemines(w http.ResponseWriter, r *http.Request) {
 		}
 		for j, sp := range p.Spans {
 			pj.Spans[j] = RemineSpanJSON{Stage: sp.Stage, Seconds: sp.Duration.Seconds()}
+		}
+		for _, g := range p.Groups {
+			pj.Groups = append(pj.Groups, RemineGroupJSON{Group: g.Group, Outcome: g.Outcome,
+				StartSeconds: g.Start.Seconds(), MineSeconds: g.Mine.Seconds(), GainEvals: g.GainEvals})
 		}
 		resp.Remines[i] = pj
 	}

@@ -522,7 +522,11 @@ func TestFleetTraceEndToEnd(t *testing.T) {
 
 // TestRemineProfileSpansLocalAndDistributed pins that a re-mine reports the
 // component pipeline's own phases whether the dirty groups mine in-process
-// or as shard jobs over a transport.
+// or as shard jobs over a transport, and one record per component group:
+// the edit touches only the first island, so its group is mined and the
+// other replays from the cache. A mined group's mine lies inside the
+// shard_mine span, which is what it means for the record to be stamped
+// after the group finished; a hit reports no time and no gain evaluations.
 func TestRemineProfileSpansLocalAndDistributed(t *testing.T) {
 	lb := shardrpc.NewLoopback(icspm.ExecuteShardJob, 2)
 	defer lb.Close()
@@ -537,7 +541,7 @@ func TestRemineProfileSpansLocalAndDistributed(t *testing.T) {
 				t.Fatal(err)
 			}
 			hs := startHostHTTP(t, h)
-			if err := s.SubmitMutations([]Mutation{{Op: OpDelEdge, U: 0, V: 1}}); err != nil {
+			if err := s.SubmitMutations([]Mutation{{Op: OpAddEdge, U: 1, V: 3}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Flush(ctxShort(t)); err != nil {
@@ -555,6 +559,23 @@ func TestRemineProfileSpansLocalAndDistributed(t *testing.T) {
 				if !found {
 					t.Fatalf("re-mine profile missing span %q: %+v", span, prof.Spans)
 				}
+			}
+			var shardMine float64
+			for _, sp := range prof.Spans {
+				if sp.Stage == obs.SpanShardMine {
+					shardMine = sp.Seconds
+				}
+			}
+			if len(prof.Groups) != 2 {
+				t.Fatalf("re-mine profile lists %d groups, want 2: %+v", len(prof.Groups), prof.Groups)
+			}
+			mined, hit := prof.Groups[0], prof.Groups[1]
+			if mined.Group != 0 || mined.Outcome != obs.GroupMined || mined.GainEvals <= 0 ||
+				mined.MineSeconds <= 0 || mined.StartSeconds < 0 || mined.StartSeconds+mined.MineSeconds > shardMine {
+				t.Fatalf("edited island's group = %+v, want mined within the %vs shard_mine span", mined, shardMine)
+			}
+			if hit != (RemineGroupJSON{Group: 1, Outcome: obs.GroupHit}) {
+				t.Fatalf("untouched island's group = %+v, want a hit with no time or gain evaluations", hit)
 			}
 		})
 	}

@@ -795,10 +795,6 @@ func (s *Server) mineProfiled(g *graph.Graph, rec *obs.Recorder) (model *icspm.M
 			model, err = nil, fmt.Errorf("serve: re-mine panicked: %v", r)
 		}
 	}()
-	var observe icspm.StageObserver
-	if rec != nil {
-		observe = rec.Observe
-	}
 	return icspm.MineDistributed(g, icspm.DistributedOptions{
 		Options:    s.opts.Mining,
 		Transport:  s.opts.Transport,
@@ -806,5 +802,5 @@ func (s *Server) mineProfiled(g *graph.Graph, rec *obs.Recorder) (model *icspm.M
 		Timeout:    s.opts.RemoteTimeout,
 		NoFallback: s.opts.RemoteNoFallback,
 		Cache:      s.cache,
-	}, observe)
+	}, rec)
 }
