@@ -7,7 +7,6 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cspm/internal/graph"
@@ -195,45 +194,40 @@ func singleValueCoresets(g *graph.Graph) (*mdl.StandardTable, func(invdb.Coreset
 // a remote one only in the transport it skips. Options.Workers (0 = all
 // cores) is the total budget: at most that many groups mine at once, each
 // job carrying an equal share (at least one evaluator), so Workers=1 mines
-// one group at a time instead of oversubscribing. Jobs start longest
-// first (by row count), which shortens the makespan. Each entry is a pure
+// one group at a time instead of oversubscribing. Each entry is a pure
 // function of its job, and the results are folded in dirty order after the
-// barrier, so the run is deterministic whatever the schedule. PerIter is
-// surfaced only when the caller asked, each merge renumbered and tagged
-// with its dirty-group index.
+// barrier, so the run is deterministic. Each group's mine is stamped into
+// times[job.ID]. PerIter is surfaced only when the caller asked, each merge
+// renumbered and tagged with its dirty-group index.
 func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, times []mineTime, m *Model) error {
 	workers := o.workerCount()
 	concurrent := min(workers, len(jobs))
 	base, extra := workers/concurrent, workers%concurrent
-	queue := slices.Clone(jobs)
-	slices.SortStableFunc(queue, func(a, b shardrpc.Job) int { return cmp.Compare(len(b.Attrs), len(a.Attrs)) })
-	perIter := make([][]IterationStat, len(entries)) // by job.ID, like errs
-	errs := make([]error, len(entries))
-	var next atomic.Int32
+	perIter := make([][]IterationStat, len(jobs))
+	errs := make([]error, len(jobs))
+	sem := make(chan struct{}, concurrent)
 	var wg sync.WaitGroup
-	for w := range concurrent {
-		share := base
-		if w < extra {
-			share++
+	for i, job := range jobs {
+		job.Workers = base
+		if i < extra {
+			job.Workers++
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := int(next.Add(1)) - 1; k < len(queue); k = int(next.Add(1)) - 1 {
-				job := queue[k]
-				job.Workers = share
-				start := time.Now()
-				entries[job.ID], perIter[job.ID], errs[job.ID] = executeShardJob(job)
-				times[job.ID] = mineTime{start, time.Now()}
-			}
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			start := time.Now()
+			entries[job.ID], perIter[i], errs[i] = executeShardJob(job)
+			times[job.ID] = mineTime{start, time.Now()}
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil || !o.CollectStats {
 		return err
 	}
-	for i, job := range jobs {
-		for _, it := range perIter[job.ID] {
+	for i, trace := range perIter {
+		for _, it := range trace {
 			it.Iteration = len(m.PerIter) + 1
 			it.Shard = i
 			m.PerIter = append(m.PerIter, it)

@@ -22,15 +22,6 @@ func (b Bitmap) Load(s Set) {
 	}
 }
 
-// Count returns |b|.
-func (b Bitmap) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // AndCount returns |b ∩ c|, the bitmap form of Set.IntersectCount.
 func (b Bitmap) AndCount(c Bitmap) int {
 	c = c[:len(b)]
@@ -60,33 +51,6 @@ func (b Bitmap) Or(c Bitmap) {
 	for i, w := range c {
 		b[i] |= w
 	}
-}
-
-// And sets b to b ∩ c.
-func (b Bitmap) And(c Bitmap) {
-	c = c[:len(b)]
-	for i, w := range c {
-		b[i] &= w
-	}
-}
-
-// AndNot sets b to b \ c.
-func (b Bitmap) AndNot(c Bitmap) {
-	c = c[:len(b)]
-	for i, w := range c {
-		b[i] &^= w
-	}
-}
-
-// AppendTo appends b's elements to dst in ascending order and returns it:
-// the Set a bitmap holds.
-func (b Bitmap) AppendTo(dst Set) Set {
-	for i, w := range b {
-		for ; w != 0; w &= w - 1 {
-			dst = append(dst, uint32(i<<6|bits.TrailingZeros64(w)))
-		}
-	}
-	return dst
 }
 
 // Intersects reports whether b ∩ c is non-empty, the early-exit form of

@@ -67,16 +67,6 @@ func checkBitmapCounts(t *testing.T, x, y, z Set, words int) {
 	if got, want := bx.Intersects(by), bx.AndCount(by) > 0; got != want {
 		t.Fatalf("Intersects = %v, want AndCount > 0 = %v on x=%v y=%v", got, want, x, y)
 	}
-	and := slices.Clone(bx)
-	and.And(by)
-	if got, want := and.AppendTo(nil), x.Intersect(y); !got.Equal(want) || and.Count() != len(want) {
-		t.Fatalf("And = %v, want %v on x=%v y=%v", got, want, x, y)
-	}
-	andNot := slices.Clone(bx)
-	andNot.AndNot(bz)
-	if got, want := andNot.AppendTo(Set{}), x.Diff(z); !got.Equal(want) {
-		t.Fatalf("AndNot = %v, want %v on x=%v z=%v", got, want, x, z)
-	}
 	bx.Or(by)
 	if want := bitmapOf(x.Union(y), words); !slices.Equal(bx, want) {
 		t.Fatalf("Or = %#x, want %#x on x=%v y=%v", bx, want, x, y)

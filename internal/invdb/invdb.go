@@ -67,14 +67,13 @@ type DB struct {
 	baseDL  float64 // dataDL + modelDL right after construction
 
 	scratch *EvalScratch // serial-eval arena, backs EvalMerge
-	// ApplyMerge scratch: the lines a merge empties, and the per-coreset
-	// intersection, a sorted slice or, on DBs with bitmaps, a bitmap.
-	applyDead   []*Line
+	// ApplyMerge scratch: snapshot of the merged pair's shared lines, taken
+	// before the indexes are mutated, plus the per-coreset intersection
+	// buffer (cloned only when the intersection becomes a stored line).
+	applyShared []CoresetID
+	applyX      []*Line
+	applyY      []*Line
 	applyInter  intset.Set
-	applyBits   intset.Bitmap
-	applyShared []CoresetID  // MergeResult.Shared
-	applyLeafs  [4]LeafsetID // MergeResult.Total, then Part
-	lineSlab    []Line       // unused tail of the slab new z-lines come from
 
 	// Dense evaluation state: per-line position bitmaps, per-leafset
 	// footprints and the XLogX table. All are owned by the DB and die with
@@ -233,7 +232,6 @@ func build(g neighborhood, nA int, st *mdl.StandardTable, content [][]graph.Attr
 // are a subset of its coreset's, so corePos bounds the position universe,
 // and newDB is where the bitmap width is decided for every constructor.
 func newDB(st *mdl.StandardTable, content [][]graph.AttrID, corePos []intset.Set) *DB {
-	w := bitmapWords(corePos)
 	db := &DB{
 		st:          st,
 		coreContent: content,
@@ -243,8 +241,7 @@ func newDB(st *mdl.StandardTable, content [][]graph.AttrID, corePos []intset.Set
 		leafsets:    NewLeafsetTable(),
 		byCore:      make([]lineIndex[LeafsetID], len(content)),
 		scratch:     NewEvalScratch(),
-		bmWords:     w,
-		applyBits:   make(intset.Bitmap, w),
+		bmWords:     bitmapWords(corePos),
 	}
 	for c := range content {
 		db.coreCode[c] = st.SetLen(content[c])
@@ -325,6 +322,14 @@ func (db *DB) newBitmap() intset.Bitmap {
 	b := intset.Bitmap(db.bmSlab[:w:w])
 	db.bmSlab = db.bmSlab[w:]
 	return b
+}
+
+// setPos replaces ln's positions, keeping its bitmap in step.
+func (db *DB) setPos(ln *Line, pos intset.Set) {
+	ln.Pos = pos
+	if ln.bits != nil {
+		ln.bits.Load(pos)
+	}
 }
 
 // insertLine registers a line in both indexes, its leafset's footprint and
@@ -472,22 +477,29 @@ func (db *DB) evalLines(x, y LeafsetID, ixx, ixy *lineIndex[CoresetID], sc *Eval
 	// slice instead, preserving the old small-side asymptotics.
 	xids, yids := ixx.ids, ixy.ids
 	if len(yids) > indexGallopRatio*len(xids) || len(xids) > indexGallopRatio*len(yids) {
-		small, big, swapped := ixx, ixy, len(yids) < len(xids)
-		if swapped {
+		small, big := ixx, ixy
+		swapped := false
+		if len(yids) < len(xids) {
 			small, big = ixy, ixx
+			swapped = true
 		}
 		lo := 0
 		for si, e := range small.ids {
-			if lo = intset.Seek(big.ids, e, lo); lo >= len(big.ids) {
+			lo = intset.Seek(big.ids, e, lo)
+			if lo >= len(big.ids) {
 				break
 			}
-			if big.ids[lo] == e {
-				lnx, lny := small.lines[si], big.lines[lo]
-				if swapped {
-					lnx, lny = lny, lnx
-				}
-				db.addShared(&a, e, lnx, lny)
-				lo++
+			if big.ids[lo] != e {
+				continue
+			}
+			if swapped {
+				db.addShared(&a, e, big.lines[lo], small.lines[si])
+			} else {
+				db.addShared(&a, e, small.lines[si], big.lines[lo])
+			}
+			lo++
+			if lo >= len(big.ids) {
+				break
 			}
 		}
 	} else {
@@ -678,8 +690,7 @@ func (db *DB) unionSpellLen(x, y LeafsetID, sc *EvalScratch) float64 {
 }
 
 // MergeResult reports what a committed merge did, feeding CSPM-Partial's
-// rdict update (Algorithm 4). Its slices are DB-owned scratch, valid until
-// the next ApplyMerge.
+// rdict update (Algorithm 4).
 type MergeResult struct {
 	X, Y   LeafsetID
 	New    LeafsetID   // the union leafset
@@ -694,34 +705,51 @@ type MergeResult struct {
 // the pair no longer overlaps anywhere, it is a no-op with Gain 0.
 func (db *DB) ApplyMerge(x, y LeafsetID) MergeResult {
 	res := MergeResult{X: x, Y: y}
-	ixx, ixy := db.leafIndex(x), db.leafIndex(y)
-	if x == y || ixx.size() == 0 || ixy.size() == 0 {
+	if x == y {
 		return res
 	}
-	dlBeforeData, dlBeforeModel := db.dataDL, db.modelDL
-	// The walk reads x's and y's indexes in place, so the lines the merge
-	// empties are removed after it. The union z is interned at the first
-	// shared coreset: a pair that shares none leaves the table alone.
-	dead := db.applyDead[:0]
-	res.Shared, res.Total, res.Part = db.applyShared[:0], db.applyLeafs[:0:2], db.applyLeafs[2:2:4]
-	z, zHadLines := LeafsetID(-1), false
+	ixx := db.leafIndex(x)
+	ixy := db.leafIndex(y)
+	if ixx.size() == 0 || ixy.size() == 0 {
+		return res
+	}
+	// Snapshot the shared coresets and their line pointers first: the merge
+	// mutates the indexes while it walks them. The snapshot buffers are
+	// DB-owned scratch (ApplyMerge is sequential by contract).
+	shared := db.applyShared[:0]
+	linesX := db.applyX[:0]
+	linesY := db.applyY[:0]
 	xids, yids := ixx.ids, ixy.ids
 	for i, j := 0, 0; i < len(xids) && j < len(yids); {
-		if xids[i] != yids[j] {
-			if xids[i] < yids[j] {
-				i++
-			} else {
-				j++
-			}
-			continue
+		switch {
+		case xids[i] < yids[j]:
+			i++
+		case xids[i] > yids[j]:
+			j++
+		default:
+			shared = append(shared, xids[i])
+			linesX = append(linesX, ixx.lines[i])
+			linesY = append(linesY, ixy.lines[j])
+			i++
+			j++
 		}
-		e, lnx, lny := xids[i], ixx.lines[i], ixy.lines[j]
-		i, j = i+1, j+1
-		if z < 0 {
-			z = db.leafsets.Union(x, y)
-			res.New, zHadLines = z, db.leafIndex(z).size() > 0
-		}
-		xye := db.intersect(lnx, lny)
+	}
+	db.applyShared, db.applyX, db.applyY = shared, linesX, linesY
+	if len(shared) == 0 {
+		return res
+	}
+
+	dlBeforeData, dlBeforeModel := db.dataDL, db.modelDL
+	z := db.leafsets.Union(x, y)
+	res.New = z
+	zHadLines := db.leafIndex(z).size() > 0
+
+	for si, e := range shared {
+		lnx := linesX[si]
+		lny := linesY[si]
+		inter := lnx.Pos.IntersectInto(lny.Pos, db.applyInter)
+		db.applyInter = inter
+		xye := inter.Len()
 		if xye == 0 {
 			continue
 		}
@@ -729,102 +757,61 @@ func (db *DB) ApplyMerge(x, y LeafsetID) MergeResult {
 		dataDelta := -db.xlogx(db.coreFreq[e])
 		modelDelta := 0.0
 
-		account := func(before, after int) {
-			db.coreFreq[e] += after - before
-			dataDelta += db.xlogx(before) - db.xlogx(after)
-		}
-		shed := func(ln *Line) {
-			account(db.movePos(ln, false))
+		update := func(ln *Line, newPos intset.Set) {
+			db.coreFreq[e] += newPos.Len() - ln.FL()
+			dataDelta += db.xlogx(ln.FL()) - db.xlogx(newPos.Len())
+			db.setPos(ln, newPos)
 			if ln.FL() == 0 {
-				dead = append(dead, ln)
+				db.removeLine(ln)
 				modelDelta += db.coreCode[e]
 			}
 		}
 
 		switch z {
 		case y: // x ⊂ y: only the x-line sheds the overlap
-			shed(lnx)
+			update(lnx, lnx.Pos.Diff(inter))
 		case x: // y ⊂ x
-			shed(lny)
+			update(lny, lny.Pos.Diff(inter))
 		default:
-			shed(lnx)
-			shed(lny)
-			lnz := db.byCore[e].get(z)
-			if lnz == nil {
-				// A new z-line starts empty and absorbs the intersection;
-				// refreshFootprint(z) below covers its bits.
-				if len(db.lineSlab) == 0 {
-					db.lineSlab = make([]Line, max(bitmapSlabLines, db.numLines/8))
-				}
-				lnz, db.lineSlab = &db.lineSlab[0], db.lineSlab[1:]
-				*lnz = Line{Core: e, Leaf: z}
-				db.insertLine(lnz)
+			update(lnx, lnx.Pos.Diff(inter))
+			update(lny, lny.Pos.Diff(inter))
+			if lnz := db.byCore[e].get(z); lnz != nil {
+				newPos := lnz.Pos.Union(inter)
+				db.coreFreq[e] += newPos.Len() - lnz.FL()
+				dataDelta += db.xlogx(lnz.FL()) - db.xlogx(newPos.Len())
+				db.setPos(lnz, newPos)
+			} else {
+				db.insertLine(&Line{Core: e, Leaf: z, Pos: inter.Clone()})
+				dataDelta -= db.xlogx(xye)
 				modelDelta -= db.coreCode[e]
 			}
-			account(db.movePos(lnz, true))
 		}
 		dataDelta += db.xlogx(db.coreFreq[e])
 		db.dataDL += dataDelta
 		db.modelDL -= modelDelta // modelDelta accumulated as gain; DL moves opposite
 	}
-	for _, ln := range dead {
-		db.removeLine(ln)
-	}
-	db.applyDead, db.applyShared = dead, res.Shared
 	if len(res.Shared) == 0 {
 		return res
 	}
 	// Leafset spell-out adjustments.
-	for _, p := range [2]LeafsetID{x, y} {
-		if db.leafIndex(p).size() == 0 && z != p {
-			db.modelDL -= db.st.SetLen(db.leafsets.Values(p))
-			res.Total = append(res.Total, p)
-		} else {
-			res.Part = append(res.Part, p)
-		}
+	if db.leafIndex(x).size() == 0 && z != x {
+		db.modelDL -= db.st.SetLen(db.leafsets.Values(x))
+		res.Total = append(res.Total, x)
+	} else {
+		res.Part = append(res.Part, x)
+	}
+	if db.leafIndex(y).size() == 0 && z != y {
+		db.modelDL -= db.st.SetLen(db.leafsets.Values(y))
+		res.Total = append(res.Total, y)
+	} else {
+		res.Part = append(res.Part, y)
 	}
 	if !zHadLines && db.leafIndex(z).size() > 0 && z != x && z != y {
 		db.modelDL += db.st.SetLen(db.leafsets.Values(z))
 	}
-	for _, p := range [3]LeafsetID{x, y, z} {
-		db.refreshFootprint(p)
-	}
+	db.refreshFootprint(x)
+	db.refreshFootprint(y)
+	db.refreshFootprint(z)
 	res.Gain = (dlBeforeData + dlBeforeModel) - (db.dataDL + db.modelDL)
 	return res
-}
-
-// intersect computes the positions lnx and lny share into ApplyMerge's
-// scratch, a bitmap on DBs with bitmaps and a sorted slice otherwise, and
-// returns their number.
-func (db *DB) intersect(lnx, lny *Line) int {
-	if db.bmWords == 0 {
-		db.applyInter = lnx.Pos.IntersectInto(lny.Pos, db.applyInter)
-		return len(db.applyInter)
-	}
-	copy(db.applyBits, lnx.bits)
-	db.applyBits.And(lny.bits)
-	return db.applyBits.Count()
-}
-
-// movePos adds the intersection to ln's positions (a z-line absorbing
-// it) or removes it (an x- or y-line shedding it) and returns ln's
-// frequency before and after. On the bitmap path the bits change in place
-// and Pos is rewritten from them, once, into its own array: no other line
-// shares it.
-func (db *DB) movePos(ln *Line, add bool) (before, after int) {
-	before = ln.FL()
-	switch {
-	case ln.bits == nil && add:
-		ln.Pos = ln.Pos.Union(db.applyInter)
-	case ln.bits == nil:
-		ln.Pos = ln.Pos.Diff(db.applyInter)
-	default:
-		if add {
-			ln.bits.Or(db.applyBits)
-		} else {
-			ln.bits.AndNot(db.applyBits)
-		}
-		ln.Pos = ln.bits.AppendTo(slices.Grow(ln.Pos[:0], ln.bits.Count()))
-	}
-	return before, ln.FL()
 }
