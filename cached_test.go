@@ -119,6 +119,10 @@ func TestCachedDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cspm.MineShardedCached(g, cspm.Options{CollectStats: true}, c1)
+	// Mining fills memory only; Persist writes the blobs c2 reads.
+	if _, err := c1.Persist(); err != nil {
+		t.Fatal(err)
+	}
 
 	c2, err := cspm.OpenShardCache(dir)
 	if err != nil {

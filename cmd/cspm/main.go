@@ -35,7 +35,7 @@ func main() {
 	flag.BoolVar(&cfg.Stats, "stats", false, "print per-run statistics")
 	flag.BoolVar(&cfg.MultiOnly, "multileaf", false, "print only patterns with ≥2 leaf values")
 	flag.BoolVar(&cfg.Cache, "cache", false, "mine incrementally through a shard-result cache")
-	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "persist shard results under this directory (implies -cache)")
+	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "persist shard results under this directory once mining finishes (implies -cache)")
 	flag.StringVar(&cfg.Remote, "remote", "", "mine over these comma-separated cspm-worker addresses")
 	flag.DurationVar(&cfg.RemoteTimeout, "remote-timeout", 0, "per-attempt wait for a remote shard result (0 = default)")
 	flag.IntVar(&cfg.RemoteRetries, "remote-retries", 0, "re-submissions per shard job before local fallback")

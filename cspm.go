@@ -106,8 +106,10 @@ type (
 	// occurrence count N and the result-shaping options — and of the
 	// graph's per-value occurrence counts, so an edit that changes any
 	// value's count re-mines every group. It holds results in memory while
-	// one of the last two runs used them, with an optional on-disk layer
-	// whose PersistManifest checkpoints it in its own directory.
+	// one of the last two runs used them, with an optional on-disk layer:
+	// mining stores results in memory only, and Persist (or
+	// PersistManifest, which also commits a checkpoint manifest) writes
+	// their blobs to the cache's own directory.
 	ShardCache = shardcache.Cache
 	// ShardCacheStats snapshots a cache's hit/miss/eviction counters.
 	ShardCacheStats = shardcache.Stats
@@ -119,7 +121,9 @@ func NewShardCache() *ShardCache { return shardcache.New() }
 
 // OpenShardCache returns a shard-result cache persisted under dir (one blob
 // per key, surviving process restarts and evictions from memory),
-// creating the directory if needed.
+// creating the directory if needed. Mining fills the cache in memory only:
+// call its Persist method after mining to write the new results' blobs,
+// or a later process will not find them.
 func OpenShardCache(dir string) (*ShardCache, error) { return shardcache.Open(dir) }
 
 // MineShardedCached mines g in-process by attribute-closed component groups,

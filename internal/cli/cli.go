@@ -54,9 +54,10 @@ type MineConfig struct {
 	MultiOnly bool
 	// Cache mines by attribute-closed component group through
 	// cspm.MineShardedCached with a shard-result cache (in-memory unless
-	// CacheDir names a directory to persist shard blobs under; CacheDir
-	// implies Cache). A single cspm invocation only benefits with CacheDir,
-	// where warm entries survive across runs. Incompatible with MultiCore.
+	// CacheDir names a directory to persist shard blobs under, written once
+	// mining has finished; CacheDir implies Cache). A single cspm invocation
+	// only benefits with CacheDir, where warm entries survive across runs.
+	// Incompatible with MultiCore.
 	Cache    bool
 	CacheDir string
 	// Remote mines through cspm.MineDistributed over the comma-separated
@@ -166,6 +167,13 @@ func Mine(r io.Reader, w io.Writer, cfg MineConfig) error {
 		// A nil Transport mines the groups in-process.
 		if model, err = cspm.MineDistributed(g, distOpts, nil); err != nil {
 			return err
+		}
+		if cfg.CacheDir != "" {
+			// Mining stores entries in memory only; this writes their
+			// blobs. A failed write loses only the next run's warmth.
+			if _, err := distOpts.Cache.Persist(); err != nil {
+				logger.Warn("shard cache not fully persisted", "dir", cfg.CacheDir, "err", err)
+			}
 		}
 	case cfg.MultiCore:
 		if model, err = cspm.MineMultiCore(g); err != nil {

@@ -87,22 +87,34 @@ func MineShardedCached(g *graph.Graph, opts Options, cache *shardcache.Cache) *M
 	return m
 }
 
-// groupExecutor mines the dirty component groups' shard jobs, each into
-// its group's slot entries[job.ID], stamping when the group's mine started
-// and ended in times[job.ID] and recording its run diagnostics (PerIter,
-// remote counters) on m. A non-nil error aborts the run.
-type groupExecutor func(jobs []shardrpc.Job, entries []*shardcache.Entry, times []mineTime, m *Model) error
+// groupExecutor mines the dirty component groups' shard jobs, handing each
+// group's entry to store as soon as it has it (see storeFunc), stamping
+// when the group's mine started and ended in times[job.ID] and recording
+// its run diagnostics (PerIter, remote counters) on m. A non-nil error
+// aborts the run.
+type groupExecutor func(jobs []shardrpc.Job, store storeFunc, times []mineTime, m *Model) error
+
+// storeFunc admits the fresh entry of group (a job ID) to the run: it puts
+// the entry in the cache, builds the merge order of the stored copy and
+// fills the group's slot with that copy. Executors call it in the
+// goroutine that has the entry (the lane that mined it, or the collector
+// as it accepts a remote result), so the work overlaps with the other
+// groups' mining instead of following the last one. Calls for distinct
+// groups may run concurrently.
+type storeFunc func(group int, e *shardcache.Entry)
 
 type mineTime struct{ start, end time.Time } // one group's mine
 
 // mineGroups is the one component-mining pipeline behind MineShardedCached
 // and MineDistributed: partition g into attribute-closed groups, build each
 // group's shard job and key it, diff the keys against cache, hand the dirty
-// jobs to exec, store their entries and end the cache's run (see
+// jobs to exec, which stores each entry in the cache, with its merge order
+// built, as it arrives (storeFunc), end the cache's run (see
 // shardcache.Cache.EndRun), then fold the diagnostics and merge every
-// group's entry with the canonical DL accounting. A nil cache mines through
-// an ephemeral one and leaves the cache counters at 0, as in any uncached
-// run. Each phase is reported to rec (nil = none) as an obs span
+// group's entry with the canonical DL accounting. The cache is written in
+// memory only; a dir-backed cache's owner persists it. A nil cache mines
+// through an ephemeral one and leaves the cache counters at 0, as in any
+// uncached run. Each phase is reported to rec (nil = none) as an obs span
 // (fingerprint: jobs and keys; diff: cache lookup; shard_mine: the dirty
 // groups; merge: the model), and once every dirty group has finished, each
 // group as an obs.GroupRun: mined (offset into shard_mine, mine time, gain
@@ -138,15 +150,15 @@ func mineGroups(g *graph.Graph, opts Options, cache *shardcache.Cache, exec grou
 	t = time.Now()
 	times := make([]mineTime, len(jobs))
 	if len(dirty) > 0 {
-		if err := exec(dirty, entries, times, m); err != nil {
-			return nil, err
+		store := func(group int, e *shardcache.Entry) {
+			// The stored copy replaces the fresh entry, so the order built
+			// on it here is the one the merge and every replay reuse.
+			e = cache.Put(keys[group], e)
+			orderOf(e, coreValues, coreCode)
+			entries[group] = e
 		}
-		for _, job := range dirty {
-			// The stored copy replaces the fresh entry, so the merge order
-			// the merge builds for it is the one its replays reuse. A
-			// failed disk write only loses persistence (the in-memory copy
-			// is already stored); mining correctness is unaffected.
-			entries[job.ID], _ = cache.Put(keys[job.ID], entries[job.ID])
+		if err := exec(dirty, store, times, m); err != nil {
+			return nil, err
 		}
 	}
 	evicted := cache.EndRun()
@@ -191,15 +203,16 @@ func singleValueCoresets(g *graph.Graph) (*mdl.StandardTable, func(invdb.Coreset
 
 // mineLocal is the in-process group executor: it mines each dirty group's
 // shard job with the worker's own executor, so a local group differs from
-// a remote one only in the transport it skips. Options.Workers (0 = all
-// cores) is the total budget: at most that many groups mine at once, each
-// job carrying an equal share (at least one evaluator), so Workers=1 mines
-// one group at a time instead of oversubscribing. Each entry is a pure
-// function of its job, and the results are folded in dirty order after the
-// barrier, so the run is deterministic. Each group's mine is stamped into
-// times[job.ID]. PerIter is surfaced only when the caller asked, each merge
-// renumbered and tagged with its dirty-group index.
-func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, times []mineTime, m *Model) error {
+// a remote one only in the transport it skips, and stores the entry in the
+// same goroutine. Options.Workers (0 = all cores) is the total budget: at
+// most that many groups mine at once, each job carrying an equal share (at
+// least one evaluator), so Workers=1 mines one group at a time instead of
+// oversubscribing. Each entry is a pure function of its job, and the
+// traces are folded in dirty order after the barrier, so the run is
+// deterministic. Each group's mine, without its store, is stamped into
+// times[job.ID]. PerIter is surfaced only when the caller asked, each
+// merge renumbered and tagged with its dirty-group index.
+func (o Options) mineLocal(jobs []shardrpc.Job, store storeFunc, times []mineTime, m *Model) error {
 	workers := o.workerCount()
 	concurrent := min(workers, len(jobs))
 	base, extra := workers/concurrent, workers%concurrent
@@ -218,8 +231,12 @@ func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, tim
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			entries[job.ID], perIter[i], errs[i] = executeShardJob(job)
+			var e *shardcache.Entry
+			e, perIter[i], errs[i] = executeShardJob(job)
 			times[job.ID] = mineTime{start, time.Now()}
+			if errs[i] == nil {
+				store(int(job.ID), e)
+			}
 		}()
 	}
 	wg.Wait()
@@ -244,10 +261,11 @@ func (o Options) mineLocal(jobs []shardrpc.Job, entries []*shardcache.Entry, tim
 // Stepper.Snapshot pass one entry and their database's coresets. Every
 // entry's lines must be normalized (invdb.Normalized).
 //
-// Nothing is re-sorted: each entry carries its merge order (entryOrder,
-// built once per entry and kept with it), and the entries' runs are k-way
-// merged in the canonical orders (invdb.MergeRuns, mergePatterns), so a
-// replayed group costs a merge step per line, not a sort. The entries must
+// Nothing is re-sorted: each entry carries its merge order (orderOf: built
+// once per entry and kept with it; a fresh group's by its store), and the
+// entries' runs are k-way merged in the canonical orders (invdb.MergeRuns,
+// mergePatterns), so a replayed group costs a merge step per line, not a
+// sort. The entries must
 // own disjoint coresets, as attribute-closed groups and a lone entry do:
 // then a line's f_c is its own entry's, and an entry's pattern order is
 // its slice of the model's.
@@ -257,7 +275,7 @@ func mergeEntryStats(m *Model, st *mdl.StandardTable, coreValues func(invdb.Core
 	orders := make([]*shardcache.Order, len(entries))
 	nFinal := 0
 	for i, e := range entries {
-		o := e.Order(func() *shardcache.Order { return entryOrder(e, coreValues, coreCode) })
+		o := orderOf(e, coreValues, coreCode)
 		initRuns[i] = invdb.Run{Lines: e.Init, Leaves: o.InitLeaves}
 		finalRuns[i] = invdb.Run{Lines: e.Final, Leaves: o.FinalLeaves}
 		orders[i] = o
@@ -270,6 +288,15 @@ func mergeEntryStats(m *Model, st *mdl.StandardTable, coreValues func(invdb.Core
 	m.CondEntropy = invdb.CanonicalCondEntropy(norm)
 	m.Patterns = mergePatterns(coreValues, finalRuns, orders, nFinal)
 }
+
+// orderOf returns e's merge order, building it with newOrder on first use.
+func orderOf(e *shardcache.Entry, coreValues func(invdb.CoresetID) []graph.AttrID, coreCode func(invdb.CoresetID) float64) *shardcache.Order {
+	return e.Order(func() *shardcache.Order { return newOrder(e, coreValues, coreCode) })
+}
+
+// newOrder builds an entry's merge order. It is entryOrder; tests swap in
+// a counting wrapper to pin where and how often orders are built.
+var newOrder = entryOrder
 
 // entryOrder derives an entry's merge order: the leafset orders of its
 // initial and final lines, and its final lines ranked as patterns. It

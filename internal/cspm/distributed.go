@@ -263,15 +263,16 @@ func MineDistributed(g *graph.Graph, opts DistributedOptions, rec *obs.Recorder)
 }
 
 // mineRemote is the transport group executor: the dirty groups' jobs go
-// over o.Transport as they are, retried and deduplicated by collectRemote.
-// Jobs that exhaust their attempts are mined in-process by mineLocal, or
-// fail the run with a *DistributedError under NoFallback. No PerIter trace
-// is collected, fallback runs included.
-func (o DistributedOptions) mineRemote(jobs []shardrpc.Job, entries []*shardcache.Entry, times []mineTime, m *Model) error {
+// over o.Transport as they are, retried and deduplicated by collectRemote,
+// which stores each result as it accepts it. Jobs that exhaust their
+// attempts are mined (and stored) in-process by mineLocal, or fail the run
+// with a *DistributedError under NoFallback. No PerIter trace is
+// collected, fallback runs included.
+func (o DistributedOptions) mineRemote(jobs []shardrpc.Job, store storeFunc, times []mineTime, m *Model) error {
 	local := o.Options
 	local.CollectStats = false
 	m.RemoteJobs = len(jobs)
-	failed := collectRemote(jobs, o, entries, times, m)
+	failed := collectRemote(jobs, o, store, times, m)
 	if len(failed) == 0 {
 		return nil
 	}
@@ -283,7 +284,7 @@ func (o DistributedOptions) mineRemote(jobs []shardrpc.Job, entries []*shardcach
 	for _, f := range failed {
 		isFailed[f.Group] = true
 	}
-	return local.mineLocal(slices.DeleteFunc(slices.Clone(jobs), func(j shardrpc.Job) bool { return !isFailed[int(j.ID)] }), entries, times, m)
+	return local.mineLocal(slices.DeleteFunc(slices.Clone(jobs), func(j shardrpc.Job) bool { return !isFailed[int(j.ID)] }), store, times, m)
 }
 
 // pendingJob tracks one dispatched shard job through its attempts.
@@ -303,13 +304,13 @@ type pendingJob struct {
 var distRunSeq atomic.Uint64
 
 // collectRemote dispatches jobs over opts.Transport and collects entries,
-// each into its group's slot entries[job.ID] (times[job.ID] spans first
+// handing each to store as it is accepted (times[job.ID] spans first
 // submission to acceptance), retrying failed attempts up to opts.Retries
 // times. It returns the jobs that exhausted their attempts; everything else
-// has its entry slot filled. Responses whose job is already satisfied are
+// has been stored. Responses whose job is already satisfied are
 // counted on m.RemoteDuplicates and dropped — the dedupe that keeps a
 // duplicating transport from double-counting a group.
-func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shardcache.Entry, times []mineTime, m *Model) []FailedJob {
+func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, store storeFunc, times []mineTime, m *Model) []FailedJob {
 	t := opts.Transport
 	timeout := opts.Timeout
 	if timeout == 0 {
@@ -344,8 +345,8 @@ func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shar
 	}
 
 	// handle matches one response to its pending job: echoes of satisfied
-	// jobs are counted and dropped, failures re-dispatch, successes fill
-	// the entry slot. The worker's echoed job checksum must match the job
+	// jobs are counted and dropped, failures re-dispatch, successes are
+	// stored. The worker's echoed job checksum must match the job
 	// as sent — a transport that mutated the job in flight made the worker
 	// mine the wrong shard, and its (internally consistent) entry must be
 	// rejected like any other corruption.
@@ -371,9 +372,9 @@ func collectRemote(jobs []shardrpc.Job, opts DistributedOptions, entries []*shar
 			dispatch(p)
 			return
 		}
-		entries[p.group] = e
 		times[p.group].end = time.Now()
 		delete(outstanding, res.JobID)
+		store(p.group, e)
 	}
 
 	runTag := distRunSeq.Add(1) << 32

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	icspm "cspm/internal/cspm"
 	"cspm/internal/dataset"
+	"cspm/internal/graph"
 )
 
 // snapSink keeps the compiler from discarding benchmarked snapshots.
@@ -23,5 +25,43 @@ func BenchmarkMicro_Publish_Mid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snapSink = newSnapshot(1, g, m, modelChecksum(m))
+	}
+}
+
+// BenchmarkMicro_Checkpoint_Mid measures the checkpoint span
+// (obs.SpanCheckpoint) of a durable server right after a re-mine of the
+// mid archipelago that missed every group: one op writes the 12 fresh
+// groups' blobs, which mining left in memory, the graph and the MANIFEST.
+// Each op's re-mine, untimed, folds a new vertex carrying vertex 0's first
+// value, so that value's count is new and every group's key with it.
+func BenchmarkMicro_Checkpoint_Mid(b *testing.B) {
+	cfg := dataset.BenchIslands()
+	cfg.MinNodes, cfg.MaxNodes = 250, 500
+	g := dataset.IslandsWithEdgeSeeds(cfg, nil)
+	s, err := NewServer(g, Options{Dir: b.TempDir(), Debounce: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	value := g.Vocab().Name(g.Attrs(0)[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cur := s.Snapshot()
+		v := graph.VertexID(cur.Graph.NumVertices())
+		next, model, err := s.rebuildAndMine(cur.Graph, []Mutation{{Op: "add_vertex"}, {Op: "add_attr", U: v, Value: value}}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if model.CacheHits != 0 {
+			b.Fatalf("re-mine hit %d groups, want every group dirty", model.CacheHits)
+		}
+		snap := newSnapshot(cur.Generation+1, next, model, modelChecksum(model))
+		s.snap.Store(snap)
+		b.StartTimer()
+		if err := s.checkpoint(snap); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

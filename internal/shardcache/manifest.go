@@ -52,22 +52,22 @@ type Manifest struct {
 // ManifestVersion is the current manifest schema version.
 const ManifestVersion = 1
 
-// PersistManifest flushes every entry resident in memory to the cache's
-// own directory as a blob and then commits m — with m.Blobs listing every
-// resident entry's blob and checksum — as MANIFEST there via fsync'd temp
-// file + rename, making the manifest a durable commit point. Only blobs the
-// cache has not written there yet are written; the others are listed with
-// the checksums recorded when they were written. A memory-only cache has
-// no directory and returns an error. Entry failures are non-fatal: the rest
-// still persist, the PersistErrors stat counts them, they are absent from
+// PersistManifest persists the cache (see Persist) and then commits m —
+// with m.Blobs listing every resident entry's blob and checksum — as
+// MANIFEST in the cache's own directory via fsync'd temp file + rename,
+// making the manifest a durable commit point. Only blobs the cache has not
+// written there yet are written; the others are listed with the checksums
+// recorded when they were written. A memory-only cache has no directory
+// and returns an error. Entry failures are non-fatal: the rest still
+// persist, the PersistErrors stat counts them, they are absent from
 // m.Blobs, and their aggregated error is returned after the manifest
 // commits. A manifest write failure is fatal, since without the commitment
 // the checkpoint must not be trusted.
 func (c *Cache) PersistManifest(m *Manifest) error {
+	sums, perr := c.Persist()
 	if c.dir == "" {
-		return fmt.Errorf("shardcache: a memory-only cache has no directory to persist to")
+		return perr // nothing to commit
 	}
-	sums, perr := c.persistEntries()
 	m.Version = ManifestVersion
 	m.Blobs = sums
 	data, err := json.MarshalIndent(m, "", "  ")

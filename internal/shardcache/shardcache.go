@@ -12,9 +12,10 @@
 // Memory holds an entry while the current run or the run before it used it
 // (see EndRun), so an undo of the latest edit still replays from memory and
 // older states stop costing memory. An optional on-disk layer keeps one gob
-// blob per key under a directory, written atomically, loaded back on memory
-// misses, surviving evictions and restarts; the blob format doubles as the
-// shard-result wire format for distributed fan-out.
+// blob per key under a directory, written atomically by Persist (never by
+// Put), loaded back on memory misses, surviving evictions and restarts; the
+// blob format doubles as the shard-result wire format for distributed
+// fan-out.
 package shardcache
 
 import (
@@ -123,7 +124,7 @@ type Stats struct {
 	Hits          uint64 // lookups served from memory or disk
 	Misses        uint64 // lookups that found nothing
 	Evictions     uint64 // entries dropped from memory by EndRun
-	PersistErrors uint64 // entries a Persist/PersistManifest failed to write
+	PersistErrors uint64 // blob writes that failed: Persist and PersistManifest are the only writers
 	Entries       int    // entries currently resident in memory
 }
 
@@ -213,26 +214,17 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 }
 
 // Put stores a normalized deep copy of e under k in memory, marked used in
-// the current run, and, when a directory is configured, as a gob blob on
-// disk. It returns the stored copy, which is shared like a Get result, so
-// a merge order built on it serves every later hit; the copy is stored in
-// memory even when the disk write fails.
-func (c *Cache) Put(k Key, e *Entry) (*Entry, error) {
+// the current run, and returns the stored copy, which is shared like a Get
+// result, so a merge order built on it serves every later hit. Put never
+// touches the disk: a dir-backed cache writes the blob on the next Persist
+// or PersistManifest.
+func (c *Cache) Put(k Key, e *Entry) *Entry {
 	cp := e.clone()
 	c.mu.Lock()
 	r := c.admit(k, cp)
 	r.entry, r.sum = cp, ""
 	c.mu.Unlock()
-	if c.dir != "" {
-		// cp is shared read-only once admitted, so encoding it unlocked is
-		// safe.
-		sum, err := storeBlob(c.dir, k, cp)
-		if err != nil {
-			return cp, err
-		}
-		c.noteSum(k, cp, sum)
-	}
-	return cp, nil
+	return cp
 }
 
 // noteSum records sum as the checksum of e's blob in the cache's own
@@ -252,7 +244,8 @@ func (c *Cache) noteSum(k Key, e *Entry, sum string) {
 // entries, so memory (and with it every checkpoint manifest) holds at most
 // the groups of the last two mined states: the current one, and the one an
 // undo of the latest edit returns to. Disk blobs are untouched, so a
-// dir-backed cache still serves an evicted entry from disk.
+// dir-backed cache still serves an evicted entry from disk if it was
+// persisted before the eviction.
 func (c *Cache) EndRun() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -268,15 +261,23 @@ func (c *Cache) EndRun() int {
 	return n
 }
 
-// persistEntries makes every entry currently resident in memory a blob in
-// the cache's directory, in the atomic one-gob-blob-per-key format of the
-// disk layer (temp file + rename, so a crash mid-write leaves either the
-// old blob or none), and returns each blob's SHA-256 (hex) keyed by file
-// name. An entry whose blob the cache already wrote is not written again:
-// its recorded sum is returned. A failed entry is non-fatal: the rest still
-// persist, the failure is counted in the PersistErrors stat, skipped in the
-// sums, and aggregated into the returned error.
-func (c *Cache) persistEntries() (map[string]string, error) {
+// Persist makes every entry currently resident in memory a blob in the
+// cache's directory, in the atomic one-gob-blob-per-key format of the disk
+// layer (temp file + rename, so a crash mid-write leaves either the old
+// blob or none), and returns each blob's SHA-256 (hex) keyed by file name.
+// It and PersistManifest are the only writers of blobs: Put stores in
+// memory only, so a dir-backed cache's fresh entries reach the disk when
+// its owner persists (cspm -cache-dir after mining, a durable server's
+// checkpoint after publish). An entry whose blob the cache already wrote
+// is not written again: its recorded sum is returned. A failed entry is
+// non-fatal: the rest still persist, the failure is counted in the
+// PersistErrors stat, skipped in the sums, and aggregated into the returned
+// error; the entry still serves from memory. A memory-only cache has no
+// directory and returns an error.
+func (c *Cache) Persist() (map[string]string, error) {
+	if c.dir == "" {
+		return nil, fmt.Errorf("shardcache: a memory-only cache has no directory to persist to")
+	}
 	// Snapshot the resident set under the mutex, write outside it: entries
 	// are shared read-only once admitted, so encoding unlocked is safe and
 	// concurrent lookups never stall behind the flush.

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,8 +33,8 @@ func entry(n int) *Entry {
 
 // TestRunBoundEviction pins the memory bound: an entry used in run r
 // survives EndRun at r and r+1, is evicted at r+2 and counted, and a
-// dir-backed cache still serves it from disk afterwards. A Get in a later
-// run renews the entry like a Put.
+// dir-backed cache still serves it from disk afterwards once persisted. A
+// Get in a later run renews the entry like a Put.
 func TestRunBoundEviction(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -41,6 +42,7 @@ func TestRunBoundEviction(t *testing.T) {
 	}
 	c.Put(key(1), entry(1)) // run r
 	c.Put(key(2), entry(2))
+	mustPersist(t, c)
 	c.EndRun()
 	if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
 		t.Fatalf("after EndRun at r: %+v, want both entries resident", st)
@@ -120,6 +122,7 @@ func TestRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put(key(1), entry(1))
+	mustPersist(t, c)
 	if !c.Remove(key(1)) {
 		t.Fatal("Remove found nothing")
 	}
@@ -144,6 +147,7 @@ func TestDiskRoundTripAndEvictionSurvival(t *testing.T) {
 	c.Put(key(1), want)
 	c.EndRun()
 	c.Put(key(2), entry(4))
+	mustPersist(t, c)
 	c.EndRun()
 	c.EndRun() // evicts 1 from memory; disk blob remains
 	if st := c.Stats(); st.Evictions != 1 {
@@ -178,6 +182,7 @@ func TestCorruptBlobIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put(key(7), entry(2))
+	mustPersist(t, c)
 	files, _ := filepath.Glob(filepath.Join(dir, "*.gob"))
 	if len(files) != 1 {
 		t.Fatalf("expected one blob, got %v", files)
@@ -221,9 +226,9 @@ func TestRunBoundKeepsWholeRun(t *testing.T) {
 	}
 }
 
-// TestRunBoundConcurrentUse drives lookups, stores, EndRun and a manifest
-// flush from several goroutines at once (run it under -race); afterwards
-// every stored key is still served, from disk once evicted.
+// TestRunBoundConcurrentUse drives lookups, stores, flushes, EndRun and a
+// manifest flush from several goroutines at once (run it under -race);
+// afterwards every stored key is still served, from disk once evicted.
 func TestRunBoundConcurrentUse(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -237,7 +242,8 @@ func TestRunBoundConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := range 50 {
 				k := key(byte(w*50 + i))
-				if _, err := c.Put(k, entry(1)); err != nil {
+				c.Put(k, entry(1))
+				if _, err := c.Persist(); err != nil {
 					t.Error(err)
 				}
 				if _, ok := c.Get(k); !ok {
@@ -272,11 +278,12 @@ func TestRunBoundConcurrentUse(t *testing.T) {
 // serves them.
 func TestPersistFlushesMemoryToDisk(t *testing.T) {
 	mem := New()
-	if _, err := mem.Put(key(1), entry(1)); err != nil {
-		t.Fatal(err)
-	}
+	mem.Put(key(1), entry(1))
 	if err := mem.PersistManifest(&Manifest{}); err == nil {
 		t.Fatal("a memory-only cache persisted")
+	}
+	if _, err := mem.Persist(); err == nil {
+		t.Fatal("a memory-only cache persisted its blobs")
 	}
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -284,9 +291,7 @@ func TestPersistFlushesMemoryToDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := byte(1); i <= 3; i++ {
-		if _, err := c.Put(key(i), entry(int(i))); err != nil {
-			t.Fatal(err)
-		}
+		c.Put(key(i), entry(int(i)))
 	}
 	man := &Manifest{}
 	if err := c.PersistManifest(man); err != nil {
@@ -328,9 +333,7 @@ func TestAdmittedEntriesAreNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Put(key(1), rawEntry()); err != nil {
-		t.Fatal(err)
-	}
+	c.Put(key(1), rawEntry())
 	got, _ := c.Get(key(1))
 	if !invdb.IsNormalized(got.Init) || !invdb.IsNormalized(got.Final) {
 		t.Fatal("Put stored lines out of the canonical order")
@@ -362,10 +365,7 @@ func TestAdmittedEntriesAreNormalized(t *testing.T) {
 func TestPutReturnsStoredCopyAndSlabsLeaves(t *testing.T) {
 	c := New()
 	e := entry(3)
-	stored, err := c.Put(key(1), e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stored := c.Put(key(1), e)
 	got, _ := c.Get(key(1))
 	if got != stored {
 		t.Fatal("Put returned an entry other than the one a hit gets")
@@ -400,6 +400,60 @@ func TestOrderConcurrentFirstUse(t *testing.T) {
 	for i, o := range got {
 		if o != got[0] {
 			t.Fatalf("caller %d got order %v, caller 0 got %v", i, o, got[0])
+		}
+	}
+}
+
+// mustPersist writes c's resident entries to its directory.
+func mustPersist(t *testing.T, c *Cache) {
+	t.Helper()
+	if _, err := c.Persist(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPersistCountsEveryFailedWrite pins that a blob write that fails is
+// never silent: with the cache directory replaced by a regular file,
+// Persist fails for every resident entry, counts each one in the
+// PersistErrors stat, and every entry keeps serving from memory. Put,
+// which writes nothing, is unaffected.
+func TestPersistCountsEveryFailedWrite(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(1); i <= 3; i++ {
+		c.Put(key(i), entry(int(i)))
+	}
+	sums, err := c.Persist()
+	if err == nil || !strings.Contains(err.Error(), "3 of 3 entries failed to persist") {
+		t.Fatalf("Persist into a file = %v, want every entry failed", err)
+	}
+	if len(sums) != 0 {
+		t.Fatalf("Persist listed %d blobs it could not write", len(sums))
+	}
+	if got := c.Stats().PersistErrors; got != 3 {
+		t.Fatalf("PersistErrors stat = %d, want 3", got)
+	}
+	// Nothing was recorded as written, so the next flush tries (and counts)
+	// every entry again.
+	if err := c.PersistManifest(&Manifest{}); err == nil {
+		t.Fatal("PersistManifest into a file succeeded")
+	}
+	if got := c.Stats().PersistErrors; got != 6 {
+		t.Fatalf("PersistErrors stat after a second flush = %d, want 6", got)
+	}
+	for i := byte(1); i <= 3; i++ {
+		got, ok := c.Get(key(i))
+		if !ok || got.Iterations != int(i) {
+			t.Fatalf("entry %d not served from memory after failed writes: %+v, %v", i, got, ok)
 		}
 	}
 }

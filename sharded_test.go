@@ -191,6 +191,11 @@ func TestShardedEquivalenceLoopback(t *testing.T) {
 	if _, err := cspm.MineDistributed(g, cspm.DistributedOptions{Transport: lb, Cache: cacheB}); err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range []*cspm.ShardCache{cacheA, cacheB} {
+		if _, err := c.Persist(); err != nil { // mining writes no blob
+			t.Fatal(err)
+		}
+	}
 	// Each cache holds its keys as blob names; both must list the same.
 	keysA, keysB := blobNames(t, dirA), blobNames(t, dirB)
 	if len(keysA) != 12 || !slices.Equal(keysA, keysB) {
