@@ -194,7 +194,10 @@ type (
 	// promotion). Empty Dir serves memory-only.
 	ServerOptions = serve.Options
 	// ServerSnapshot is one immutable serving state: generation, graph,
-	// model, and the completion scorer built over both.
+	// model, and the completion scorer built over both. It copies no
+	// pattern: the multi-leaf page reads the model through an internal
+	// index of positions, and Go callers get that view from
+	// snap.Model.MultiLeaf().
 	ServerSnapshot = serve.Snapshot
 	// GraphMutation is one edit submitted to a Server's mutation log:
 	// attribute or edge edits, or vertex add/remove ops that grow and

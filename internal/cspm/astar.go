@@ -129,19 +129,31 @@ func (m *Model) TopK(k int) []AStar {
 // the patterns produced by at least one merge, which are the interesting
 // ones for reporting (initial lines are trivially single-leaf).
 func (m *Model) MultiLeaf() []AStar {
+	idx := m.MultiLeafIndex()
+	out := make([]AStar, len(idx))
+	for k, i := range idx {
+		out[k] = m.Patterns[i]
+	}
+	return out
+}
+
+// MultiLeafIndex returns the positions in Patterns of the patterns
+// MultiLeaf returns, ascending, in a slice of exactly that length: the
+// same view without copying a pattern.
+func (m *Model) MultiLeafIndex() []int32 {
 	n := 0
-	for _, p := range m.Patterns {
-		if len(p.LeafValues) >= 2 {
+	for i := range m.Patterns {
+		if len(m.Patterns[i].LeafValues) >= 2 {
 			n++
 		}
 	}
-	out := make([]AStar, 0, n)
-	for _, p := range m.Patterns {
-		if len(p.LeafValues) >= 2 {
-			out = append(out, p)
+	idx := make([]int32, 0, n)
+	for i := range m.Patterns {
+		if len(m.Patterns[i].LeafValues) >= 2 {
+			idx = append(idx, int32(i))
 		}
 	}
-	return out
+	return idx
 }
 
 // comparePatterns is the pattern ranking, taking each pattern as its code

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,17 +16,28 @@ var snapSink *Snapshot
 // BenchmarkMicro_Publish_Mid measures the publish span (obs.SpanPublish) of
 // a re-mine on the mid archipelago (4,210 vertices, ~22k a-stars): one op
 // assembles the serving snapshot as remine does — the scorer, the
-// multi-leaf page and the model digest.
+// multi-leaf index and the model digest. retained-B is the live heap one
+// snapshot holds beyond its model and graph, measured once, untimed,
+// between two collections.
 func BenchmarkMicro_Publish_Mid(b *testing.B) {
 	cfg := dataset.BenchIslands()
 	cfg.MinNodes, cfg.MaxNodes = 250, 500
 	g := dataset.IslandsWithEdgeSeeds(cfg, nil)
 	m := icspm.MineShardedCached(g, icspm.Options{CollectStats: true}, nil)
+	var before, after runtime.MemStats
+	snapSink = nil // a previous run's snapshot holds its own model and graph
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	snapSink = newSnapshot(1, g, m, modelChecksum(m))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snapSink = newSnapshot(1, g, m, modelChecksum(m))
 	}
+	b.ReportMetric(float64(retained), "retained-B")
 }
 
 // BenchmarkMicro_Checkpoint_Mid measures the checkpoint span

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -168,11 +169,14 @@ func FuzzCompleteRequest(f *testing.F) {
 // through the host's HTTP surface. Neither handler may panic, and each must
 // answer 200 or the 400 bad_request envelope. A 200 page from /patterns has
 // a non-negative offset, a limit in [1, maxPageLimit] and at most limit
-// patterns. The /watch query is prefixed with generation=0, which the
-// served snapshot always satisfies, so every 200 resolves at once with the
-// served generation and never times out. The seed corpus covers paging
-// bounds, int64 overflow, malformed escapes and separators, and the watch
-// timeout's clamp.
+// patterns; its total is the length of the view the query selects (the
+// multi-leaf patterns when multileaf is 1, as URL.Query parses it, else
+// every pattern), and its i-th pattern is that view's element offset+i.
+// The /watch query is prefixed with generation=0, which the served snapshot
+// always satisfies, so every 200 resolves at once with the served
+// generation and never times out. The seed corpus covers paging bounds,
+// the last multi-leaf pattern and one past it, int64 overflow, malformed
+// escapes and separators, and the watch timeout's clamp.
 func FuzzQueryParams(f *testing.F) {
 	h, err := NewHost(HostOptions{})
 	if err != nil {
@@ -183,11 +187,19 @@ func FuzzQueryParams(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	gen := s.Snapshot().Generation
+	snap := s.Snapshot()
+	gen, vocab := snap.Generation, snap.Graph.Vocab()
+	all, multi := snap.Model.Patterns, snap.Model.MultiLeaf()
 	for _, seed := range []string{
 		"",
 		"offset=1&limit=2",
 		"limit=1000&multileaf=1",
+		fmt.Sprintf("multileaf=1&offset=%d", len(multi)-1),
+		fmt.Sprintf("multileaf=1&offset=%d&limit=1", len(multi)),
+		"multileaf=1&multileaf=0&offset=1",
+		"multileaf=0&limit=1000",
+		"multileaf=true",
+		"multileaf=%31",
 		"limit=1001",
 		"limit=0",
 		"offset=-1",
@@ -226,6 +238,21 @@ func FuzzQueryParams(f *testing.F) {
 			}
 			if page.Offset < 0 || page.Limit < 1 || page.Limit > maxPageLimit || len(page.Patterns) > page.Limit {
 				t.Fatalf("%q: page offset %d limit %d with %d patterns", rawQuery, page.Offset, page.Limit, len(page.Patterns))
+			}
+			view := all
+			if q, _ := url.ParseQuery(rawQuery); q.Get("multileaf") == "1" {
+				view = multi
+			}
+			if page.Total != len(view) {
+				t.Fatalf("%q: total %d, want %d", rawQuery, page.Total, len(view))
+			}
+			if want := min(page.Limit, max(0, len(view)-page.Offset)); len(page.Patterns) != want {
+				t.Fatalf("%q: %d patterns at offset %d, want %d", rawQuery, len(page.Patterns), page.Offset, want)
+			}
+			for i, got := range page.Patterns {
+				if !samePattern(got, vocab, view[page.Offset+i]) {
+					t.Fatalf("%q: pattern %d = %+v, want %+v", rawQuery, page.Offset+i, got, view[page.Offset+i])
+				}
 			}
 		}
 		if w := get(t, "/v2/graphs/default/watch", "generation=0&"+rawQuery); w.Code == http.StatusOK {

@@ -215,19 +215,25 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.snap.Load()
 	patterns := snap.Model.Patterns
-	if r.URL.Query().Get("multileaf") == "1" {
-		patterns = snap.MultiLeaf
+	total := len(patterns)
+	multi := r.URL.Query().Get("multileaf") == "1"
+	if multi {
+		total = len(snap.multiLeaf)
 	}
 	resp := PatternsResponse{
 		Generation: snap.Generation,
-		Total:      len(patterns),
+		Total:      total,
 		Offset:     offset,
 		Limit:      limit,
 		Patterns:   []PatternJSON{},
 	}
 	vocab := snap.Graph.Vocab()
-	for i := offset; i < len(patterns) && i < offset+limit; i++ {
-		p := patterns[i]
+	for i := offset; i < total && i < offset+limit; i++ {
+		j := i
+		if multi {
+			j = int(snap.multiLeaf[i])
+		}
+		p := &patterns[j]
 		resp.Patterns = append(resp.Patterns, PatternJSON{
 			Core:       attrNames(vocab, p.CoreValues),
 			Leaf:       attrNames(vocab, p.LeafValues),
@@ -408,7 +414,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		CompressionRatio: m.CompressionRatio(),
 		CondEntropy:      m.CondEntropy,
 		Patterns:         len(m.Patterns),
-		MultiLeaf:        len(snap.MultiLeaf),
+		MultiLeaf:        len(snap.multiLeaf),
 		Iterations:       m.Iterations,
 		GainEvals:        m.GainEvals,
 		CacheHits:        m.CacheHits,

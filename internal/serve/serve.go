@@ -206,7 +206,9 @@ func (o Options) Validate() error {
 // mined from it, and the completion scorer built over both. Handlers load
 // exactly one snapshot per request, so every response is internally
 // consistent — the generation it reports is the generation its patterns
-// and scores came from.
+// and scores came from. A snapshot copies no pattern: the multi-leaf page
+// reads Model.Patterns through an index of positions built at publish, so
+// Go callers wanting that view call Model.MultiLeaf().
 type Snapshot struct {
 	// Generation counts published snapshots: 1 is the initial mine, and
 	// each successful re-mine increments it.
@@ -217,15 +219,17 @@ type Snapshot struct {
 	Model *icspm.Model
 	// Scorer ranks candidate attribute values with Model (Algorithm 5).
 	Scorer *completion.Scorer
-	// MultiLeaf is Model.MultiLeaf() computed once at publish, so the
-	// multileaf pattern page and its count cost the read path nothing.
-	MultiLeaf []icspm.AStar
 	// PublishedAt is when the snapshot was swapped in.
 	PublishedAt time.Time
 	// ModelSHA256 is the name-canonical model commitment (the same digest
 	// checkpoint manifests record), computed once at publish so /watch
 	// can hand clients a generation plus the model bytes it stands for.
 	ModelSHA256 string
+
+	// multiLeaf is Model.MultiLeafIndex(), computed once at publish: the
+	// multileaf page and its count read Model.Patterns through it, so they
+	// cost the read path nothing and the snapshot copies no pattern.
+	multiLeaf []int32
 }
 
 // newSnapshot assembles one immutable serving state. sum is
@@ -235,9 +239,9 @@ func newSnapshot(gen uint64, g *graph.Graph, model *icspm.Model, sum string) *Sn
 	return &Snapshot{
 		Generation: gen, Graph: g, Model: model,
 		Scorer:      completion.NewScorer(model, g),
-		MultiLeaf:   model.MultiLeaf(),
 		PublishedAt: time.Now(),
 		ModelSHA256: sum,
+		multiLeaf:   model.MultiLeafIndex(),
 	}
 }
 
