@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
 	icspm "cspm/internal/cspm"
-	"cspm/internal/dataset"
 	"cspm/internal/graph"
 )
 
@@ -20,9 +21,7 @@ var snapSink *Snapshot
 // snapshot holds beyond its model and graph, measured once, untimed,
 // between two collections.
 func BenchmarkMicro_Publish_Mid(b *testing.B) {
-	cfg := dataset.BenchIslands()
-	cfg.MinNodes, cfg.MaxNodes = 250, 500
-	g := dataset.IslandsWithEdgeSeeds(cfg, nil)
+	g := midArchipelago()
 	m := icspm.MineShardedCached(g, icspm.Options{CollectStats: true}, nil)
 	var before, after runtime.MemStats
 	snapSink = nil // a previous run's snapshot holds its own model and graph
@@ -47,9 +46,7 @@ func BenchmarkMicro_Publish_Mid(b *testing.B) {
 // Each op's re-mine, untimed, folds a new vertex carrying vertex 0's first
 // value, so that value's count is new and every group's key with it.
 func BenchmarkMicro_Checkpoint_Mid(b *testing.B) {
-	cfg := dataset.BenchIslands()
-	cfg.MinNodes, cfg.MaxNodes = 250, 500
-	g := dataset.IslandsWithEdgeSeeds(cfg, nil)
+	g := midArchipelago()
 	s, err := NewServer(g, Options{Dir: b.TempDir(), Debounce: time.Hour})
 	if err != nil {
 		b.Fatal(err)
@@ -74,6 +71,23 @@ func BenchmarkMicro_Checkpoint_Mid(b *testing.B) {
 		b.StartTimer()
 		if err := s.checkpoint(snap); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMicro_PatternsPage_Mid measures the page layer of a /patterns
+// read: one op serves one 50-pattern page of the mid archipelago's ranked
+// list through the handler into a ResponseRecorder.
+func BenchmarkMicro_PatternsPage_Mid(b *testing.B) {
+	s := pageServer(midSnapshot())
+	req := httptest.NewRequest(http.MethodGet, "/v2/graphs/default/patterns?offset=100&limit=50", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		s.handlePatterns(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d", w.Code)
 		}
 	}
 }

@@ -108,26 +108,20 @@ func decodeBatch(payload []byte) ([]Mutation, error) {
 	return muts, nil
 }
 
+// checksumChunk is the buffer modelChecksum lays its commitment out in:
+// the bytes reach the hash one chunk at a time, never all at once.
+const checksumChunk = 32 << 10
+
 // modelChecksum commits to a mined model: summary statistics plus every
 // pattern, with attribute ids spelled by NAME so the digest is invariant
 // under re-interning (the same logical model hashes identically no matter
 // what order a recovered graph assigned its ids in). The commitment is
-// laid out in one buffer and hashed once: floats and counts as 8
-// little-endian bytes, a value list as its length then each name and a
-// zero byte.
+// streamed into one SHA-256: floats and counts as 8 little-endian bytes,
+// a value list as its length then each name and a zero byte.
 func modelChecksum(m *icspm.Model) string {
 	names := m.Vocab.Names()
-	size := 32
-	for _, p := range m.Patterns {
-		size += 40 + len(p.CoreValues) + len(p.LeafValues)
-		for _, a := range p.CoreValues {
-			size += len(names[a])
-		}
-		for _, a := range p.LeafValues {
-			size += len(names[a])
-		}
-	}
-	b := make([]byte, 0, size)
+	h := sha256.New()
+	b := make([]byte, 0, checksumChunk)
 	appendF := func(x float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x)) }
 	appendU := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
 	appendAttrs := func(ids []graph.AttrID) {
@@ -142,14 +136,20 @@ func modelChecksum(m *icspm.Model) string {
 	appendF(m.CondEntropy)
 	appendU(uint64(len(m.Patterns)))
 	for _, p := range m.Patterns {
+		// Flush while a pattern surely fits. One with longer names than
+		// the slack outgrows the chunk, and append grows it.
+		if cap(b)-len(b) < 1<<10 {
+			h.Write(b)
+			b = b[:0]
+		}
 		appendAttrs(p.CoreValues)
 		appendAttrs(p.LeafValues)
 		appendU(uint64(p.FL))
 		appendU(uint64(p.FC))
 		appendF(p.CodeLen)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // graphBytes serialises g in the graph text format (deterministic output).

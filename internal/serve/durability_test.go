@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -816,4 +819,59 @@ func TestCheckpointGraphRoundtripDeterministic(t *testing.T) {
 		t.Fatal("checkpoint graph roundtrip changed the model commitment")
 	}
 	requireModelEqual(t, a, b)
+}
+
+// modelChecksumReference is the buffered modelChecksum the streaming one
+// replaced: the whole commitment laid out in one buffer, hashed once.
+func modelChecksumReference(m *icspm.Model) string {
+	names := m.Vocab.Names()
+	var b []byte
+	appendF := func(x float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x)) }
+	appendU := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
+	appendAttrs := func(ids []graph.AttrID) {
+		appendU(uint64(len(ids)))
+		for _, a := range ids {
+			b = append(b, names[a]...)
+			b = append(b, 0)
+		}
+	}
+	appendF(m.BaselineDL)
+	appendF(m.FinalDL)
+	appendF(m.CondEntropy)
+	appendU(uint64(len(m.Patterns)))
+	for _, p := range m.Patterns {
+		appendAttrs(p.CoreValues)
+		appendAttrs(p.LeafValues)
+		appendU(uint64(p.FL))
+		appendU(uint64(p.FC))
+		appendF(p.CodeLen)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestModelChecksumMatchesReference holds the streamed digest to the
+// buffered one: on the mid archipelago (a 1.5 MB commitment, many chunk
+// flushes), the small test graph, an empty model, and a model whose names
+// outgrow a chunk on their own.
+func TestModelChecksumMatchesReference(t *testing.T) {
+	long := graph.NewVocab()
+	var patterns []icspm.AStar
+	for i := 0; i < 40; i++ {
+		a := long.ID(strings.Repeat(string(rune('a'+i%26)), 1000*i))
+		patterns = append(patterns, icspm.AStar{CoreValues: []graph.AttrID{a}, LeafValues: []graph.AttrID{a, 0}, FL: i, FC: 2 * i, CodeLen: float64(i) / 3})
+	}
+	for _, tc := range []struct {
+		name string
+		m    *icspm.Model
+	}{
+		{"mid", midSnapshot().Model},
+		{"small", icspm.Mine(testGraph(t))},
+		{"empty", &icspm.Model{Vocab: graph.NewVocab()}},
+		{"long-names", &icspm.Model{Vocab: long, Patterns: patterns, FinalDL: 1.5}},
+	} {
+		if got, want := modelChecksum(tc.m), modelChecksumReference(tc.m); got != want {
+			t.Errorf("%s: streamed digest %s, buffered %s", tc.name, got, want)
+		}
+	}
 }

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -189,8 +189,8 @@ func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
 }
 
 // queryInt parses an integer query parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func queryInt(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -201,49 +201,33 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
+// handlePatterns serves one page of the ranked pattern list, written by
+// pageWriter into a pooled buffer and sent in one Write.
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	s.met.patternsReqs.Add(1)
-	offset, err := queryInt(r, "offset", 0)
+	q := r.URL.Query()
+	offset, err := queryInt(q, "offset", 0)
 	if err != nil || offset < 0 {
 		s.badRequest(w, "bad offset: want a non-negative integer")
 		return
 	}
-	limit, err := queryInt(r, "limit", defaultPageLimit)
+	limit, err := queryInt(q, "limit", defaultPageLimit)
 	if err != nil || limit <= 0 || limit > maxPageLimit {
 		s.badRequest(w, "bad limit: want an integer in [1,%d]", maxPageLimit)
 		return
 	}
-	snap := s.snap.Load()
-	patterns := snap.Model.Patterns
-	total := len(patterns)
-	multi := r.URL.Query().Get("multileaf") == "1"
-	if multi {
-		total = len(snap.multiLeaf)
+	pw := pageWriters.Get().(*pageWriter)
+	ok := pw.appendPage(s.snap.Load(), offset, limit, q.Get("multileaf") == "1")
+	w.Header().Set("Content-Type", "application/json")
+	if ok {
+		w.Header().Set("Content-Length", strconv.Itoa(len(pw.buf)))
+		_, _ = w.Write(pw.buf)
+	} else {
+		w.WriteHeader(http.StatusOK) // what writeJSON sends for a value json refuses
 	}
-	resp := PatternsResponse{
-		Generation: snap.Generation,
-		Total:      total,
-		Offset:     offset,
-		Limit:      limit,
-		Patterns:   []PatternJSON{},
+	if cap(pw.buf) <= maxPooledPage {
+		pageWriters.Put(pw)
 	}
-	vocab := snap.Graph.Vocab()
-	for i := offset; i < total && i < offset+limit; i++ {
-		j := i
-		if multi {
-			j = int(snap.multiLeaf[i])
-		}
-		p := &patterns[j]
-		resp.Patterns = append(resp.Patterns, PatternJSON{
-			Core:       attrNames(vocab, p.CoreValues),
-			Leaf:       attrNames(vocab, p.LeafValues),
-			FL:         p.FL,
-			FC:         p.FC,
-			Confidence: p.Confidence(),
-			CodeLen:    p.CodeLen,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -484,14 +468,4 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		Batch:      seq,
 		TraceID:    traceID,
 	})
-}
-
-// attrNames renders interned ids by name, sorted for a stable wire order.
-func attrNames(v *graph.Vocab, ids []graph.AttrID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = v.Name(id)
-	}
-	sort.Strings(out)
-	return out
 }

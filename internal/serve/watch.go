@@ -42,7 +42,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "bad generation: want a non-negative integer")
 		return
 	}
-	timeoutMS, err := queryInt(r, "timeout_ms", int(defaultWatchTimeout/time.Millisecond))
+	timeoutMS, err := queryInt(r.URL.Query(), "timeout_ms", int(defaultWatchTimeout/time.Millisecond))
 	if err != nil || timeoutMS < 0 {
 		s.badRequest(w, "bad timeout_ms: want a non-negative integer")
 		return

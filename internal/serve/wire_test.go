@@ -70,7 +70,7 @@ func goldenWatchResponse() WatchResponse {
 // /v1/patterns and /v1/watch responses: the committed fixtures must decode into exactly
 // the canonical values, and re-encoding those values through the same
 // encoder the handlers use must reproduce the committed bytes byte for
-// byte. A renamed/reordered/retyped field breaks every deployed client, so
+// byte, as must the /patterns page writer. A renamed/reordered/retyped field breaks every deployed client, so
 // it must arrive as a NEW endpoint version with new fixtures — never by
 // mutating these. Regenerate deliberately with
 // UPDATE_WIRE_GOLDEN=1 go test ./internal/serve -run WireFormat.
@@ -90,7 +90,7 @@ func TestResponseWireFormatGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The handlers stream through json.NewEncoder, which appends a
+			// writeJSON streams through json.NewEncoder, which appends a
 			// trailing newline; the fixture pins those exact bytes.
 			var buf bytes.Buffer
 			if err := json.NewEncoder(&buf).Encode(tc.val); err != nil {
@@ -123,6 +123,22 @@ func TestResponseWireFormatGolden(t *testing.T) {
 			}
 		})
 	}
+	// /patterns is not encoded by encoding/json but written by the page
+	// writer: a snapshot holding the canonical page must produce the
+	// committed bytes through it too.
+	t.Run("patterns_page_writer", func(t *testing.T) {
+		var pw pageWriter
+		if !pw.appendPage(goldenPatternsSnapshot(t), 10, 2, false) {
+			t.Fatal("page writer refused the golden snapshot")
+		}
+		committed, err := os.ReadFile("testdata/patterns_v1.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pw.buf, committed) {
+			t.Errorf("page writer diverged from the committed wire format:\n got: %s\nwant: %s", pw.buf, committed)
+		}
+	})
 }
 
 // goldenWALBatchV1 is a fixed-|V|-era batch: attribute and edge ops only,
